@@ -12,7 +12,6 @@ argument applies for nearest-neighbour kernels on the line.
 from __future__ import annotations
 
 import csv
-import datetime
 import math
 import os
 from dataclasses import dataclass, field
@@ -22,8 +21,9 @@ from scipy.sparse import csgraph
 from scipy.special import xlogy
 
 from .core import BrwModel, IntDistribution, ModelError, dominating_law, restrict_model
-from .serialize import model_hash
-from .simulate import (DEFAULT_HARD_CAP, estimate_survival, run_coupled_trials,
+from .genfun import _verdict
+from .serialize import write_manifest
+from .simulate import (DEFAULT_HARD_CAP, _philox, estimate_survival, run_coupled_trials,
                        wilson_interval)
 from .spectral import local_growth_rate, moment_matrix, seneta_sequence
 
@@ -213,11 +213,11 @@ def spatial_experiment(model: BrwModel, exhaustion, x0, margin=1e-3, n_max=2000,
     estimates = seneta_sequence(model, exhaustion, x0, n_max=n_max)
     M = moment_matrix(model)
     full = local_growth_rate(M, x0, n_max=n_max)
-    full_verdict = _growth_verdict(full.value, margin)
+    full_verdict = _verdict(full.value, margin)
     rows = []
     first = None
     for i, (subset, est) in enumerate(zip(exhaustion, estimates)):
-        verdict = _growth_verdict(est.value, margin)
+        verdict = _verdict(est.value, margin)
         row = SpatialRow(i, len(set(subset)), est.value, est.converged, verdict)
         if verdict == "survives" and first is None:
             first = i
@@ -232,14 +232,6 @@ def spatial_experiment(model: BrwModel, exhaustion, x0, margin=1e-3, n_max=2000,
         rows.append(row)
     return SpatialResult(rows, full.value, full_verdict,
                          first if full_verdict == "survives" else None)
-
-
-def _growth_verdict(value, margin):
-    if value > 1.0 + margin:
-        return "survives"
-    if value < 1.0 - margin:
-        return "dies"
-    return "inconclusive"
 
 
 def ball_exhaustion(model: BrwModel, x0, radii):
@@ -359,7 +351,6 @@ class PercolationConfig:
 
 
 _PERC_SALT = 0x7F4A7C159E3779B9
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _perc_structure(config: PercolationConfig):
@@ -405,7 +396,6 @@ def oriented_percolation(config: PercolationConfig, replicas, seed=0) -> Percola
     edge set, the cluster, and survival all grow with p.
     """
     n, src, dst, origin = _perc_structure(config)
-    seed64 = int(seed) & _MASK64
     survived = 0
     revisits = np.zeros(replicas, dtype=np.int64)
     for r in range(replicas):
@@ -413,9 +403,7 @@ def oriented_percolation(config: PercolationConfig, replicas, seed=0) -> Percola
         reach[origin] = True
         hits = 0
         for level in range(1, config.horizon + 1):
-            rng = np.random.Generator(np.random.Philox(
-                key=[seed64 ^ _PERC_SALT, ((r & 0xFFFFFFFF) << 32) | level]))
-            u = rng.random(src.size)
+            u = _philox(_PERC_SALT, seed, r, level).random(src.size)
             carry = reach[src] & (u < config.p)
             reach = np.zeros(n, dtype=bool)
             np.logical_or.at(reach, dst[carry], True)
@@ -456,10 +444,10 @@ def approximation_report(scenario, out_dir, params=None, x0=None, seed=0, horizo
     else:
         from .scenarios import build_scenario
         model = build_scenario(scenario, params)
-    os.makedirs(out_dir, exist_ok=True)
     if x0 is None:
         x0 = model.vertices[model.size // 2] if model.size > 1 else model.vertices[0]
-    summary = {"scenario": model.name, "x0": x0, "model_hash": model_hash(model)}
+    summary = {"scenario": model.name, "x0": x0,
+               "model_hash": write_manifest(out_dir, model, seed)}
     files = {}
 
     if model.size > 1:
@@ -505,12 +493,5 @@ def approximation_report(scenario, out_dir, params=None, x0=None, seed=0, horizo
     files["analytic"] = os.path.join(out_dir, "analytic.csv")
     write_csv(files["analytic"], ("quantity", "value"), analytic)
 
-    manifest = os.path.join(out_dir, "manifest.txt")
-    with open(manifest, "w") as fh:
-        fh.write(f"scenario {model.name}\n")
-        fh.write(f"params {model.params}\n")
-        fh.write(f"seed {seed}\n")
-        fh.write(f"model_hash {summary['model_hash']}\n")
-        fh.write(f"generated {datetime.datetime.now().isoformat()}\n")
     summary["files"] = files
     return summary

@@ -13,7 +13,6 @@ Exit codes: 0 ok, 1 invalid configuration or usage, 2 scenario error,
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import math
 import os
@@ -21,7 +20,7 @@ import sys
 
 from . import approx, genfun, scenarios, spectral
 from .core import ModelError
-from .serialize import model_hash
+from .serialize import params_json, write_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,7 +64,7 @@ def _merge_config(args) -> dict:
         key, val = item.split("=", 1)
         cfg[key.strip()] = _parse_value(val.strip())
     for key in ("scenario", "horizon", "replicas", "seed", "out", "target",
-                "x0", "caps", "p", "lam_lo", "lam_hi"):
+                "x0", "caps", "p"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -98,24 +97,6 @@ def _x0(cfg, model):
     return x0
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _write_manifest(out_dir, model, cfg):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "manifest.txt")
-    with open(path, "w") as fh:
-        fh.write(f"scenario {model.name}\n")
-        fh.write("params " + json.dumps(model.params, sort_keys=True, default=str) + "\n")
-        fh.write(f"seed {cfg['seed']}\n")
-        fh.write(f"model_hash {model_hash(model)}\n")
-        fh.write(f"generated {datetime.datetime.now().isoformat()}\n")
-    return model_hash(model)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -136,12 +117,12 @@ def cmd_classify(args) -> int:
     report = genfun.classify_survival(model, x0)
     q, diag = genfun.iterate_extinction(model, "global")
     out = cfg["out"]
-    h = _write_manifest(out, model, cfg)
+    h = write_manifest(out, model, cfg["seed"])
     approx.write_csv(os.path.join(out, "classify_evidence.csv"),
                      ("series", "n", "term"), report.evidence_csv_rows())
     with open(os.path.join(out, "classify.txt"), "w") as fh:
         fh.write(report.to_text() + "\n")
-        fh.write(f"qbar_x0 {q[model.index[x0]]!r}\n")
+        fh.write(f"qbar_x0 {float(q[model.index[x0]])!r}\n")
     print(report.to_text())
     print(f"  qbar(x0) = {q[model.index[x0]]:.6g}   [model {h}]")
     return EXIT_OK
@@ -152,7 +133,7 @@ def cmd_extinction(args) -> int:
     model = _build(cfg)
     q, diag = genfun.iterate_extinction(model, "global")
     out = cfg["out"]
-    h = _write_manifest(out, model, cfg)
+    h = write_manifest(out, model, cfg["seed"])
     approx.write_csv(os.path.join(out, "extinction.csv"), ("vertex", "qbar"),
                      [(v, repr(float(q[model.index[v]]))) for v in model.vertices])
     print(f"extinction fixed point after {diag.iterations} iterations "
@@ -170,7 +151,7 @@ def cmd_spectral(args) -> int:
     local = spectral.local_growth_rate(M, x0)
     glob = spectral.global_growth_rate(M, x0)
     out = cfg["out"]
-    h = _write_manifest(out, model, cfg)
+    h = write_manifest(out, model, cfg["seed"])
     rows = [("local", n, repr(t), int(f)) for n, t, f in local.csv_rows()]
     rows += [("global", n, repr(t), int(f)) for n, t, f in glob.csv_rows()]
     approx.write_csv(os.path.join(out, "growth.csv"),
@@ -190,7 +171,7 @@ def cmd_spatial(args) -> int:
     exhaustion = approx.ball_exhaustion(model, x0, radii)
     result = approx.spatial_experiment(model, exhaustion, x0)
     out = cfg["out"]
-    h = _write_manifest(out, model, cfg)
+    h = write_manifest(out, model, cfg["seed"])
     header, rows = result.csv_rows()
     approx.write_csv(os.path.join(out, "spatial.csv"), header, rows)
     print(f"full-window growth {result.full_growth:.6g} ({result.full_verdict}) [model {h}]")
@@ -220,13 +201,12 @@ def cmd_sweep(args) -> int:
         target=cfg.get("target", x0), seed=int(cfg["seed"]),
         hard_cap=int(cfg.get("hard_cap", 10 ** 6)))
     out = cfg["out"]
-    h = _write_manifest(out, model, cfg)
+    h = write_manifest(out, model, cfg["seed"])
     header, rows = result.csv_rows()
     approx.write_csv(os.path.join(out, "sweep.csv"), header, rows)
     header, rows = result.per_replica_rows()
     approx.write_csv(os.path.join(out, "replicas.csv"), header, rows)
-    header, rows = result.summary_rows(model.name,
-                                       json.dumps(model.params, sort_keys=True, default=str))
+    header, rows = result.summary_rows(model.name, params_json(model))
     approx.write_csv(os.path.join(out, "summary.csv"), header, rows)
     print(f"cap sweep, {result.replicas} replicas, horizon {result.horizon} [model {h}]")
     overflow = 0

@@ -9,8 +9,10 @@ as a content address for experiment manifests.
 
 from __future__ import annotations
 
+import datetime
 import hashlib
 import json
+import os
 
 from .core import BrwModel, IntDistribution, ModelError, OffspringConfig, OffspringLaw, ProductForm
 
@@ -21,10 +23,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def params_json(model: BrwModel) -> str:
+    return json.dumps(model.params, sort_keys=True, default=str)
+
+
 def serialize_model(model: BrwModel) -> str:
     lines = [FORMAT_LINE,
              f"scenario {model.name or '-'}",
-             "params " + json.dumps(model.params, sort_keys=True, default=str)]
+             "params " + params_json(model)]
     lines.append("vertices " + " ".join(str(v) for v in model.vertices))
     for v in model.vertices:
         law = model.laws[v]
@@ -86,3 +92,16 @@ def parse_model(text: str) -> BrwModel:
 
 def model_hash(model: BrwModel) -> str:
     return hashlib.sha256(serialize_model(model).encode()).hexdigest()[:12]
+
+
+def write_manifest(out_dir, model: BrwModel, seed) -> str:
+    """Write out_dir/manifest.txt (the only file holding a timestamp); return the model hash."""
+    h = model_hash(model)
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
+        fh.write(f"scenario {model.name}\n")
+        fh.write(f"params {params_json(model)}\n")
+        fh.write(f"seed {seed}\n")
+        fh.write(f"model_hash {h}\n")
+        fh.write(f"generated {datetime.datetime.now().isoformat()}\n")
+    return h

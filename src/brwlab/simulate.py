@@ -2,11 +2,16 @@
 
 Randomness contract: every draw comes from a counter-based Philox stream
 keyed by (seed, replica, generation), consumed in a canonical order (law
-groups by least vertex, vertices by index, particles by rank).  Replicas
-are therefore reproducible independently of scheduling, and processes that
-share a stream share their per-particle offspring draws: a capped or
-restricted state reads a prefix of the same draw blocks, which makes
-monotone couplings exact rather than statistical.
+groups by least vertex, then batched replicas, vertices by index, particles
+by rank).  Replicas are therefore reproducible independently of scheduling,
+and processes that share a stream share their per-particle offspring draws:
+a capped or restricted state reads a prefix of the same draw blocks, which
+makes monotone couplings exact rather than statistical.
+
+One kernel draws all offspring.  It advances an (R, S, V) count array:
+R independent replicas, each with S coupled rows over V vertices.  Single
+steps, coupled pairs and coupled trials use R = 1; the replica-batched
+mean curves use S = 1.
 
 Per-site caps are applied after summing arrivals from all parents, so a
 step does not depend on any parent ordering.
@@ -42,6 +47,12 @@ def wilson_interval(successes, n, z=1.959963984540054):
     return (lo, hi)
 
 
+def _philox(salt, seed, replica, n) -> np.random.Generator:
+    """Philox generator keyed by (seed ^ salt, replica:n packed in 32+32 bits)."""
+    key = [(int(seed) & _MASK64) ^ salt, ((int(replica) & _MASK32) << 32) | (int(n) & _MASK32)]
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 class TrialStreams:
     """Per-(seed, replica) family of per-generation Philox generators."""
 
@@ -50,9 +61,7 @@ class TrialStreams:
         self.replica = int(replica)
 
     def generation(self, n) -> np.random.Generator:
-        key = [self.seed ^ _TRIAL_SALT,
-               ((self.replica & _MASK32) << 32) | (int(n) & _MASK32)]
-        return np.random.Generator(np.random.Philox(key=key))
+        return _philox(_TRIAL_SALT, self.seed, self.replica, n)
 
 
 def _draw_indices(rng, cdf, size):
@@ -60,7 +69,7 @@ def _draw_indices(rng, cdf, size):
     if size == 0:
         return np.empty(0, dtype=np.int64)
     ids = np.searchsorted(cdf, rng.random(size), side="right")
-    return np.minimum(ids, cdf.size - 1)
+    return np.minimum(ids, cdf.size - 1, out=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -127,63 +136,79 @@ def _program(model: BrwModel):
 
 
 # ---------------------------------------------------------------------------
-# multi-state stepping
+# the stepping kernel
 # ---------------------------------------------------------------------------
 
-def _multi_step(counts, model, rng, keep_masks):
-    """Advance every row of ``counts`` one generation on shared draws.
+def _prefix_masks(block, reads):
+    """Per row of ``reads``: None when it reads every draw block whole, else a
+    mask over the concatenated blocks selecting the first reads[b] of block b."""
+    if len(reads) == 1:
+        return [None]
+    masks = []
+    rank = None
+    for row in reads:
+        if np.array_equal(row, block):
+            masks.append(None)
+            continue
+        if rank is None:
+            rank = np.arange(int(block.sum())) - np.repeat(np.cumsum(block) - block, block)
+        masks.append(rank < np.repeat(row, block))
+    return masks
 
-    counts: (S, V) int64.  At each vertex a block sized by the rowwise
-    maximum is drawn once; row i reads the first counts[i] particle draws,
-    and keep_masks[i] (None or a boolean vertex mask) drops its children
-    sent outside the mask, realizing the restriction coupling.  Caps are
-    NOT applied here; the uncapped arrival matrix is returned.
+
+def _advance(counts, model, rng, keep_masks=None):
+    """Advance an (R, S, V) count array one generation; R replicas, S coupled rows.
+
+    Replicas read disjoint draws; the rows of one replica share theirs.  Per
+    law group the draw blocks are laid out replica-major, one per (replica,
+    vertex), each sized by the maximum over that replica's rows; row s reads
+    the first counts[r, s, v] draws of its block, so a smaller row sees a
+    prefix of a larger one's particles.  keep_masks[s] (None or a boolean
+    vertex mask) kills row s's children sent outside the mask, realizing the
+    restriction coupling.  Caps are NOT applied here; the uncapped arrivals
+    are returned.
     """
-    S, V = counts.shape
-    new = np.zeros((S, V), dtype=np.int64)
+    R, S, V = counts.shape
+    new = np.zeros((R, S, V), dtype=np.int64)
+    occupied = counts.any(axis=(0, 1))
     for group in _program(model):
         if isinstance(group, _AtomGroup):
-            c = counts[:, group.col]
-            cmax = int(c.max())
-            if cmax == 0:
+            if not occupied[group.col]:
                 continue
-            ids = _draw_indices(rng, group.cdf, cmax)
-            for i in range(S):
-                ci = int(c[i])
-                if ci == 0:
-                    continue
-                per_atom = np.bincount(ids[:ci], minlength=group.cdf.size)
-                delta = per_atom @ group.configs
-                if keep_masks[i] is not None:
-                    delta = delta * keep_masks[i]
-                new[i] += delta.astype(np.int64)
+            c = counts[:, :, group.col]                        # (R, S)
+            block = c.max(axis=1)
+            ids = _draw_indices(rng, group.cdf, int(block.sum()))
+            A = group.cdf.size
+            if R > 1:
+                ids += np.repeat(np.arange(0, R * A, A), block)
+            # a lone block (R == 1) is read by prefix slices, not masks
+            sels = _prefix_masks(block, c.T) if R > 1 else [slice(k) for k in c[0].tolist()]
+            per = np.stack([np.bincount(ids if sel is None else ids[sel], minlength=R * A)
+                            for sel in sels])                          # (S, R * A)
+            new += (per.reshape(S, R, A) @ group.configs).astype(np.int64).transpose(1, 0, 2)
         else:
-            sub = counts[:, group.cols]                    # (S, m)
-            occ = np.nonzero(sub.max(axis=0) > 0)[0]
-            if occ.size == 0:
+            if not occupied[group.cols].any():
                 continue
-            sub = sub[:, occ]
-            cmax = sub.max(axis=0)
-            ntot = int(cmax.sum())
-            totals = group.rho_values[_draw_indices(rng, group.rho_cdf, ntot)]
-            starts = np.concatenate(([0], np.cumsum(cmax)[:-1]))
-            parent_pos = np.repeat(np.arange(occ.size), cmax)
-            rank = np.arange(ntot) - starts[parent_pos]
+            sub = counts[:, :, group.cols]                     # (R, S, m)
+            m = sub.shape[2]
+            block = sub.max(axis=1).ravel()                    # (R * m,) replica-major
+            totals = group.rho_values[_draw_indices(rng, group.rho_cdf, int(block.sum()))]
             t_all = int(totals.sum())
-            if t_all:
-                offs = _draw_indices(rng, group.w_cdf, t_all)
-                child_parent = np.repeat(parent_pos, totals)
-                dest = group.targets[occ][child_parent, offs]
-            else:
-                dest = np.empty(0, dtype=np.int64)
-            for i in range(S):
-                include = rank < sub[i][parent_pos]
-                child_inc = np.repeat(include, totals)
-                d = dest[child_inc]
-                if keep_masks[i] is not None:
-                    d = d[keep_masks[i][d]]
-                if d.size:
-                    new[i] += np.bincount(d, minlength=V)
+            if t_all == 0:
+                continue
+            parent = np.repeat(np.arange(block.size), block)   # block of each particle
+            flat = group.targets[np.repeat(parent % m, totals),
+                                 _draw_indices(rng, group.w_cdf, t_all)]
+            if R > 1:
+                flat += np.repeat(parent // m * V, totals)
+            reads = sub.transpose(1, 0, 2).reshape(S, -1)
+            for s, sel in enumerate(_prefix_masks(block, reads)):
+                f = flat if sel is None else flat[np.repeat(sel, totals)]
+                if f.size:
+                    new[:, s] += np.bincount(f, minlength=R * V).reshape(R, V)
+    for s, keep in enumerate(keep_masks or ()):
+        if keep is not None:
+            new[:, s, ~keep] = 0
     return new
 
 
@@ -237,15 +262,14 @@ def _apply_cap(arr, cap):
 
 def step(state: PopulationState, model: BrwModel, rng) -> PopulationState:
     """One exact-law generation: each particle draws an offspring configuration."""
-    new = _multi_step(state.counts[None, :], model, rng, [None])[0]
-    return PopulationState(new, state.generation + 1, state.total_born + int(new.sum()))
+    return step_truncated(state, None, model, rng)
 
 
 def step_truncated(state: PopulationState, m, model: BrwModel, rng) -> PopulationState:
     """As ``step`` then clip every site at m (applied after all arrivals)."""
     if m is not None and m < 1:
         raise ModelError("cap must be at least 1")
-    new = _multi_step(state.counts[None, :], model, rng, [None])[0]
+    new = _advance(state.counts[None, None, :], model, rng)[0, 0]
     _apply_cap(new, m)
     return PopulationState(new, state.generation + 1, state.total_born + int(new.sum()))
 
@@ -267,7 +291,7 @@ def step_coupled(pair, caps, model: BrwModel, rng, coupling=None):
         raise ModelError("coupled pair must start ordered (lower <= upper)")
     mask = coupling.mask(model) if isinstance(coupling, RestrictionCoupling) else None
     stacked = np.stack([upper.counts, lower.counts])
-    new = _multi_step(stacked, model, rng, [None, mask])
+    new = _advance(stacked[None], model, rng, [None, mask])[0]
     _apply_cap(new[0], m)
     _apply_cap(new[1], k)
     if np.any(new[1] > new[0]):
@@ -345,7 +369,7 @@ def run_coupled_trials(model: BrwModel, caps, eta0, horizon, target=None, seed=0
             break
         rng = streams.generation(gen)
         mat = np.stack([states[i] for i in active])
-        new = _multi_step(mat, model, rng, [masks[i] for i in active])
+        new = _advance(mat[None], model, rng, [masks[i] for i in active])[0]
         for row, i in enumerate(active):
             _apply_cap(new[row], caps[i])
         if assert_domination:
@@ -453,46 +477,9 @@ def mean_curve(model: BrwModel, eta0, horizon, replicas, seed=0, track=None):
     samples = np.zeros((R, horizon + 1), dtype=np.int64) if t_idx is not None else None
     if samples is not None:
         samples[:, 0] = counts[:, t_idx]
-    seed64 = int(seed) & _MASK64
     for gen in range(1, horizon + 1):
-        rng = np.random.Generator(np.random.Philox(key=[seed64 ^ _BATCH_SALT, gen]))
-        counts = _batched_step(counts, model, rng)
+        counts = _advance(counts[:, None, :], model, _philox(_BATCH_SALT, seed, 0, gen))[:, 0]
         means[gen] = counts.mean(axis=0)
         if samples is not None:
             samples[:, gen] = counts[:, t_idx]
     return means, samples
-
-
-def _batched_step(counts, model, rng):
-    """Advance (R, V) independent populations one generation (no caps)."""
-    R, V = counts.shape
-    new = np.zeros((R, V), dtype=np.int64)
-    for group in _program(model):
-        if isinstance(group, _AtomGroup):
-            c = counts[:, group.col]
-            tot = int(c.sum())
-            if tot == 0:
-                continue
-            ids = _draw_indices(rng, group.cdf, tot)
-            parent_rep = np.repeat(np.arange(R), c)
-            flat = parent_rep * group.cdf.size + ids
-            per = np.bincount(flat, minlength=R * group.cdf.size).reshape(R, -1)
-            new += (per @ group.configs).astype(np.int64)
-        else:
-            sub = counts[:, group.cols]                     # (R, m)
-            flat_counts = sub.ravel()
-            tot = int(flat_counts.sum())
-            if tot == 0:
-                continue
-            totals = group.rho_values[_draw_indices(rng, group.rho_cdf, tot)]
-            t_all = int(totals.sum())
-            if t_all == 0:
-                continue
-            offs = _draw_indices(rng, group.w_cdf, t_all)
-            parent_seg = np.repeat(np.arange(flat_counts.size), flat_counts)
-            child_seg = np.repeat(parent_seg, totals)
-            child_rep = child_seg // sub.shape[1]
-            child_vpos = child_seg % sub.shape[1]
-            dest = group.targets[child_vpos, offs]
-            np.add.at(new, (child_rep, dest), 1)
-    return new

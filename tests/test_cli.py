@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from brwlab.cli import main
@@ -34,6 +36,9 @@ class TestClassify:
         assert "qbar(x0) = 0.333333" in out
         assert (tmp_path / "classify_evidence.csv").exists()
         assert (tmp_path / "manifest.txt").exists()
+        lines = (tmp_path / "classify.txt").read_text().splitlines()
+        value = [ln for ln in lines if ln.startswith("qbar_x0 ")][0].split(" ", 1)[1]
+        assert abs(float(value) - 1 / 3) <= 1e-8
 
 
 class TestExtinction:
@@ -54,6 +59,19 @@ class TestSweepDeterminism:
         assert run_cli(args + ["--out", str(b_dir)]) in (0, 3)
         assert (a_dir / "sweep.csv").read_bytes() == (b_dir / "sweep.csv").read_bytes()
         assert (a_dir / "replicas.csv").read_bytes() == (b_dir / "replicas.csv").read_bytes()
+
+    def test_csv_bodies_pinned(self, tmp_path, capsys):
+        # sha256 of the bodies recorded before the stepping engines were merged
+        code = run_cli(["sweep", "--scenario", "zd_translation", "--set", "param.radius=4",
+                        "--caps", "1,2,inf", "--horizon", "30", "--replicas", "12",
+                        "--seed", "11", "--set", "hard_cap=5000", "--out", str(tmp_path)])
+        assert code == 3
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("sweep.csv", "replicas.csv")}
+        assert digest == {
+            "sweep.csv": "1fba46d3ca8f1064268def3296a0a17e60b6e6233a02e281457a7f6e6dc06fd2",
+            "replicas.csv": "449314612bd7c1a07d4dd96c177733ea5566affc40ca3d2dea49e9554379fe50",
+        }
 
     def test_overflow_exit_code(self, tmp_path, capsys):
         code = run_cli(["sweep", "--scenario", "gw",

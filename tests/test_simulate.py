@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -108,12 +109,12 @@ class TestEngineDistribution:
         counts = {k: 0 for k in expected}
         R = 40_000
         # batch R independent replicas of a single one-step trial
-        from brwlab.simulate import _batched_step
+        from brwlab.simulate import _advance
         import numpy as np
-        mat = np.zeros((R, m.size), dtype=np.int64)
-        mat[:, m.index[0]] = 1
+        mat = np.zeros((R, 1, m.size), dtype=np.int64)
+        mat[:, 0, m.index[0]] = 1
         rng = TrialStreams(424242).generation(1)
-        out = _batched_step(mat, m, rng)
+        out = _advance(mat, m, rng)[:, 0]
         for row in out:
             key = tuple((v, int(c)) for v, c in zip(m.vertices, row) if c)
             counts[key] = counts.get(key, 0) + 1
@@ -309,3 +310,69 @@ class TestWilson:
     def test_wilson_extremes(self):
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0 and hi < 0.05
+
+
+def _sha(data) -> str:
+    if isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestKernelPins:
+    """Exact draws of the stepping kernel, recorded before the coupled-row and
+    replica-batch engines were merged; any change to the draw order shows here."""
+
+    def test_mean_curve_product_form(self):
+        m = build_scenario("zd_translation", {"radius": 3})
+        means, samples = mean_curve(m, {0: 1}, 6, 64, seed=5, track=0)
+        assert means.shape == (7, 7) and samples.shape == (64, 7)
+        assert _sha(means) == "60768e03dd7c9529831b86ae23bb18521fdb452f1412a4aadb9d6b1428779b65"
+        assert _sha(samples) == "330bfbd3e0a0f77ac8f74fcdb5d1eb115cede5f4f8a18837d3f5d2f7f8a7a30b"
+
+    def test_mean_curve_atom_laws(self):
+        m = build_scenario("line_noext_irreducible", {"size": 6})
+        means, samples = mean_curve(m, {0: 1}, 6, 64, seed=5, track=1)
+        assert means.shape == (7, 6) and samples.shape == (64, 7)
+        assert _sha(means) == "9e907a2285cb268005895283447c51a14e21460fd084f1ac0517b8167553962f"
+        assert _sha(samples) == "9b13b098e2f393a8cbdd7a5280c2ac61e8a10a40a2fdc4950061e187f878da44"
+
+    def test_coupled_rows_with_caps_and_restrictions(self):
+        line = build_scenario("zd_translation", {"radius": 5})
+        win = RestrictionCoupling(frozenset(range(-2, 3)))
+        outs = []
+        for r in range(6):
+            row = run_coupled_trials(line, [math.inf, 3, math.inf, 2], {0: 1}, 20, target=0,
+                                     seed=3, replica=r, hard_cap=4000,
+                                     couplings=[None, None, win, win])
+            outs.append([(o.alive, o.visits_to_target, o.last_target_visit, o.peak_population,
+                          o.total_born, o.status) for o in row])
+        assert outs[0] == [(True, 10, 20, 2390, 7997, "completed"),
+                           (True, 10, 20, 15, 218, "completed"),
+                           (True, 10, 20, 272, 1215, "completed"),
+                           (True, 10, 20, 6, 69, "completed")]
+        assert _sha(repr(outs).encode()) == \
+            "9a0a3f6da091adf73948e8b349778959ca6f48e7c837afb02ab550d5582efca1"
+
+    def test_single_steps_on_atom_laws(self):
+        m = build_scenario("line_ex45", {"size": 8})
+        win = RestrictionCoupling(frozenset(range(0, 5)))
+        up = PopulationState.from_dict(m, {0: 3, 1: 2})
+        lo = PopulationState.from_dict(m, {0: 2})
+        free = up.copy()
+        streams = TrialStreams(4)
+        trace = []
+        for gen in range(1, 9):
+            up, lo = step_coupled((up, lo), (math.inf, 2), m, streams.generation(gen),
+                                  coupling=win)
+            free = step(free, m, streams.generation(gen))
+            trace.append((up.counts.tolist(), lo.counts.tolist(), free.counts.tolist()))
+        assert (up.total_born, lo.total_born) == (37, 11)
+        assert _sha(repr(trace).encode()) == \
+            "bc6de034f7a07ceeff72a27156173137a1564b434032dc637507aeddd6cca090"
+
+    @pytest.mark.xfail(strict=True, reason="Philox keys pass through float64, so small "
+                                           "seeds collapse onto one stream")
+    def test_distinct_seeds_give_distinct_streams(self):
+        a = TrialStreams(7).generation(1).random(4)
+        b = TrialStreams(8).generation(1).random(4)
+        assert (a != b).any()
