@@ -131,6 +131,7 @@ def cmd_classify(args) -> int:
 def cmd_extinction(args) -> int:
     cfg = _merge_config(args)
     model = _build(cfg)
+    x0 = _x0(cfg, model)
     q, diag = genfun.iterate_extinction(model, "global")
     out = cfg["out"]
     h = write_manifest(out, model, cfg["seed"])
@@ -138,7 +139,6 @@ def cmd_extinction(args) -> int:
                      [(v, repr(float(q[model.index[v]]))) for v in model.vertices])
     print(f"extinction fixed point after {diag.iterations} iterations "
           f"(residual {diag.residual:.2e}, converged={diag.converged}) [model {h}]")
-    x0 = _x0(cfg, model)
     print(f"  qbar({x0}) = {q[model.index[x0]]:.8g}")
     return EXIT_OK
 

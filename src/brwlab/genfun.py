@@ -385,68 +385,64 @@ def _as_rates(rates, vertices):
     return MomentMatrix(rates, tuple(vertices))
 
 
-def _bisect(f, lo, hi, width):
-    flo, fhi = f(lo), f(hi)
-    if flo >= 0 or fhi <= 0:
-        raise ModelError(f"bracket [{lo}, {hi}] does not straddle the threshold "
-                         f"(f(lo)={flo:.4g}, f(hi)={fhi:.4g})")
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), (lo, hi)
+def _critical_rate(name, value, ratios, lam_lo, lam_hi, width):
+    """lam = 1/value, bracketed by it and the reciprocals of the last three ratios."""
+    lam = 1.0 / value if value > 0.0 else math.inf
+    if not lam_lo <= lam <= lam_hi:
+        raise ModelError(f"{name} = {lam:.6g} lies outside [{lam_lo}, {lam_hi}]")
+    ends = [lam] + [1.0 / r for r in ratios[-3:]]
+    bracket = (min(ends), max(ends))
+    if bracket[1] - bracket[0] > width:
+        raise ModelError(f"{name} bracket [{bracket[0]:.6g}, {bracket[1]:.6g}] is wider "
+                         f"than width={width}")
+    return lam, bracket
 
 
 def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
                  projected_row_sum=None, grid=None, n_max=2000, stop_tol=1e-10,
                  tail_tol=1e-12) -> LambdaSweepResult:
-    """Critical-rate estimation for the one-parameter family M = lam * K.
+    """Critical rates of the one-parameter family M = lam * K, in closed form.
 
-    Local threshold: bisection on the return growth of lam * K at x0.
-    Global threshold: when the untruncated construction has constant row sum
-    (``projected_row_sum``), the registered single-site geometric model
-    decides global survival and the bisection runs on its extinction
-    probability; otherwise the window's own row-sum growth is used.
-    Also tabulates the extinction probability as a function of lam and
-    checks it is nonincreasing.
+    Scaling every rate by lam scales every growth rate of K by lam, so each
+    threshold is the reciprocal of one growth estimate of the unscaled K:
+    lam_s = 1/(return growth of K at x0), and lam_w = 1/kbar when the
+    untruncated construction has constant row sum kbar
+    (``projected_row_sum``), otherwise 1/(row-sum growth of K from x0).
+    Each bracket is the smallest interval holding the threshold and the
+    reciprocals of the estimate's last three period-aligned ratios (a
+    projection's lam_w bracket is the single point 1/kbar).  ``width`` is
+    the widest acceptable bracket; a wider one, or a threshold outside
+    [lam_lo, lam_hi], raises ModelError.
+
+    The table holds the extinction probability at x0 for each lam of
+    ``grid`` (default: 9 points over [lam_lo, lam_hi]).  With a projection
+    it is that of the geometric-total single-site counterpart,
+    min(1, 1/(lam * kbar)); otherwise the least fixed point of
+    ``counterpart_model(K, lam)``.  It must be nonincreasing in lam.
     """
     K = _as_rates(rates, vertices)
     if not math.isfinite(K.max_row_sum()):
         raise ModelError("rate row sums must be finite")
 
-    def local_crit(lam):
-        est = local_growth_rate(K.scaled(lam), x0, n_max=n_max, stop_tol=stop_tol)
-        return est.value - 1.0
-
-    lambda_s, s_bracket = _bisect(local_crit, lam_lo, lam_hi, width)
+    est = local_growth_rate(K, x0, n_max=n_max, stop_tol=stop_tol)
+    lambda_s, s_bracket = _critical_rate("lambda_s", est.value, est.ratios,
+                                         lam_lo, lam_hi, width)
 
     if projected_row_sum is not None:
         kbar = float(projected_row_sum)
+        lambda_w, w_bracket = _critical_rate("lambda_w", kbar, (), lam_lo, lam_hi, width)
 
-        def gw_qbar(lam):
-            gw = BrwModel((0,), {0: continuous_counterpart(lam, {0: kbar}, tail_tol=tail_tol)},
-                          name="gw_counterpart", params={"lam": lam, "kbar": kbar})
-            q, diag = iterate_extinction(gw, "global", tol=1e-12, max_iter=30_000)
-            # an unconverged near-critical iteration is still drifting to 1
-            return float(q[0]) if diag.converged else 1.0
-
-        def global_crit(lam):
-            return (1.0 - 1e-9) - gw_qbar(lam)
-
-        qbar_at = gw_qbar
+        def qbar_at(lam):
+            return 1.0 if lam * kbar <= 1.0 else 1.0 / (lam * kbar)
     else:
-        def global_crit(lam):
-            est = global_growth_rate(K.scaled(lam), x0, n_max=n_max, stop_tol=stop_tol)
-            return est.value - 1.0
+        est = global_growth_rate(K, x0, n_max=n_max, stop_tol=stop_tol)
+        lambda_w, w_bracket = _critical_rate("lambda_w", est.value, est.ratios,
+                                             lam_lo, lam_hi, width)
 
         def qbar_at(lam):
             model = counterpart_model(K, lam, tail_tol=tail_tol)
             q, _ = iterate_extinction(model, "global", tol=1e-13)
             return float(q[model.index[x0]])
-
-    lambda_w, w_bracket = _bisect(global_crit, lam_lo, lam_hi, width)
 
     lams = tuple(grid) if grid is not None else tuple(np.linspace(lam_lo, lam_hi, 9))
     table = tuple((float(l), qbar_at(float(l))) for l in lams)

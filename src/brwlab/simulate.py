@@ -351,6 +351,8 @@ def run_coupled_trials(model: BrwModel, caps, eta0, horizon, target=None, seed=0
     if len(couplings) != len(caps):
         raise ModelError("one coupling entry per cap required")
     eta = PopulationState.from_dict(model, eta0) if isinstance(eta0, dict) else eta0
+    if target is not None and target not in model.index:
+        raise ModelError(f"target {target!r} is not a vertex of the model")
     t_idx = model.index[target] if target is not None else None
     masks = [c.mask(model) if isinstance(c, RestrictionCoupling) else None for c in couplings]
     states = []

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from brwlab.cli import main
+from brwlab.cli import EXIT_SCENARIO, EXIT_USAGE, main
 
 
 def run_cli(args):
@@ -48,6 +48,13 @@ class TestExtinction:
         body = (tmp_path / "extinction.csv").read_text()
         assert body.startswith("vertex,qbar")
 
+    def test_unknown_x0_writes_nothing(self, tmp_path, capsys):
+        code = run_cli(["extinction", "--scenario", "gw", "--x0", "7", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "x0=7" in capsys.readouterr().err
+        assert not (tmp_path / "extinction.csv").exists()
+        assert not (tmp_path / "manifest.txt").exists()
+
 
 class TestSweepDeterminism:
     def test_identical_csv_bodies(self, tmp_path, capsys):
@@ -80,6 +87,12 @@ class TestSweepDeterminism:
                         "--set", "hard_cap=100", "--out", str(tmp_path)])
         assert code == 3
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_unknown_target_exit_two(self, tmp_path, capsys):
+        code = run_cli(["sweep", "--scenario", "gw", "--target", "5", "--caps", "1",
+                        "--horizon", "5", "--replicas", "2", "--out", str(tmp_path)])
+        assert code == EXIT_SCENARIO
+        assert "target 5" in capsys.readouterr().err
 
 
 class TestConfigFile:

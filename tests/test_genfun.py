@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brwlab.core import BrwModel, ModelError, OffspringConfig, build_offspring_law
+from brwlab.core import (
+    BrwModel,
+    ModelError,
+    OffspringConfig,
+    build_offspring_law,
+    continuous_counterpart,
+)
 from brwlab.genfun import (
     check_mean_condition,
     check_subsolution,
@@ -24,7 +30,7 @@ from brwlab.scenarios import (
     ex45_p,
     tree_rates,
 )
-from brwlab.spectral import MomentMatrix, moment_matrix
+from brwlab.spectral import MomentMatrix, global_growth_rate, moment_matrix
 
 
 def law_from(atom_dicts):
@@ -312,6 +318,69 @@ class TestLambdaSweep:
         K = MomentMatrix(np.array([[1.0]]), (0,))
         with pytest.raises(ModelError):
             lambda_sweep(K, 0, 2.0, 3.0, projected_row_sum=1.0)
+
+    def test_lambda_s_is_reciprocal_perron_root(self):
+        verts, K = tree_rates(4, 3)
+        res = lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0)
+        root = max(abs(np.linalg.eigvals(K.toarray())))
+        assert res.lambda_s == pytest.approx(1.0 / root, abs=1e-8)
+        lo, hi = res.lambda_s_bracket
+        assert lo <= res.lambda_s <= hi
+        assert res.lambda_w_bracket == (0.25, 0.25)
+
+    def test_projection_table_is_counterpart_fixed_point(self):
+        kbar = 4.0
+        grid = (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 1.0)
+        verts, K = tree_rates(4, 3)
+        res = lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=kbar, grid=grid)
+        for lam, q in res.qbar_table:
+            if lam * kbar <= 1.0:
+                assert q == 1.0
+            else:
+                gw_model = BrwModel((0,), {0: continuous_counterpart(lam, {0: kbar})})
+                fixed, diag = iterate_extinction(gw_model, "global")
+                assert diag.converged
+                assert q == pytest.approx(float(fixed[0]), abs=1e-8)
+
+    def test_projection_solves_no_fixed_point(self, monkeypatch):
+        import brwlab.genfun as gf
+
+        calls = {"local": 0, "global": 0, "extinction": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gf, "local_growth_rate", counted("local", gf.local_growth_rate))
+        monkeypatch.setattr(gf, "global_growth_rate", counted("global", gf.global_growth_rate))
+        monkeypatch.setattr(gf, "iterate_extinction", counted("extinction", gf.iterate_extinction))
+        verts, K = tree_rates(4, 3)
+        lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0)
+        assert calls == {"local": 1, "global": 0, "extinction": 0}
+
+    def test_without_projection_uses_row_sum_growth(self):
+        K = MomentMatrix(np.array([[0.5, 1.0], [0.8, 0.3]]), (0, 1))
+        res = lambda_sweep(K, 0, 0.3, 1.5, grid=(0.4, 0.6, 0.8, 1.0, 1.5))
+        assert res.lambda_w == pytest.approx(1.0 / global_growth_rate(K, 0).value, rel=1e-12)
+        assert res.lambda_w == pytest.approx(1.0 / 1.3, abs=1e-10)
+        lo, hi = res.lambda_w_bracket
+        assert lo <= res.lambda_w <= hi
+        qvals = [q for _, q in res.qbar_table]
+        assert all(b <= a for a, b in zip(qvals, qvals[1:]))
+        assert qvals[0] == pytest.approx(1.0, abs=1e-9)
+        assert qvals[-1] < 0.6
+
+    def test_bracket_wider_than_width_rejected(self):
+        verts, K = tree_rates(4, 4)
+        res = lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0,
+                           n_max=12, width=1.0)
+        lo, hi = res.lambda_s_bracket
+        assert hi - lo > 1e-3
+        with pytest.raises(ModelError, match="wider"):
+            lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0,
+                         n_max=12, width=1e-3)
 
 
 class TestReportCoherence:
