@@ -138,7 +138,8 @@ def cmd_extinction(args) -> int:
     approx.write_csv(os.path.join(out, "extinction.csv"), ("vertex", "qbar"),
                      [(v, repr(float(q[model.index[v]]))) for v in model.vertices])
     print(f"extinction fixed point after {diag.iterations} iterations "
-          f"(residual {diag.residual:.2e}, converged={diag.converged}) [model {h}]")
+          f"({diag.iterations - diag.newton_steps} Kleene + {diag.newton_steps} Newton, "
+          f"residual {diag.residual:.2e}, converged={diag.converged}) [model {h}]")
     print(f"  qbar({x0}) = {q[model.index[x0]]:.8g}")
     return EXIT_OK
 

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import pathlib
 
 import pytest
 
@@ -47,6 +49,21 @@ class TestExtinction:
         assert code == 0
         body = (tmp_path / "extinction.csv").read_text()
         assert body.startswith("vertex,qbar")
+
+    def test_line_ex45_body_matches_bench_golden(self, tmp_path, capsys):
+        golden = pathlib.Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+        want = json.loads(golden.read_text())["full"]["analytic"]["cli extinction/extinction.csv"]
+        code = run_cli(["extinction", "--scenario", "line_ex45", "--set", "param.size=64",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        assert "converged=True" in capsys.readouterr().out
+        assert hashlib.sha256((tmp_path / "extinction.csv").read_bytes()).hexdigest() == want
+
+    def test_gw_body_pinned(self, tmp_path, capsys):
+        # sha256 recorded before the solver gained its Newton phase
+        assert run_cli(["extinction", "--scenario", "gw", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "extinction.csv").read_bytes()).hexdigest() == (
+            "23580a035912b28c2ce48fccc8bcaedf328774cf290a306451fc8947e3d4b7e8")
 
     def test_unknown_x0_writes_nothing(self, tmp_path, capsys):
         code = run_cli(["extinction", "--scenario", "gw", "--x0", "7", "--out", str(tmp_path)])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -39,6 +40,15 @@ def law_from(atom_dicts):
 
 def gw(rho):
     return build_scenario("gw", {"rho": rho})
+
+
+def poly_G(model, z):
+    """G(z) summed atom by atom in plain floats, valid for any real z."""
+    out = np.zeros(model.size)
+    for v in model.vertices:
+        for cfg, p in model.laws[v].atoms:
+            out[model.index[v]] += p * math.prod(z[model.index[u]] ** c for u, c in cfg.entries)
+    return out
 
 
 def ex45_subsolution(size):
@@ -137,6 +147,63 @@ class TestIterateExtinction:
         q, diag = iterate_extinction(gw({0: 0.4, 2: 0.6}), "global", tol=1e-12, max_iter=3)
         assert not diag.converged
 
+    def test_critical_gw_converges_with_newton(self):
+        # plain iteration stalls sublinearly here; float64 resolves
+        # G(z) - z = (1 - z)^2 / 2 only down to 1 - z ~ 1e-8
+        q, diag = iterate_extinction(gw({0: 0.5, 2: 0.5}), "global")
+        assert diag.converged
+        assert 1.0 - q[0] <= 1e-7
+        assert diag.iterations <= 1_100
+        assert diag.newton_steps > 0
+
+    def test_near_critical_matches_quadratic_root(self):
+        # G'(qbar) = 1.02 * 0.49/0.51 = 0.98, so 1,000 plain steps fall short
+        m = gw({0: 0.49, 2: 0.51})
+        q, diag = iterate_extinction(m, "global")
+        assert diag.converged
+        assert diag.newton_steps > 0
+        assert q[0] == pytest.approx(0.49 / 0.51, abs=1e-9)
+        z = np.full(1, 0.9608)
+        assert np.all(eval_G(m, z) <= z)
+        assert np.all(q <= z)
+
+    def test_max_iter_caps_both_phases(self):
+        q, diag = iterate_extinction(gw({0: 0.5, 2: 0.5}), "global", max_iter=1_005)
+        assert not diag.converged
+        assert diag.iterations == 1_005
+        assert diag.newton_steps == 5
+
+    def test_converged_solves_report_no_newton_steps(self):
+        _, diag = iterate_extinction(gw({0: 0.4, 2: 0.6}), "global")
+        assert diag.newton_steps == 0
+
+    def test_zero_fixed_point_vertex_gives_no_singular_solve(self, monkeypatch):
+        # vertex 0 keeps exactly one child at itself (qbar = 0, G'_00 = 1);
+        # vertex 1 is supercritical, vertex 2 critical (forces the Newton
+        # phase), vertex 3 feeds on all three
+        import brwlab.genfun as gf
+        solved = []
+
+        def recording(A, b):
+            x = spsolve_orig(A, b)
+            solved.append(bool(np.all(np.isfinite(x))))
+            return x
+
+        spsolve_orig = gf.spsolve
+        monkeypatch.setattr(gf, "spsolve", recording)
+        laws = {0: law_from([({0: 1}, 1.0)]),
+                1: law_from([({1: 2}, 0.6), ({}, 0.4)]),
+                2: law_from([({2: 2}, 0.5), ({}, 0.5)]),
+                3: law_from([({0: 1, 1: 1}, 0.5), ({2: 1}, 0.25), ({}, 0.25)])}
+        m = BrwModel((0, 1, 2, 3), laws)
+        q, diag = iterate_extinction(m, "global")
+        assert diag.converged and diag.newton_steps > 0
+        assert solved and all(solved)
+        assert q[0] == 0.0
+        assert q[1] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert 1.0 - q[2] <= 1e-7
+        assert q[3] == pytest.approx(0.25 + 0.25 * q[2], abs=1e-12)
+
     def test_minimality_under_exact_subsolutions(self):
         # iterates from zero stay below any exact sub-solution; note the
         # minimality claim needs G(z) <= z exactly, not just within the
@@ -185,6 +252,37 @@ class TestIterateExtinction:
         assert np.all(qy >= qbar - 1e-9)
         # irreducible + transitive, so avoidance of any site matches global
         assert qy == pytest.approx(qbar, abs=1e-8)
+
+
+class TestJacobian:
+    def _check(self, model, z, h=1e-6):
+        from brwlab.genfun import _evaluator
+        J = _evaluator(model).jacobian(z).toarray()
+        fd = np.empty_like(J)
+        for j in range(model.size):
+            e = np.zeros(model.size)
+            e[j] = h
+            fd[:, j] = (poly_G(model, z + e) - poly_G(model, z - e)) / (2 * h)
+        np.testing.assert_allclose(J, fd, rtol=0, atol=1e-7)
+
+    def atom_model(self):
+        laws = {0: law_from([({0: 2, 1: 1}, 0.3), ({2: 3}, 0.2), ({1: 1}, 0.1), ({}, 0.4)]),
+                1: law_from([({0: 1, 1: 1, 2: 2}, 0.5), ({1: 2}, 0.25), ({}, 0.25)]),
+                2: law_from([({2: 1}, 1.0)])}
+        return BrwModel((0, 1, 2), laws)
+
+    @pytest.mark.parametrize("z", [[0.3, 0.6, 0.9], [0.0, 0.5, 0.7], [0.4, 0.0, 0.0],
+                                   [0.0, 0.0, 0.0]])
+    def test_atom_law_matches_finite_differences(self, z):
+        self._check(self.atom_model(), np.array(z))
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_product_form_matches_finite_differences(self, zero):
+        m = build_zd_translation(radius=2, rho={0: 0.2, 1: 0.1, 3: 0.7})
+        z = np.linspace(0.1, 0.9, m.size)
+        if zero:
+            z[::2] = 0.0
+        self._check(m, z)
 
 
 class TestSubsolution:
@@ -266,6 +364,7 @@ class TestClassify:
         assert rep.global_ == "dies"
         assert rep.global_method == "fixed-point"
         assert any("truncation" in n for n in rep.notes)
+        assert rep.global_evidence["newton_steps"] == 0
 
     def test_evidence_rows_present(self):
         rep = classify_survival(gw({2: 1.0}), 0)
@@ -371,6 +470,35 @@ class TestLambdaSweep:
         assert all(b <= a for a, b in zip(qvals, qvals[1:]))
         assert qvals[0] == pytest.approx(1.0, abs=1e-9)
         assert qvals[-1] < 0.6
+
+    def test_critical_grid_point_converges(self, monkeypatch):
+        # lam = 1/1.3 is lam_w itself: the counterpart model is critical
+        import brwlab.genfun as gf
+        diags = []
+
+        def recording(*args, **kwargs):
+            q, diag = solve(*args, **kwargs)
+            diags.append(diag)
+            return q, diag
+
+        solve = gf.iterate_extinction
+        monkeypatch.setattr(gf, "iterate_extinction", recording)
+        K = MomentMatrix(np.array([[0.5, 1.0], [0.8, 0.3]]), (0, 1))
+        start = time.perf_counter()
+        res = lambda_sweep(K, 0, 0.3, 1.5, grid=(0.4, 1.0 / 1.3, 1.0))
+        assert time.perf_counter() - start < 2.0
+        assert len(diags) == 3 and all(d.converged for d in diags)
+        assert res.qbar_table[1][1] == pytest.approx(1.0, abs=1e-7)
+
+    def test_unconverged_table_solve_raises(self, monkeypatch):
+        import brwlab.genfun as gf
+        from brwlab.genfun import IterationDiagnostics
+        monkeypatch.setattr(gf, "iterate_extinction",
+                            lambda model, *a, **k: (np.full(model.size, 0.5),
+                                                    IterationDiagnostics(7, math.inf, False)))
+        K = MomentMatrix(np.array([[0.5, 1.0], [0.8, 0.3]]), (0, 1))
+        with pytest.raises(ModelError, match="lam = 0.6"):
+            lambda_sweep(K, 0, 0.3, 1.5, grid=(0.6, 1.0))
 
     def test_bracket_wider_than_width_rejected(self):
         verts, K = tree_rates(4, 4)
