@@ -115,16 +115,19 @@ def cmd_classify(args) -> int:
     model = _build(cfg)
     x0 = _x0(cfg, model)
     report = genfun.classify_survival(model, x0)
-    q, diag = genfun.iterate_extinction(model, "global")
+    qx = report.global_evidence.get("qbar_x0")
+    if qx is None:  # the verdict came from a growth rate, not a solve
+        q, _ = genfun.iterate_extinction(model, "global")
+        qx = float(q[model.index[x0]])
     out = cfg["out"]
     h = write_manifest(out, model, cfg["seed"])
     approx.write_csv(os.path.join(out, "classify_evidence.csv"),
                      ("series", "n", "term"), report.evidence_csv_rows())
     with open(os.path.join(out, "classify.txt"), "w") as fh:
         fh.write(report.to_text() + "\n")
-        fh.write(f"qbar_x0 {float(q[model.index[x0]])!r}\n")
+        fh.write(f"qbar_x0 {qx!r}\n")
     print(report.to_text())
-    print(f"  qbar(x0) = {q[model.index[x0]]:.6g}   [model {h}]")
+    print(f"  qbar(x0) = {qx:.6g}   [model {h}]")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
-from scipy.stats import binom
+from scipy.special._ufuncs import _binom_pmf  # scipy.stats.binom.pmf is this, clipped to [0, 1]
 
 PROB_TOL = 1e-12
 
@@ -221,7 +221,7 @@ class IntDistribution:
             raise ModelError("thinning a law with huge bursts is not supported")
         out = np.zeros(self.support_max + 1)
         for v, pv in zip(self.values, self.probs):
-            out[: v + 1] += pv * binom.pmf(np.arange(v + 1), int(v), s)
+            out[: v + 1] += pv * np.clip(_binom_pmf(np.arange(v + 1), int(v), s), 0.0, 1.0)
         return IntDistribution(out, normalize=True)
 
     def allclose(self, other, tol=PROB_TOL) -> bool:

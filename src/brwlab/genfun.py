@@ -29,7 +29,7 @@ from .spectral import GrowthEstimate, MomentMatrix, global_growth_rate, local_gr
 class _GEvaluator:
     """Vectorized evaluator of z -> G(z) for a fixed model.
 
-    Factorized vertices are grouped by shared child-count law: one sparse
+    Factorized vertices are grouped by equal child-count law: one sparse
     dispersal product plus one polynomial evaluation per group.  Explicit
     atom vertices are evaluated atom by atom.  ``jacobian`` gives G'(z) as a
     sparse matrix from the same data plus one (atom x vertex) count matrix.
@@ -39,7 +39,7 @@ class _GEvaluator:
         self.model = model
         n = model.size
         disp_rows, disp_cols, disp_data = [], [], []
-        groups = {}  # id(rho) -> (rho, [row indices])
+        groups = {}  # coefficient bytes -> (coefficients, [row indices])
         self.atom_vertices = []  # (row index, [(prob, idx array, count array)])
         atom_rows, atom_probs, cnt_rows, cnt_cols, cnt_data = [], [], [], [], []
         for v in model.vertices:
@@ -51,7 +51,8 @@ class _GEvaluator:
                     disp_rows.append(i)
                     disp_cols.append(model.index[t])
                     disp_data.append(w)
-                groups.setdefault(id(pf.rho), (pf.rho.dense_probs(), []))[1].append(i)
+                coeffs = pf.rho.dense_probs()
+                groups.setdefault(coeffs.tobytes(), (coeffs, []))[1].append(i)
             else:
                 atoms = []
                 for cfg, p in law.atoms:

@@ -66,9 +66,6 @@ class MomentMatrix:
     def max_row_sum(self) -> float:
         return float(self.row_sums().max()) if self.dim else 0.0
 
-    def scaled(self, factor) -> "MomentMatrix":
-        return MomentMatrix(self.csr * float(factor), self.vertices)
-
     def submatrix(self, subset) -> "MomentMatrix":
         keepset = set(subset)
         keep = [v for v in self.vertices if v in keepset]

@@ -42,6 +42,19 @@ class TestClassify:
         value = [ln for ln in lines if ln.startswith("qbar_x0 ")][0].split(" ", 1)[1]
         assert abs(float(value) - 1 / 3) <= 1e-8
 
+    @pytest.mark.parametrize("scenario, method", [("line_ex45", "fixed-point"),
+                                                  ("gw", "finite-irreducible")])
+    def test_solves_once(self, scenario, method, tmp_path, capsys, monkeypatch):
+        from brwlab import genfun
+
+        calls = []
+        solve = genfun.iterate_extinction
+        monkeypatch.setattr(genfun, "iterate_extinction",
+                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        assert run_cli(["classify", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        assert f"via {method}" in capsys.readouterr().out
+        assert len(calls) == 1
+
 
 class TestExtinction:
     def test_writes_vector(self, tmp_path, capsys):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +161,63 @@ class TestIntDistribution:
         assert t.mean == pytest.approx(1.0, abs=1e-9)
         for k in range(10):
             assert abs(t.prob_of(k) - ref.prob_of(k)) < 1e-9
+
+
+def binom_mixture(d, s):
+    """Thinning of d as the per-atom mixture of scipy.stats.binom.pmf."""
+    from scipy.stats import binom
+
+    out = np.zeros(d.support_max + 1)
+    for v, pv in zip(d.values, d.probs):
+        out[: v + 1] += pv * binom.pmf(np.arange(v + 1), int(v), s)
+    return IntDistribution(out, normalize=True)
+
+
+def assert_same_law(a, b):
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.probs.tobytes() == b.probs.tobytes()
+
+
+class TestThinningPmf:
+    # 0.5 and 0.75 are the boundary keep probabilities of zd_translation and
+    # zdrift; at 1e-300 the unclipped ufunc exceeds 1
+    @pytest.mark.parametrize("s", [0.0, 1e-300, 0.1, 1 / 3, 0.5, 0.75, 0.9, 1 - 1e-16])
+    @pytest.mark.parametrize("law", [
+        IntDistribution.from_dict({0: 0.25, 2: 0.75}),
+        IntDistribution.from_dict({2: 1.0}),
+        IntDistribution.from_dict({0: 0.1, 1: 0.2, 3: 0.3, 7: 0.15, 29: 0.25}),
+        IntDistribution.geometric(2.0),
+    ], ids=["two", "two-sure", "spread", "geometric"])
+    def test_bit_equal_to_scipy_binom(self, law, s):
+        assert_same_law(law.thinned(s), binom_mixture(law, s))
+
+    @pytest.mark.parametrize("name", ["zd_translation", "zdrift"])
+    def test_scenario_boundary_laws(self, name, monkeypatch):
+        orig = IntDistribution.thinned
+        seen = []
+
+        def checked(self, keep_prob):
+            out = orig(self, keep_prob)
+            if keep_prob < 1.0:
+                assert_same_law(out, binom_mixture(self, keep_prob))
+                seen.append(keep_prob)
+            return out
+
+        monkeypatch.setattr(IntDistribution, "thinned", checked)
+        build_scenario(name)
+        assert seen
+
+    def test_import_leaves_scipy_stats_out(self):
+        import brwlab
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(brwlab.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, brwlab, brwlab.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

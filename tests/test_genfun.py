@@ -285,6 +285,30 @@ class TestJacobian:
         self._check(m, z)
 
 
+class TestGrouping:
+    def test_tree_counterpart_groups_by_law(self):
+        from brwlab.genfun import _GEvaluator
+
+        m = build_scenario("tree_counterpart")
+        ev = _GEvaluator(m)
+        laws = {m.laws[v].product.rho.dense_probs().tobytes() for v in m.vertices}
+        assert len(ev.groups) == len(laws) < m.size
+        z = np.random.default_rng(3).uniform(0.0, 1.0, m.size)
+        z[::5] = 0.0
+        pz = ev.P.dot(z)
+        g = np.empty(m.size)
+        scale = np.empty(m.size)
+        for v in m.vertices:
+            i = m.index[v]
+            coeffs = m.laws[v].product.rho.dense_probs()
+            g[i] = np.polynomial.polynomial.polyval(pz[i:i + 1], coeffs)[0]
+            scale[i] = np.polynomial.polynomial.polyval(
+                pz[i:i + 1], np.polynomial.polynomial.polyder(coeffs))[0]
+        assert ev(z).tobytes() == np.clip(g, 0.0, 1.0).tobytes()
+        J = ev.P.multiply(scale[:, None]).toarray()
+        assert ev.jacobian(z).toarray().tobytes() == J.tobytes()
+
+
 class TestSubsolution:
     def test_all_ones_rejected(self):
         m = gw({0: 0.4, 2: 0.6})
