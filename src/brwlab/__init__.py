@@ -50,6 +50,7 @@ from .simulate import (
     mean_curve,
     run_coupled_trials,
     run_survival_trial,
+    run_trial_batch,
     step,
     step_coupled,
     step_truncated,

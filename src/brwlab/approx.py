@@ -23,8 +23,8 @@ from scipy.special import xlogy
 from .core import BrwModel, IntDistribution, ModelError, dominating_law, restrict_model
 from .genfun import _verdict
 from .serialize import write_manifest
-from .simulate import (DEFAULT_HARD_CAP, _philox, estimate_survival, run_coupled_trials,
-                       wilson_interval)
+from .simulate import (_DRAW_BUDGET, DEFAULT_HARD_CAP, _chunks, _StreamPool, estimate_survival,
+                       run_trial_batch, wilson_interval)
 from .spectral import local_growth_rate, moment_matrix, seneta_sequence
 
 
@@ -307,11 +307,8 @@ def truncation_sweep(model: BrwModel, caps, eta0, horizon, replicas, target=None
         raise ModelError("caps must be strictly ascending")
     if not math.isinf(caps[-1]):
         caps.append(math.inf)
-    per_cap = {c: [] for c in caps}
-    for r in range(replicas):
-        outs = run_coupled_trials(model, caps, eta0, horizon, target, seed, r, hard_cap)
-        for c, o in zip(caps, outs):
-            per_cap[c].append(o)
+    batch = run_trial_batch(model, caps, eta0, horizon, range(replicas), target, seed, hard_cap)
+    per_cap = {c: list(outs) for c, outs in zip(caps, zip(*batch))}
     rows = []
     for c in caps:
         outs = per_cap[c]
@@ -393,28 +390,42 @@ def oriented_percolation(config: PercolationConfig, replicas, seed=0) -> Percola
 
     Edge states are read as uniform(level, edge) < p, so sweeping p at a
     fixed seed gives a monotone (common-random-numbers) family: the open
-    edge set, the cluster, and survival all grow with p.
+    edge set, the cluster, and survival all grow with p.  Each replica
+    draws its levels from its own (seed, replica, level) stream; the live
+    replicas advance together in blocks of at most _DRAW_BUDGET uniforms.
     """
+    if replicas < 1:
+        raise ModelError("need at least one replica")
     n, src, dst, origin = _perc_structure(config)
-    survived = 0
+    E = src.size
+    # into[v] lists v's in-edges, padded with E: a column of `carry` that stays closed
+    indeg = np.bincount(dst, minlength=n)
+    order = np.argsort(dst, kind="stable")
+    into = np.full((n, int(indeg.max())), E)
+    into[dst[order], np.arange(E) - np.repeat(np.cumsum(indeg) - indeg, indeg)] = order
+    pool = _StreamPool(_PERC_SALT, seed)
+    survived = np.zeros(replicas, dtype=bool)
     revisits = np.zeros(replicas, dtype=np.int64)
-    for r in range(replicas):
-        reach = np.zeros(n, dtype=bool)
-        reach[origin] = True
-        hits = 0
+    for lo, hi in _chunks(np.full(replicas, E), _DRAW_BUDGET):
+        live = np.arange(lo, hi)                   # replicas whose cluster still reaches
+        reach = np.zeros((live.size, n), dtype=bool)
+        reach[:, origin] = True
         for level in range(1, config.horizon + 1):
-            u = _philox(_PERC_SALT, seed, r, level).random(src.size)
-            carry = reach[src] & (u < config.p)
-            reach = np.zeros(n, dtype=bool)
-            np.logical_or.at(reach, dst[carry], True)
-            if not reach.any():
+            u = np.empty((live.size, E))
+            for row, rng in zip(u, pool.streams(live, level)):
+                rng.random(out=row)
+            carry = np.zeros((live.size, E + 1), dtype=bool)
+            np.logical_and(reach[:, src], u < config.p, out=carry[:, :E])
+            reach = carry[:, into].any(axis=2)
+            revisits[live] += reach[:, origin]
+            alive = reach.any(axis=1)
+            live, reach = live[alive], reach[alive]
+            if live.size == 0:
                 break
-            if reach[origin]:
-                hits += 1
-        survived += bool(reach.any())
-        revisits[r] = hits
-    lo, hi = wilson_interval(survived, replicas)
-    return PercolationResult(survived / replicas, (lo, hi), revisits, replicas)
+        survived[live] = True
+    survivors = int(survived.sum())
+    lo, hi = wilson_interval(survivors, replicas)
+    return PercolationResult(survivors / replicas, (lo, hi), revisits, replicas)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 Randomness contract: every draw comes from a counter-based Philox stream
 keyed by (seed, replica, generation), consumed in a canonical order (law
-groups by least vertex, then batched replicas, vertices by index, particles
-by rank).  Replicas are therefore reproducible independently of scheduling,
-and processes that share a stream share their per-particle offspring draws:
-a capped or restricted state reads a prefix of the same draw blocks, which
-makes monotone couplings exact rather than statistical.
+groups by least vertex, within a group child totals before targets, then
+vertices by index, particles by rank).  Replicas are therefore reproducible
+independently of scheduling, and processes that share a stream share their
+per-particle offspring draws: a capped or restricted state reads a prefix
+of the same draw blocks, which makes monotone couplings exact rather than
+statistical.
 
 One kernel draws all offspring.  It advances an (R, S, V) count array:
-R independent replicas, each with S coupled rows over V vertices.  Single
-steps, coupled pairs and coupled trials use R = 1; the replica-batched
-mean curves use S = 1.
+R replicas, each with S coupled rows over V vertices.  A trial batch steps
+all its live replicas together, each replica drawing from its own
+(seed, replica, generation) stream, so a batch is bit-identical to running
+its replicas one at a time; single steps use R = 1, and the replica-batched
+mean curves share one stream per generation with S = 1.
 
 Per-site caps are applied after summing arrivals from all parents, so a
 step does not depend on any parent ordering.
@@ -30,6 +33,11 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _TRIAL_SALT = 0x9E3779B97F4A7C15
 _BATCH_SALT = 0xC2B2AE3D27D4EB4F
+_INT64_MAX = 2 ** 63 - 1
+
+# Draws one _advance call (or one percolation level block) holds at most,
+# which bounds its temporaries; chosen by measurement.
+_DRAW_BUDGET = 1 << 16
 
 DEFAULT_HARD_CAP = 10 ** 8
 
@@ -47,10 +55,50 @@ def wilson_interval(successes, n, z=1.959963984540054):
     return (lo, hi)
 
 
+def _keys(salt, seed, replicas, n) -> np.ndarray:
+    """(len(replicas), 2) uint64 Philox keys: seed ^ salt, then replica:n packed
+    in 32+32 bits.
+
+    They are the keys np.random.Philox(key=[a, b]) derives from a list: numpy
+    holds an int64-range word and a word above 2**63 together only as
+    float64, so such a pair is rounded through float64 (ROADMAP item 1).
+    """
+    w0, n32 = (int(seed) & _MASK64) ^ salt, int(n) & _MASK32
+    keys = np.array([(w0, ((int(r) & _MASK32) << 32) | n32) for r in replicas], dtype=np.uint64)
+    mixed = (keys[:, 1] > _INT64_MAX) != (w0 > _INT64_MAX)
+    return np.where(mixed[:, None], keys.astype(np.float64).astype(np.uint64), keys)
+
+
 def _philox(salt, seed, replica, n) -> np.random.Generator:
     """Philox generator keyed by (seed ^ salt, replica:n packed in 32+32 bits)."""
-    key = [(int(seed) & _MASK64) ^ salt, ((int(replica) & _MASK32) << 32) | (int(n) & _MASK32)]
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_keys(salt, seed, (replica,), n)[0]))
+
+
+class _StreamPool:
+    """Reusable generators for the (replica, n) streams of one (salt, seed).
+
+    Each slot's Philox is re-keyed through its ``state`` setter, which skips
+    the SeedSequence entropy read that dominates building a fresh one.
+    """
+
+    def __init__(self, salt, seed):
+        self.salt, self.seed = salt, seed
+        self._bits, self._gens = [], []
+        self._state = None
+
+    def streams(self, replicas, n) -> list:
+        """Generators equal to ``_philox(salt, seed, r, n)`` for r in replicas,
+        valid until the next call."""
+        while len(self._bits) < len(replicas):
+            self._bits.append(np.random.Philox(0))
+            self._gens.append(np.random.Generator(self._bits[-1]))
+        if self._state is None:
+            self._state = self._bits[0].state      # a fresh state: counter and buffer empty
+        inner = self._state["state"]
+        for bits, key in zip(self._bits, _keys(self.salt, self.seed, replicas, n)):
+            inner["key"] = key
+            bits.state = self._state
+        return self._gens[:len(replicas)]
 
 
 class TrialStreams:
@@ -64,12 +112,35 @@ class TrialStreams:
         return _philox(_TRIAL_SALT, self.seed, self.replica, n)
 
 
-def _draw_indices(rng, cdf, size):
-    """size iid indices with P(i) = cdf[i] - cdf[i-1] (inverse-cdf on uniforms)."""
-    if size == 0:
-        return np.empty(0, dtype=np.int64)
-    ids = np.searchsorted(cdf, rng.random(size), side="right")
+def _draw_indices(rng, cdf, sizes):
+    """iid indices with P(i) = cdf[i] - cdf[i-1] (inverse cdf on uniforms):
+    ``sizes`` of them from one shared generator, or, given a list of
+    per-replica generators, sizes[r] from rng[r] for each r in turn."""
+    if isinstance(rng, np.random.Generator):
+        if sizes == 0:
+            return np.empty(0, dtype=np.int64)
+        u = rng.random(sizes)
+    else:
+        u = np.empty(int(sizes.sum()))
+        pos = 0
+        for r in np.flatnonzero(sizes).tolist():
+            k = int(sizes[r])
+            rng[r].random(out=u[pos:pos + k])
+            pos += k
+    ids = np.searchsorted(cdf, u, side="right")
     return np.minimum(ids, cdf.size - 1, out=ids)
+
+
+def _chunks(sizes, budget):
+    """Split consecutive replicas into (lo, hi) runs of at most ``budget``
+    draws; a replica above the budget gets a run of its own."""
+    lo, held = 0, 0
+    for i, k in enumerate(sizes.tolist()):
+        if held + k > budget and i > lo:
+            yield lo, i
+            lo, held = i, 0
+        held += k
+    yield lo, len(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +162,15 @@ class _ProductGroup:
 
 
 class _AtomGroup:
-    """Single vertex with an explicit atom table (configs kept dense)."""
+    """Single vertex with an explicit atom table over the vertices it reaches."""
 
-    __slots__ = ("col", "cdf", "configs", "order")
+    __slots__ = ("col", "cdf", "targets", "configs", "order")
 
-    def __init__(self, col, cdf, configs):
+    def __init__(self, col, cdf, targets, configs):
         self.col = int(col)
         self.cdf = cdf
-        self.configs = configs  # (n_atoms, V) float array
+        self.targets = targets  # (U,) sorted vertex indices some atom places children on
+        self.configs = configs  # (n_atoms, U) int64 child counts
         self.order = int(col)
 
 
@@ -106,7 +178,6 @@ def _program(model: BrwModel):
     prog = model._cache.get("sampler")
     if prog is not None:
         return prog
-    V = model.size
     product = {}
     groups = []
     for v in model.vertices:
@@ -121,11 +192,13 @@ def _program(model: BrwModel):
         else:
             law_atoms = law.atoms
             cdf = np.cumsum([p for _, p in law_atoms])
-            cfg = np.zeros((len(law_atoms), V))
+            targets = sorted({model.index[u] for c, _ in law_atoms for u, _ in c.entries})
+            slot = {t: j for j, t in enumerate(targets)}
+            cfg = np.zeros((len(law_atoms), len(targets)), dtype=np.int64)
             for a, (c, _) in enumerate(law_atoms):
                 for u, k in c.entries:
-                    cfg[a, model.index[u]] = k
-            groups.append(_AtomGroup(i, cdf, cfg))
+                    cfg[a, slot[model.index[u]]] = k
+            groups.append(_AtomGroup(i, cdf, np.array(targets, dtype=np.int64), cfg))
     for rho_cdf, rho_values, w_cdf, members in product.values():
         members.sort()
         groups.append(_ProductGroup([i for i, _ in members], rho_cdf, rho_values, w_cdf,
@@ -159,16 +232,20 @@ def _prefix_masks(block, reads):
 def _advance(counts, model, rng, keep_masks=None):
     """Advance an (R, S, V) count array one generation; R replicas, S coupled rows.
 
-    Replicas read disjoint draws; the rows of one replica share theirs.  Per
-    law group the draw blocks are laid out replica-major, one per (replica,
-    vertex), each sized by the maximum over that replica's rows; row s reads
-    the first counts[r, s, v] draws of its block, so a smaller row sees a
-    prefix of a larger one's particles.  keep_masks[s] (None or a boolean
-    vertex mask) kills row s's children sent outside the mask, realizing the
-    restriction coupling.  Caps are NOT applied here; the uncapped arrivals
-    are returned.
+    rng is one generator shared by all replicas, or a list of R per-replica
+    generators.  Replicas read disjoint draws; the rows of one replica share
+    theirs.  Per law group the draw blocks are laid out replica-major, one per
+    (replica, vertex), each sized by the maximum over that replica's rows; row
+    s reads the first counts[r, s, v] draws of its block, so a smaller row
+    sees a prefix of a larger one's particles.  keep_masks[s] (None or a
+    boolean vertex mask) kills row s's children sent outside the mask,
+    realizing the restriction coupling.  Caps are NOT applied here; the
+    uncapped arrivals are returned.
     """
     R, S, V = counts.shape
+    if R == 1 and isinstance(rng, list):
+        rng = rng[0]
+    shared = isinstance(rng, np.random.Generator)
     new = np.zeros((R, S, V), dtype=np.int64)
     occupied = counts.any(axis=(0, 1))
     for group in _program(model):
@@ -177,7 +254,7 @@ def _advance(counts, model, rng, keep_masks=None):
                 continue
             c = counts[:, :, group.col]                        # (R, S)
             block = c.max(axis=1)
-            ids = _draw_indices(rng, group.cdf, int(block.sum()))
+            ids = _draw_indices(rng, group.cdf, int(block.sum()) if shared else block)
             A = group.cdf.size
             if R > 1:
                 ids += np.repeat(np.arange(0, R * A, A), block)
@@ -185,20 +262,28 @@ def _advance(counts, model, rng, keep_masks=None):
             sels = _prefix_masks(block, c.T) if R > 1 else [slice(k) for k in c[0].tolist()]
             per = np.stack([np.bincount(ids if sel is None else ids[sel], minlength=R * A)
                             for sel in sels])                          # (S, R * A)
-            new += (per.reshape(S, R, A) @ group.configs).astype(np.int64).transpose(1, 0, 2)
+            new[:, :, group.targets] += (per.reshape(S, R, A) @ group.configs).transpose(1, 0, 2)
         else:
             if not occupied[group.cols].any():
                 continue
             sub = counts[:, :, group.cols]                     # (R, S, m)
             m = sub.shape[2]
-            block = sub.max(axis=1).ravel()                    # (R * m,) replica-major
-            totals = group.rho_values[_draw_indices(rng, group.rho_cdf, int(block.sum()))]
-            t_all = int(totals.sum())
-            if t_all == 0:
-                continue
+            block = sub.max(axis=1)                            # (R, m)
+            sizes = int(block.sum()) if shared else block.sum(axis=1)
+            block = block.ravel()                              # replica-major
+            totals = group.rho_values[_draw_indices(rng, group.rho_cdf, sizes)]
+            if shared:
+                children = int(totals.sum())
+                if children == 0:
+                    continue
+            else:                                              # children per replica
+                born, ends = np.cumsum(totals), np.cumsum(sizes)
+                if born[-1] == 0:
+                    continue
+                children = np.diff(np.where(ends > 0, born[ends - 1], 0), prepend=0)
             parent = np.repeat(np.arange(block.size), block)   # block of each particle
             flat = group.targets[np.repeat(parent % m, totals),
-                                 _draw_indices(rng, group.w_cdf, t_all)]
+                                 _draw_indices(rng, group.w_cdf, children)]
             if R > 1:
                 flat += np.repeat(parent // m * V, totals)
             reads = sub.transpose(1, 0, 2).reshape(S, -1)
@@ -230,6 +315,8 @@ class PopulationState:
         for v, k in occupancy.items():
             if k < 0:
                 raise ModelError("negative occupation count")
+            if v not in model.index:
+                raise ModelError(f"start vertex {v!r} is not a vertex of the model")
             c[model.index[v]] = k
         return PopulationState(c, 0, int(c.sum()))
 
@@ -319,10 +406,17 @@ class TrialOutcome:
     cap: float = math.inf
 
 
-def _blank_outcome(replica, seed, cap, eta_total):
-    status = "completed" if eta_total > 0 else "extinct"
-    return TrialOutcome(eta_total > 0, 0, -1, eta_total, 0, replica, seed,
-                        eta_total, status, cap)
+def _check_run(model, eta0, horizon, replicas, caps=(), vertex=None, role="target"):
+    """The one validation point of the Monte Carlo runs; returns the start state."""
+    if replicas < 1:
+        raise ModelError("need at least one replica")
+    if horizon < 0:
+        raise ModelError("horizon must be nonnegative")
+    if any(c < 1 for c in caps):
+        raise ModelError("cap must be at least 1")
+    if vertex is not None and vertex not in model.index:
+        raise ModelError(f"{role} {vertex!r} is not a vertex of the model")
+    return PopulationState.from_dict(model, eta0) if isinstance(eta0, dict) else eta0
 
 
 def _dominates(cap_a, mask_a, cap_b, mask_b):
@@ -332,6 +426,95 @@ def _dominates(cap_a, mask_a, cap_b, mask_b):
     if ca > cb:
         return False
     return (mask_a is mask_b) or (mask_b is None and mask_a is not None)
+
+
+_STATUS_NAMES = ("completed", "extinct", "overflow")
+_BORN, _PEAK, _GENS, _VISITS, _LAST, _STATUS = range(6)   # slots of a trial's outcome record
+
+
+def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None, seed=0,
+                    hard_cap=DEFAULT_HARD_CAP, couplings=None, assert_domination=True):
+    """Run ``run_coupled_trials`` for every replica index in ``replicas``.
+
+    Returns one list of TrialOutcome (one per cap) per replica.  All live
+    replicas advance together, each drawing from its own
+    TrialStreams(seed, replica).generation(n) key, so the outcomes equal the
+    one-at-a-time runs bit for bit.  The live replicas are re-chunked every
+    generation so one kernel call holds at most _DRAW_BUDGET particles; a
+    replica above that runs alone.
+    """
+    caps = [float(c) if c is not None else math.inf for c in caps]
+    couplings = list(couplings) if couplings is not None else [None] * len(caps)
+    if len(couplings) != len(caps):
+        raise ModelError("one coupling entry per cap required")
+    if not caps:
+        raise ModelError("need at least one cap")
+    replicas = list(replicas)
+    eta = _check_run(model, eta0, horizon, len(replicas), caps, target)
+    t_idx = model.index[target] if target is not None else None
+    masks = [c.mask(model) if isinstance(c, RestrictionCoupling) else None for c in couplings]
+    limit = np.array([int(c) if math.isfinite(c) else _INT64_MAX for c in caps])[:, None]
+    start = np.stack([eta.counts if mask is None else eta.counts * mask for mask in masks])
+    np.minimum(start, limit, out=start)
+    pairs = [(a, b) for a in range(len(caps)) for b in range(len(caps)) if a != b
+             and _dominates(caps[a], masks[a], caps[b], masks[b])] if assert_domination else []
+    lower, upper = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    R = len(replicas)
+    rec = np.zeros((R, 6, len(caps)), dtype=np.int64)              # batch rows' outcome records
+    rec[:, _BORN] = rec[:, _PEAK] = start.sum(axis=1)
+    rec[:, _LAST] = -1
+    live = rec[:, _BORN] > 0                                       # (R, S) rows still stepped
+    rec[:, _STATUS] = np.where(live, 0, 1)                         # index into _STATUS_NAMES
+    out = np.empty_like(rec)                                       # records of finished replicas
+    idx = np.arange(R)                                             # batch row -> replica position
+    counts = np.repeat(start[None], R, axis=0)
+    pool = _StreamPool(_TRIAL_SALT, seed)
+    changed = True                                 # some row ended in the last generation
+    for gen in range(1, horizon + 1):
+        if changed:
+            keep = live.any(axis=1)
+            if not keep.all():
+                out[idx[~keep]] = rec[~keep]
+                idx, rec, live, counts = idx[keep], rec[keep], live[keep], counts[keep]
+                if idx.size == 0:
+                    break
+            rows = live.any(axis=0)                # coupled rows some replica still steps
+            row_masks = [mask for mask, on in zip(masks, rows.tolist()) if on]
+        stepped = counts if len(row_masks) == len(masks) else counts[:, rows]
+        new = np.empty_like(stepped)
+        spans = ([(0, 1)] if idx.size == 1
+                 else _chunks(stepped.max(axis=1).sum(axis=1), _DRAW_BUDGET))
+        for lo, hi in spans:
+            rngs = pool.streams([replicas[i] for i in idx[lo:hi].tolist()], gen)
+            new[lo:hi] = _advance(stepped[lo:hi], model, rngs, row_masks)
+        if stepped is not counts:
+            new, arrivals = np.zeros_like(counts), new
+            new[:, rows] = arrivals
+        np.minimum(new, limit, out=new)
+        if lower.size and np.any((new[:, lower] > new[:, upper]).any(axis=2)
+                                 & live[:, lower] & live[:, upper]):
+            raise RuntimeError("coupling domination violated")  # must never happen
+        total = new.sum(axis=2)                                    # 0 on rows not stepped
+        rec[:, _BORN] += total
+        np.maximum(rec[:, _PEAK], total, out=rec[:, _PEAK])
+        if t_idx is not None:
+            hit = new[:, :, t_idx] > 0
+            rec[:, _VISITS] += hit
+            rec[:, _LAST][hit] = gen
+        ended = live & ((total == 0) | (total > hard_cap))
+        changed = ended.any()
+        if changed:
+            rec[:, _GENS][ended] = gen
+            rec[:, _STATUS][ended] = np.where(total[ended] > 0, 2, 1)  # overflow or extinct
+            live &= ~ended
+            new[ended] = 0                                         # an overflow row is dropped
+        counts = new
+    rec[:, _GENS][live] = horizon
+    out[idx] = rec
+    fields = out.transpose(1, 0, 2).tolist()
+    return [[TrialOutcome(st != 1, v, lv, p, g, replica, seed, b, _STATUS_NAMES[st], cap)
+             for b, p, g, v, lv, st, cap in zip(*record, caps)]
+            for replica, *record in zip(replicas, *fields)]
 
 
 def run_coupled_trials(model: BrwModel, caps, eta0, horizon, target=None, seed=0,
@@ -346,73 +529,13 @@ def run_coupled_trials(model: BrwModel, caps, eta0, horizon, target=None, seed=0
     A state passing hard_cap is recorded (alive, "overflow") and dropped;
     the remaining states keep sharing draws.
     """
-    caps = [float(c) if c is not None else math.inf for c in caps]
-    couplings = list(couplings) if couplings is not None else [None] * len(caps)
-    if len(couplings) != len(caps):
-        raise ModelError("one coupling entry per cap required")
-    eta = PopulationState.from_dict(model, eta0) if isinstance(eta0, dict) else eta0
-    if target is not None and target not in model.index:
-        raise ModelError(f"target {target!r} is not a vertex of the model")
-    t_idx = model.index[target] if target is not None else None
-    masks = [c.mask(model) if isinstance(c, RestrictionCoupling) else None for c in couplings]
-    states = []
-    for cap, mask in zip(caps, masks):
-        c = eta.counts.copy()
-        if mask is not None:
-            c = c * mask
-        states.append(_apply_cap(c, cap))
-    outcomes = [_blank_outcome(replica, seed, cap, int(s.sum()))
-                for cap, s in zip(caps, states)]
-    born = [int(s.sum()) for s in states]
-    active = [i for i in range(len(caps)) if outcomes[i].alive]
-    streams = TrialStreams(seed, replica)
-    for gen in range(1, horizon + 1):
-        if not active:
-            break
-        rng = streams.generation(gen)
-        mat = np.stack([states[i] for i in active])
-        new = _advance(mat[None], model, rng, [masks[i] for i in active])[0]
-        for row, i in enumerate(active):
-            _apply_cap(new[row], caps[i])
-        if assert_domination:
-            for ra, a in enumerate(active):
-                for rb, b in enumerate(active):
-                    if a != b and _dominates(caps[a], masks[a], caps[b], masks[b]):
-                        if np.any(new[ra] > new[rb]):
-                            raise RuntimeError("coupling domination violated")
-        still = []
-        for row, i in enumerate(active):
-            states[i] = new[row]
-            total = int(new[row].sum())
-            born[i] += total
-            o = outcomes[i]
-            o.generations = gen
-            o.total_born = born[i]
-            o.peak_population = max(o.peak_population, total)
-            if t_idx is not None and new[row][t_idx] > 0:
-                o.visits_to_target += 1
-                o.last_target_visit = gen
-            if total == 0:
-                o.alive = False
-                o.status = "extinct"
-            elif total > hard_cap:
-                o.alive = True
-                o.status = "overflow"
-            else:
-                still.append(i)
-        active = still
-    return outcomes
+    return run_trial_batch(model, caps, eta0, horizon, [replica], target, seed, hard_cap,
+                           couplings, assert_domination)[0]
 
 
 def run_survival_trial(model: BrwModel, eta0, horizon, target=None, cap=math.inf,
                        seed=0, replica=0, hard_cap=DEFAULT_HARD_CAP) -> TrialOutcome:
     """Simulate one trial to the horizon or extinction; fully reproducible."""
-    if horizon < 0:
-        raise ModelError("horizon must be nonnegative")
-    if horizon == 0:
-        eta = PopulationState.from_dict(model, eta0) if isinstance(eta0, dict) else eta0
-        c = cap if cap is not None else math.inf
-        return _blank_outcome(replica, seed, float(c), eta.total)
     return run_coupled_trials(model, [cap], eta0, horizon, target, seed, replica,
                               hard_cap, assert_domination=False)[0]
 
@@ -445,10 +568,9 @@ def estimate_survival(model: BrwModel, eta0, horizon, replicas, target=None,
     survival and reported via overflow_count.  Results depend only on the
     inputs, never on execution order, so replicas may run anywhere.
     """
-    if replicas < 1:
-        raise ModelError("need at least one replica")
-    outcomes = [run_survival_trial(model, eta0, horizon, target, cap, seed, r, hard_cap)
-                for r in range(replicas)]
+    outcomes = [outs[0] for outs in run_trial_batch(
+        model, [cap], eta0, horizon, range(replicas), target, seed, hard_cap,
+        assert_domination=False)]
     alive = sum(o.alive for o in outcomes)
     lo, hi = wilson_interval(alive, replicas)
     return SurvivalEstimate(alive / replicas, lo, hi, replicas, horizon,
@@ -469,9 +591,9 @@ def mean_curve(model: BrwModel, eta0, horizon, replicas, seed=0, track=None):
     (means, samples): means has shape (horizon+1, V); samples, when a track
     vertex is given, holds per-replica counts there, (replicas, horizon+1).
     """
+    eta = _check_run(model, eta0, horizon, replicas, vertex=track, role="track")
     R, V = int(replicas), model.size
     counts = np.zeros((R, V), dtype=np.int64)
-    eta = PopulationState.from_dict(model, eta0) if isinstance(eta0, dict) else eta0
     counts[:] = eta.counts
     t_idx = model.index[track] if track is not None else None
     means = np.zeros((horizon + 1, V))

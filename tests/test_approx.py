@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from brwlab import approx
 from brwlab.approx import (
+    _PERC_SALT,
     DriftParams,
     PercolationConfig,
     approximation_report,
@@ -14,10 +16,12 @@ from brwlab.approx import (
     spatial_experiment,
     supercritical_region,
     truncation_sweep,
+    _perc_structure,
     variance_bound,
 )
 from brwlab.core import IntDistribution, ModelError
 from brwlab.scenarios import build_scenario, build_zd_translation, build_zdrift
+from brwlab.simulate import _philox
 
 
 def mp_q_value(rho_bar, p, q, alpha, beta):
@@ -179,6 +183,38 @@ class TestPercolation:
         cfg = PercolationConfig(p=1.0, horizon=10, edges=edges, origin=0)
         r = oriented_percolation(cfg, 5, seed=3)
         assert r.frequency == 1.0
+
+    @pytest.mark.parametrize("budget", [None, 1000])
+    @pytest.mark.parametrize("base", ["z", "n"])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+    def test_batch_equals_replica_loop(self, p, base, budget, monkeypatch):
+        if budget is not None:   # about three replicas per uniform block
+            monkeypatch.setattr(approx, "_DRAW_BUDGET", budget)
+        cfg = PercolationConfig(p=p, horizon=60, base=base)
+        got = oriented_percolation(cfg, 40, seed=5)
+        freq, revisits = _percolation_loop(cfg, 40, seed=5)
+        assert got.frequency == freq
+        assert np.array_equal(got.revisit_counts, revisits)
+
+
+def _percolation_loop(config, replicas, seed):
+    """One replica at a time: per level, uniforms from the replica's own stream."""
+    n, src, dst, origin = _perc_structure(config)
+    survived = 0
+    revisits = np.zeros(replicas, dtype=np.int64)
+    for r in range(replicas):
+        reach = np.zeros(n, dtype=bool)
+        reach[origin] = True
+        for level in range(1, config.horizon + 1):
+            u = _philox(_PERC_SALT, seed, r, level).random(src.size)
+            carry = reach[src] & (u < config.p)
+            reach = np.zeros(n, dtype=bool)
+            np.logical_or.at(reach, dst[carry], True)
+            if not reach.any():
+                break
+            revisits[r] += bool(reach[origin])
+        survived += bool(reach.any())
+    return survived / replicas, revisits
 
 
 class TestSpatialExperiment:

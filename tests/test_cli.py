@@ -86,6 +86,16 @@ class TestExtinction:
         assert not (tmp_path / "manifest.txt").exists()
 
 
+class TestPercolate:
+    def test_body_matches_bench_golden(self, tmp_path, capsys):
+        golden = pathlib.Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+        want = json.loads(golden.read_text())["full"]["replicas"]["cli percolate/percolation.csv"]
+        code = run_cli(["percolate", "--set", "p=0.7", "--horizon", "150", "--replicas", "100",
+                        "--seed", "0", "--out", str(tmp_path)])
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "percolation.csv").read_bytes()).hexdigest() == want
+
+
 class TestSweepDeterminism:
     def test_identical_csv_bodies(self, tmp_path, capsys):
         args = ["sweep", "--scenario", "zd_translation", "--set", "param.radius=4",

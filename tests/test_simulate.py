@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -5,16 +6,23 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+from brwlab import simulate
+from brwlab.approx import _PERC_SALT, PercolationConfig, oriented_percolation, truncation_sweep
 from brwlab.core import BrwModel, ModelError, OffspringConfig, build_offspring_law
 from brwlab.scenarios import build_scenario, build_zd_translation
 from brwlab.simulate import (
+    _TRIAL_SALT,
     PopulationState,
     RestrictionCoupling,
     TrialStreams,
+    _philox,
+    _program,
+    _StreamPool,
     estimate_survival,
     mean_curve,
     run_coupled_trials,
     run_survival_trial,
+    run_trial_batch,
     step,
     step_coupled,
     step_truncated,
@@ -376,3 +384,163 @@ class TestKernelPins:
         a = TrialStreams(7).generation(1).random(4)
         b = TrialStreams(8).generation(1).random(4)
         assert (a != b).any()
+
+
+def _digest(outcomes) -> str:
+    return _sha(repr([dataclasses.astuple(o) for o in outcomes]).encode())
+
+
+@pytest.fixture(params=[None, 1, 300], ids=["default-budget", "one-replica-per-call",
+                                           "budget-300"])
+def draw_budget(request, monkeypatch):
+    """Run a test at the default particle budget of one kernel call, with every
+    replica alone, and with a budget that splits a batch mid-generation."""
+    if request.param is not None:
+        monkeypatch.setattr(simulate, "_DRAW_BUDGET", request.param)
+    return request.param
+
+
+class TestTrialBatch:
+    """A batch steps its live replicas together, each on its own stream; every
+    outcome field must equal the one-at-a-time run.  The digests were recorded
+    from per-replica run_coupled_trials calls before replicas were batched."""
+
+    def test_gw_overflow_and_extinction(self, draw_budget, monkeypatch):
+        widths = []
+        advance = simulate._advance
+
+        def spy(counts, *args):
+            widths.append(counts.shape[0])
+            return advance(counts, *args)
+
+        monkeypatch.setattr(simulate, "_advance", spy)
+        m = build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}})
+        est = estimate_survival(m, {0: 1}, 500, 200, seed=20240601, hard_cap=3000)
+        outs = est.outcomes
+        assert _digest(outs) == "776d6279287b7206e08ebfb43110be4de80a0e6a50c5d1038f1965107a13afe3"
+        assert len({o.generations for o in outs if o.status == "overflow"}) > 1
+        assert len({o.generations for o in outs if o.status == "extinct"}) > 1
+        if draw_budget == 1:
+            assert set(widths) == {1}
+        else:   # a chunk boundary inside the batch: wide calls and lone replicas
+            assert max(widths) > 1 and min(widths) == 1
+
+    def test_line_ex45_atom_laws(self, draw_budget):
+        m = build_scenario("line_ex45", {"size": 64})
+        est = estimate_survival(m, {0: 1}, 150, 32, seed=6)
+        assert _digest(est.outcomes) == \
+            "8639e575e96e039580365faf7888377175564a05e9ddcf13843fd1922a9e4e33"
+
+    def test_truncation_sweep_with_target(self, draw_budget):
+        m = build_zd_translation(radius=8)
+        res = truncation_sweep(m, [1, 2, 8], {0: 1}, 60, 100, target=0, seed=2,
+                               hard_cap=10 ** 4)
+        outs = [o for cap_outs in res.outcomes.values() for o in cap_outs]
+        assert any(o.visits_to_target for o in outs)
+        assert _digest(outs) == "16e83a62c140dbc404a08b3ace3fcbb9420da03fae4b41fbafc3170bb53b7513"
+
+    @pytest.mark.parametrize("caps, seed, want", [
+        ([math.inf, math.inf], 502,
+         "8fd7f6a34cdb56068b0f04c361311bf6336dd42f38b82682f8b87fff7b0b9ca4"),
+        ([5, math.inf], 503,
+         "925ab6798d471cd1ab4dd0dd95c664f069ba23ab2206493952bcb82882e17038"),
+    ])
+    def test_restriction_pairs(self, draw_budget, caps, seed, want):
+        m = build_zd_translation(radius=6)
+        win = RestrictionCoupling(frozenset(range(-2, 3)))
+        batch = run_trial_batch(m, caps, {0: 1}, 25, range(300), seed=seed, hard_cap=4000,
+                                couplings=[win, None])
+        assert _digest([o for outs in batch for o in outs]) == want
+
+    def test_batch_of_replica_subset_equals_single_runs(self):
+        m = build_zd_translation(radius=5)
+        reps = [9, 2, 40]
+        batch = run_trial_batch(m, [2, math.inf], {0: 1}, 30, reps, target=0, seed=8,
+                                hard_cap=500)
+        for r, outs in zip(reps, batch):
+            assert outs == run_coupled_trials(m, [2, math.inf], {0: 1}, 30, target=0, seed=8,
+                                              replica=r, hard_cap=500)
+
+
+def _list_key_generator(salt, seed, replica, n):
+    key = [(seed & 0xFFFFFFFFFFFFFFFF) ^ salt, ((replica & 0xFFFFFFFF) << 32) | (n & 0xFFFFFFFF)]
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class TestStreamKeys:
+    """Re-keyed pool generators draw what a Philox built from the list key draws."""
+
+    @pytest.mark.parametrize("salt", [_TRIAL_SALT, _PERC_SALT])
+    def test_pool_and_philox_match_list_keys(self, salt):
+        replicas = (0, 2 ** 21 + 3, 2 ** 31 + 5)
+        for seed in (0, 1, 2, 12345, 2 ** 64 - 1):
+            pool = _StreamPool(salt, seed)
+            for n in (0, 1, 7, 500, 2 ** 32 - 1):
+                for r, rng in zip(replicas, pool.streams(replicas, n)):
+                    want = _list_key_generator(salt, seed, r, n).random(6)
+                    assert np.array_equal(rng.random(6), want), (seed, r, n)
+                    assert np.array_equal(_philox(salt, seed, r, n).random(6), want)
+
+    def test_random_triples(self):
+        draw = np.random.default_rng(2024)
+        seeds = draw.integers(0, 2 ** 64, 3000, dtype=np.uint64).tolist()
+        reps = draw.integers(0, 2 ** 32, 3000, dtype=np.uint64).tolist()
+        gens = draw.integers(0, 2 ** 32, 3000, dtype=np.uint64).tolist()
+        for seed, r, n in zip(seeds, reps, gens):
+            rng, = _StreamPool(_TRIAL_SALT, seed).streams([r], n)
+            assert rng.random() == _list_key_generator(_TRIAL_SALT, seed, r, n).random()
+
+
+class TestRunValidation:
+    """Inputs a Monte Carlo run cannot use raise ModelError, not a traceback or output."""
+
+    def test_replicas_below_one(self):
+        m = build_zd_translation(radius=2)
+        with pytest.raises(ModelError, match="replica"):
+            truncation_sweep(m, [1], {0: 1}, 5, 0)
+        with pytest.raises(ModelError, match="replica"):
+            estimate_survival(m, {0: 1}, 5, 0)
+        with pytest.raises(ModelError, match="replica"):
+            mean_curve(m, {0: 1}, 5, 0)
+        with pytest.raises(ModelError, match="replica"):
+            oriented_percolation(PercolationConfig(p=0.5, horizon=3), 0)
+
+    def test_negative_horizon(self):
+        m = build_zd_translation(radius=2)
+        with pytest.raises(ModelError, match="horizon"):
+            run_coupled_trials(m, [1, math.inf], {0: 1}, -1)
+        with pytest.raises(ModelError, match="horizon"):
+            truncation_sweep(m, [1], {0: 1}, -1, 4)
+        with pytest.raises(ModelError, match="horizon"):
+            mean_curve(m, {0: 1}, -1, 4)
+
+    def test_cap_below_one(self):
+        m = build_zd_translation(radius=2)
+        with pytest.raises(ModelError, match="cap"):
+            run_coupled_trials(m, [0.5, math.inf], {0: 1}, 5)
+        with pytest.raises(ModelError, match="cap"):
+            estimate_survival(m, {0: 1}, 5, 3, cap=0)
+        with pytest.raises(ModelError, match="cap"):
+            truncation_sweep(m, [0, 2], {0: 1}, 5, 3)
+
+    def test_unknown_vertex(self):
+        m = build_zd_translation(radius=2)
+        with pytest.raises(ModelError, match="99"):
+            run_coupled_trials(m, [math.inf], {99: 1}, 5)
+        with pytest.raises(ModelError, match="99"):
+            estimate_survival(m, {99: 1}, 5, 3)
+        with pytest.raises(ModelError, match="track"):
+            mean_curve(m, {0: 1}, 3, 4, track=99)
+        with pytest.raises(ModelError, match="99"):
+            PopulationState.from_dict(m, {99: 1})
+
+
+def test_atom_configurations_are_sparse():
+    # one (atoms x reached vertices) count table per atom vertex; a dense
+    # (atoms x V) table would hold 8·A·V² bytes in total
+    m = build_scenario("line_ex45", {"size": 400})
+    atoms = [g for g in _program(m) if isinstance(g, simulate._AtomGroup)]
+    assert len(atoms) == m.size
+    assert all(g.configs.shape == (g.cdf.size, g.targets.size) and g.targets.size <= 2
+               for g in atoms)
+    assert sum(g.configs.nbytes for g in atoms) < 100_000
