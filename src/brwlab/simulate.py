@@ -39,6 +39,10 @@ _INT64_MAX = 2 ** 63 - 1
 # which bounds its temporaries; chosen by measurement.
 _DRAW_BUDGET = 1 << 16
 
+# Cdfs of at most this many entries are inverted by a comparison scan, larger
+# ones by binary search; chosen by measurement.
+_SCAN_CDF = 8
+
 DEFAULT_HARD_CAP = 10 ** 8
 
 
@@ -127,8 +131,32 @@ def _draw_indices(rng, cdf, sizes):
             k = int(sizes[r])
             rng[r].random(out=u[pos:pos + k])
             pos += k
-    ids = np.searchsorted(cdf, u, side="right")
-    return np.minimum(ids, cdf.size - 1, out=ids)
+    return _invert_cdf(cdf, u)
+
+
+def _invert_cdf(cdf, u):
+    """min(searchsorted(cdf, u, "right"), cdf.size - 1) for a nondecreasing cdf.
+
+    A small table is inverted by counting the entries of cdf[:-1] that u
+    reaches, which is the same index: one vector pass per entry beats a
+    binary search per uniform there.
+    """
+    if cdf.size > _SCAN_CDF:
+        ids = np.searchsorted(cdf, u, side="right")
+        return np.minimum(ids, cdf.size - 1, out=ids)
+    if cdf.size == 1:
+        return np.zeros(u.size, dtype=np.intp)
+    ids = (u >= cdf[0]).astype(np.intp)
+    for c in cdf[1:-1].tolist():
+        ids += u >= c
+    return ids
+
+
+def _ranges(starts, stops):
+    """The concatenation of arange(starts[i], stops[i]) over i, in order."""
+    lengths = stops - starts
+    return (np.arange(int(lengths.sum()))
+            + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths))
 
 
 def _chunks(sizes, budget):
@@ -212,21 +240,63 @@ def _program(model: BrwModel):
 # the stepping kernel
 # ---------------------------------------------------------------------------
 
-def _prefix_masks(block, reads):
-    """Per row of ``reads``: None when it reads every draw block whole, else a
-    mask over the concatenated blocks selecting the first reads[b] of block b."""
-    if len(reads) == 1:
-        return [None]
-    masks = []
-    rank = None
-    for row in reads:
-        if np.array_equal(row, block):
-            masks.append(None)
-            continue
-        if rank is None:
-            rank = np.arange(int(block.sum())) - np.repeat(np.cumsum(block) - block, block)
-        masks.append(rank < np.repeat(row, block))
-    return masks
+def _atom_arrivals(new, c, group, rng, shared):
+    """Add the children of one atom-law vertex to ``new``; c (R, S) are its counts."""
+    R, S = c.shape
+    block = c.max(axis=1)                                  # draw block of each replica
+    ids = _draw_indices(rng, group.cdf, int(block.sum()) if shared else block)
+    A = group.cdf.size
+    if R > 1:
+        ids += np.repeat(np.arange(0, R * A, A), block)
+    first = np.cumsum(block) - block
+    per = np.stack([np.bincount(ids if np.array_equal(row, block)
+                                else ids[_ranges(first, first + row)], minlength=R * A)
+                    for row in c.T])                       # (S, R * A)
+    new[:, :, group.targets] += (per.reshape(S, R, A) @ group.configs).transpose(1, 0, 2)
+
+
+def _product_arrivals(new, sub, group, rng, shared):
+    """Add the children of one product group to ``new``; sub (R, S, m) are its counts.
+
+    Only occupied draw blocks are handled.  The children of a block's first
+    j particles are one contiguous range of the flat child array, so a row
+    that reads a prefix of some blocks gathers its children by ranges.
+    """
+    R, S, m = sub.shape
+    V = new.shape[2]
+    reads = sub.transpose(1, 0, 2).reshape(S, R * m)      # replica-major blocks per row
+    block = reads.max(axis=0)
+    sizes = int(block.sum()) if shared else block.reshape(R, m).sum(axis=1)
+    occ = np.flatnonzero(block)
+    block = block[occ]
+    ends = np.cumsum(block)                                # one past each block's last particle
+    born = np.cumsum(group.rho_values[_draw_indices(rng, group.rho_cdf, sizes)])
+    cend = born[ends - 1]                                  # children up to each block's end
+    if cend[-1] == 0:
+        return
+    if shared:
+        children = int(cend[-1])
+    else:                                                  # children per replica
+        rend = np.cumsum(sizes)
+        children = np.diff(np.where(rend > 0, born[rend - 1], 0), prepend=0)
+    stops = []                     # per row: None if it reads whole blocks, else its range ends
+    for row in reads[:, occ]:
+        stop = ends - block + row
+        stops.append(None if np.array_equal(row, block)
+                     else np.where(stop > 0, born[stop - 1], 0))
+    del born                                       # particle-sized: freed before the child draws
+    kids = np.diff(cend, prepend=0)                        # children per occupied block
+    k = group.targets.shape[1]
+    flat = _draw_indices(rng, group.w_cdf, children)
+    flat += np.repeat(np.arange(0, occ.size * k, k), kids)
+    dest = group.targets[occ % m]                          # (occupied blocks, k) vertices
+    if R > 1:
+        dest += (occ // m * V)[:, None]
+    flat = dest.ravel()[flat]
+    for s, stop in enumerate(stops):
+        f = flat if stop is None else flat[_ranges(cend - kids, stop)]
+        if f.size:
+            new[:, s] += np.bincount(f, minlength=R * V).reshape(R, V)
 
 
 def _advance(counts, model, rng, keep_masks=None):
@@ -237,10 +307,10 @@ def _advance(counts, model, rng, keep_masks=None):
     theirs.  Per law group the draw blocks are laid out replica-major, one per
     (replica, vertex), each sized by the maximum over that replica's rows; row
     s reads the first counts[r, s, v] draws of its block, so a smaller row
-    sees a prefix of a larger one's particles.  keep_masks[s] (None or a
-    boolean vertex mask) kills row s's children sent outside the mask,
-    realizing the restriction coupling.  Caps are NOT applied here; the
-    uncapped arrivals are returned.
+    sees a prefix of a larger one's particles, gathered by prefix ranges.
+    keep_masks[s] (None or a boolean vertex mask) kills row s's children sent
+    outside the mask, realizing the restriction coupling.  Caps are NOT
+    applied here; the uncapped arrivals are returned.
     """
     R, S, V = counts.shape
     if R == 1 and isinstance(rng, list):
@@ -250,47 +320,10 @@ def _advance(counts, model, rng, keep_masks=None):
     occupied = counts.any(axis=(0, 1))
     for group in _program(model):
         if isinstance(group, _AtomGroup):
-            if not occupied[group.col]:
-                continue
-            c = counts[:, :, group.col]                        # (R, S)
-            block = c.max(axis=1)
-            ids = _draw_indices(rng, group.cdf, int(block.sum()) if shared else block)
-            A = group.cdf.size
-            if R > 1:
-                ids += np.repeat(np.arange(0, R * A, A), block)
-            # a lone block (R == 1) is read by prefix slices, not masks
-            sels = _prefix_masks(block, c.T) if R > 1 else [slice(k) for k in c[0].tolist()]
-            per = np.stack([np.bincount(ids if sel is None else ids[sel], minlength=R * A)
-                            for sel in sels])                          # (S, R * A)
-            new[:, :, group.targets] += (per.reshape(S, R, A) @ group.configs).transpose(1, 0, 2)
-        else:
-            if not occupied[group.cols].any():
-                continue
-            sub = counts[:, :, group.cols]                     # (R, S, m)
-            m = sub.shape[2]
-            block = sub.max(axis=1)                            # (R, m)
-            sizes = int(block.sum()) if shared else block.sum(axis=1)
-            block = block.ravel()                              # replica-major
-            totals = group.rho_values[_draw_indices(rng, group.rho_cdf, sizes)]
-            if shared:
-                children = int(totals.sum())
-                if children == 0:
-                    continue
-            else:                                              # children per replica
-                born, ends = np.cumsum(totals), np.cumsum(sizes)
-                if born[-1] == 0:
-                    continue
-                children = np.diff(np.where(ends > 0, born[ends - 1], 0), prepend=0)
-            parent = np.repeat(np.arange(block.size), block)   # block of each particle
-            flat = group.targets[np.repeat(parent % m, totals),
-                                 _draw_indices(rng, group.w_cdf, children)]
-            if R > 1:
-                flat += np.repeat(parent // m * V, totals)
-            reads = sub.transpose(1, 0, 2).reshape(S, -1)
-            for s, sel in enumerate(_prefix_masks(block, reads)):
-                f = flat if sel is None else flat[np.repeat(sel, totals)]
-                if f.size:
-                    new[:, s] += np.bincount(f, minlength=R * V).reshape(R, V)
+            if occupied[group.col]:
+                _atom_arrivals(new, counts[:, :, group.col], group, rng, shared)
+        elif occupied[group.cols].any():
+            _product_arrivals(new, counts[:, :, group.cols], group, rng, shared)
     for s, keep in enumerate(keep_masks or ()):
         if keep is not None:
             new[:, s, ~keep] = 0
@@ -354,7 +387,7 @@ def step(state: PopulationState, model: BrwModel, rng) -> PopulationState:
 
 def step_truncated(state: PopulationState, m, model: BrwModel, rng) -> PopulationState:
     """As ``step`` then clip every site at m (applied after all arrivals)."""
-    if m is not None and m < 1:
+    if m is not None and not m >= 1:
         raise ModelError("cap must be at least 1")
     new = _advance(state.counts[None, None, :], model, rng)[0, 0]
     _apply_cap(new, m)
@@ -372,6 +405,8 @@ def step_coupled(pair, caps, model: BrwModel, rng, coupling=None):
     m, k = caps
     mv = m if m is not None else math.inf
     kv = k if k is not None else math.inf
+    if not (mv >= 1 and kv >= 1):                          # NaN included
+        raise ModelError("cap must be at least 1")
     if kv > mv:
         raise ModelError("lower cap must not exceed the upper cap")
     if not np.all(lower.counts <= upper.counts):
@@ -412,7 +447,7 @@ def _check_run(model, eta0, horizon, replicas, caps=(), vertex=None, role="targe
         raise ModelError("need at least one replica")
     if horizon < 0:
         raise ModelError("horizon must be nonnegative")
-    if any(c < 1 for c in caps):
+    if any(not c >= 1 for c in caps):                      # NaN included
         raise ModelError("cap must be at least 1")
     if vertex is not None and vertex not in model.index:
         raise ModelError(f"{role} {vertex!r} is not a vertex of the model")

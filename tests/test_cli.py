@@ -95,6 +95,14 @@ class TestPercolate:
         assert code == 0
         assert hashlib.sha256((tmp_path / "percolation.csv").read_bytes()).hexdigest() == want
 
+    def test_p_one(self, tmp_path, capsys):
+        code = run_cli(["percolate", "--set", "p=1.0", "--horizon", "15",
+                        "--replicas", "5", "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "survival 1.0000" in out
+        assert (tmp_path / "percolation.csv").exists()
+
 
 class TestSweepDeterminism:
     def test_identical_csv_bodies(self, tmp_path, capsys):
@@ -119,6 +127,17 @@ class TestSweepDeterminism:
             "sweep.csv": "1fba46d3ca8f1064268def3296a0a17e60b6e6233a02e281457a7f6e6dc06fd2",
             "replicas.csv": "449314612bd7c1a07d4dd96c177733ea5566affc40ca3d2dea49e9554379fe50",
         }
+
+    def test_bench_bodies_match_bench_golden(self, tmp_path, capsys):
+        golden = pathlib.Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+        want = json.loads(golden.read_text())["full"]["sweep"]
+        code = run_cli(["sweep", "--scenario", "zd_translation", "--set", "param.radius=20",
+                        "--caps", "1,2,4,8", "--horizon", "100", "--replicas", "10",
+                        "--seed", "7", "--out", str(tmp_path)])
+        assert code == 3
+        for name in ("sweep.csv", "replicas.csv"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == want[f"cli sweep/{name}"], name
 
     def test_overflow_exit_code(self, tmp_path, capsys):
         code = run_cli(["sweep", "--scenario", "gw",
@@ -171,16 +190,6 @@ class TestErrors:
     def test_bad_param_exit_two(self, capsys):
         assert run_cli(["classify", "--scenario", "zdrift",
                         "--set", "param.p=0.9", "--set", "param.q=0.8"]) == 2
-
-
-class TestPercolate:
-    def test_p_one(self, tmp_path, capsys):
-        code = run_cli(["percolate", "--set", "p=1.0", "--horizon", "15",
-                        "--replicas", "5", "--out", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "survival 1.0000" in out
-        assert (tmp_path / "percolation.csv").exists()
 
 
 class TestSpatialSpectral:

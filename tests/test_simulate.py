@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
 from brwlab import simulate
@@ -15,8 +17,11 @@ from brwlab.simulate import (
     PopulationState,
     RestrictionCoupling,
     TrialStreams,
+    _draw_indices,
+    _invert_cdf,
     _philox,
     _program,
+    _ranges,
     _StreamPool,
     estimate_survival,
     mean_curve,
@@ -431,6 +436,16 @@ class TestTrialBatch:
         assert _digest(est.outcomes) == \
             "8639e575e96e039580365faf7888377175564a05e9ddcf13843fd1922a9e4e33"
 
+    def test_line_ex45_capped_and_restricted_rows(self, draw_budget):
+        # atom-law vertices read by a capped and a restricted row in a wide batch
+        m = build_scenario("line_ex45", {"size": 64})
+        win = RestrictionCoupling(frozenset(range(0, 8)))
+        batch = run_trial_batch(m, [2, math.inf, math.inf], {0: 6, 3: 4, 10: 3}, 80, range(40),
+                                target=0, seed=13, couplings=[None, None, win])
+        outs = [o for outs in batch for o in outs]
+        assert {o.total_born for o in outs[0::3]} != {o.total_born for o in outs[1::3]}
+        assert _digest(outs) == "c7867d9a4cf0a1079273e55366186a9f66ebd8a68a271318747a8121f2546dd9"
+
     def test_truncation_sweep_with_target(self, draw_budget):
         m = build_zd_translation(radius=8)
         res = truncation_sweep(m, [1, 2, 8], {0: 1}, 60, 100, target=0, seed=2,
@@ -523,6 +538,20 @@ class TestRunValidation:
         with pytest.raises(ModelError, match="cap"):
             truncation_sweep(m, [0, 2], {0: 1}, 5, 3)
 
+    @pytest.mark.parametrize("run", [
+        lambda m: run_coupled_trials(m, [math.nan, math.inf], {0: 1}, 5),
+        lambda m: estimate_survival(m, {0: 1}, 5, 3, cap=math.nan),
+        lambda m: truncation_sweep(m, [2, math.nan], {0: 1}, 5, 3),
+        lambda m: step_truncated(PopulationState.from_dict(m, {0: 1}), math.nan, m,
+                                 TrialStreams(0).generation(1)),
+        lambda m: step_coupled((PopulationState.from_dict(m, {0: 1}),) * 2, (math.inf, math.nan),
+                               m, TrialStreams(0).generation(1)),
+    ], ids=["run_coupled_trials", "estimate_survival", "truncation_sweep", "step_truncated",
+            "step_coupled"])
+    def test_nan_cap(self, run):
+        with pytest.raises(ModelError, match="cap"):
+            run(build_zd_translation(radius=2))
+
     def test_unknown_vertex(self):
         m = build_zd_translation(radius=2)
         with pytest.raises(ModelError, match="99"):
@@ -544,3 +573,88 @@ def test_atom_configurations_are_sparse():
     assert all(g.configs.shape == (g.cdf.size, g.targets.size) and g.targets.size <= 2
                for g in atoms)
     assert sum(g.configs.nbytes for g in atoms) < 100_000
+
+
+def _binary_search(cdf, u):
+    return np.minimum(np.searchsorted(cdf, u, "right"), cdf.size - 1)
+
+
+@st.composite
+def _cdfs(draw):
+    """Nondecreasing cdfs on both sides of the scan cut-off, with zero-probability
+    atoms (repeated entries) and, optionally, every entry held below 1."""
+    probs = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=1,
+                          max_size=2 * simulate._SCAN_CDF + 4))
+    probs[-1] = probs[-1] if sum(probs) > 0 else 1.0
+    cdf = np.cumsum(np.array(probs) / sum(probs))
+    if draw(st.booleans()):
+        np.minimum(cdf, np.nextafter(1.0, 0.0), out=cdf)
+    return cdf
+
+
+class TestInverseCdf:
+    """The comparison scan and the range gather against their plain definitions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cdfs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    @example(np.array([1.0]), [0.0, 0.5])
+    @example(np.array([np.nextafter(1.0, 0.0)]), [np.nextafter(1.0, 0.0)])
+    @example(np.array([0.0, 0.25, 0.25, 0.25, 1.0]), [0.0, 0.25, 0.5])
+    @example(np.array([0.5, np.nextafter(1.0, 0.0)]), [0.5, np.nextafter(1.0, 0.0)])
+    def test_scan_equals_binary_search(self, cdf, extra):
+        # u exactly on, just below and just above every entry
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), extra, [0.0]])
+        u = u[u < 1.0]
+        assert np.array_equal(_invert_cdf(cdf, u), _binary_search(cdf, u))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_cdfs(), st.lists(st.integers(0, 40), min_size=1, max_size=5),
+           st.integers(0, 2 ** 32 - 1))
+    def test_shared_and_per_replica_generators(self, cdf, sizes, seed):
+        def gen(r):
+            return np.random.Generator(np.random.Philox(key=[seed, r]))
+
+        sizes = np.array(sizes)
+        total = int(sizes.sum())
+        assert np.array_equal(_draw_indices(gen(0), cdf, total),
+                              _binary_search(cdf, gen(0).random(total)))
+        u = np.concatenate([gen(r).random(k) for r, k in enumerate(sizes.tolist())])
+        assert np.array_equal(_draw_indices([gen(r) for r in range(sizes.size)], cdf, sizes),
+                              _binary_search(cdf, u))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 8)), max_size=12))
+    def test_ranges_concatenate_aranges(self, spans):
+        starts = np.array([a for a, _ in spans], dtype=np.int64)
+        stops = starts + np.array([n for _, n in spans], dtype=np.int64)
+        want = np.concatenate([np.arange(a, a + n) for a, n in spans] + [np.empty(0, np.int64)])
+        got = _ranges(starts, stops)
+        assert got.dtype.kind == "i" and np.array_equal(got, want)
+
+
+class TestMemory:
+    """tracemalloc peaks of the kernel's largest bench states, at or below the
+    peaks measured before the kernel drew for occupied blocks only (numpy 2.4)."""
+
+    @staticmethod
+    def _peak_mb(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_sweep_step_at_the_hard_cap(self):
+        # about 10**6 particles in the uncapped row, four rows capped at 1-8
+        m = build_zd_translation(radius=20)
+        top = np.full(m.size, 24_390, dtype=np.int64)
+        counts = np.stack([np.minimum(top, c) for c in (1, 2, 4, 8)] + [top])[None]
+        peak = self._peak_mb(lambda: simulate._advance(counts, m, TrialStreams(7).generation(1),
+                                                       [None] * 5))
+        assert peak <= 49.7          # 49.6 MB before
+
+    def test_bench_mean_curve(self):
+        m = build_zd_translation(radius=10)
+        peak = self._peak_mb(lambda: mean_curve(m, {0: 1}, 8, 100_000, seed=77, track=0))
+        assert peak <= 160.1         # 160.1 MB before
