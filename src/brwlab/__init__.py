@@ -59,7 +59,6 @@ from .simulate import (
 from .approx import (
     DriftParams,
     PercolationConfig,
-    approximation_report,
     ball_exhaustion,
     chebyshev_k,
     oriented_percolation,

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph
 from scipy.special import xlogy
 
-from .core import BrwModel, IntDistribution, ModelError, dominating_law, restrict_model
+from .core import BrwModel, IntDistribution, ModelError, restrict_model
 from .genfun import _verdict
-from .serialize import write_manifest
 from .simulate import (_DRAW_BUDGET, DEFAULT_HARD_CAP, _chunks, _StreamPool, estimate_survival,
                        run_trial_batch, wilson_interval)
 from .spectral import local_growth_rate, moment_matrix, seneta_sequence
@@ -429,7 +427,7 @@ def oriented_percolation(config: PercolationConfig, replicas, seed=0) -> Percola
 
 
 # ---------------------------------------------------------------------------
-# composite report
+# CSV output
 # ---------------------------------------------------------------------------
 
 def write_csv(path, header, rows):
@@ -437,72 +435,3 @@ def write_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-
-
-def approximation_report(scenario, out_dir, params=None, x0=None, seed=0, horizon=100,
-                         replicas=400, caps=(1, 2, 4, 8), radii=None,
-                         hard_cap=10 ** 6, run_mc=True) -> dict:
-    """Run the window program, the cap program and the analytic bounds at desk scale.
-
-    ``scenario`` is a registered scenario name (built with ``params``) or an
-    already-built model.  Writes a CSV bundle plus manifest under out_dir
-    and returns a summary dict.  The analytic section always reports the
-    dominating child-count law's concentration inputs; the exponent region
-    is added for drifting line kernels (models carrying p/q parameters).
-    """
-    if isinstance(scenario, BrwModel):
-        model = scenario
-    else:
-        from .scenarios import build_scenario
-        model = build_scenario(scenario, params)
-    if x0 is None:
-        x0 = model.vertices[model.size // 2] if model.size > 1 else model.vertices[0]
-    summary = {"scenario": model.name, "x0": x0,
-               "model_hash": write_manifest(out_dir, model, seed)}
-    files = {}
-
-    if model.size > 1:
-        if radii is None:
-            radii = sorted({max(1, model.size // 8), max(2, model.size // 4),
-                            max(3, model.size // 2), model.size})
-        exhaustion = ball_exhaustion(model, x0, radii)
-        spatial = spatial_experiment(model, exhaustion, x0)
-        header, rows = spatial.csv_rows()
-        files["spatial"] = os.path.join(out_dir, "spatial.csv")
-        write_csv(files["spatial"], header, rows)
-        summary["spatial_full_growth"] = spatial.full_growth
-        summary["spatial_first_surviving_index"] = spatial.first_surviving_index
-    else:
-        summary["spatial_full_growth"] = None
-
-    if run_mc and replicas > 0:
-        sweep = truncation_sweep(model, caps, {x0: 1}, horizon, replicas,
-                                 target=x0, seed=seed, hard_cap=hard_cap)
-        header, rows = sweep.csv_rows()
-        files["sweep"] = os.path.join(out_dir, "sweep.csv")
-        write_csv(files["sweep"], header, rows)
-        header, rows = sweep.per_replica_rows()
-        files["replicas"] = os.path.join(out_dir, "replicas.csv")
-        write_csv(files["replicas"], header, rows)
-        summary["sweep_caps"] = [r.cap for r in sweep.rows]
-        summary["sweep_frequencies"] = [r.alive_frequency for r in sweep.rows]
-
-    rho = dominating_law(model)
-    analytic = [("dominating_mean", rho.mean), ("dominating_variance", rho.variance)]
-    for n in (2, 4, 8):
-        s2 = variance_bound(rho, n)
-        analytic.append((f"variance_bound_n{n}", s2))
-        analytic.append((f"chebyshev_k_n{n}_eps0.1", chebyshev_k(s2, 1.0, 0.1)))
-    if {"p", "q"} <= set(model.params):
-        d = DriftParams(rho.mean, model.params["p"], model.params["q"])
-        region = supercritical_region(d)
-        analytic.append(("q_at_anchor", q_value(d, d.p - d.q, d.p) if d.p > 0 else d.rho_bar))
-        analytic.append(("region_empty", int(region.empty)))
-        if region.integers:
-            d1, d2, d3, N = region.integers
-            analytic += [("d1", d1), ("d2", d2), ("d3", d3), ("N", N)]
-    files["analytic"] = os.path.join(out_dir, "analytic.csv")
-    write_csv(files["analytic"], ("quantity", "value"), analytic)
-
-    summary["files"] = files
-    return summary

@@ -247,12 +247,6 @@ class ProductForm:
     targets: tuple
     weights: tuple
 
-    def weight_at(self, vertex) -> float:
-        for t, w in zip(self.targets, self.weights):
-            if t == vertex:
-                return w
-        return 0.0
-
 
 class OffspringLaw:
     """One vertex's reproduction law.
@@ -387,21 +381,6 @@ class OffspringLaw:
             return float(np.dot(pf.rho.probs, terms))
         return sum(p for cfg, p in self._atoms
                    if sum(c for v, c in cfg.entries if v in subset) == 1)
-
-    def pgf_at(self, z) -> float:
-        """G(z | this vertex) for z given as a dict vertex -> value in [0,1]."""
-        if self.product is not None:
-            pf = self.product
-            s = sum(w * z.get(t, 0.0) for t, w in zip(pf.targets, pf.weights))
-            return float(pf.rho.pgf(s))
-        total = 0.0
-        for cfg, p in self._atoms:
-            term = p
-            for v, c in cfg.entries:
-                zv = z.get(v, 0.0)
-                term *= zv ** c if zv > 0.0 else (1.0 if c == 0 else 0.0)
-            total += term
-        return total
 
     def equal_within(self, other, tol=PROB_TOL) -> bool:
         """Total-variation equality test (factorized fast path when possible)."""
@@ -635,10 +614,10 @@ def project_model(model: BrwModel, proj: Projection, tol=PROB_TOL) -> BrwModel:
 
 def restrict_model(model: BrwModel, subset) -> BrwModel:
     """Suppress every reproduction outside ``subset`` (the induced model)."""
-    keep = [v for v in model.vertices if v in set(subset)]
+    keepset = set(subset)
+    keep = [v for v in model.vertices if v in keepset]
     if not keep:
         raise ModelError("restriction to an empty vertex set")
-    keepset = set(keep)
     laws = {v: model.laws[v].restrict(keepset) for v in keep}
     params = dict(model.params)
     params["restricted_to"] = len(keep)

@@ -4,8 +4,8 @@ The coordinatewise map G sends z in [0,1]^V to the vector of offspring
 PGF values; its least fixed point is the global extinction vector.  Local
 survival is read from the return growth rate, global survival from fixed
 points (or from a registered finite projection / the finite-window row-sum
-criterion), and strong local survival from comparing the target-avoidance
-fixed point with the global one.
+criterion), and strong local survival at A from comparing local extinction,
+the least fixed point of G on the ancestors of A, with the global one.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csgraph, csr_matrix, identity
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .core import BrwModel, ModelError, continuous_counterpart
+from .core import BrwModel, ModelError, continuous_counterpart, restrict_model
 from .spectral import GrowthEstimate, MomentMatrix, global_growth_rate, local_growth_rate, moment_matrix
 
 
@@ -171,7 +171,6 @@ class IterationDiagnostics:
     iterations: int
     residual: float
     converged: bool
-    period_used: int = 1
     newton_steps: int = 0
 
 
@@ -198,8 +197,26 @@ def _newton_step(G: _GEvaluator, z: np.ndarray) -> np.ndarray:
     return np.clip(z1, 0.0, 1.0)
 
 
+def _least_fixed_point(G: _GEvaluator, tol, max_iter):
+    """Kleene steps from the zero vector, then Newton steps; see ``iterate_extinction``."""
+    z = np.zeros(G.model.size)
+    for it in range(1, max_iter + 1):
+        z1 = G(z) if it <= _KLEENE_STEPS else _newton_step(G, z)
+        if np.any(z1 < z - 1e-12):
+            raise RuntimeError("extinction iterates lost monotonicity")
+        step = float(np.max(np.abs(z1 - z)))
+        z = z1
+        if step < tol:
+            resid = float(np.max(np.abs(G(z) - z)))
+            if resid < tol:
+                return z, IterationDiagnostics(it, resid, True,
+                                               newton_steps=max(0, it - _KLEENE_STEPS))
+    return z, IterationDiagnostics(max_iter, math.inf, False,
+                                   newton_steps=max(0, max_iter - _KLEENE_STEPS))
+
+
 def iterate_extinction(model: BrwModel, target="global", tol=1e-12, max_iter=200_000):
-    """Fixed-point iteration for extinction probabilities.
+    """Least fixed points of G: global extinction, or local extinction at a set.
 
     target="global": Kleene iteration z_{n+1} = G(z_n) from the zero vector
     for up to _KLEENE_STEPS steps, then Newton steps (``_newton_step``) from
@@ -213,54 +230,36 @@ def iterate_extinction(model: BrwModel, target="global", tol=1e-12, max_iter=200
     rounds to 0 in float64 once 1 - z is near 1e-8, so such a solve stops
     there, converged to within tol in residual but not in value.
 
-    target=<vertex set>: start from the indicator of the complement (1 off
-    the set, 0 on it).  Coordinates at the wrong phase of a periodic class
-    sit at their off-phase value, so plain iterates are not coordinatewise
-    monotone; convergence is detected when the iterate matches itself p
-    steps earlier (smallest p <= 6) and the returned vector takes the
-    elementwise minimum over one period, which selects each coordinate's
-    on-phase value.
+    target=<vertex set> A: q(x, A), the probability that A is visited only
+    finitely often, is the least fixed point of G on the ancestors of A and
+    1 elsewhere.  The ancestors Anc(A) are the vertices from which A can be
+    reached in the moment graph.  A surviving population on a finite window
+    visits some vertex infinitely often, and a particle at any vertex of
+    Anc(A) has a descendant in A within a bounded number of generations
+    with probability at least some delta > 0, so by conditional
+    Borel-Cantelli A is visited infinitely often exactly when the process
+    restricted to Anc(A) survives.  The solve is the global one on
+    ``restrict_model(model, Anc(A))``, and the diagnostics are its own.
     """
-    G = _evaluator(model)
     if isinstance(target, str):
         if target != "global":
             raise ModelError(f"unknown target {target!r}")
-        z = np.zeros(model.size)
-        for it in range(1, max_iter + 1):
-            z1 = G(z) if it <= _KLEENE_STEPS else _newton_step(G, z)
-            if np.any(z1 < z - 1e-12):
-                raise RuntimeError("extinction iterates lost monotonicity")
-            step = float(np.max(np.abs(z1 - z)))
-            z = z1
-            if step < tol:
-                resid = float(np.max(np.abs(G(z) - z)))
-                if resid < tol:
-                    return z, IterationDiagnostics(it, resid, True,
-                                                   newton_steps=max(0, it - _KLEENE_STEPS))
-        return z, IterationDiagnostics(max_iter, math.inf, False,
-                                       newton_steps=max(0, max_iter - _KLEENE_STEPS))
+        return _least_fixed_point(_evaluator(model), tol, max_iter)
 
     A = set(target)
     missing = [v for v in A if v not in model.index]
-    if missing:
-        raise ModelError(f"target vertices not in model: {missing[:5]}")
-    z = np.ones(model.size)
-    for v in A:
-        z[model.index[v]] = 0.0
-    history = [z]
-    max_p = 6
-    for it in range(1, max_iter + 1):
-        z = G(history[-1])
-        history.append(z)
-        if len(history) > max_p + 1:
-            history.pop(0)
-        for p in range(1, min(max_p, len(history) - 1) + 1):
-            if np.max(np.abs(history[-1] - history[-1 - p])) < tol:
-                q = np.min(np.stack(history[-p:]), axis=0)
-                resid_p = float(np.max(np.abs(history[-1] - history[-1 - p])))
-                return q, IterationDiagnostics(it, resid_p, True, p)
-    q = np.min(np.stack(history[-max_p:]), axis=0)
-    return q, IterationDiagnostics(max_iter, math.inf, False, max_p)
+    if missing or not A:
+        raise ModelError(f"target must be a nonempty set of model vertices; "
+                         f"not in the model: {missing[:5]}")
+    # Anc(A): vertices at finite distance from A in the reversed moment graph
+    dist = csgraph.dijkstra(moment_matrix(model).csr.T, indices=[model.index[v] for v in A],
+                            unweighted=True, min_only=True)
+    anc = np.flatnonzero(np.isfinite(dist))
+    q_anc, diag = _least_fixed_point(
+        _evaluator(restrict_model(model, [model.vertices[i] for i in anc])), tol, max_iter)
+    q = np.ones(model.size)
+    q[anc] = q_anc
+    return q, diag
 
 
 @dataclass
@@ -431,7 +430,9 @@ class StrongLocalReport:
 
 def strong_local_compare(model: BrwModel, x0, y, tol=1e-6, fp_tol=1e-12,
                          max_iter=200_000) -> StrongLocalReport:
-    """Do the avoidance fixed point at y and the global one coincide at x0?"""
+    """Do local extinction at {y} and global extinction coincide at x0?"""
+    if x0 not in model.index:
+        raise ModelError(f"x0 = {x0!r} is not a vertex of the model")
     qbar, d1 = iterate_extinction(model, "global", tol=fp_tol, max_iter=max_iter)
     qy, d2 = iterate_extinction(model, {y}, tol=fp_tol, max_iter=max_iter)
     i0 = model.index[x0]

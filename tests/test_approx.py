@@ -8,7 +8,6 @@ from brwlab.approx import (
     _PERC_SALT,
     DriftParams,
     PercolationConfig,
-    approximation_report,
     ball_exhaustion,
     chebyshev_k,
     oriented_percolation,
@@ -20,7 +19,7 @@ from brwlab.approx import (
     variance_bound,
 )
 from brwlab.core import IntDistribution, ModelError
-from brwlab.scenarios import build_scenario, build_zd_translation, build_zdrift
+from brwlab.scenarios import build_scenario, build_zd_translation
 from brwlab.simulate import _philox
 
 
@@ -277,27 +276,3 @@ class TestTruncationSweep:
         m = build_zd_translation(radius=3)
         with pytest.raises(ModelError):
             truncation_sweep(m, [2, 2, 4], {0: 1}, 10, 5)
-
-
-class TestReport:
-    def test_zdrift_report_bundle(self, tmp_path):
-        m = build_zdrift(radius=6, p=0.3, q=0.2, rho_bar=1.4)
-        summary = approximation_report(m, tmp_path, x0=0, seed=1, horizon=40,
-                                       replicas=40, caps=(1, 4), hard_cap=10 ** 4)
-        assert (tmp_path / "manifest.txt").exists()
-        assert (tmp_path / "sweep.csv").exists()
-        assert (tmp_path / "spatial.csv").exists()
-        analytic = (tmp_path / "analytic.csv").read_text()
-        assert "d1" in analytic
-        assert summary["model_hash"]
-
-    def test_gw_report_skips_spatial(self, tmp_path):
-        summary = approximation_report("gw", tmp_path, params={"rho": {0: 0.4, 2: 0.6}},
-                                       seed=1, horizon=30, replicas=20, caps=(1, 2),
-                                       hard_cap=10 ** 4)
-        assert summary["spatial_full_growth"] is None
-        assert not (tmp_path / "spatial.csv").exists()
-
-    def test_unknown_scenario_rejected(self, tmp_path):
-        with pytest.raises(ModelError):
-            approximation_report("bogus", tmp_path)

@@ -11,6 +11,7 @@ from brwlab.core import (
     OffspringConfig,
     build_offspring_law,
     continuous_counterpart,
+    restrict_model,
 )
 from brwlab.genfun import (
     check_mean_condition,
@@ -248,10 +249,70 @@ class TestIterateExtinction:
         qbar, _ = iterate_extinction(m, "global")
         qy, diag = iterate_extinction(m, {0})
         assert diag.converged
-        assert diag.period_used == 3
         assert np.all(qy >= qbar - 1e-9)
         # irreducible + transitive, so avoidance of any site matches global
         assert qy == pytest.approx(qbar, abs=1e-8)
+
+    def test_period_seven_cycle_target(self):
+        # period 7: the target solve must not depend on the period of a class
+        laws = {v: law_from([({(v + 1) % 7: 2}, 0.6), ({}, 0.4)]) for v in range(7)}
+        m = BrwModel(tuple(range(7)), laws)
+        start = time.perf_counter()
+        q, diag = iterate_extinction(m, {0})
+        assert time.perf_counter() - start < 1.0
+        assert diag.converged
+        assert np.all(np.abs(q - 2.0 / 3.0) <= 1e-9)
+        assert strong_local_compare(m, 3, 0).verdict == "yes"
+
+    def test_critical_gw_target_converges_with_newton(self):
+        m = gw({0: 0.5, 2: 0.5})
+        start = time.perf_counter()
+        q, diag = iterate_extinction(m, {0})
+        assert time.perf_counter() - start < 1.0
+        assert diag.converged and diag.newton_steps > 0
+        assert 1.0 - q[0] <= 1e-7
+        assert strong_local_compare(m, 0, 0).verdict == "no"
+
+    def test_single_child_walk_visits_target_forever(self):
+        # one child per generation on a lazy 3-cycle: the walk returns to 0
+        # infinitely often, so q(., {0}) = qbar = 0 though P(no particle at 0
+        # at generation n) tends to 2/3
+        laws = {v: law_from([({(v + 1) % 3: 1}, 1 / 3), ({(v - 1) % 3: 1}, 1 / 3),
+                             ({v: 1}, 1 / 3)]) for v in range(3)}
+        m = BrwModel((0, 1, 2), laws)
+        q, diag = iterate_extinction(m, {0})
+        assert diag.converged
+        assert np.all(q == 0.0)
+        rep = strong_local_compare(m, 0, 0)
+        assert rep.q_target_x0 == 0.0
+        assert rep.verdict == "yes"
+
+    def test_irreducible_target_is_global_solve(self):
+        m = build_zd_translation(radius=10)
+        qbar, _ = iterate_extinction(m, "global")
+        qy, _ = iterate_extinction(m, {0})
+        assert qy.tobytes() == qbar.tobytes()
+
+    def test_target_solve_on_ancestors(self):
+        # 2 cannot reach A = {0}.  Anc(A) = {0, 1} carries a walk of one
+        # particle that never dies there and so visits 0 infinitely often,
+        # though at a given generation it sits at 1 with probability 5/9;
+        # 1 also sends children to 2, which the restriction drops
+        laws = {0: law_from([({0: 1}, 0.5), ({1: 1}, 0.5)]),
+                1: law_from([({0: 1}, 0.4), ({1: 1}, 0.4), ({1: 1, 2: 1}, 0.2)]),
+                2: law_from([({2: 2}, 0.6), ({}, 0.4)])}
+        m = BrwModel((0, 1, 2), laws)
+        qbar, _ = iterate_extinction(m, "global")
+        q, diag = iterate_extinction(m, {0})
+        assert diag.converged
+        assert q[2] == 1.0 and qbar[2] < 1.0
+        q_sub, _ = iterate_extinction(restrict_model(m, (0, 1)), "global")
+        assert np.array_equal(q[:2], q_sub)
+        assert np.all(q[:2] == 0.0)
+
+    def test_empty_target_rejected(self):
+        with pytest.raises(ModelError):
+            iterate_extinction(build_zd_translation(radius=2), set())
 
 
 class TestJacobian:
@@ -410,6 +471,10 @@ class TestStrongLocal:
         rep = strong_local_compare(gw({0: 0.8, 2: 0.2}), 0, 0, tol=1e-6)
         assert rep.verdict == "no"
         assert rep.q_target_x0 == pytest.approx(1.0, abs=1e-9)
+
+    def test_unknown_start_vertex(self):
+        with pytest.raises(ModelError):
+            strong_local_compare(build_zd_translation(radius=2), 99, 0)
 
 
 class TestLambdaSweep:
