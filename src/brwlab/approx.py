@@ -49,6 +49,17 @@ class DriftParams:
         return 1.0 - self.p - self.q
 
 
+def _log_q(d: DriftParams, alpha, beta):
+    """(log Q, admissible exponents) over broadcast alpha and beta; see ``q_value``."""
+    a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    e1, e2, e3 = b, b - a, 1.0 - 2.0 * b + a
+    admissible = ~((b <= 0) | (e2 < -1e-15) | (e3 < -1e-15) | (b >= (1.0 + a) / 2.0 + 1e-15))
+    e1, e2, e3 = (np.maximum(e, 0.0) for e in (e1, e2, e3))  # no inf - inf off the admissible set
+    log_num = xlogy(e1, d.p) + xlogy(e2, d.q) + xlogy(e3, d.stay)
+    log_den = xlogy(e1, e1) + xlogy(e2, e2) + xlogy(e3, e3)
+    return math.log(d.rho_bar) + log_num - log_den, admissible
+
+
 def q_value(d: DriftParams, alpha, beta) -> float:
     """Exponential growth rate of the expected count on the ray site ~ alpha*n.
 
@@ -58,14 +69,9 @@ def q_value(d: DriftParams, alpha, beta) -> float:
     outside beta > 0, beta >= alpha, beta <= (1+alpha)/2 are rejected.
     At (alpha, beta) = (p-q, p) the value is exactly rho_bar.
     """
-    a, b = float(alpha), float(beta)
-    e1, e2, e3 = b, b - a, 1.0 - 2.0 * b + a
-    if b <= 0 or e2 < -1e-15 or e3 < -1e-15 or b >= (1.0 + a) / 2.0 + 1e-15:
-        raise ModelError(f"(alpha={a}, beta={b}) outside the admissible exponent range")
-    e2, e3 = max(e2, 0.0), max(e3, 0.0)
-    log_num = xlogy(e1, d.p) + xlogy(e2, d.q) + xlogy(e3, d.stay)
-    log_den = xlogy(e1, e1) + xlogy(e2, e2) + xlogy(e3, e3)
-    val = math.log(d.rho_bar) + float(log_num) - float(log_den)
+    val, admissible = _log_q(d, alpha, beta)
+    if not admissible:
+        raise ModelError(f"(alpha={alpha}, beta={beta}) outside the admissible exponent range")
     return math.exp(val) if math.isfinite(val) else 0.0
 
 
@@ -91,29 +97,21 @@ def supercritical_region(d: DriftParams, resolution=60) -> RegionResult:
     b1*N <= d3 <= b2*N and Q(d_l/N, d3/N) > 1 for l = 1, 2.  Empty for
     rho_bar <= 1.
     """
+    if resolution < 2:
+        raise ModelError(f"resolution must be at least 2, got {resolution!r}")
     a_star, b_star = d.p - d.q, d.p
     alphas = np.linspace(a_star - 0.5, a_star + 0.5, resolution)
     betas = np.linspace(1e-3, 1.0 - 1e-3, resolution)
-    mask = np.zeros((resolution, resolution), dtype=bool)
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(betas):
-            try:
-                mask[i, j] = q_value(d, a, b) > 1.0
-            except ModelError:
-                mask[i, j] = False
+    log_q, admissible = _log_q(d, alphas[:, None], betas[None, :])
+    mask = admissible & (log_q > 0.0)
     if d.rho_bar <= 1.0:
         return RegionResult(alphas, betas, mask, None, None,
                             "rho_bar <= 1: no supercritical exponents")
 
     def rect_ok(a1, a2, b1, b2, samples=9):
-        for a in np.linspace(a1, a2, samples):
-            for b in np.linspace(b1, b2, samples):
-                try:
-                    if q_value(d, a, b) <= 1.0:
-                        return False
-                except ModelError:
-                    return False
-        return True
+        log_q, admissible = _log_q(d, np.linspace(a1, a2, samples)[:, None],
+                                   np.linspace(b1, b2, samples)[None, :])
+        return bool((admissible & (log_q > 0.0)).all())
 
     # grow a symmetric box around the anchor until it stops being supercritical
     da = db = 0.0

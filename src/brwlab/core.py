@@ -333,8 +333,7 @@ class OffspringLaw:
     # -- transforms ----------------------------------------------------------
 
     def restrict(self, keep) -> "OffspringLaw":
-        """Delete all children sent outside ``keep`` (marginal law)."""
-        keep = set(keep)
+        """Delete all children sent outside the set ``keep`` (marginal law)."""
         if self.product is not None:
             pf = self.product
             s = sum(w for t, w in zip(pf.targets, pf.weights) if t in keep)

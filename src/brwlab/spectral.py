@@ -11,16 +11,16 @@ so supercritical windows cannot overflow.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix, issparse
+from scipy.sparse import csgraph, csr_matrix, identity, issparse
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .core import BrwModel, ModelError
 
-OVERFLOW_GUARD = 1e300
-
-# below this dimension matrix powers run dense, which is faster
+# below this dimension matrix powers and series solves run dense, which is faster
 _DENSE_CUTOFF = 400
 
 
@@ -81,6 +81,8 @@ class MomentMatrix:
         return self._labels
 
     def communicating_class(self, x):
+        if x not in self.index:
+            raise ModelError(f"vertex {x!r} not in the matrix")
         labels = self._strong_labels()
         lab = labels[self.index[x]]
         return tuple(v for v in self.vertices if labels[self.index[v]] == lab)
@@ -177,15 +179,6 @@ def _converged(ratios, rel_tol):
     return (max(tail) - min(tail)) / scale <= rel_tol
 
 
-def _power_op(M: MomentMatrix):
-    """Return u -> u @ M as a callable, dense below the cutoff."""
-    if M.dim <= _DENSE_CUTOFF:
-        dense = M.csr.toarray()
-        return lambda u: u @ dense
-    mt = M.csr.T.tocsr()
-    return lambda u: mt.dot(u)
-
-
 def _log_sequence(M, start_idx, read, stride, n_max, stop_tol):
     """Log-scale values of a tracked functional of e_start @ M^n.
 
@@ -193,7 +186,8 @@ def _log_sequence(M, start_idx, read, stride, n_max, stop_tol):
     entries are collected every ``stride`` steps.  Stops early once the
     stride-ratios are stable to stop_tol three times in a row.
     """
-    op = _power_op(M)
+    dense = M.dim <= _DENSE_CUTOFF      # u -> u @ M, dense below the cutoff
+    mat = M.csr.toarray() if dense else M.csr.T.tocsr()
     u = np.zeros(M.dim)
     u[start_idx] = 1.0
     logscale = 0.0
@@ -201,7 +195,7 @@ def _log_sequence(M, start_idx, read, stride, n_max, stop_tol):
     stable = 0
     last_ratio = None
     for n in range(1, n_max + 1):
-        u = op(u)
+        u = u @ mat if dense else mat.dot(u)
         s = u.sum()
         if s <= 0.0:
             out.append((n, -math.inf))
@@ -245,10 +239,7 @@ def local_growth_rate(M: MomentMatrix, x0, n_max=2000, rel_tol=1e-3,
     are taken along n = 0 mod period(x0); the reported value is the
     Aitken-accelerated ratio of consecutive on-period terms.
     """
-    if x0 not in M.index:
-        raise ModelError(f"vertex {x0!r} not in the matrix")
-    cls = M.communicating_class(x0)
-    sub = M.submatrix(cls)
+    sub = M.submatrix(M.communicating_class(x0))
     p = sub.period(x0)
     if p == 0:
         return GrowthEstimate(0.0, (), (), "no return paths", True, rel_tol)
@@ -288,45 +279,57 @@ def global_growth_rate(M: MomentMatrix, x0, n_max=2000, rel_tol=1e-3,
 # generating series
 # ---------------------------------------------------------------------------
 
+def _series_sum(A, b):
+    """sum_n A^n b for nonnegative A and b, or None where the series diverges.
+
+    A finite nonnegative solution of the nonsingular (I - A) h = b bounds every
+    partial sum, so it is the series; when every index reaches the support of
+    b, a singular system or a negative entry certifies divergence (Seneta 2006, ch. 1).
+    """
+    n = A.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MatrixRankWarning)
+        try:
+            h = (np.linalg.solve(np.eye(n) - A.toarray(), b) if n <= _DENSE_CUTOFF
+                 else spsolve(identity(n, format="csr") - A, b))
+        except np.linalg.LinAlgError:
+            return None
+    return h if np.isfinite(h).all() and (h >= 0).all() else None
+
+
+def _class_block(M: MomentMatrix, x, lam):
+    """lam * M on x's communicating class (csr), and x's index in that class."""
+    if not 0.0 <= lam < math.inf:
+        raise ModelError(f"lam must be finite and nonnegative, got {lam!r}")
+    sub = M.submatrix(M.communicating_class(x))
+    return sub.csr * float(lam), sub.index[x]
+
+
 def first_return_series(M: MomentMatrix, x, lam, n_max=400) -> float:
     """Phi(x,x|lam): weighted paths returning to x that avoid x in between.
 
-    Computed as powers of lam * M with the x entry zeroed after each read,
-    which is exactly the taboo-path sum.  lam is folded into the iteration
-    so the iterate itself stays bounded inside the series radius; inf is
-    returned when the weighted terms pass the overflow guard (divergence).
+    They stay in x's class C; with T = C minus x, Phi = lam m_xx + lam M_xT h
+    for the taboo sum h solving (I - lam M_TT) h = lam M_Tx (``_series_sum``),
+    inf where a singular system or a negative entry certifies divergence.  The
+    value is the full sum: ``n_max`` is kept for old callers and bounds nothing.
     """
-    if lam < 0:
-        raise ModelError("lam must be nonnegative")
-    i = M.index[x]
-    op = _power_op(M)
-    u = np.zeros(M.dim)
-    u[i] = 1.0
-    total = 0.0
-    for n in range(1, n_max + 1):
-        u = op(u) * lam
-        total += u[i]
-        if total > OVERFLOW_GUARD or u.max() > OVERFLOW_GUARD:
-            return math.inf
-        u[i] = 0.0
-    return float(total)
+    A, i = _class_block(M, x, lam)
+    t = np.flatnonzero(np.arange(A.shape[0]) != i)
+    h = _series_sum(A[t][:, t], A[t, i].toarray().ravel())
+    return math.inf if h is None else float(A[i, i] + A[i, t].toarray().ravel() @ h)
 
 
 def green_series(M: MomentMatrix, x, lam, n_max=400) -> float:
-    """Gamma(x,x|lam) = sum_n m^(n)_xx lam^n, inf on overflow/divergence."""
-    if lam < 0:
-        raise ModelError("lam must be nonnegative")
-    i = M.index[x]
-    op = _power_op(M)
-    u = np.zeros(M.dim)
-    u[i] = 1.0
-    total = 1.0  # n = 0 term
-    for n in range(1, n_max + 1):
-        u = op(u) * lam
-        total += u[i]
-        if total > OVERFLOW_GUARD or u.max() > OVERFLOW_GUARD:
-            return math.inf
-    return float(total)
+    """Gamma(x,x|lam) = sum_n m^(n)_xx lam^n, inf where the series diverges.
+
+    Returns to x stay in x's class C, so Gamma = y_x for the solution y of
+    (I - lam M_CC) y = e_x (``_series_sum``); a singular system or a negative
+    entry certifies divergence.  The value is the full sum: ``n_max`` is kept
+    for old callers and bounds nothing.
+    """
+    A, i = _class_block(M, x, lam)
+    y = _series_sum(A, (np.arange(A.shape[0]) == i).astype(float))
+    return math.inf if y is None else float(y[i])
 
 
 def seneta_sequence(model: BrwModel, exhaustion, x0, n_max=2000, rel_tol=1e-3):

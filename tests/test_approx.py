@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from brwlab import approx
 from brwlab.approx import (
@@ -102,6 +103,111 @@ class TestSupercriticalRegion:
         assert len({d1, d2, d3}) == 3
         assert q_value(d, d1 / N, d3 / N) > 1.0
         assert q_value(d, d2 / N, d3 / N) > 1.0
+
+    @pytest.mark.parametrize("resolution", [1, 0, -3])
+    def test_resolution_below_two_rejected(self, resolution):
+        with pytest.raises(ModelError):
+            supercritical_region(DriftParams(1.3, 0.3, 0.15), resolution=resolution)
+
+
+def _scalar_q(d, alpha, beta):
+    """The scalar rate formula the array evaluation replaced, kept as the reference."""
+    a, b = float(alpha), float(beta)
+    e1, e2, e3 = b, b - a, 1.0 - 2.0 * b + a
+    if b <= 0 or e2 < -1e-15 or e3 < -1e-15 or b >= (1.0 + a) / 2.0 + 1e-15:
+        raise ModelError("outside the admissible exponent range")
+    e2, e3 = max(e2, 0.0), max(e3, 0.0)
+    log_num = xlogy(e1, d.p) + xlogy(e2, d.q) + xlogy(e3, d.stay)
+    log_den = xlogy(e1, e1) + xlogy(e2, e2) + xlogy(e3, e3)
+    val = math.log(d.rho_bar) + float(log_num) - float(log_den)
+    return math.exp(val) if math.isfinite(val) else 0.0
+
+
+def _scalar_region(d, resolution=60):
+    """(mask, rectangle, integers) from the cell-by-cell loop, kept as the reference."""
+    def above_one(a, b):
+        try:
+            return _scalar_q(d, a, b) > 1.0
+        except ModelError:
+            return False
+
+    a_star, b_star = d.p - d.q, d.p
+    alphas = np.linspace(a_star - 0.5, a_star + 0.5, resolution)
+    betas = np.linspace(1e-3, 1.0 - 1e-3, resolution)
+    mask = np.array([[above_one(a, b) for b in betas] for a in alphas])
+    if d.rho_bar <= 1.0:
+        return mask, None, None
+
+    def rect_ok(a1, a2, b1, b2, samples=9):
+        return all(above_one(a, b) for a in np.linspace(a1, a2, samples)
+                   for b in np.linspace(b1, b2, samples))
+
+    da = db = 0.0
+    step = 1.0 / (4.0 * resolution)
+    while rect_ok(a_star - da - step, a_star + da + step, b_star - db - step, b_star + db + step):
+        da += step
+        db += step
+        if da > 0.4:
+            break
+    if da == 0.0:
+        return mask, None, None
+    a1, a2, b1, b2 = a_star - da, a_star + da, b_star - db, b_star + db
+    for N in range(max(2, math.ceil(2.0 / (a2 - a1))), 10_000):
+        d1 = math.ceil(a1 * N)
+        d2 = d1 + 1
+        d3 = int(round(b_star * N))
+        if d2 > a2 * N or d3 < b1 * N or d3 > b2 * N or d3 in (d1, d2):
+            continue
+        if above_one(d1 / N, d3 / N) and above_one(d2 / N, d3 / N):
+            return mask, (a1, a2, b1, b2), (d1, d2, d3, N)
+    return mask, (a1, a2, b1, b2), None
+
+
+def _region_params():
+    """300 random DriftParams with edge cases, then the acceptance-10 and bench draws."""
+    rng = np.random.default_rng(2024)
+    out = [DriftParams(1.0, 0.3, 0.2), DriftParams(1.5, 0.0, 0.4), DriftParams(1.5, 0.4, 0.0),
+           DriftParams(2.0, 0.6, 0.4), DriftParams(1.2, 0.0, 0.0), DriftParams(1.1, 1.0, 0.0)]
+    while len(out) < 300:
+        p = rng.uniform(0.0, 1.0)
+        out.append(DriftParams(rng.uniform(0.3, 3.0), p, rng.uniform(0.0, 1.0 - p)))
+    for seed in range(11):     # acceptance 10 is seed 0 of bench/workloads.py's draw
+        rng = np.random.default_rng(7 + seed)
+        for _ in range(100):
+            p = rng.uniform(0.05, 0.7)
+            rng.uniform(0.05, min(0.7, 0.95 - p)), rng.uniform(0.2, 3.0)
+        for _ in range(10):
+            p = rng.uniform(0.1, 0.8)
+            q = rng.uniform(0.1, min(0.8, 0.9 - p))
+            out.append(DriftParams(rng.uniform(1.05, 2.5), p, q))
+    return out
+
+
+class TestArrayRegion:
+    """The array evaluation equals the scalar loop it replaced."""
+
+    def test_region_matches_scalar_loop(self):
+        for k, d in enumerate(_region_params()):
+            resolution = (60, 60, 23, 2)[k % 4]
+            r = supercritical_region(d, resolution)
+            mask, rectangle, integers = _scalar_region(d, resolution)
+            assert np.array_equal(r.mask, mask), d
+            assert r.rectangle == rectangle, d
+            assert r.integers == integers, d
+
+    def test_q_value_bit_equal_to_scalar_formula(self):
+        grid = np.linspace(-1.0, 1.0, 41)
+        for d in (DriftParams(1.4, 0.35, 0.15), DriftParams(0.7, 0.0, 0.5),
+                  DriftParams(2.2, 0.5, 0.5), DriftParams(1.0, 0.2, 0.0)):
+            for alpha in list(grid) + [d.p - d.q]:
+                for beta in list(grid[grid > -0.1]) + [alpha, (1.0 + alpha) / 2.0, d.p]:
+                    try:
+                        want = _scalar_q(d, alpha, beta)
+                    except ModelError:
+                        with pytest.raises(ModelError):
+                            q_value(d, alpha, beta)
+                        continue
+                    assert q_value(d, alpha, beta) == want
 
 
 class TestChebyshev:

@@ -193,6 +193,82 @@ class TestGeneratingSeries:
         assert math.isinf(green_series(M, 0, 1.0, n_max=2000))
 
 
+def _series_by_powers(A, i, lam, n, taboo):
+    """sum_{k=1..n} (lam A)^k e_i read at i, zeroing i after each read when taboo."""
+    u = np.zeros(A.shape[0])
+    u[i] = 1.0
+    total = 0.0
+    for _ in range(n):
+        u = lam * (u @ A)
+        total += u[i]
+        if taboo:
+            u[i] = 0.0
+    return total
+
+
+class TestSeriesSolve:
+    """The series are whole sums, with divergence certified by the solve."""
+
+    def test_loop_near_radius_is_the_full_sum(self):
+        M = MomentMatrix(np.array([[1.0]]), (0,))
+        assert green_series(M, 0, 0.999) == pytest.approx(1000.0, abs=1e-9)
+
+    def test_loop_at_radius_diverges(self):
+        M = MomentMatrix(np.array([[1.0]]), (0,))
+        assert math.isinf(green_series(M, 0, 1.0))
+        assert first_return_series(M, 0, 1.0) == 1.0
+
+    def test_beyond_radius_green_diverges_first_return_finite(self):
+        rng = np.random.default_rng(1312)     # the first matrix of acceptance 09
+        A = rng.uniform(0.0, 1.2, (6, 6)) * (rng.random((6, 6)) < 0.8)
+        M = MomentMatrix(A, tuple(range(6)))
+        rho = max(abs(np.linalg.eigvals(A)))
+        assert math.isinf(green_series(M, 0, 1.01 / rho, n_max=800))
+        phi = first_return_series(M, 0, 1.01 / rho, n_max=800)
+        assert math.isfinite(phi) and phi > 1.0
+
+    def test_reducible_class_matches_long_series(self):
+        # x = 0 lives in the class {0, 1}; 2 (reached from 0, never returning)
+        # and 3 (reaching 0) are outside it, and 2 alone diverges at lam = 0.3
+        A = np.array([[0.5, 1.0, 0.7, 0.0],
+                      [1.0, 0.5, 0.0, 0.0],
+                      [0.0, 0.0, 5.0, 0.0],
+                      [0.9, 0.0, 0.0, 0.2]])
+        M = MomentMatrix(A, tuple(range(4)))
+        assert M.communicating_class(0) == (0, 1)
+        for lam in (0.1, 0.3, 0.6):
+            gamma = 1.0 + _series_by_powers(A, 0, lam, 400, taboo=False)
+            phi = _series_by_powers(A, 0, lam, 400, taboo=True)
+            assert green_series(M, 0, lam) == pytest.approx(gamma, rel=1e-13)
+            assert first_return_series(M, 0, lam) == pytest.approx(phi, rel=1e-13)
+        assert math.isinf(green_series(M, 0, 0.7))     # the class's rho is 1.5 > 1/0.7
+        assert math.isfinite(first_return_series(M, 0, 0.7))
+
+    def test_sparse_solve_above_dense_cutoff(self):
+        # a directed n-cycle: Gamma = 1 / (1 - lam^n), Phi = lam^n
+        n = 450
+        M = MomentMatrix(np.roll(np.eye(n), 1, axis=1), tuple(range(n)))
+        lam = 0.999
+        assert green_series(M, 0, lam) == pytest.approx(1.0 / (1.0 - lam ** n), rel=1e-12)
+        assert first_return_series(M, 0, lam) == pytest.approx(lam ** n, rel=1e-12)
+        assert math.isinf(green_series(M, 0, 1.0))        # singular system
+        assert math.isinf(green_series(M, 0, 1.001))      # negative solution
+        assert first_return_series(M, 0, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("series", [green_series, first_return_series])
+    def test_unknown_vertex(self, series):
+        M = MomentMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 1))
+        with pytest.raises(ModelError):
+            series(M, 5, 0.5)
+
+    @pytest.mark.parametrize("series", [green_series, first_return_series])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.1])
+    def test_bad_lambda(self, series, lam):
+        M = MomentMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 1))
+        with pytest.raises(ModelError):
+            series(M, 0, lam)
+
+
 class TestSeneta:
     def test_constant_exhaustion(self):
         m = build_zd_translation(radius=6)
