@@ -21,8 +21,8 @@ from scipy.special import xlogy
 
 from .core import BrwModel, IntDistribution, ModelError, restrict_model
 from .genfun import _verdict
-from .simulate import (_DRAW_BUDGET, DEFAULT_HARD_CAP, _chunks, _StreamPool, estimate_survival,
-                       run_trial_batch, wilson_interval)
+from .simulate import (_DRAW_BUDGET, DEFAULT_HARD_CAP, _chunks, _StreamPool, _whole,
+                       estimate_survival, run_trial_batch, wilson_interval)
 from .spectral import local_growth_rate, moment_matrix, seneta_sequence
 
 
@@ -303,7 +303,8 @@ def truncation_sweep(model: BrwModel, caps, eta0, horizon, replicas, target=None
         raise ModelError("caps must be strictly ascending")
     if not math.isinf(caps[-1]):
         caps.append(math.inf)
-    batch = run_trial_batch(model, caps, eta0, horizon, range(replicas), target, seed, hard_cap)
+    batch = run_trial_batch(model, caps, eta0, horizon, range(_whole(replicas, 1, "replicas")),
+                            target, seed, hard_cap)
     per_cap = {c: list(outs) for c, outs in zip(caps, zip(*batch))}
     rows = []
     for c in caps:
@@ -390,8 +391,7 @@ def oriented_percolation(config: PercolationConfig, replicas, seed=0) -> Percola
     draws its levels from its own (seed, replica, level) stream; the live
     replicas advance together in blocks of at most _DRAW_BUDGET uniforms.
     """
-    if replicas < 1:
-        raise ModelError("need at least one replica")
+    replicas = _whole(replicas, 1, "replicas")
     n, src, dst, origin = _perc_structure(config)
     E = src.size
     # into[v] lists v's in-edges, padded with E: a column of `carry` that stays closed

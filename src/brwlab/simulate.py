@@ -3,14 +3,19 @@
 Randomness contract: every draw comes from a counter-based Philox stream
 keyed by (seed, replica, generation), consumed in a canonical order (law
 groups by least vertex, within a group child totals before targets, then
-vertices by index, particles by rank).  Replicas are therefore reproducible
+replica-major, vertices by index, particles by rank).  Replicas are therefore reproducible
 independently of scheduling, and processes that share a stream share their
 per-particle offspring draws: a capped or restricted state reads a prefix
 of the same draw blocks, which makes monotone couplings exact rather than
 statistical.
 
 One kernel draws all offspring.  It advances an (R, S, V) count array:
-R replicas, each with S coupled rows over V vertices.  A trial batch steps
+R replicas, each with S coupled rows over V vertices, by one occupancy pass
+per generation: the occupied (replica, vertex) sites, each with one draw
+block sized by the largest of its rows, are sorted once into the canonical
+order, only the law groups that hold particles are visited, every temporary
+is sized by the occupied sites or their particles, and each row's children
+are counted by one bincount.  A trial batch steps
 all its live replicas together, each replica drawing from its own
 (seed, replica, generation) stream, so a batch is bit-identical to running
 its replicas one at a time; single steps use R = 1, and the replica-batched
@@ -23,6 +28,7 @@ step does not depend on any parent ordering.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,7 +116,7 @@ class TrialStreams:
 
     def __init__(self, seed, replica=0):
         self.seed = int(seed) & _MASK64
-        self.replica = int(replica)
+        self.replica = int(_check_replicas((replica,))[0])
 
     def generation(self, n) -> np.random.Generator:
         return _philox(_TRIAL_SALT, self.seed, self.replica, n)
@@ -192,20 +198,27 @@ class _ProductGroup:
 class _AtomGroup:
     """Single vertex with an explicit atom table over the vertices it reaches."""
 
-    __slots__ = ("col", "cdf", "targets", "configs", "order")
+    __slots__ = ("cols", "cdf", "targets", "configs", "order")
 
     def __init__(self, col, cdf, targets, configs):
-        self.col = int(col)
+        self.cols = np.array([col], dtype=np.int64)
         self.cdf = cdf
-        self.targets = targets  # (U,) sorted vertex indices some atom places children on
+        self.targets = targets[None]  # (1, U) sorted vertices some atom places children on
         self.configs = configs  # (n_atoms, U) int64 child counts
         self.order = int(col)
 
 
 def _program(model: BrwModel):
-    prog = model._cache.get("sampler")
-    if prog is not None:
-        return prog
+    """The law groups of ``model`` in draw order: by least vertex."""
+    return _sampler(model)[0]
+
+
+def _sampler(model: BrwModel):
+    """(groups in draw order, group index of each vertex, row of each vertex in
+    its group's target table), built once per model."""
+    sampler = model._cache.get("sampler")
+    if sampler is not None:
+        return sampler
     product = {}
     groups = []
     for v in model.vertices:
@@ -231,72 +244,70 @@ def _program(model: BrwModel):
         members.sort()
         groups.append(_ProductGroup([i for i, _ in members], rho_cdf, rho_values, w_cdf,
                                     np.array([t for _, t in members], dtype=np.int64)))
-    prog = sorted(groups, key=lambda g: g.order)
-    model._cache["sampler"] = prog
-    return prog
+    groups.sort(key=lambda g: g.order)
+    group_of = np.empty(model.size, dtype=np.intp)
+    row_of = np.empty(model.size, dtype=np.intp)
+    for g, group in enumerate(groups):
+        group_of[group.cols] = g
+        row_of[group.cols] = np.arange(group.cols.size)
+    sampler = model._cache["sampler"] = (groups, group_of, row_of)
+    return sampler
 
 
 # ---------------------------------------------------------------------------
 # the stepping kernel
 # ---------------------------------------------------------------------------
 
-def _atom_arrivals(new, c, group, rng, shared):
-    """Add the children of one atom-law vertex to ``new``; c (R, S) are its counts."""
-    R, S = c.shape
-    block = c.max(axis=1)                                  # draw block of each replica
-    ids = _draw_indices(rng, group.cdf, int(block.sum()) if shared else block)
+def _atom_arrivals(block, reads, dest, rng, starts, group):
+    """Flat destinations of one atom-law vertex's children, per row; the
+    arguments are those of ``_product_arrivals``.  The vertex has one entry
+    per replica, so each entry is its replica's run of draws."""
     A = group.cdf.size
-    if R > 1:
-        ids += np.repeat(np.arange(0, R * A, A), block)
+    ids = _draw_indices(rng, group.cdf, int(block.sum()) if starts is None else block)
+    if block.size > 1:
+        ids += np.repeat(np.arange(0, block.size * A, A), block)
     first = np.cumsum(block) - block
-    per = np.stack([np.bincount(ids if np.array_equal(row, block)
-                                else ids[_ranges(first, first + row)], minlength=R * A)
-                    for row in c.T])                       # (S, R * A)
-    new[:, :, group.targets] += (per.reshape(S, R, A) @ group.configs).transpose(1, 0, 2)
+    out = []
+    for row in reads:
+        atoms = np.bincount(ids if (row == block).all() else ids[_ranges(first, first + row)],
+                            minlength=block.size * A).reshape(block.size, A)
+        out.append(np.repeat(dest.ravel(), (atoms @ group.configs).ravel()))
+    return out
 
 
-def _product_arrivals(new, sub, group, rng, shared):
-    """Add the children of one product group to ``new``; sub (R, S, m) are its counts.
+def _product_arrivals(block, reads, dest, rng, starts, group):
+    """Flat destinations (replica * V + vertex) of one product group's children,
+    per row, or None when no child is born.
 
-    Only occupied draw blocks are handled.  The children of a block's first
-    j particles are one contiguous range of the flat child array, so a row
+    The entries are the group's occupied (replica, vertex) blocks in draw
+    order: block holds their sizes, reads (S, entries) each row's prefix of
+    them and dest (entries, k) their flat target sites.  rng is the shared
+    generator (starts None) or one generator per replica, rng[i] drawing for
+    the run of entries from starts[i] on.  The children of a block's first j
+    particles are one contiguous range of the flat child array, so a row
     that reads a prefix of some blocks gathers its children by ranges.
     """
-    R, S, m = sub.shape
-    V = new.shape[2]
-    reads = sub.transpose(1, 0, 2).reshape(S, R * m)      # replica-major blocks per row
-    block = reads.max(axis=0)
-    sizes = int(block.sum()) if shared else block.reshape(R, m).sum(axis=1)
-    occ = np.flatnonzero(block)
-    block = block[occ]
     ends = np.cumsum(block)                                # one past each block's last particle
-    born = np.cumsum(group.rho_values[_draw_indices(rng, group.rho_cdf, sizes)])
+    shared = starts is None
+    born = np.cumsum(group.rho_values[_draw_indices(
+        rng, group.rho_cdf, int(ends[-1]) if shared else np.add.reduceat(block, starts))])
     cend = born[ends - 1]                                  # children up to each block's end
     if cend[-1] == 0:
-        return
-    if shared:
-        children = int(cend[-1])
-    else:                                                  # children per replica
-        rend = np.cumsum(sizes)
-        children = np.diff(np.where(rend > 0, born[rend - 1], 0), prepend=0)
+        return None
     stops = []                     # per row: None if it reads whole blocks, else its range ends
-    for row in reads[:, occ]:
+    for row in reads:
         stop = ends - block + row
-        stops.append(None if np.array_equal(row, block)
+        stops.append(None if (row == block).all()
                      else np.where(stop > 0, born[stop - 1], 0))
     del born                                       # particle-sized: freed before the child draws
-    kids = np.diff(cend, prepend=0)                        # children per occupied block
-    k = group.targets.shape[1]
-    flat = _draw_indices(rng, group.w_cdf, children)
-    flat += np.repeat(np.arange(0, occ.size * k, k), kids)
-    dest = group.targets[occ % m]                          # (occupied blocks, k) vertices
-    if R > 1:
-        dest += (occ // m * V)[:, None]
+    cstart = np.concatenate(([0], cend[:-1]))              # children before each block
+    kids = cend - cstart
+    k = dest.shape[1]
+    flat = _draw_indices(rng, group.w_cdf,
+                         int(cend[-1]) if shared else np.add.reduceat(kids, starts))
+    flat += np.repeat(np.arange(0, block.size * k, k), kids)
     flat = dest.ravel()[flat]
-    for s, stop in enumerate(stops):
-        f = flat if stop is None else flat[_ranges(cend - kids, stop)]
-        if f.size:
-            new[:, s] += np.bincount(f, minlength=R * V).reshape(R, V)
+    return [flat if stop is None else flat[_ranges(cstart, stop)] for stop in stops]
 
 
 def _advance(counts, model, rng, keep_masks=None):
@@ -304,26 +315,55 @@ def _advance(counts, model, rng, keep_masks=None):
 
     rng is one generator shared by all replicas, or a list of R per-replica
     generators.  Replicas read disjoint draws; the rows of one replica share
-    theirs.  Per law group the draw blocks are laid out replica-major, one per
-    (replica, vertex), each sized by the maximum over that replica's rows; row
-    s reads the first counts[r, s, v] draws of its block, so a smaller row
-    sees a prefix of a larger one's particles, gathered by prefix ranges.
-    keep_masks[s] (None or a boolean vertex mask) kills row s's children sent
-    outside the mask, realizing the restriction coupling.  Caps are NOT
-    applied here; the uncapped arrivals are returned.
+    theirs.  One occupancy pass lays out the draw blocks: one per occupied
+    (replica, vertex), sized by the maximum over that replica's rows, ordered
+    by law group (groups by least vertex), then replica-major, then by vertex.
+    Only the groups that hold particles are visited, and every array is sized
+    by the occupied blocks or their particles, never by R·V.  Row s reads the
+    first counts[r, s, v] draws of its block, so a smaller row sees a prefix
+    of a larger one's particles, gathered by prefix ranges.  Each row's
+    children, of every group, are counted by one bincount.  keep_masks[s] (None or a boolean vertex mask) kills row s's
+    children sent outside the mask, realizing the restriction coupling.
+    Caps are NOT applied here; the uncapped arrivals are returned.
     """
     R, S, V = counts.shape
     if R == 1 and isinstance(rng, list):
         rng = rng[0]
     shared = isinstance(rng, np.random.Generator)
-    new = np.zeros((R, S, V), dtype=np.int64)
-    occupied = counts.any(axis=(0, 1))
-    for group in _program(model):
-        if isinstance(group, _AtomGroup):
-            if occupied[group.col]:
-                _atom_arrivals(new, counts[:, :, group.col], group, rng, shared)
-        elif occupied[group.cols].any():
-            _product_arrivals(new, counts[:, :, group.cols], group, rng, shared)
+    groups, group_of, row_of = _sampler(model)
+    sizes = counts[:, 0] if S == 1 else counts.max(axis=1)  # draw block of each (replica, vertex)
+    occ = np.flatnonzero(sizes > 0)                        # replica * V + vertex, replica-major
+    vert = occ % V
+    gid = group_of[vert]
+    order = np.argsort(gid, kind="stable")                 # the draw order
+    occ, vert, gid = occ[order], vert[order], gid[order]
+    base = occ - vert                                      # replica * V
+    bounds = np.searchsorted(gid, np.arange(len(groups) + 1))
+    block = sizes.ravel()[occ]
+    reads = block[None] if S == 1 else counts[base // V, :, vert].T  # (S, entries)
+    if not shared:             # each replica's entries in one group form a run of draws
+        run = np.ones(occ.size, dtype=bool)
+        run[1:] = (base[1:] != base[:-1]) | (gid[1:] != gid[:-1])
+        run_at = np.flatnonzero(run)
+        run_rng = [rng[i] for i in (base[run_at] // V).tolist()]
+        run_bounds = np.searchsorted(run_at, bounds)
+    parts = [[] for _ in range(S)]                         # per row: flat child destinations
+    for g in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
+        a, b = bounds[g], bounds[g + 1]
+        group = groups[g]
+        starts, grng = None, rng
+        if not shared:
+            i, j = run_bounds[g], run_bounds[g + 1]
+            starts, grng = run_at[i:j] - a, run_rng[i:j]
+        dest = group.targets[row_of[vert[a:b]]]            # (entries, k) flat target sites
+        dest += base[a:b, None]
+        arrive = _atom_arrivals if isinstance(group, _AtomGroup) else _product_arrivals
+        for s, f in enumerate(arrive(block[a:b], reads[:, a:b], dest, grng, starts, group) or ()):
+            parts[s].append(f)
+    flats = [row[0] if len(row) == 1 else np.concatenate(row or [np.empty(0, np.intp)])
+             for row in parts]
+    arrivals = [np.bincount(f, minlength=R * V).reshape(R, V) for f in flats]
+    new = arrivals[0][:, None] if S == 1 else np.stack(arrivals, axis=1)
     for s, keep in enumerate(keep_masks or ()):
         if keep is not None:
             new[:, s, ~keep] = 0
@@ -441,12 +481,28 @@ class TrialOutcome:
     cap: float = math.inf
 
 
+def _whole(value, least, what):
+    """``value`` as an int when it is a whole number (numpy integers included)
+    of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ModelError(f"{what} must be a whole number of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _check_replicas(replicas):
+    """Replica indices as a list; a stream key holds each in 32 bits, so an
+    index outside [0, 2**32) would reuse another replica's stream."""
+    replicas = list(replicas)
+    for r in replicas:
+        if not isinstance(r, numbers.Integral) or not 0 <= r <= _MASK32:
+            raise ModelError(f"replica index {r!r} is not a whole number in [0, 2**32)")
+    return replicas
+
+
 def _check_run(model, eta0, horizon, replicas, caps=(), vertex=None, role="target"):
     """The one validation point of the Monte Carlo runs; returns the start state."""
-    if replicas < 1:
-        raise ModelError("need at least one replica")
-    if horizon < 0:
-        raise ModelError("horizon must be nonnegative")
+    _whole(replicas, 1, "replicas")
+    _whole(horizon, 0, "horizon")
     if any(not c >= 1 for c in caps):                      # NaN included
         raise ModelError("cap must be at least 1")
     if vertex is not None and vertex not in model.index:
@@ -484,7 +540,7 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
         raise ModelError("one coupling entry per cap required")
     if not caps:
         raise ModelError("need at least one cap")
-    replicas = list(replicas)
+    replicas = _check_replicas(replicas)
     eta = _check_run(model, eta0, horizon, len(replicas), caps, target)
     t_idx = model.index[target] if target is not None else None
     masks = [c.mask(model) if isinstance(c, RestrictionCoupling) else None for c in couplings]
@@ -604,8 +660,8 @@ def estimate_survival(model: BrwModel, eta0, horizon, replicas, target=None,
     inputs, never on execution order, so replicas may run anywhere.
     """
     outcomes = [outs[0] for outs in run_trial_batch(
-        model, [cap], eta0, horizon, range(replicas), target, seed, hard_cap,
-        assert_domination=False)]
+        model, [cap], eta0, horizon, range(_whole(replicas, 1, "replicas")), target, seed,
+        hard_cap, assert_domination=False)]
     alive = sum(o.alive for o in outcomes)
     lo, hi = wilson_interval(alive, replicas)
     return SurvivalEstimate(alive / replicas, lo, hi, replicas, horizon,
@@ -632,13 +688,13 @@ def mean_curve(model: BrwModel, eta0, horizon, replicas, seed=0, track=None):
     counts[:] = eta.counts
     t_idx = model.index[track] if track is not None else None
     means = np.zeros((horizon + 1, V))
-    means[0] = counts.mean(axis=0)
+    means[0] = counts.sum(axis=0) / R             # exact sums: the bytes of counts.mean
     samples = np.zeros((R, horizon + 1), dtype=np.int64) if t_idx is not None else None
     if samples is not None:
         samples[:, 0] = counts[:, t_idx]
     for gen in range(1, horizon + 1):
         counts = _advance(counts[:, None, :], model, _philox(_BATCH_SALT, seed, 0, gen))[:, 0]
-        means[gen] = counts.mean(axis=0)
+        means[gen] = counts.sum(axis=0) / R
         if samples is not None:
             samples[:, gen] = counts[:, t_idx]
     return means, samples

@@ -10,7 +10,14 @@ from scipy.stats import chi2_contingency
 
 from brwlab import simulate
 from brwlab.approx import _PERC_SALT, PercolationConfig, oriented_percolation, truncation_sweep
-from brwlab.core import BrwModel, ModelError, OffspringConfig, build_offspring_law
+from brwlab.core import (
+    BrwModel,
+    IntDistribution,
+    ModelError,
+    OffspringConfig,
+    build_offspring_law,
+    product_form_law,
+)
 from brwlab.scenarios import build_scenario, build_zd_translation
 from brwlab.simulate import (
     _TRIAL_SALT,
@@ -42,6 +49,23 @@ def law_from(atom_dicts):
 
 def doubling_model():
     return BrwModel((0,), {0: law_from([({0: 2}, 1.0)])})
+
+
+def interleaved_model():
+    """A 9-cycle whose law groups interleave in vertex order: one product law on
+    the even vertices, another on the odd ones, an atom law at vertex 4."""
+    rho_a = IntDistribution.from_dict({0: 0.3, 1: 0.3, 3: 0.4})
+    rho_b = IntDistribution.from_dict({0: 0.25, 2: 0.75})
+    laws = {}
+    for x in range(9):
+        if x == 4:
+            laws[x] = law_from([({3: 1, 5: 1}, 0.3), ({4: 2}, 0.2), ({}, 0.25),
+                                ({0: 1, 8: 2}, 0.25)])
+        elif x % 2 == 0:
+            laws[x] = product_form_law(rho_a, {(x - 1) % 9: 0.5, (x + 1) % 9: 0.5})
+        else:
+            laws[x] = product_form_law(rho_b, {x - 1: 0.25, x: 0.5, x + 1: 0.25})
+    return BrwModel(tuple(range(9)), laws)
 
 
 class TestStep:
@@ -349,6 +373,15 @@ class TestKernelPins:
         assert _sha(means) == "9e907a2285cb268005895283447c51a14e21460fd084f1ac0517b8167553962f"
         assert _sha(samples) == "9b13b098e2f393a8cbdd7a5280c2ac61e8a10a40a2fdc4950061e187f878da44"
 
+    def test_mean_curve_interleaved_groups(self):
+        # recorded while the draw blocks were still laid out group by group
+        m = interleaved_model()
+        assert [g.order for g in _program(m)] == [0, 1, 4]
+        means, samples = mean_curve(m, {0: 1, 4: 2}, 6, 64, seed=9, track=4)
+        assert means.shape == (7, 9) and samples.shape == (64, 7)
+        assert _sha(means) == "dd3df7488ccb5942e537a330eb76f482654cf66195bd8eadb09e2fb7c94bc931"
+        assert _sha(samples) == "d3ff53e4fb6fb91ed948aa62385c8849d7ed42046c089b43f45822a59e042775"
+
     def test_coupled_rows_with_caps_and_restrictions(self):
         line = build_scenario("zd_translation", {"radius": 5})
         win = RestrictionCoupling(frozenset(range(-2, 3)))
@@ -445,6 +478,16 @@ class TestTrialBatch:
         outs = [o for outs in batch for o in outs]
         assert {o.total_born for o in outs[0::3]} != {o.total_born for o in outs[1::3]}
         assert _digest(outs) == "c7867d9a4cf0a1079273e55366186a9f66ebd8a68a271318747a8121f2546dd9"
+
+    def test_interleaved_groups_capped_and_restricted_rows(self, draw_budget):
+        # recorded while the draw blocks were still laid out group by group
+        m = interleaved_model()
+        win = RestrictionCoupling(frozenset(range(0, 5)))
+        batch = run_trial_batch(m, [2, math.inf, math.inf], {0: 2, 4: 3, 5: 1}, 14, range(12),
+                                target=4, seed=11, hard_cap=3000, couplings=[None, None, win])
+        outs = [o for outs in batch for o in outs]
+        assert {o.status for o in outs} == {"completed", "extinct", "overflow"}
+        assert _digest(outs) == "b30fb6bf89982cb5780ac3dc2a42759542eeaef4a1997a1a6a819e780da53d33"
 
     def test_truncation_sweep_with_target(self, draw_budget):
         m = build_zd_translation(radius=8)
@@ -552,6 +595,47 @@ class TestRunValidation:
         with pytest.raises(ModelError, match="cap"):
             run(build_zd_translation(radius=2))
 
+    @pytest.mark.parametrize("replica", [2 ** 32, -1, 2 ** 40 + 7, 1.0])
+    def test_replica_index_outside_the_stream_key(self, replica):
+        # the key packs the index in 32 bits: 2**32 would reuse replica 0's stream
+        m = build_zd_translation(radius=2)
+        with pytest.raises(ModelError, match="replica index"):
+            TrialStreams(5, replica)
+        with pytest.raises(ModelError, match="replica index"):
+            run_trial_batch(m, [math.inf], {0: 1}, 3, [0, replica], seed=5)
+        with pytest.raises(ModelError, match="replica index"):
+            run_survival_trial(m, {0: 1}, 3, seed=5, replica=replica)
+
+    def test_replica_index_at_the_top_of_the_key(self):
+        m = build_zd_translation(radius=2)
+        top = 2 ** 32 - 1
+        assert TrialStreams(5, np.uint32(top)).replica == top
+        batch = run_trial_batch(m, [math.inf], {0: 1}, 3, [np.int64(top)], seed=5)
+        assert batch[0][0].replica == top
+
+    @pytest.mark.parametrize("run, what", [
+        (lambda m: mean_curve(m, {0: 1}, 2, 2.5), "replicas"),
+        (lambda m: mean_curve(m, {0: 1}, 2, math.nan), "replicas"),
+        (lambda m: mean_curve(m, {0: 1}, 2.5, 4), "horizon"),
+        (lambda m: estimate_survival(m, {0: 1}, 5, replicas=2.5), "replicas"),
+        (lambda m: run_survival_trial(m, {0: 1}, horizon=2.5), "horizon"),
+        (lambda m: run_coupled_trials(m, [2, math.inf], {0: 1}, math.nan), "horizon"),
+        (lambda m: truncation_sweep(m, [1], {0: 1}, 5, 2.5), "replicas"),
+        (lambda m: oriented_percolation(PercolationConfig(p=0.5, horizon=3), 2.5), "replicas"),
+    ], ids=["mean_curve-replicas", "mean_curve-nan-replicas", "mean_curve-horizon",
+            "estimate_survival", "run_survival_trial", "run_coupled_trials", "truncation_sweep",
+            "oriented_percolation"])
+    def test_non_integral_replicas_and_horizons(self, run, what):
+        with pytest.raises(ModelError, match=what):
+            run(build_zd_translation(radius=2))
+
+    def test_numpy_integer_replicas_and_horizons(self):
+        m = build_zd_translation(radius=2)
+        means, _ = mean_curve(m, {0: 1}, np.int64(2), np.int32(4), seed=1)
+        assert np.array_equal(means, mean_curve(m, {0: 1}, 2, 4, seed=1)[0])
+        est = estimate_survival(m, {0: 1}, np.int64(3), np.uint8(3), seed=1)
+        assert est.replicas == 3 and len(est.outcomes) == 3
+
     def test_unknown_vertex(self):
         m = build_zd_translation(radius=2)
         with pytest.raises(ModelError, match="99"):
@@ -634,7 +718,7 @@ class TestInverseCdf:
 
 class TestMemory:
     """tracemalloc peaks of the kernel's largest bench states, at or below the
-    peaks measured before the kernel drew for occupied blocks only (numpy 2.4)."""
+    peaks measured when each bound was set (numpy 2.4)."""
 
     @staticmethod
     def _peak_mb(run):
@@ -657,4 +741,4 @@ class TestMemory:
     def test_bench_mean_curve(self):
         m = build_zd_translation(radius=10)
         peak = self._peak_mb(lambda: mean_curve(m, {0: 1}, 8, 100_000, seed=77, track=0))
-        assert peak <= 160.1         # 160.1 MB before
+        assert peak <= 99.1          # 99.0 MB; 134.0 MB before the one occupancy pass
