@@ -3,11 +3,11 @@
 Randomness contract: every draw comes from a counter-based Philox stream
 keyed by (seed, replica, generation), consumed in a canonical order (law
 groups by least vertex, within a group child totals before targets, then
-replica-major, vertices by index, particles by rank).  Replicas are therefore reproducible
-independently of scheduling, and processes that share a stream share their
-per-particle offspring draws: a capped or restricted state reads a prefix
-of the same draw blocks, which makes monotone couplings exact rather than
-statistical.
+replica-major, vertices by index, particles by rank).  Replicas are
+therefore reproducible independently of scheduling, and processes that
+share a stream share their per-particle offspring draws: a capped or
+restricted state reads a prefix of the same draw blocks, which makes
+monotone couplings exact rather than statistical.
 
 One kernel draws all offspring.  It advances an (R, S, V) count array:
 R replicas, each with S coupled rows over V vertices, by one occupancy pass
@@ -15,11 +15,11 @@ per generation: the occupied (replica, vertex) sites, each with one draw
 block sized by the largest of its rows, are sorted once into the canonical
 order, only the law groups that hold particles are visited, every temporary
 is sized by the occupied sites or their particles, and each row's children
-are counted by one bincount.  A trial batch steps
-all its live replicas together, each replica drawing from its own
-(seed, replica, generation) stream, so a batch is bit-identical to running
-its replicas one at a time; single steps use R = 1, and the replica-batched
-mean curves share one stream per generation with S = 1.
+are counted by one bincount.  A trial batch steps all its live replicas
+together, each replica drawing from its own (seed, replica, generation)
+stream, so a batch is bit-identical to running its replicas one at a time;
+single steps use R = 1, and the replica-batched mean curves share one
+stream per generation with S = 1.
 
 Per-site caps are applied after summing arrivals from all parents, so a
 step does not depend on any parent ordering.
@@ -688,7 +688,7 @@ def mean_curve(model: BrwModel, eta0, horizon, replicas, seed=0, track=None):
     counts[:] = eta.counts
     t_idx = model.index[track] if track is not None else None
     means = np.zeros((horizon + 1, V))
-    means[0] = counts.sum(axis=0) / R             # exact sums: the bytes of counts.mean
+    means[0] = counts.sum(axis=0) / R     # integer sums below 2**53: equal to counts.mean
     samples = np.zeros((R, horizon + 1), dtype=np.int64) if t_idx is not None else None
     if samples is not None:
         samples[:, 0] = counts[:, t_idx]
