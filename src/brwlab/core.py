@@ -252,18 +252,17 @@ class OffspringLaw:
     """One vertex's reproduction law.
 
     Exactly one of (atoms, product) backs the instance.  The derived
-    child-count law rho and the mean row are cached; ``atoms`` materializes
-    the configuration list on demand (guarded for factorized laws).
+    child-count law rho is cached; ``atoms`` materializes the configuration
+    list on demand (guarded for factorized laws).
     """
 
-    __slots__ = ("_atoms", "product", "rho", "_mean_row")
+    __slots__ = ("_atoms", "product", "rho")
 
     def __init__(self, atoms=None, product=None):
         if (atoms is None) == (product is None):
             raise ModelError("law needs exactly one of atoms / product form")
         self._atoms = tuple(atoms) if atoms is not None else None
         self.product = product
-        self._mean_row = None
         if self._atoms is not None:
             totals = {}
             for cfg, p in self._atoms:
@@ -277,20 +276,6 @@ class OffspringLaw:
     @property
     def rho_bar(self) -> float:
         return self.rho.mean
-
-    def mean_row(self) -> dict:
-        """m_xy for this vertex: expected children sent to each target."""
-        if self._mean_row is None:
-            if self.product is not None:
-                rb = self.rho.mean
-                row = {t: rb * w for t, w in zip(self.product.targets, self.product.weights) if w > 0}
-            else:
-                row = {}
-                for cfg, p in self._atoms:
-                    for v, c in cfg.entries:
-                        row[v] = row.get(v, 0.0) + p * c
-            self._mean_row = row
-        return self._mean_row
 
     @property
     def support(self):
@@ -561,6 +546,75 @@ def dominating_law(model: BrwModel) -> IntDistribution:
 
 
 # ---------------------------------------------------------------------------
+# the compiled law table
+# ---------------------------------------------------------------------------
+
+class LawTable:
+    """A model's laws compiled once; the moment matrix, G, G' and the sampler read this.
+
+    Product rows: the dispersal matrix ``disp`` (csr, targets in law order,
+    zero weights kept), mean child totals ``rho_mean``, ``rho_groups`` [(law,
+    rows)] per child-count law keyed on its values and probs bytes (no law
+    is densified), and ``draw_groups`` [(rho group, weights, rows)] per
+    (id(rho), weights) key, which the recorded draw order follows, each atom
+    row a group (-1, None, [x]) of its own, by least row.  Atom rows: x owns
+    atoms atom_ptr[x]:atom_ptr[x + 1], with ``atom_probs`` and ``counts``
+    (atoms x V csr)."""
+
+    def __init__(self, model: BrwModel):
+        index, n = model.index, model.size
+        disp_ptr, disp_cols, disp_w = [0], [], []
+        atom_ptr, probs, cnt_ptr, cnt_cols, cnt_data = [0], [], [0], [], []
+        rho_groups, draw_groups = {}, {}
+        for i, v in enumerate(model.vertices):
+            pf = model.laws[v].product
+            if pf is None:
+                for cfg, p in model.laws[v].atoms:
+                    probs.append(p)
+                    cnt_cols += [index[u] for u, _ in cfg.entries]
+                    cnt_data += [c for _, c in cfg.entries]
+                    cnt_ptr.append(len(cnt_cols))
+                draw_groups[i] = (-1, None, [i])
+            else:
+                disp_cols += [index[t] for t in pf.targets]
+                disp_w += pf.weights
+                rho = pf.rho
+                g = rho_groups.setdefault((rho.values.tobytes(), rho.probs.tobytes()),
+                                          (len(rho_groups), rho, []))
+                g[2].append(i)
+                draw_groups.setdefault((id(rho), pf.weights), (g[0], pf.weights, []))[2].append(i)
+            disp_ptr.append(len(disp_cols))
+            atom_ptr.append(len(probs))
+        self.disp = csr_matrix((np.array(disp_w, dtype=float), disp_cols, disp_ptr), shape=(n, n))
+        self.rho_groups = [(rho, np.array(rows)) for _, rho, rows in rho_groups.values()]
+        self.rho_mean = np.zeros(n)
+        for rho, rows in self.rho_groups:
+            self.rho_mean[rows] = rho.mean
+        self.draw_groups = [(g, w, np.array(rows)) for g, w, rows in draw_groups.values()]
+        self.atom_ptr = np.array(atom_ptr)
+        self.atom_probs = np.array(probs, dtype=float)
+        self.counts = csr_matrix((np.array(cnt_data, dtype=np.int64), cnt_cols, cnt_ptr),
+                                 shape=(len(probs), n))
+
+    def mean(self) -> csr_matrix:
+        """m_xy: rho_mean times the dispersal rows plus atom_probs @ counts, sorted."""
+        d, a = self.disp, self.atom_probs.size
+        owners = csr_matrix((self.atom_probs, np.arange(a), self.atom_ptr), shape=(d.shape[0], a))
+        m = csr_matrix((d.data * np.repeat(self.rho_mean, np.diff(d.indptr)), d.indices, d.indptr),
+                       shape=d.shape) + owners @ self.counts
+        m.sort_indices()
+        return m
+
+
+def law_table(model: BrwModel) -> LawTable:
+    """The model's compiled law table, built on first use and cached."""
+    table = model._cache.get("law_table")
+    if table is None:
+        table = model._cache["law_table"] = LawTable(model)
+    return table
+
+
+# ---------------------------------------------------------------------------
 # projections and restrictions
 # ---------------------------------------------------------------------------
 
@@ -627,32 +681,18 @@ def restrict_model(model: BrwModel, subset) -> BrwModel:
 # structural checks
 # ---------------------------------------------------------------------------
 
-def communicating_classes(model: BrwModel):
-    """Strongly connected classes of the induced edge relation m_xy > 0."""
-    n = model.size
-    rows, cols = [], []
-    for v in model.vertices:
-        i = model.index[v]
-        for u, w in model.laws[v].mean_row().items():
-            if w > 0:
-                rows.append(i)
-                cols.append(model.index[u])
-    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    ncomp, labels = csgraph.connected_components(adj, directed=True, connection="strong")
-    classes = [[] for _ in range(ncomp)]
-    for v in model.vertices:
-        classes[labels[model.index[v]]].append(v)
-    return [tuple(c) for c in classes]
-
-
 def check_assumption_nonsingular(model: BrwModel):
     """Per communicating class: does some vertex breed a non-single total inside it?
 
-    Classes are computed on this truncation and can differ from the
-    untruncated ones; the report carries that caveat.
+    Classes are the strong components of this truncation's mean matrix, which
+    can differ from the untruncated ones; the report carries that caveat.
     """
+    ncomp, labels = csgraph.connected_components(law_table(model).mean(), connection="strong")
+    classes = [[] for _ in range(ncomp)]
+    for v, lab in zip(model.vertices, labels.tolist()):
+        classes[lab].append(v)
     verdicts = []
-    for cls in communicating_classes(model):
+    for cls in map(tuple, classes):
         ok = any(model.laws[v].prob_single_child_in(cls) < 1.0 - PROB_TOL for v in cls)
         verdicts.append({"class": cls, "nonsingular": ok})
     return {

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix, identity
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .core import BrwModel, ModelError, continuous_counterpart, restrict_model
+from .core import BrwModel, ModelError, continuous_counterpart, law_table, restrict_model
 from .spectral import GrowthEstimate, MomentMatrix, global_growth_rate, local_growth_rate, moment_matrix
 
 
@@ -27,75 +27,48 @@ from .spectral import GrowthEstimate, MomentMatrix, global_growth_rate, local_gr
 # ---------------------------------------------------------------------------
 
 class _GEvaluator:
-    """Vectorized evaluator of z -> G(z) for a fixed model.
+    """Vectorized evaluator of z -> G(z) for a fixed model, read off its law table.
 
-    Factorized vertices are grouped by equal child-count law: one sparse
-    dispersal product plus one polynomial evaluation per group.  Explicit
-    atom vertices are evaluated atom by atom.  ``jacobian`` gives G'(z) as a
-    sparse matrix from the same data plus one (atom x vertex) count matrix.
+    Product rows are grouped by equal child-count law: one sparse dispersal
+    product plus one polynomial evaluation per group.  Atom rows take one
+    pass over the count entries: c log z per entry, one ``add.reduceat`` per
+    atom, ``math.exp`` on each atom's sum (the libm bits of a scalar loop)
+    and one bincount summing each row's atoms.  ``jacobian`` gives G'(z) as a
+    sparse matrix from the same data.
     """
 
     def __init__(self, model: BrwModel):
         self.model = model
-        n = model.size
-        disp_rows, disp_cols, disp_data = [], [], []
-        groups = {}  # coefficient bytes -> (coefficients, [row indices])
-        self.atom_vertices = []  # (row index, [(prob, idx array, count array)])
-        atom_rows, atom_probs, cnt_rows, cnt_cols, cnt_data = [], [], [], [], []
-        for v in model.vertices:
-            i = model.index[v]
-            law = model.laws[v]
-            if law.product is not None:
-                pf = law.product
-                for t, w in zip(pf.targets, pf.weights):
-                    disp_rows.append(i)
-                    disp_cols.append(model.index[t])
-                    disp_data.append(w)
-                coeffs = pf.rho.dense_probs()
-                groups.setdefault(coeffs.tobytes(), (coeffs, []))[1].append(i)
-            else:
-                atoms = []
-                for cfg, p in law.atoms:
-                    idx = np.array([model.index[u] for u, _ in cfg.entries], dtype=np.int64)
-                    cnt = np.array([c for _, c in cfg.entries], dtype=float)
-                    atoms.append((p, idx, cnt))
-                    cnt_rows.extend([len(atom_rows)] * idx.size)
-                    cnt_cols.extend(idx)
-                    cnt_data.extend(cnt)
-                    atom_rows.append(i)
-                    atom_probs.append(p)
-                self.atom_vertices.append((i, atoms))
-        self.P = csr_matrix((disp_data, (disp_rows, disp_cols)), shape=(n, n))
-        self.groups = [(coeffs, np.polynomial.polynomial.polyder(coeffs),
-                        np.array(idx, dtype=np.int64)) for coeffs, idx in groups.values()]
+        table = law_table(model)
+        self.P = table.disp
+        dense = [(rho.dense_probs(), rows) for rho, rows in table.rho_groups]
+        self.groups = [(c, np.polynomial.polynomial.polyder(c), rows) for c, rows in dense]
         # counts[a, j] = children atom a sends to vertex j; atom a belongs to
         # row atom_rows[a].  Each stored entry also gets its slot within the
         # atom, so the product over the atom's other entries is a left times
         # a right cumulative product over a padded (atom x slot) table.
-        self.counts = csr_matrix((cnt_data, (cnt_rows, cnt_cols)), shape=(len(atom_rows), n))
-        self.atom_rows = np.array(atom_rows, dtype=np.int64)
-        self.atom_probs = np.array(atom_probs, dtype=float)
+        self.counts = table.counts
+        self.atom_probs = table.atom_probs
+        self.atom_rows = np.repeat(np.arange(model.size), np.diff(table.atom_ptr))
+        self._cnt = self.counts.data.astype(float)
         nnz_per_atom = np.diff(self.counts.indptr)
-        self._entry_atom = np.repeat(np.arange(len(atom_rows)), nnz_per_atom)
+        self._filled = nnz_per_atom > 0
+        self._entry_atom = np.repeat(np.arange(self.atom_probs.size), nnz_per_atom)
         self._entry_slot = np.arange(self.counts.nnz) - self.counts.indptr[self._entry_atom]
-        self._slots = int(nnz_per_atom.max()) if len(atom_rows) else 0
+        self._slots = int(nnz_per_atom.max()) if self.atom_probs.size else 0
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
+        with np.errstate(divide="ignore"):
+            cz = self._cnt * np.log(z[self.counts.indices])
+        logs = np.zeros(self.atom_probs.size)                  # sum of c log z per atom
+        logs[self._filled] = np.add.reduceat(cz, self.counts.indptr[:-1][self._filled])
+        terms = self.atom_probs * np.array([math.exp(x) for x in logs.tolist()])
+        # float even with no atoms, where bincount returns integers
+        out = np.bincount(self.atom_rows, weights=terms, minlength=z.size).astype(float, copy=False)
         if self.groups:
             pz = self.P.dot(z)
             for coeffs, _, idx in self.groups:
                 out[idx] = np.polynomial.polynomial.polyval(pz[idx], coeffs)
-        for i, atoms in self.atom_vertices:
-            total = 0.0
-            for p, idx, cnt in atoms:
-                zi = z[idx]
-                if np.all(zi > 0.0):
-                    term = p * math.exp(float(np.dot(cnt, np.log(zi))))
-                else:
-                    term = p * float(np.prod(np.where(zi > 0.0, zi, 0.0) ** cnt)) if idx.size else p
-                total += term
-            out[i] = total
         return np.clip(out, 0.0, 1.0)
 
     def jacobian(self, z: np.ndarray) -> csr_matrix:
@@ -114,7 +87,7 @@ class _GEvaluator:
         J = self.P.copy()
         J.data *= np.repeat(scale, np.diff(J.indptr))
         if self.counts.nnz:
-            cols, cnt = self.counts.indices, self.counts.data
+            cols, cnt = self.counts.indices, self._cnt
             table = np.ones((self.counts.shape[0], self._slots + 2))
             table[self._entry_atom, self._entry_slot + 1] = z[cols] ** cnt
             left = np.cumprod(table, axis=1)
@@ -129,8 +102,7 @@ class _GEvaluator:
 def _evaluator(model: BrwModel) -> _GEvaluator:
     ev = model._cache.get("gev")
     if ev is None:
-        ev = _GEvaluator(model)
-        model._cache["gev"] = ev
+        ev = model._cache["gev"] = _GEvaluator(model)
     return ev
 
 
@@ -139,6 +111,8 @@ def as_field(model: BrwModel, values) -> np.ndarray:
     if isinstance(values, dict):
         z = np.zeros(model.size)
         for v, x in values.items():
+            if v not in model.index:
+                raise ModelError(f"field key {v!r} is not a vertex of the model")
             z[model.index[v]] = x
     elif np.isscalar(values):
         z = np.full(model.size, float(values))
@@ -146,8 +120,8 @@ def as_field(model: BrwModel, values) -> np.ndarray:
         z = np.asarray(values, dtype=float)
         if z.shape != (model.size,):
             raise ModelError(f"field vector must have length {model.size}")
-    if z.min() < -1e-12 or z.max() > 1.0 + 1e-12:
-        raise ModelError("field vector coordinates must lie in [0,1]")
+    if not np.all((z >= -1e-12) & (z <= 1.0 + 1e-12)):            # NaN fails too
+        raise ModelError("field vector coordinates must be finite and lie in [0,1]")
     return np.clip(z, 0.0, 1.0)
 
 

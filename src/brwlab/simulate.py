@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BrwModel, ModelError
+from .core import BrwModel, ModelError, law_table
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -116,10 +116,11 @@ class TrialStreams:
 
     def __init__(self, seed, replica=0):
         self.seed = int(seed) & _MASK64
-        self.replica = int(_check_replicas((replica,))[0])
+        self.replica = _whole(replica, 0, "replica index", 2 ** 32)
 
     def generation(self, n) -> np.random.Generator:
-        return _philox(_TRIAL_SALT, self.seed, self.replica, n)
+        """The stream of generation n; the key holds n in 32 bits."""
+        return _philox(_TRIAL_SALT, self.seed, self.replica, _whole(n, 0, "generation", 2 ** 32))
 
 
 def _draw_indices(rng, cdf, sizes):
@@ -181,75 +182,71 @@ def _chunks(sizes, budget):
 # sampler program
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True, eq=False)
 class _ProductGroup:
-    """Vertices sharing one child-count cdf and one dispersal weight vector."""
+    """Vertices ``cols`` (ascending) sharing one child-count cdf and one
+    dispersal weight vector; row i of ``targets`` holds cols[i]'s targets."""
 
-    __slots__ = ("cols", "rho_cdf", "rho_values", "w_cdf", "targets", "order")
-
-    def __init__(self, cols, rho_cdf, rho_values, w_cdf, targets):
-        self.cols = np.asarray(cols, dtype=np.int64)
-        self.rho_cdf = rho_cdf
-        self.rho_values = rho_values
-        self.w_cdf = w_cdf
-        self.targets = np.asarray(targets, dtype=np.int64)  # (len(cols), k)
-        self.order = int(self.cols.min())
+    cols: np.ndarray
+    rho_cdf: np.ndarray
+    rho_values: np.ndarray
+    w_cdf: np.ndarray
+    targets: np.ndarray
 
 
+@dataclass(slots=True, eq=False)
 class _AtomGroup:
-    """Single vertex with an explicit atom table over the vertices it reaches."""
+    """One vertex, cols = [x], with its atom cdf, the sorted vertices its atoms
+    reach (``targets``, 1 x U) and their child counts (``configs``, atoms x U)."""
 
-    __slots__ = ("cols", "cdf", "targets", "configs", "order")
-
-    def __init__(self, col, cdf, targets, configs):
-        self.cols = np.array([col], dtype=np.int64)
-        self.cdf = cdf
-        self.targets = targets[None]  # (1, U) sorted vertices some atom places children on
-        self.configs = configs  # (n_atoms, U) int64 child counts
-        self.order = int(col)
-
-
-def _program(model: BrwModel):
-    """The law groups of ``model`` in draw order: by least vertex."""
-    return _sampler(model)[0]
+    cols: np.ndarray
+    cdf: np.ndarray
+    targets: np.ndarray
+    configs: np.ndarray
 
 
 def _sampler(model: BrwModel):
     """(groups in draw order, group index of each vertex, row of each vertex in
-    its group's target table), built once per model."""
+    its group's target table), cut from the law table's arrays once per model."""
     sampler = model._cache.get("sampler")
     if sampler is not None:
         return sampler
-    product = {}
+    table, V = law_table(model), model.size
+    sizes = np.array([rows.size for _, _, rows in table.draw_groups])
+    members = np.concatenate([rows for _, _, rows in table.draw_groups])  # vertices in draw order
+    first = np.cumsum(sizes) - sizes
+    position = np.argsort(members)                         # of each vertex in the draw order
+    group_of = np.repeat(np.arange(sizes.size), sizes)[position]
+    row_of = position - first[group_of]
+    # product targets: the dispersal rows of all members, cut per group
+    lo, hi = table.disp.indptr[members], table.disp.indptr[members + 1]
+    flat_targets = table.disp.indices[_ranges(lo, hi)].astype(np.int64)
+    cut = np.concatenate(([0], np.cumsum(hi - lo)))[np.append(first, V)]
+    # atom configurations: entry e of atom a at vertex x lands in x's
+    # (atoms x reached vertices) block, at (a, slot of its column among x's)
+    ptr, counts = table.atom_ptr, table.counts
+    atom_of = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+    owner = np.repeat(np.arange(V), np.diff(ptr))[atom_of]
+    reached, at = np.unique(owner * V + counts.indices, return_inverse=True)
+    width = np.bincount(reached // V, minlength=V)                  # U per vertex
+    wstart = np.cumsum(width) - width
+    cells = np.diff(ptr) * width
+    cstart = np.cumsum(cells) - cells
+    configs = np.zeros(int(cells.sum()), dtype=np.int64)
+    cell = cstart[owner] + (atom_of - ptr[owner]) * width[owner] + at - wstart[owner]
+    configs[cell] = counts.data
+    reached %= V
+    rho_cdfs = [(np.cumsum(rho.probs), rho.values) for rho, _ in table.rho_groups]
     groups = []
-    for v in model.vertices:
-        i = model.index[v]
-        law = model.laws[v]
-        if law.product is not None:
-            pf = law.product
-            key = (id(pf.rho), pf.weights)
-            tgt = [model.index[t] for t in pf.targets]
-            product.setdefault(key, (np.cumsum(pf.rho.probs), pf.rho.values,
-                                     np.cumsum(pf.weights), []))[3].append((i, tgt))
+    for g, (r, weights, cols) in enumerate(table.draw_groups):
+        if r < 0:
+            x = int(cols[0])
+            cdf = np.cumsum(table.atom_probs[ptr[x]:ptr[x + 1]])
+            cfg = configs[cstart[x]:cstart[x] + cells[x]].reshape(cdf.size, width[x])
+            groups.append(_AtomGroup(cols, cdf, reached[None, wstart[x]:wstart[x] + width[x]], cfg))
         else:
-            law_atoms = law.atoms
-            cdf = np.cumsum([p for _, p in law_atoms])
-            targets = sorted({model.index[u] for c, _ in law_atoms for u, _ in c.entries})
-            slot = {t: j for j, t in enumerate(targets)}
-            cfg = np.zeros((len(law_atoms), len(targets)), dtype=np.int64)
-            for a, (c, _) in enumerate(law_atoms):
-                for u, k in c.entries:
-                    cfg[a, slot[model.index[u]]] = k
-            groups.append(_AtomGroup(i, cdf, np.array(targets, dtype=np.int64), cfg))
-    for rho_cdf, rho_values, w_cdf, members in product.values():
-        members.sort()
-        groups.append(_ProductGroup([i for i, _ in members], rho_cdf, rho_values, w_cdf,
-                                    np.array([t for _, t in members], dtype=np.int64)))
-    groups.sort(key=lambda g: g.order)
-    group_of = np.empty(model.size, dtype=np.intp)
-    row_of = np.empty(model.size, dtype=np.intp)
-    for g, group in enumerate(groups):
-        group_of[group.cols] = g
-        row_of[group.cols] = np.arange(group.cols.size)
+            tgt = flat_targets[cut[g]:cut[g + 1]].reshape(cols.size, len(weights))
+            groups.append(_ProductGroup(cols, *rho_cdfs[r], np.cumsum(weights), tgt))
     sampler = model._cache["sampler"] = (groups, group_of, row_of)
     return sampler
 
@@ -386,11 +383,9 @@ class PopulationState:
     def from_dict(model: BrwModel, occupancy) -> "PopulationState":
         c = np.zeros(model.size, dtype=np.int64)
         for v, k in occupancy.items():
-            if k < 0:
-                raise ModelError("negative occupation count")
             if v not in model.index:
                 raise ModelError(f"start vertex {v!r} is not a vertex of the model")
-            c[model.index[v]] = k
+            c[model.index[v]] = _whole(k, 0, f"occupation count at {v!r}", 2 ** 63)
         return PopulationState(c, 0, int(c.sum()))
 
     @property
@@ -481,22 +476,12 @@ class TrialOutcome:
     cap: float = math.inf
 
 
-def _whole(value, least, what):
+def _whole(value, least, what, below=math.inf):
     """``value`` as an int when it is a whole number (numpy integers included)
-    of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ModelError(f"{what} must be a whole number of at least {least}, got {value!r}")
+    in [least, below)."""
+    if not isinstance(value, numbers.Integral) or not least <= value < below:
+        raise ModelError(f"{what} must be a whole number in [{least}, {below}), got {value!r}")
     return int(value)
-
-
-def _check_replicas(replicas):
-    """Replica indices as a list; a stream key holds each in 32 bits, so an
-    index outside [0, 2**32) would reuse another replica's stream."""
-    replicas = list(replicas)
-    for r in replicas:
-        if not isinstance(r, numbers.Integral) or not 0 <= r <= _MASK32:
-            raise ModelError(f"replica index {r!r} is not a whole number in [0, 2**32)")
-    return replicas
 
 
 def _check_run(model, eta0, horizon, replicas, caps=(), vertex=None, role="target"):
@@ -540,7 +525,8 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
         raise ModelError("one coupling entry per cap required")
     if not caps:
         raise ModelError("need at least one cap")
-    replicas = _check_replicas(replicas)
+    # a stream key holds each index in 32 bits: 2**32 would reuse replica 0's stream
+    replicas = [_whole(r, 0, "replica index", 2 ** 32) for r in replicas]
     eta = _check_run(model, eta0, horizon, len(replicas), caps, target)
     t_idx = model.index[target] if target is not None else None
     masks = [c.mask(model) if isinstance(c, RestrictionCoupling) else None for c in couplings]

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix, identity, issparse
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .core import BrwModel, ModelError
+from .core import BrwModel, ModelError, law_table
 
 # below this dimension matrix powers and series solves run dense, which is faster
 _DENSE_CUTOFF = 400
@@ -113,12 +113,10 @@ class MomentMatrix:
 
 def moment_matrix(model: BrwModel) -> MomentMatrix:
     """m_xy = expected children a particle at x sends to y (cached on the model)."""
-    cached = model._cache.get("moment_matrix")
-    if cached is None:
-        rows = {v: model.laws[v].mean_row() for v in model.vertices}
-        cached = MomentMatrix.from_rows(rows, model.vertices)
-        model._cache["moment_matrix"] = cached
-    return cached
+    M = model._cache.get("moment_matrix")
+    if M is None:
+        M = model._cache["moment_matrix"] = MomentMatrix(law_table(model).mean(), model.vertices)
+    return M
 
 
 def expected_population(M: MomentMatrix, eta0, n: int) -> np.ndarray:

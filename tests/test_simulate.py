@@ -27,8 +27,8 @@ from brwlab.simulate import (
     _draw_indices,
     _invert_cdf,
     _philox,
-    _program,
     _ranges,
+    _sampler,
     _StreamPool,
     estimate_survival,
     mean_curve,
@@ -376,7 +376,7 @@ class TestKernelPins:
     def test_mean_curve_interleaved_groups(self):
         # recorded while the draw blocks were still laid out group by group
         m = interleaved_model()
-        assert [g.order for g in _program(m)] == [0, 1, 4]
+        assert [int(g.cols[0]) for g in _sampler(m)[0]] == [0, 1, 4]
         means, samples = mean_curve(m, {0: 1, 4: 2}, 6, 64, seed=9, track=4)
         assert means.shape == (7, 9) and samples.shape == (64, 7)
         assert _sha(means) == "dd3df7488ccb5942e537a330eb76f482654cf66195bd8eadb09e2fb7c94bc931"
@@ -606,6 +606,30 @@ class TestRunValidation:
         with pytest.raises(ModelError, match="replica index"):
             run_survival_trial(m, {0: 1}, 3, seed=5, replica=replica)
 
+    @pytest.mark.parametrize("n", [2 ** 32, -1, 2 ** 40, 1.0, 1.5])
+    def test_generation_outside_the_stream_key(self, n):
+        # the key packs n in 32 bits: 2**32 would replay generation 0
+        with pytest.raises(ModelError, match="generation"):
+            TrialStreams(5).generation(n)
+
+    def test_generation_at_the_top_of_the_key(self):
+        top = TrialStreams(5).generation(np.uint32(2 ** 32 - 1)).random(3)
+        assert np.array_equal(top, _philox(_TRIAL_SALT, 5, 0, 2 ** 32 - 1).random(3))
+
+    @pytest.mark.parametrize("count", [1.5, 1.0, math.nan, -1, 2 ** 63, 2 ** 70])
+    def test_start_counts_must_be_whole(self, count):
+        # 1.5 became 1 particle, NaN and 2**70 ended in numpy errors
+        m = build_zd_translation(radius=2)
+        with pytest.raises(ModelError, match="occupation count"):
+            PopulationState.from_dict(m, {0: count})
+        with pytest.raises(ModelError, match="occupation count"):
+            estimate_survival(m, {0: count}, 3, 2)
+
+    def test_start_counts_accept_numpy_integers(self):
+        m = build_zd_translation(radius=2)
+        state = PopulationState.from_dict(m, {0: np.int64(3), 1: np.uint8(2), 2: 0})
+        assert state.counts.tolist() == [0, 0, 3, 2, 0] and state.total_born == 5
+
     def test_replica_index_at_the_top_of_the_key(self):
         m = build_zd_translation(radius=2)
         top = 2 ** 32 - 1
@@ -652,7 +676,7 @@ def test_atom_configurations_are_sparse():
     # one (atoms x reached vertices) count table per atom vertex; a dense
     # (atoms x V) table would hold 8·A·V² bytes in total
     m = build_scenario("line_ex45", {"size": 400})
-    atoms = [g for g in _program(m) if isinstance(g, simulate._AtomGroup)]
+    atoms = [g for g in _sampler(m)[0] if isinstance(g, simulate._AtomGroup)]
     assert len(atoms) == m.size
     assert all(g.configs.shape == (g.cdf.size, g.targets.size) and g.targets.size <= 2
                for g in atoms)
