@@ -388,17 +388,30 @@ def oriented_percolation(config: PercolationConfig, replicas, seed=0) -> Percola
     Edge states are read as uniform(level, edge) < p, so sweeping p at a
     fixed seed gives a monotone (common-random-numbers) family: the open
     edge set, the cluster, and survival all grow with p.  Each replica
-    draws its levels from its own (seed, replica, level) stream; the live
-    replicas advance together in blocks of at most _DRAW_BUDGET uniforms.
+    reads level l's uniform of edge e as the e-th draw of its own
+    (seed, replica, l) stream, but draws only the span of edges that leave
+    its reached sites, from the Philox block (4 draws) holding the span's
+    first edge: an edge outside the span leaves an unreached site, so its
+    uniform cannot matter.  The live replicas advance together in blocks of
+    at most _DRAW_BUDGET uniforms, and each level's compare and gather cover
+    only the batch's union window of edges and the sites they enter.
     """
     replicas = _whole(replicas, 1, "replicas")
     n, src, dst, origin = _perc_structure(config)
     E = src.size
-    # into[v] lists v's in-edges, padded with E: a column of `carry` that stays closed
+    # into[:, v] lists v's in-edges, padded with E: a column of `carry` that stays closed
     indeg = np.bincount(dst, minlength=n)
     order = np.argsort(dst, kind="stable")
-    into = np.full((n, int(indeg.max())), E)
-    into[dst[order], np.arange(E) - np.repeat(np.cumsum(indeg) - indeg, indeg)] = order
+    into = np.full((int(indeg.max()), n), E)
+    into[np.arange(E) - np.repeat(np.cumsum(indeg) - indeg, indeg), dst[order]] = order
+    # every edge leaving sites first..last lies in [lead[first], tail[last]):
+    # lead[v] is the least out-edge of v or a later site, tail[v] one past the
+    # greatest of v or an earlier site (exact spans when edges go by source)
+    lead, tail = np.full(n, E), np.zeros(n, dtype=np.int64)
+    np.minimum.at(lead, src, np.arange(E))
+    np.maximum.at(tail, src, np.arange(1, E + 1))
+    lead = np.minimum.accumulate(lead[::-1])[::-1]
+    tail = np.maximum.accumulate(tail)
     pool = _StreamPool(_PERC_SALT, seed)
     survived = np.zeros(replicas, dtype=bool)
     revisits = np.zeros(replicas, dtype=np.int64)
@@ -406,13 +419,21 @@ def oriented_percolation(config: PercolationConfig, replicas, seed=0) -> Percola
         live = np.arange(lo, hi)                   # replicas whose cluster still reaches
         reach = np.zeros((live.size, n), dtype=bool)
         reach[:, origin] = True
+        u = np.ones((live.size, E))                # row i: uniforms of live[i]'s span
         for level in range(1, config.horizon + 1):
-            u = np.empty((live.size, E))
-            for row, rng in zip(u, pool.streams(live, level)):
-                rng.random(out=row)
+            start = lead[reach.argmax(axis=1)] & -4     # on a Philox block boundary
+            stop = np.maximum(tail[n - 1 - reach[:, ::-1].argmax(axis=1)], start)
+            for row, rng, a, b in zip(u, pool.streams(live, level, start >> 2),
+                                      start.tolist(), stop.tolist()):
+                rng.random(out=row[a:b])
+            e0, e1 = int(start.min()), int(stop.max())
             carry = np.zeros((live.size, E + 1), dtype=bool)
-            np.logical_and(reach[:, src], u < config.p, out=carry[:, :E])
-            reach = carry[:, into].any(axis=2)
+            np.logical_and(reach[:, src[e0:e1]], u[:live.size, e0:e1] < config.p,
+                           out=carry[:, e0:e1])
+            reach = np.zeros_like(reach)
+            if e1 > e0:                            # the sites the window's edges enter
+                s0, s1 = int(dst[e0:e1].min()), int(dst[e0:e1].max()) + 1
+                reach[:, s0:s1] = carry[:, into[:, s0:s1]].any(axis=1)
             revisits[live] += reach[:, origin]
             alive = reach.any(axis=1)
             live, reach = live[alive], reach[alive]

@@ -27,8 +27,10 @@ step does not depend on any parent ordering.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _TRIAL_SALT = 0x9E3779B97F4A7C15
 _BATCH_SALT = 0xC2B2AE3D27D4EB4F
 _INT64_MAX = 2 ** 63 - 1
+_U32, _U63 = np.uint64(32), np.uint64(63)
 
 # Draws one _advance call (or one percolation level block) holds at most,
 # which bounds its temporaries; chosen by measurement.
@@ -65,50 +68,83 @@ def wilson_interval(successes, n, z=1.959963984540054):
     return (lo, hi)
 
 
-def _keys(salt, seed, replicas, n) -> np.ndarray:
-    """(len(replicas), 2) uint64 Philox keys: seed ^ salt, then replica:n packed
-    in 32+32 bits.
+def _seed_words(salt, seed) -> np.ndarray:
+    """The first key word, seed ^ salt, and its float64-rounded twin (uint64)."""
+    words = np.full(2, (int(seed) & _MASK64) ^ salt, dtype=np.uint64)
+    words[1:] = words[1:].astype(np.float64).astype(np.uint64)
+    return words
+
+
+def _keys(words, replicas, n):
+    """The two uint64 Philox key words of each replica, as two arrays: seed ^
+    salt (``words`` from ``_seed_words``), then replica:n packed in 32+32 bits.
 
     They are the keys np.random.Philox(key=[a, b]) derives from a list: numpy
     holds an int64-range word and a word above 2**63 together only as
     float64, so such a pair is rounded through float64 (ROADMAP item 1).
     """
-    w0, n32 = (int(seed) & _MASK64) ^ salt, int(n) & _MASK32
-    keys = np.array([(w0, ((int(r) & _MASK32) << 32) | n32) for r in replicas], dtype=np.uint64)
-    mixed = (keys[:, 1] > _INT64_MAX) != (w0 > _INT64_MAX)
-    return np.where(mixed[:, None], keys.astype(np.float64).astype(np.uint64), keys)
+    low = (np.asarray(replicas, dtype=np.uint64) << _U32) | np.uint64(int(n) & _MASK32)
+    mixed = (low ^ words[0]) >> _U63                       # 1 where the top bits differ
+    return words[mixed], np.where(mixed, low.astype(np.float64).astype(np.uint64), low)
 
 
 def _philox(salt, seed, replica, n) -> np.random.Generator:
     """Philox generator keyed by (seed ^ salt, replica:n packed in 32+32 bits)."""
-    return np.random.Generator(np.random.Philox(key=_keys(salt, seed, (replica,), n)[0]))
+    high, low = _keys(_seed_words(salt, seed), (replica,), n)
+    return np.random.Generator(np.random.Philox(key=[high[0], low[0]]))
+
+
+# Philox slots a thread keeps between runs (about 1 KB each); a larger batch
+# builds the rest and drops them when the next pool is made.
+_KEPT_SLOTS = 1024
+
+
+class _Slots(threading.local):
+    """The Philox generators every stream pool of one thread re-keys, and the
+    fresh state (buffer empty) their keys and counters are written into.  Its
+    words are Python ints: the setter reads those several times faster than
+    numpy scalars."""
+
+    def __init__(self):
+        self.bits, self.gens = [], []
+        self.state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+                      "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+_SLOTS = _Slots()
 
 
 class _StreamPool:
-    """Reusable generators for the (replica, n) streams of one (salt, seed).
+    """The (replica, n) streams of one (salt, seed), on the thread's slots.
 
     Each slot's Philox is re-keyed through its ``state`` setter, which skips
-    the SeedSequence entropy read that dominates building a fresh one.
+    the SeedSequence entropy read that dominates building a fresh one; the
+    same write sets the block counter, so a stream can start at any multiple
+    of 4 draws without drawing the ones before it.
     """
 
     def __init__(self, salt, seed):
-        self.salt, self.seed = salt, seed
-        self._bits, self._gens = [], []
-        self._state = None
+        self._words = _seed_words(salt, seed)
+        del _SLOTS.bits[_KEPT_SLOTS:], _SLOTS.gens[_KEPT_SLOTS:]
 
-    def streams(self, replicas, n) -> list:
+    def streams(self, replicas, n, blocks=None) -> list:
         """Generators equal to ``_philox(salt, seed, r, n)`` for r in replicas,
-        valid until the next call."""
-        while len(self._bits) < len(replicas):
-            self._bits.append(np.random.Philox(0))
-            self._gens.append(np.random.Generator(self._bits[-1]))
-        if self._state is None:
-            self._state = self._bits[0].state      # a fresh state: counter and buffer empty
-        inner = self._state["state"]
-        for bits, key in zip(self._bits, _keys(self.salt, self.seed, replicas, n)):
-            inner["key"] = key
-            bits.state = self._state
-        return self._gens[:len(replicas)]
+        the i-th advanced by blocks[i] Philox blocks (4 draws each) when blocks
+        is given; valid until the next ``streams`` call in this thread."""
+        slots = _SLOTS
+        while len(slots.bits) < len(replicas):
+            slots.bits.append(np.random.Philox(0))
+            slots.gens.append(np.random.Generator(slots.bits[-1]))
+        state = slots.state
+        inner = state["state"]
+        counter = inner["counter"]
+        blocks = itertools.repeat(0) if blocks is None else blocks.tolist()
+        high, low = _keys(self._words, replicas, n)
+        for bits, a, b, block in zip(slots.bits, high.tolist(), low.tolist(), blocks):
+            inner["key"] = [a, b]
+            counter[0] = block
+            bits.state = state
+        return slots.gens[:len(replicas)]
 
 
 class TrialStreams:
@@ -134,7 +170,7 @@ def _draw_indices(rng, cdf, sizes):
     else:
         u = np.empty(int(sizes.sum()))
         pos = 0
-        for r in np.flatnonzero(sizes).tolist():
+        for r in sizes.nonzero()[0].tolist():
             k = int(sizes[r])
             rng[r].random(out=u[pos:pos + k])
             pos += k
@@ -149,7 +185,7 @@ def _invert_cdf(cdf, u):
     binary search per uniform there.
     """
     if cdf.size > _SCAN_CDF:
-        ids = np.searchsorted(cdf, u, side="right")
+        ids = cdf.searchsorted(u, side="right")
         return np.minimum(ids, cdf.size - 1, out=ids)
     if cdf.size == 1:
         return np.zeros(u.size, dtype=np.intp)
@@ -162,8 +198,7 @@ def _invert_cdf(cdf, u):
 def _ranges(starts, stops):
     """The concatenation of arange(starts[i], stops[i]) over i, in order."""
     lengths = stops - starts
-    return (np.arange(int(lengths.sum()))
-            + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths))
+    return np.arange(int(lengths.sum())) + (starts - lengths.cumsum() + lengths).repeat(lengths)
 
 
 def _chunks(sizes, budget):
@@ -205,6 +240,27 @@ class _AtomGroup:
     configs: np.ndarray
 
 
+def _atom_configs(table, V):
+    """x -> (the sorted vertices x's atoms reach, 1 x U; their child counts,
+    atoms x U) for the atom-law vertices of a law table.  Entry e of atom a
+    at vertex x lands in x's block at (a, slot of its column among x's)."""
+    ptr, counts = table.atom_ptr, table.counts
+    atoms = np.diff(ptr)                                            # per vertex
+    atom_of = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+    owner = np.repeat(np.arange(V), atoms)[atom_of]
+    reached, at = np.unique(owner * V + counts.indices, return_inverse=True)
+    width = np.bincount(reached // V, minlength=V)                  # U per vertex
+    wstart = np.cumsum(width) - width
+    cells = atoms * width
+    cstart = np.cumsum(cells) - cells
+    configs = np.zeros(int(cells.sum()), dtype=np.int64)
+    cell = cstart[owner] + (atom_of - ptr[owner]) * width[owner] + at - wstart[owner]
+    configs[cell] = counts.data
+    reached %= V
+    return lambda x: (reached[None, wstart[x]:wstart[x] + width[x]],
+                      configs[cstart[x]:cstart[x] + cells[x]].reshape(atoms[x], width[x]))
+
+
 def _sampler(model: BrwModel):
     """(groups in draw order, group index of each vertex, row of each vertex in
     its group's target table), cut from the law table's arrays once per model."""
@@ -222,28 +278,14 @@ def _sampler(model: BrwModel):
     lo, hi = table.disp.indptr[members], table.disp.indptr[members + 1]
     flat_targets = table.disp.indices[_ranges(lo, hi)].astype(np.int64)
     cut = np.concatenate(([0], np.cumsum(hi - lo)))[np.append(first, V)]
-    # atom configurations: entry e of atom a at vertex x lands in x's
-    # (atoms x reached vertices) block, at (a, slot of its column among x's)
-    ptr, counts = table.atom_ptr, table.counts
-    atom_of = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
-    owner = np.repeat(np.arange(V), np.diff(ptr))[atom_of]
-    reached, at = np.unique(owner * V + counts.indices, return_inverse=True)
-    width = np.bincount(reached // V, minlength=V)                  # U per vertex
-    wstart = np.cumsum(width) - width
-    cells = np.diff(ptr) * width
-    cstart = np.cumsum(cells) - cells
-    configs = np.zeros(int(cells.sum()), dtype=np.int64)
-    cell = cstart[owner] + (atom_of - ptr[owner]) * width[owner] + at - wstart[owner]
-    configs[cell] = counts.data
-    reached %= V
+    atom_block = _atom_configs(table, V) if table.counts.shape[0] else None
     rho_cdfs = [(np.cumsum(rho.probs), rho.values) for rho, _ in table.rho_groups]
     groups = []
     for g, (r, weights, cols) in enumerate(table.draw_groups):
         if r < 0:
             x = int(cols[0])
-            cdf = np.cumsum(table.atom_probs[ptr[x]:ptr[x + 1]])
-            cfg = configs[cstart[x]:cstart[x] + cells[x]].reshape(cdf.size, width[x])
-            groups.append(_AtomGroup(cols, cdf, reached[None, wstart[x]:wstart[x] + width[x]], cfg))
+            cdf = np.cumsum(table.atom_probs[table.atom_ptr[x]:table.atom_ptr[x + 1]])
+            groups.append(_AtomGroup(cols, cdf, *atom_block(x)))
         else:
             tgt = flat_targets[cut[g]:cut[g + 1]].reshape(cols.size, len(weights))
             groups.append(_ProductGroup(cols, *rho_cdfs[r], np.cumsum(weights), tgt))
@@ -262,13 +304,13 @@ def _atom_arrivals(block, reads, dest, rng, starts, group):
     A = group.cdf.size
     ids = _draw_indices(rng, group.cdf, int(block.sum()) if starts is None else block)
     if block.size > 1:
-        ids += np.repeat(np.arange(0, block.size * A, A), block)
-    first = np.cumsum(block) - block
+        ids += np.arange(0, block.size * A, A).repeat(block)
+    first = block.cumsum() - block
     out = []
     for row in reads:
         atoms = np.bincount(ids if (row == block).all() else ids[_ranges(first, first + row)],
                             minlength=block.size * A).reshape(block.size, A)
-        out.append(np.repeat(dest.ravel(), (atoms @ group.configs).ravel()))
+        out.append(dest.ravel().repeat((atoms @ group.configs).ravel()))
     return out
 
 
@@ -284,27 +326,32 @@ def _product_arrivals(block, reads, dest, rng, starts, group):
     particles are one contiguous range of the flat child array, so a row
     that reads a prefix of some blocks gathers its children by ranges.
     """
-    ends = np.cumsum(block)                                # one past each block's last particle
+    # np.add.accumulate and logical_and.reduce: cumsum and all without their
+    # wrappers, whose cost shows on the few-particle steps of small trials
+    ends = np.add.accumulate(block)                        # one past each block's last particle
     shared = starts is None
-    born = np.cumsum(group.rho_values[_draw_indices(
-        rng, group.rho_cdf, int(ends[-1]) if shared else np.add.reduceat(block, starts))])
-    cend = born[ends - 1]                                  # children up to each block's end
+    values = group.rho_values[_draw_indices(
+        rng, group.rho_cdf, int(ends[-1]) if shared else np.add.reduceat(block, starts))]
+    born = np.zeros(values.size + 1, dtype=np.int64)       # children of the first j particles
+    np.add.accumulate(values, out=born[1:])
+    cend = born[ends]                                      # children up to each block's end
     if cend[-1] == 0:
         return None
-    stops = []                     # per row: None if it reads whole blocks, else its range ends
-    for row in reads:
-        stop = ends - block + row
-        stops.append(None if (row == block).all()
-                     else np.where(stop > 0, born[stop - 1], 0))
-    del born                                       # particle-sized: freed before the child draws
-    cstart = np.concatenate(([0], cend[:-1]))              # children before each block
+    cstart = born[ends - block]                            # children before each block
+    whole = np.logical_and.reduce(reads == block, axis=1).tolist()  # rows reading whole blocks
+    # each row's range ends, (S, entries); None when every row reads whole blocks
+    stops = None if all(whole) else born[reads + (ends - block)]
+    del born, values                               # particle-sized: freed before the child draws
     kids = cend - cstart
     k = dest.shape[1]
     flat = _draw_indices(rng, group.w_cdf,
                          int(cend[-1]) if shared else np.add.reduceat(kids, starts))
-    flat += np.repeat(np.arange(0, block.size * k, k), kids)
-    flat = dest.ravel()[flat]
-    return [flat if stop is None else flat[_ranges(cstart, stop)] for stop in stops]
+    if block.size > 1:
+        flat += np.arange(0, block.size * k, k).repeat(kids)
+    flat = dest.take(flat)
+    if stops is None:
+        return [flat] * len(whole)
+    return [flat if w else flat[_ranges(cstart, stop)] for w, stop in zip(whole, stops)]
 
 
 def _advance(counts, model, rng, keep_masks=None):
@@ -319,33 +366,34 @@ def _advance(counts, model, rng, keep_masks=None):
     by the occupied blocks or their particles, never by R·V.  Row s reads the
     first counts[r, s, v] draws of its block, so a smaller row sees a prefix
     of a larger one's particles, gathered by prefix ranges.  Each row's
-    children, of every group, are counted by one bincount.  keep_masks[s] (None or a boolean vertex mask) kills row s's
-    children sent outside the mask, realizing the restriction coupling.
-    Caps are NOT applied here; the uncapped arrivals are returned.
+    children, of every group, are counted by one bincount.  keep_masks[s]
+    (None or a boolean vertex mask) kills row s's children sent outside the
+    mask, realizing the restriction coupling.  Caps are NOT applied here;
+    the uncapped arrivals are returned.
     """
     R, S, V = counts.shape
     if R == 1 and isinstance(rng, list):
         rng = rng[0]
     shared = isinstance(rng, np.random.Generator)
     groups, group_of, row_of = _sampler(model)
-    sizes = counts[:, 0] if S == 1 else counts.max(axis=1)  # draw block of each (replica, vertex)
-    occ = np.flatnonzero(sizes > 0)                        # replica * V + vertex, replica-major
+    sizes = counts[:, 0] if S == 1 else np.maximum.reduce(counts, axis=1)  # each site's block
+    occ = (sizes > 0).ravel().nonzero()[0]                 # replica * V + vertex, replica-major
     vert = occ % V
     gid = group_of[vert]
-    order = np.argsort(gid, kind="stable")                 # the draw order
+    order = gid.argsort(kind="stable")                     # the draw order
     occ, vert, gid = occ[order], vert[order], gid[order]
     base = occ - vert                                      # replica * V
-    bounds = np.searchsorted(gid, np.arange(len(groups) + 1))
+    bounds = gid.searchsorted(np.arange(len(groups) + 1))
     block = sizes.ravel()[occ]
-    reads = block[None] if S == 1 else counts[base // V, :, vert].T  # (S, entries)
+    reads = block[None] if S == 1 else counts[occ // V, :, vert].T  # (S, entries)
     if not shared:             # each replica's entries in one group form a run of draws
         run = np.ones(occ.size, dtype=bool)
         run[1:] = (base[1:] != base[:-1]) | (gid[1:] != gid[:-1])
-        run_at = np.flatnonzero(run)
+        run_at = run.nonzero()[0]
         run_rng = [rng[i] for i in (base[run_at] // V).tolist()]
-        run_bounds = np.searchsorted(run_at, bounds)
+        run_bounds = run_at.searchsorted(bounds)
     parts = [[] for _ in range(S)]                         # per row: flat child destinations
-    for g in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
+    for g in (bounds[1:] > bounds[:-1]).nonzero()[0].tolist():
         a, b = bounds[g], bounds[g + 1]
         group = groups[g]
         starts, grng = None, rng
@@ -353,17 +401,21 @@ def _advance(counts, model, rng, keep_masks=None):
             i, j = run_bounds[g], run_bounds[g + 1]
             starts, grng = run_at[i:j] - a, run_rng[i:j]
         dest = group.targets[row_of[vert[a:b]]]            # (entries, k) flat target sites
-        dest += base[a:b, None]
+        if R > 1:
+            dest += base[a:b, None]
         arrive = _atom_arrivals if isinstance(group, _AtomGroup) else _product_arrivals
         for s, f in enumerate(arrive(block[a:b], reads[:, a:b], dest, grng, starts, group) or ()):
             parts[s].append(f)
-    flats = [row[0] if len(row) == 1 else np.concatenate(row or [np.empty(0, np.intp)])
-             for row in parts]
-    arrivals = [np.bincount(f, minlength=R * V).reshape(R, V) for f in flats]
-    new = arrivals[0][:, None] if S == 1 else np.stack(arrivals, axis=1)
-    for s, keep in enumerate(keep_masks or ()):
-        if keep is not None:
-            new[:, s, ~keep] = 0
+    new = None if S == 1 else np.empty((R, S, V), dtype=np.int64)
+    for s, row in enumerate(parts):
+        flat = row[0] if len(row) == 1 else np.concatenate(row or [np.empty(0, np.intp)])
+        arrivals = np.bincount(flat, minlength=R * V).reshape(R, V)
+        if new is None:
+            new = arrivals[:, None]
+        else:
+            new[:, s] = arrivals
+        if keep_masks and keep_masks[s] is not None:
+            new[:, s] *= keep_masks[s]
     return new
 
 
@@ -386,7 +438,7 @@ class PopulationState:
             if v not in model.index:
                 raise ModelError(f"start vertex {v!r} is not a vertex of the model")
             c[model.index[v]] = _whole(k, 0, f"occupation count at {v!r}", 2 ** 63)
-        return PopulationState(c, 0, int(c.sum()))
+        return PopulationState(c, 0, _start_total(c))
 
     @property
     def total(self) -> int:
@@ -484,6 +536,14 @@ def _whole(value, least, what, below=math.inf):
     return int(value)
 
 
+def _start_total(counts) -> int:
+    """The exact sum of start counts; it must fit the int64 run records."""
+    total = sum(counts.tolist())
+    if total >= 2 ** 63:
+        raise ModelError(f"start counts must total below 2**63, got {total}")
+    return total
+
+
 def _check_run(model, eta0, horizon, replicas, caps=(), vertex=None, role="target"):
     """The one validation point of the Monte Carlo runs; returns the start state."""
     _whole(replicas, 1, "replicas")
@@ -492,7 +552,10 @@ def _check_run(model, eta0, horizon, replicas, caps=(), vertex=None, role="targe
         raise ModelError("cap must be at least 1")
     if vertex is not None and vertex not in model.index:
         raise ModelError(f"{role} {vertex!r} is not a vertex of the model")
-    return PopulationState.from_dict(model, eta0) if isinstance(eta0, dict) else eta0
+    if isinstance(eta0, dict):
+        return PopulationState.from_dict(model, eta0)
+    _start_total(eta0.counts)
+    return eta0
 
 
 def _dominates(cap_a, mask_a, cap_b, mask_b):
@@ -502,6 +565,28 @@ def _dominates(cap_a, mask_a, cap_b, mask_b):
     if ca > cb:
         return False
     return (mask_a is mask_b) or (mask_b is None and mask_a is not None)
+
+
+def _trial_plan(model, caps, couplings, assert_domination):
+    """(row masks, cap limits or None when no cap is finite, domination pairs
+    as lower and upper row indices) of one cap and coupling list; the model
+    keeps the last one, so a loop of one-replica runs builds it once."""
+    key = (tuple(caps), tuple(c if isinstance(c, RestrictionCoupling) else None
+                              for c in couplings), assert_domination)
+    held = model._cache.get("trial_plan")
+    if held is not None and held[0] == key:
+        return held[1]
+    masks = [c.mask(model) if c is not None else None for c in key[1]]
+    for mask in masks:
+        if mask is not None:
+            mask.flags.writeable = False                   # shared by the runs that reuse the plan
+    limit = (np.array([int(c) if math.isfinite(c) else _INT64_MAX for c in caps])[:, None]
+             if any(map(math.isfinite, caps)) else None)
+    pairs = [(a, b) for a in range(len(caps)) for b in range(len(caps)) if a != b
+             and _dominates(caps[a], masks[a], caps[b], masks[b])] if assert_domination else []
+    lower, upper = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    model._cache["trial_plan"] = key, (masks, limit, lower, upper)
+    return masks, limit, lower, upper
 
 
 _STATUS_NAMES = ("completed", "extinct", "overflow")
@@ -529,14 +614,12 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
     replicas = [_whole(r, 0, "replica index", 2 ** 32) for r in replicas]
     eta = _check_run(model, eta0, horizon, len(replicas), caps, target)
     t_idx = model.index[target] if target is not None else None
-    masks = [c.mask(model) if isinstance(c, RestrictionCoupling) else None for c in couplings]
-    limit = np.array([int(c) if math.isfinite(c) else _INT64_MAX for c in caps])[:, None]
+    masks, limit, lower, upper = _trial_plan(model, caps, couplings, assert_domination)
     start = np.stack([eta.counts if mask is None else eta.counts * mask for mask in masks])
-    np.minimum(start, limit, out=start)
-    pairs = [(a, b) for a in range(len(caps)) for b in range(len(caps)) if a != b
-             and _dominates(caps[a], masks[a], caps[b], masks[b])] if assert_domination else []
-    lower, upper = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    if limit is not None:
+        np.minimum(start, limit, out=start)
     R = len(replicas)
+    replica_ids = np.array(replicas, dtype=np.uint64)              # for the stream keys
     rec = np.zeros((R, 6, len(caps)), dtype=np.int64)              # batch rows' outcome records
     rec[:, _BORN] = rec[:, _PEAK] = start.sum(axis=1)
     rec[:, _LAST] = -1
@@ -557,19 +640,22 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
                     break
             rows = live.any(axis=0)                # coupled rows some replica still steps
             row_masks = [mask for mask, on in zip(masks, rows.tolist()) if on]
+            # a row that ended holds zeros and cannot exceed its upper row,
+            # so only the upper row's end has to be masked out
+            upper_live = live[:, upper]
         stepped = counts if len(row_masks) == len(masks) else counts[:, rows]
         new = np.empty_like(stepped)
         spans = ([(0, 1)] if idx.size == 1
                  else _chunks(stepped.max(axis=1).sum(axis=1), _DRAW_BUDGET))
         for lo, hi in spans:
-            rngs = pool.streams([replicas[i] for i in idx[lo:hi].tolist()], gen)
+            rngs = pool.streams(replica_ids[idx[lo:hi]], gen)
             new[lo:hi] = _advance(stepped[lo:hi], model, rngs, row_masks)
         if stepped is not counts:
             new, arrivals = np.zeros_like(counts), new
             new[:, rows] = arrivals
-        np.minimum(new, limit, out=new)
-        if lower.size and np.any((new[:, lower] > new[:, upper]).any(axis=2)
-                                 & live[:, lower] & live[:, upper]):
+        if limit is not None:
+            np.minimum(new, limit, out=new)
+        if lower.size and ((new[:, lower] > new[:, upper]).any(axis=2) & upper_live).any():
             raise RuntimeError("coupling domination violated")  # must never happen
         total = new.sum(axis=2)                                    # 0 on rows not stepped
         rec[:, _BORN] += total

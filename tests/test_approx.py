@@ -265,6 +265,13 @@ class TestVarianceBound:
         assert exact_var_n2 > variance_bound(rho, 2)
 
 
+# edges of sites 0..10 in shuffled order; site 11 only receives
+_SHUFFLED_EDGES = tuple(
+    tuple(e) for e in np.random.default_rng(7).permutation(
+        [(s, t) for s in range(11) for t in (s, (s + 1) % 12, (s + 5) % 12, (s + 11) % 12)]
+    ).tolist())
+
+
 class TestPercolation:
     def test_p_one_exact(self):
         r = oriented_percolation(PercolationConfig(p=1.0, horizon=25), 10, seed=0)
@@ -300,6 +307,29 @@ class TestPercolation:
         freq, revisits = _percolation_loop(cfg, 40, seed=5)
         assert got.frequency == freq
         assert np.array_equal(got.revisit_counts, revisits)
+
+    @pytest.mark.parametrize("budget", [None, 1000])
+    @pytest.mark.parametrize("cfg", [
+        # sources out of order, so a replica's reached edges are not one run;
+        # site 11 has no out-edge
+        PercolationConfig(p=0.6, horizon=40, edges=_SHUFFLED_EDGES, origin=3),
+        # clusters that reach the window edge
+        PercolationConfig(p=0.7, horizon=60, width=6),
+        PercolationConfig(p=0.7, horizon=60, base="n", width=9),
+        PercolationConfig(p=1.0, horizon=30),
+        PercolationConfig(p=1.0, horizon=30, base="n", width=12),
+    ], ids=["shuffled-edges", "z-narrow", "n-narrow", "z-p1", "n-p1-narrow"])
+    def test_span_draws_equal_replica_loop(self, cfg, budget, monkeypatch):
+        # the batch draws only each replica's span of reachable edges; the
+        # loop draws every edge from a fresh stream
+        if budget is not None:
+            monkeypatch.setattr(approx, "_DRAW_BUDGET", budget)
+        got = oriented_percolation(cfg, 40, seed=11)
+        freq, revisits = _percolation_loop(cfg, 40, seed=11)
+        assert got.frequency == freq
+        assert np.array_equal(got.revisit_counts, revisits)
+        assert revisits.any()
+
 
 
 def _percolation_loop(config, replicas, seed):

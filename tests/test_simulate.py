@@ -549,6 +549,41 @@ class TestStreamKeys:
             assert rng.random() == _list_key_generator(_TRIAL_SALT, seed, r, n).random()
 
 
+class TestStreamOffsets:
+    """A pool stream started at Philox block k draws the full stream from draw 4k on."""
+
+    @pytest.mark.parametrize("salt", [_TRIAL_SALT, _PERC_SALT])
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_block_offset_skips_whole_blocks(self, salt, seed):
+        # with these seeds, replicas 0 and 2**31 + 5 fall in both key classes:
+        # one rounded through float64, one not
+        replicas = np.array([0, 2 ** 31 + 5], dtype=np.uint64)
+        pool = _StreamPool(salt, seed)
+        for k in (0, 1, 225):
+            rngs = pool.streams(replicas, 9, np.array([k, k]))
+            for r, rng in zip(replicas.tolist(), rngs):
+                full = _list_key_generator(salt, seed, r, 9).random(4 * k + 10)
+                assert np.array_equal(rng.random(10), full[4 * k:]), (r, k)
+                bits = _list_key_generator(salt, seed, r, 9).bit_generator
+                bits.advance(k)
+                assert np.array_equal(np.random.Generator(bits).random(10), full[4 * k:])
+        # the next call without offsets starts every stream at draw 0 again
+        for r, rng in zip(replicas.tolist(), pool.streams(replicas, 9)):
+            assert np.array_equal(rng.random(3), _list_key_generator(salt, seed, r, 9).random(3))
+
+    def test_threads_keep_their_own_slots(self):
+        # pools share Philox slots within a thread only, so runs in two
+        # threads cannot re-key each other's generators
+        from concurrent.futures import ThreadPoolExecutor
+
+        def first_slot():
+            return _StreamPool(_TRIAL_SALT, 0).streams([0], 1)[0]
+
+        with ThreadPoolExecutor(1) as ex:
+            other = ex.submit(first_slot).result()
+        assert first_slot() is first_slot() and other is not first_slot()
+
+
 class TestRunValidation:
     """Inputs a Monte Carlo run cannot use raise ModelError, not a traceback or output."""
 
@@ -624,6 +659,20 @@ class TestRunValidation:
             PopulationState.from_dict(m, {0: count})
         with pytest.raises(ModelError, match="occupation count"):
             estimate_survival(m, {0: count}, 3, 2)
+
+    def test_start_counts_total_below_2_63(self):
+        # each count is valid, but their int64 sum wrapped to -2**63, and the
+        # trial was reported extinct at generation 0
+        m = build_zd_translation(radius=2)
+        with pytest.raises(ModelError, match="total"):
+            PopulationState.from_dict(m, {0: 2 ** 62, 1: 2 ** 62})
+        with pytest.raises(ModelError, match="total"):
+            run_survival_trial(m, {0: 2 ** 62, 1: 2 ** 62}, 3)
+        state = PopulationState(np.array([0, 0, 2 ** 62, 2 ** 62, 0]))
+        with pytest.raises(ModelError, match="total"):
+            run_trial_batch(m, [math.inf], state, 3, [0])
+        top = run_survival_trial(m, {0: 2 ** 62, 1: 2 ** 62 - 1}, 0)
+        assert top.status == "completed" and top.total_born == 2 ** 63 - 1
 
     def test_start_counts_accept_numpy_integers(self):
         m = build_zd_translation(radius=2)
