@@ -106,7 +106,7 @@ class _Slots(threading.local):
     numpy scalars."""
 
     def __init__(self):
-        self.bits, self.gens = [], []
+        self.gens = []
         self.state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
@@ -125,26 +125,24 @@ class _StreamPool:
 
     def __init__(self, salt, seed):
         self._words = _seed_words(salt, seed)
-        del _SLOTS.bits[_KEPT_SLOTS:], _SLOTS.gens[_KEPT_SLOTS:]
+        del _SLOTS.gens[_KEPT_SLOTS:]
 
     def streams(self, replicas, n, blocks=None) -> list:
         """Generators equal to ``_philox(salt, seed, r, n)`` for r in replicas,
         the i-th advanced by blocks[i] Philox blocks (4 draws each) when blocks
         is given; valid until the next ``streams`` call in this thread."""
-        slots = _SLOTS
-        while len(slots.bits) < len(replicas):
-            slots.bits.append(np.random.Philox(0))
-            slots.gens.append(np.random.Generator(slots.bits[-1]))
-        state = slots.state
+        gens, state = _SLOTS.gens, _SLOTS.state
+        while len(gens) < len(replicas):
+            gens.append(np.random.Generator(np.random.Philox(0)))
         inner = state["state"]
         counter = inner["counter"]
         blocks = itertools.repeat(0) if blocks is None else blocks.tolist()
         high, low = _keys(self._words, replicas, n)
-        for bits, a, b, block in zip(slots.bits, high.tolist(), low.tolist(), blocks):
+        for gen, a, b, block in zip(gens, high.tolist(), low.tolist(), blocks):
             inner["key"] = [a, b]
             counter[0] = block
-            bits.state = state
-        return slots.gens[:len(replicas)]
+            gen.bit_generator.state = state
+        return gens[:len(replicas)]
 
 
 class TrialStreams:
