@@ -100,10 +100,9 @@ _KEPT_SLOTS = 1024
 
 
 class _Slots(threading.local):
-    """The Philox generators every stream pool of one thread re-keys, and the
-    fresh state (buffer empty) their keys and counters are written into.  Its
-    words are Python ints: the setter reads those several times faster than
-    numpy scalars."""
+    """The generators the stream pools of one thread re-key, and the state
+    they are set to; its words are Python ints, which the setter reads about
+    four times faster than numpy scalars."""
 
     def __init__(self):
         self.gens = []
@@ -324,8 +323,7 @@ def _product_arrivals(block, reads, dest, rng, starts, group):
     particles are one contiguous range of the flat child array, so a row
     that reads a prefix of some blocks gathers its children by ranges.
     """
-    # np.add.accumulate and logical_and.reduce: cumsum and all without their
-    # wrappers, whose cost shows on the few-particle steps of small trials
+    # ufunc methods: cumsum and all without the wrappers small trials pay for
     ends = np.add.accumulate(block)                        # one past each block's last particle
     shared = starts is None
     values = group.rho_values[_draw_indices(
@@ -566,18 +564,14 @@ def _dominates(cap_a, mask_a, cap_b, mask_b):
 
 
 def _trial_plan(model, caps, couplings, assert_domination):
-    """(row masks, cap limits or None when no cap is finite, domination pairs
-    as lower and upper row indices) of one cap and coupling list; the model
-    keeps the last one, so a loop of one-replica runs builds it once."""
+    """(row masks, cap limits or None if none is finite, lower and upper rows
+    of the domination pairs); the model keeps the last plan for the next run."""
     key = (tuple(caps), tuple(c if isinstance(c, RestrictionCoupling) else None
                               for c in couplings), assert_domination)
     held = model._cache.get("trial_plan")
     if held is not None and held[0] == key:
         return held[1]
     masks = [c.mask(model) if c is not None else None for c in key[1]]
-    for mask in masks:
-        if mask is not None:
-            mask.flags.writeable = False                   # shared by the runs that reuse the plan
     limit = (np.array([int(c) if math.isfinite(c) else _INT64_MAX for c in caps])[:, None]
              if any(map(math.isfinite, caps)) else None)
     pairs = [(a, b) for a in range(len(caps)) for b in range(len(caps)) if a != b
