@@ -27,7 +27,6 @@ step does not depend on any parent ordering.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import threading
@@ -135,7 +134,7 @@ class _StreamPool:
             gens.append(np.random.Generator(np.random.Philox(0)))
         inner = state["state"]
         counter = inner["counter"]
-        blocks = itertools.repeat(0) if blocks is None else blocks.tolist()
+        blocks = [0] * len(replicas) if blocks is None else blocks.tolist()
         high, low = _keys(self._words, replicas, n)
         for gen, a, b, block in zip(gens, high.tolist(), low.tolist(), blocks):
             inner["key"] = [a, b]

@@ -331,7 +331,6 @@ class TestPercolation:
         assert revisits.any()
 
 
-
 def _percolation_loop(config, replicas, seed):
     """One replica at a time: per level, uniforms from the replica's own stream."""
     n, src, dst, origin = _perc_structure(config)

@@ -661,8 +661,8 @@ class TestRunValidation:
             estimate_survival(m, {0: count}, 3, 2)
 
     def test_start_counts_total_below_2_63(self):
-        # each count is valid, but their int64 sum wrapped to -2**63, and the
-        # trial was reported extinct at generation 0
+        # each count is valid, but an int64 sum of them wraps to -2**63,
+        # which would read as extinct at generation 0
         m = build_zd_translation(radius=2)
         with pytest.raises(ModelError, match="total"):
             PopulationState.from_dict(m, {0: 2 ** 62, 1: 2 ** 62})
