@@ -21,8 +21,8 @@ from scipy.special import xlogy
 
 from .core import BrwModel, IntDistribution, ModelError, restrict_model
 from .genfun import _verdict
-from .simulate import (_DRAW_BUDGET, DEFAULT_HARD_CAP, _chunks, _StreamPool, _whole,
-                       estimate_survival, run_trial_batch, wilson_interval)
+from .simulate import (_DRAW_BUDGET, DEFAULT_HARD_CAP, _cap_label, _caps, _chunks, _StreamPool,
+                       _whole, estimate_survival, run_trial_batch, wilson_interval)
 from .spectral import local_growth_rate, moment_matrix, seneta_sequence
 
 
@@ -197,23 +197,21 @@ class SpatialResult:
         return header, rows
 
 
-def spatial_experiment(model: BrwModel, exhaustion, x0, margin=1e-3, n_max=2000,
-                       mc=None) -> SpatialResult:
+def spatial_experiment(model: BrwModel, exhaustion, x0, mc=None) -> SpatialResult:
     """Restricted local growth along a window sequence, with optional MC columns.
 
     Restriction only ever lowers the growth, so when the full window
     survives locally the report also gives the first index whose restricted
-    growth clears 1.  mc, when given, is a dict of estimate_survival options
-    (horizon, replicas, seed, cap, hard_cap) run on each restricted model.
+    growth clears 1 + 1e-3.  mc, when given, is a dict of estimate_survival
+    options (horizon, replicas, seed, cap, hard_cap) run on each restricted model.
     """
-    estimates = seneta_sequence(model, exhaustion, x0, n_max=n_max)
-    M = moment_matrix(model)
-    full = local_growth_rate(M, x0, n_max=n_max)
-    full_verdict = _verdict(full.value, margin)
+    estimates = seneta_sequence(model, exhaustion, x0)
+    full = local_growth_rate(moment_matrix(model), x0)
+    full_verdict = _verdict(full.value)
     rows = []
     first = None
     for i, (subset, est) in enumerate(zip(exhaustion, estimates)):
-        verdict = _verdict(est.value, margin)
+        verdict = _verdict(est.value)
         row = SpatialRow(i, len(set(subset)), est.value, est.converged, verdict)
         if verdict == "survives" and first is None:
             first = i
@@ -265,28 +263,23 @@ class SweepResult:
     def csv_rows(self):
         header = ("cap", "alive_frequency", "ci_low", "ci_high",
                   "visit_frequency", "overflow_count")
-        rows = [("inf" if math.isinf(r.cap) else int(r.cap), r.alive_frequency,
-                 r.ci[0], r.ci[1], r.visit_frequency, r.overflow_count)
-                for r in self.rows]
+        rows = [(_cap_label(r.cap), r.alive_frequency, r.ci[0], r.ci[1], r.visit_frequency,
+                 r.overflow_count) for r in self.rows]
         return header, rows
 
     def summary_rows(self, scenario="", params=""):
         header = ("scenario", "params", "m", "horizon", "replicas",
                   "frequency", "ci_low", "ci_high")
-        rows = [(scenario, params, "inf" if math.isinf(r.cap) else int(r.cap),
-                 self.horizon, self.replicas, r.alive_frequency, r.ci[0], r.ci[1])
-                for r in self.rows]
+        rows = [(scenario, params, _cap_label(r.cap), self.horizon, self.replicas,
+                 r.alive_frequency, r.ci[0], r.ci[1]) for r in self.rows]
         return header, rows
 
     def per_replica_rows(self):
         header = ("cap", "replica", "alive", "visits", "last_target_visit",
                   "peak_population", "total_born", "status")
-        rows = []
-        for cap, outs in self.outcomes.items():
-            name = "inf" if math.isinf(cap) else int(cap)
-            for o in outs:
-                rows.append((name, o.replica, int(o.alive), o.visits_to_target,
-                             o.last_target_visit, o.peak_population, o.total_born, o.status))
+        rows = [(_cap_label(cap), o.replica, int(o.alive), o.visits_to_target,
+                 o.last_target_visit, o.peak_population, o.total_born, o.status)
+                for cap, outs in self.outcomes.items() for o in outs]
         return header, rows
 
 
@@ -298,7 +291,7 @@ def truncation_sweep(model: BrwModel, caps, eta0, horizon, replicas, target=None
     alive flags are monotone in the cap by construction and the inf row of
     the sweep coincides with an independent uncapped run of the same seed.
     """
-    caps = sorted(float(c) if c is not None else math.inf for c in caps)
+    caps = sorted(_caps(caps))
     if any(b <= a for a, b in zip(caps, caps[1:])):
         raise ModelError("caps must be strictly ascending")
     if not math.isinf(caps[-1]):
@@ -325,9 +318,10 @@ def truncation_sweep(model: BrwModel, caps, eta0, horizon, replicas, target=None
 class PercolationConfig:
     """Bernoulli(p) bond percolation on (base graph) x (oriented levels).
 
-    base "z" is a window of the line with edges to self and both
-    neighbours; base "n" the one-sided window; a custom graph is given as
-    an edge list on 0..n_sites-1 (self-loops included only if listed).
+    base "z" is the window -width..width of the line (width defaults to the
+    horizon) with edges to self and both neighbours; base "n" the one-sided
+    window 0..width; a custom graph is given as a nonempty edge list on
+    0..n_sites-1 (self-loops included only if listed).  The origin is a site.
     """
 
     p: float
@@ -340,8 +334,17 @@ class PercolationConfig:
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ModelError("open probability must lie in [0, 1]")
-        if self.horizon < 1:
-            raise ModelError("horizon must be at least 1")
+        w = _whole(self.horizon, 1, "horizon")
+        if self.width is not None:
+            w = _whole(self.width, 0, "width")
+        if self.edges is not None:        # an empty list has no site for the origin
+            ends = [_whole(v, 0, "edge end") for e in self.edges for v in e]
+            lo, hi = 0, max(ends, default=-1) + 1
+        elif self.base in ("z", "n"):
+            lo, hi = (-w if self.base == "z" else 0), w + 1
+        else:
+            raise ModelError(f"unknown base graph {self.base!r}")
+        _whole(self.origin, lo, "origin", hi)
 
 
 _PERC_SALT = 0x7F4A7C159E3779B9
@@ -354,20 +357,12 @@ def _perc_structure(config: PercolationConfig):
         dst = np.array([e[1] for e in config.edges], dtype=np.int64)
         return n, src, dst, int(config.origin)
     w = config.width if config.width is not None else config.horizon
-    if config.base == "z":
-        sites = np.arange(-w, w + 1)
-    elif config.base == "n":
-        sites = np.arange(0, w + 1)
-    else:
-        raise ModelError(f"unknown base graph {config.base!r}")
-    idx = {int(s): i for i, s in enumerate(sites)}
-    src, dst = [], []
-    for s in sites:
-        for t in (s, s - 1, s + 1):
-            if int(t) in idx:
-                src.append(idx[int(s)])
-                dst.append(idx[int(t)])
-    return len(sites), np.array(src), np.array(dst), idx[int(config.origin)]
+    lo = -w if config.base == "z" else 0
+    n = w + 1 - lo
+    src = np.repeat(np.arange(n), 3)
+    dst = src + np.tile([0, -1, 1], n)                     # to itself, then left, then right
+    inside = (dst >= 0) & (dst < n)
+    return n, src[inside], dst[inside], int(config.origin) - lo
 
 
 @dataclass

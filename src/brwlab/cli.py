@@ -21,6 +21,7 @@ import sys
 from . import approx, genfun, scenarios, spectral
 from .core import ModelError
 from .serialize import params_json, write_manifest
+from .simulate import _cap_label
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,6 +55,18 @@ def read_config_file(path) -> dict:
     return out
 
 
+# the numeric config keys and their types; "radii" is a list of whole numbers
+_NUMBERS = dict(replicas=int, horizon=int, hard_cap=int, seed=int, p=float, width=int, radii=int)
+
+
+def _number(key, value):
+    """``value`` of the numeric config key ``key`` as its type; UsageError otherwise."""
+    kind = _NUMBERS[key]
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):   # JSON: int or float
+        raise UsageError(f"{key} must be a {'whole ' * (kind is int)}number, got {value!r}")
+    return kind(value)
+
+
 def _merge_config(args) -> dict:
     cfg = {}
     if args.config:
@@ -68,11 +81,14 @@ def _merge_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if "seed" not in cfg:
-        env = os.environ.get("BRWLAB_SEED")
-        cfg["seed"] = int(env) if env else 0
+    cfg.setdefault("seed", _parse_value(os.environ.get("BRWLAB_SEED") or "0"))
     cfg.setdefault("out", "brwlab_out")
-    if int(cfg.get("replicas", 1)) < 1:
+    for key in (k for k in _NUMBERS if k in cfg):
+        val = cfg[key]
+        if key == "radii" and not isinstance(val, list):
+            raise UsageError(f"radii must be a list of whole numbers, got {val!r}")
+        cfg[key] = [_number(key, r) for r in val] if key == "radii" else _number(key, val)
+    if cfg.get("replicas", 1) < 1:
         raise UsageError("replicas must be at least 1")
     return cfg
 
@@ -156,8 +172,8 @@ def cmd_spectral(args) -> int:
     glob = spectral.global_growth_rate(M, x0)
     out = cfg["out"]
     h = write_manifest(out, model, cfg["seed"])
-    rows = [("local", n, repr(t), int(f)) for n, t, f in local.csv_rows()]
-    rows += [("global", n, repr(t), int(f)) for n, t, f in glob.csv_rows()]
+    rows = [("local", n, repr(t), 1) for n, t in local.sequence]
+    rows += [("global", n, repr(t), 1) for n, t in glob.sequence]
     approx.write_csv(os.path.join(out, "growth.csv"),
                      ("series", "n", "term", "on_subsequence"), rows)
     print(f"local growth at {x0}: {local.value:.6g} ({local.subsequence_rule}, "
@@ -201,9 +217,8 @@ def cmd_sweep(args) -> int:
     if not caps:
         raise UsageError("the caps list must not be empty")
     result = approx.truncation_sweep(
-        model, caps, {x0: 1}, int(cfg.get("horizon", 100)), int(cfg.get("replicas", 200)),
-        target=cfg.get("target", x0), seed=int(cfg["seed"]),
-        hard_cap=int(cfg.get("hard_cap", 10 ** 6)))
+        model, caps, {x0: 1}, cfg.get("horizon", 100), cfg.get("replicas", 200),
+        target=cfg.get("target", x0), seed=cfg["seed"], hard_cap=cfg.get("hard_cap", 10 ** 6))
     out = cfg["out"]
     h = write_manifest(out, model, cfg["seed"])
     header, rows = result.csv_rows()
@@ -215,9 +230,8 @@ def cmd_sweep(args) -> int:
     print(f"cap sweep, {result.replicas} replicas, horizon {result.horizon} [model {h}]")
     overflow = 0
     for row in result.rows:
-        cap = "inf" if math.isinf(row.cap) else int(row.cap)
         overflow += row.overflow_count
-        print(f"  m={cap}: alive {row.alive_frequency:.4f} "
+        print(f"  m={_cap_label(row.cap)}: alive {row.alive_frequency:.4f} "
               f"[{row.ci[0]:.4f}, {row.ci[1]:.4f}] visits {row.visit_frequency:.4f}")
     if overflow:
         print(f"  note: {overflow} trials hit the hard cap and count as alive")
@@ -228,11 +242,9 @@ def cmd_sweep(args) -> int:
 def cmd_percolate(args) -> int:
     cfg = _merge_config(args)
     config = approx.PercolationConfig(
-        p=float(cfg.get("p", 0.7)), horizon=int(cfg.get("horizon", 100)),
-        base=cfg.get("base", "z"),
-        width=int(cfg["width"]) if "width" in cfg else None)
-    result = approx.oriented_percolation(config, int(cfg.get("replicas", 200)),
-                                         seed=int(cfg["seed"]))
+        p=cfg.get("p", 0.7), horizon=cfg.get("horizon", 100), base=cfg.get("base", "z"),
+        width=cfg.get("width"))
+    result = approx.oriented_percolation(config, cfg.get("replicas", 200), seed=cfg["seed"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     approx.write_csv(os.path.join(out, "percolation.csv"),

@@ -27,6 +27,7 @@ PROB_TOL = 1e-12
 
 # Materializing atoms of a factorized law is only allowed below this count.
 MAX_MATERIALIZED_ATOMS = 500_000
+_MAX_DENSE = 1_000_000      # the longest coefficient array dense_probs builds
 
 
 class ModelError(ValueError):
@@ -188,9 +189,9 @@ class IntDistribution:
     def as_dict(self) -> dict:
         return {int(v): float(p) for v, p in zip(self.values, self.probs)}
 
-    def dense_probs(self, max_size=1_000_000) -> np.ndarray:
-        """Coefficient array indexed by value; only for modest supports."""
-        if self.support_max + 1 > max_size:
+    def dense_probs(self) -> np.ndarray:
+        """Coefficient array indexed by value; supports above _MAX_DENSE raise."""
+        if self.support_max + 1 > _MAX_DENSE:
             raise ModelError(f"support up to {self.support_max} is too large to densify")
         out = np.zeros(self.support_max + 1)
         out[self.values] = self.probs

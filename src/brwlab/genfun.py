@@ -149,6 +149,9 @@ class IterationDiagnostics:
 
 
 _KLEENE_STEPS = 1_000
+_MARGIN = 1e-3              # a growth rate within _MARGIN of 1 is inconclusive
+_Q_BAND = 1e-6              # an extinction probability within _Q_BAND of 1 is read as 1
+_SLACK_TOL, _PROBE_TS = 1e-12, (0.0, 0.5)   # check_mean_condition: Mv = v band, probed t
 
 
 def _newton_step(G: _GEvaluator, z: np.ndarray) -> np.ndarray:
@@ -262,24 +265,24 @@ class MeanConditionReport:
     equality_vertices: dict  # vertex -> PGF linearity held at the probed t values
 
 
-def check_mean_condition(model: BrwModel, v, x0, tol=1e-12, probe_ts=(0.0, 0.5)) -> MeanConditionReport:
+def check_mean_condition(model: BrwModel, v, x0) -> MeanConditionReport:
     """First-moment necessary condition Mv >= v with v(x0) > 0.
 
-    Vertices where Mv = v (within tol) are additionally probed for the
-    matching fixed-line identity G(1-(1-t)v) = 1-(1-t)v at finitely many t;
-    a full functional verification is not attempted.
+    Vertices where Mv = v (within _SLACK_TOL) are additionally probed for the
+    matching fixed-line identity G(1-(1-t)v) = 1-(1-t)v at each t of
+    _PROBE_TS; a full functional verification is not attempted.
     """
     M = moment_matrix(model)
     v = as_field(model, v)
     mv = M.csr.dot(v)
     slack = mv - v
-    holds = bool(np.all(slack >= -tol))
+    holds = bool(np.all(slack >= -_SLACK_TOL))
     x0_pos = v[model.index[x0]] > 0.0
     equality = {}
-    eq_idx = np.nonzero(np.abs(slack) <= tol)[0]
+    eq_idx = np.nonzero(np.abs(slack) <= _SLACK_TOL)[0]
     if eq_idx.size:
         ok = np.ones(model.size, dtype=bool)
-        for t in probe_ts:
+        for t in _PROBE_TS:
             w = 1.0 - (1.0 - t) * v
             gw = eval_G(model, np.clip(w, 0.0, 1.0))
             ok &= np.abs(gw - w) <= 1e-10
@@ -323,56 +326,55 @@ class SurvivalReport:
         return "\n".join(lines)
 
     def evidence_csv_rows(self):
-        rows = [("local_growth", n, term) for n, term, _ in self.local_growth.csv_rows()]
+        rows = [("local_growth", n, term) for n, term in self.local_growth.sequence]
         ge = self.global_evidence.get("growth")
         if isinstance(ge, GrowthEstimate):
-            rows += [("global_growth", n, term) for n, term, _ in ge.csv_rows()]
+            rows += [("global_growth", n, term) for n, term in ge.sequence]
         return rows
 
 
-def _verdict(value, margin):
-    if value > 1.0 + margin:
+def _verdict(value):
+    if value > 1.0 + _MARGIN:
         return "survives"
-    if value < 1.0 - margin:
+    if value < 1.0 - _MARGIN:
         return "dies"
     return "inconclusive"
 
 
-def classify_survival(model: BrwModel, x0, n_max=2000, margin=1e-3, q_band=1e-6,
-                      tol=1e-12, strong_targets=(), max_iter=200_000) -> SurvivalReport:
+def classify_survival(model: BrwModel, x0, n_max=2000, strong_targets=()) -> SurvivalReport:
     """Three-way survival classification with explicit finite evidence.
 
-    Local: return growth rate at x0 against 1 with an inconclusive band.
+    Local: return growth rate at x0 against 1 with the _MARGIN band.
     Global: a registered finite projection decides via its row-sum growth;
     otherwise finite irreducible windows use their own row-sum growth, and
     everything else falls back to the least fixed point (extinction within
-    q_band of 1 is reported as death on this truncation, which is the sound
+    _Q_BAND of 1 is reported as death on this truncation, which is the sound
     direction for restrictions of larger constructions).
     """
     M = moment_matrix(model)
     lg = local_growth_rate(M, x0, n_max=n_max)
-    local = _verdict(lg.value, margin) if lg.value > 0 else "dies"
+    local = _verdict(lg.value) if lg.value > 0 else "dies"
     notes = []
 
     if model.finite_projection is not None:
         proj, mapping = model.finite_projection
         y0 = mapping[x0]
         gg = global_growth_rate(moment_matrix(proj), y0, n_max=n_max)
-        global_ = _verdict(gg.value, margin)
+        global_ = _verdict(gg.value)
         method = "projection"
         evidence = {"growth": gg, "value": gg.value, "projected_x0": y0}
     elif M.is_irreducible():
         gg = global_growth_rate(M, x0, n_max=n_max)
-        global_ = _verdict(gg.value, margin)
+        global_ = _verdict(gg.value)
         method = "finite-irreducible"
         evidence = {"growth": gg, "value": gg.value}
     else:
-        q, diag = iterate_extinction(model, "global", tol=tol, max_iter=max_iter)
+        q, diag = iterate_extinction(model, "global")
         qx = float(q[model.index[x0]])
         if not diag.converged:
             global_ = "inconclusive"
             notes.append("extinction iteration hit max_iter")
-        elif qx < 1.0 - q_band:
+        elif qx < 1.0 - _Q_BAND:
             global_ = "survives"
         else:
             global_ = "dies"
@@ -389,8 +391,7 @@ def classify_survival(model: BrwModel, x0, n_max=2000, margin=1e-3, q_band=1e-6,
 
     report = SurvivalReport(x0, local, lg, global_, method, evidence, {}, notes)
     for y in strong_targets:
-        report.strong_local[y] = strong_local_compare(model, x0, y, tol=max(q_band, tol),
-                                                      max_iter=max_iter).__dict__
+        report.strong_local[y] = strong_local_compare(model, x0, y).__dict__
     return report
 
 
@@ -402,13 +403,13 @@ class StrongLocalReport:
     gap: float
 
 
-def strong_local_compare(model: BrwModel, x0, y, tol=1e-6, fp_tol=1e-12,
-                         max_iter=200_000) -> StrongLocalReport:
-    """Do local extinction at {y} and global extinction coincide at x0?"""
+def strong_local_compare(model: BrwModel, x0, y, tol=_Q_BAND) -> StrongLocalReport:
+    """Do local extinction at {y} and global extinction coincide at x0 (within
+    tol, with qbar(x0) < 1 - tol)?  Both solves use iterate_extinction's defaults."""
     if x0 not in model.index:
         raise ModelError(f"x0 = {x0!r} is not a vertex of the model")
-    qbar, d1 = iterate_extinction(model, "global", tol=fp_tol, max_iter=max_iter)
-    qy, d2 = iterate_extinction(model, {y}, tol=fp_tol, max_iter=max_iter)
+    qbar, d1 = iterate_extinction(model, "global")
+    qy, d2 = iterate_extinction(model, {y})
     i0 = model.index[x0]
     gap = float(abs(qy[i0] - qbar[i0]))
     if not (d1.converged and d2.converged):

@@ -52,16 +52,17 @@ _DRAW_BUDGET = 1 << 16
 _SCAN_CDF = 8
 
 DEFAULT_HARD_CAP = 10 ** 8
+_Z95 = 1.959963984540054                    # the two-sided 95% normal quantile
 
 
-def wilson_interval(successes, n, z=1.959963984540054):
+def wilson_interval(successes, n):
     """95% Wilson score interval for a binomial frequency."""
     if n == 0:
         return (0.0, 1.0)
     phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    denom = 1.0 + _Z95 * _Z95 / n
+    center = (phat + _Z95 * _Z95 / (2 * n)) / denom
+    half = _Z95 * math.sqrt(phat * (1 - phat) / n + _Z95 * _Z95 / (4 * n * n)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == n else min(1.0, center + half)
     return (lo, hi)
@@ -456,10 +457,30 @@ class RestrictionCoupling:
         return m
 
 
-def _apply_cap(arr, cap):
-    if cap is not None and math.isfinite(cap):
-        np.minimum(arr, int(cap), out=arr)
-    return arr
+def _caps(caps) -> list:
+    """A nonempty cap list as floats (None read as math.inf), each at least 1."""
+    caps = [math.inf if c is None else float(c) for c in caps]
+    if not caps or not all(c >= 1 for c in caps):          # NaN fails too
+        raise ModelError(f"need at least one cap, each at least 1, got {caps}")
+    return caps
+
+
+def _cap_label(cap):
+    """A cap as CSV rows and printouts show it: ``inf`` or a whole number."""
+    return "inf" if math.isinf(cap) else int(cap)
+
+
+def _cap_limits(caps):
+    """Caps from ``_caps`` as an int64 (S, 1) column, or None when none is finite."""
+    if any(map(math.isfinite, caps)):
+        return np.array([int(c) if math.isfinite(c) else _INT64_MAX for c in caps])[:, None]
+
+
+def _step(states, caps, model, rng, keep_masks=None):
+    """The (S, V) counts of coupled states one generation on, each clipped at its cap."""
+    new = _advance(np.stack([s.counts for s in states])[None], model, rng, keep_masks)[0]
+    limit = _cap_limits(caps)
+    return new if limit is None else np.minimum(new, limit, out=new)
 
 
 def step(state: PopulationState, model: BrwModel, rng) -> PopulationState:
@@ -469,10 +490,7 @@ def step(state: PopulationState, model: BrwModel, rng) -> PopulationState:
 
 def step_truncated(state: PopulationState, m, model: BrwModel, rng) -> PopulationState:
     """As ``step`` then clip every site at m (applied after all arrivals)."""
-    if m is not None and not m >= 1:
-        raise ModelError("cap must be at least 1")
-    new = _advance(state.counts[None, None, :], model, rng)[0, 0]
-    _apply_cap(new, m)
+    new = _step([state], _caps([m]), model, rng)[0]
     return PopulationState(new, state.generation + 1, state.total_born + int(new.sum()))
 
 
@@ -484,20 +502,13 @@ def step_coupled(pair, caps, model: BrwModel, rng, coupling=None):
     a RestrictionCoupling additionally kills its out-of-subset children.
     """
     upper, lower = pair
-    m, k = caps
-    mv = m if m is not None else math.inf
-    kv = k if k is not None else math.inf
-    if not (mv >= 1 and kv >= 1):                          # NaN included
-        raise ModelError("cap must be at least 1")
-    if kv > mv:
+    m, k = _caps(caps)
+    if k > m:
         raise ModelError("lower cap must not exceed the upper cap")
     if not np.all(lower.counts <= upper.counts):
         raise ModelError("coupled pair must start ordered (lower <= upper)")
     mask = coupling.mask(model) if isinstance(coupling, RestrictionCoupling) else None
-    stacked = np.stack([upper.counts, lower.counts])
-    new = _advance(stacked[None], model, rng, [None, mask])[0]
-    _apply_cap(new[0], m)
-    _apply_cap(new[1], k)
+    new = _step(pair, (m, k), model, rng, [None, mask])
     if np.any(new[1] > new[0]):
         raise RuntimeError("coupling domination violated")  # must never happen
     up = PopulationState(new[0], upper.generation + 1, upper.total_born + int(new[0].sum()))
@@ -539,12 +550,10 @@ def _start_total(counts) -> int:
     return total
 
 
-def _check_run(model, eta0, horizon, replicas, caps=(), vertex=None, role="target"):
+def _check_run(model, eta0, horizon, replicas, vertex=None, role="target"):
     """The one validation point of the Monte Carlo runs; returns the start state."""
     _whole(replicas, 1, "replicas")
     _whole(horizon, 0, "horizon")
-    if any(not c >= 1 for c in caps):                      # NaN included
-        raise ModelError("cap must be at least 1")
     if vertex is not None and vertex not in model.index:
         raise ModelError(f"{role} {vertex!r} is not a vertex of the model")
     if isinstance(eta0, dict):
@@ -553,28 +562,19 @@ def _check_run(model, eta0, horizon, replicas, caps=(), vertex=None, role="targe
     return eta0
 
 
-def _dominates(cap_a, mask_a, cap_b, mask_b):
-    """True when theory guarantees state_a <= state_b under shared draws."""
-    ca = cap_a if math.isfinite(cap_a) else math.inf
-    cb = cap_b if math.isfinite(cap_b) else math.inf
-    if ca > cb:
-        return False
-    return (mask_a is mask_b) or (mask_b is None and mask_a is not None)
-
-
-def _trial_plan(model, caps, couplings, assert_domination):
+def _trial_plan(model, caps, couplings):
     """(row masks, cap limits or None if none is finite, lower and upper rows
     of the domination pairs); the model keeps the last plan for the next run."""
     key = (tuple(caps), tuple(c if isinstance(c, RestrictionCoupling) else None
-                              for c in couplings), assert_domination)
+                              for c in couplings))
     held = model._cache.get("trial_plan")
     if held is not None and held[0] == key:
         return held[1]
     masks = [c.mask(model) if c is not None else None for c in key[1]]
-    limit = (np.array([int(c) if math.isfinite(c) else _INT64_MAX for c in caps])[:, None]
-             if any(map(math.isfinite, caps)) else None)
+    limit = _cap_limits(caps)
+    # row a <= row b under shared draws: a smaller cap and the same or a restricting mask
     pairs = [(a, b) for a in range(len(caps)) for b in range(len(caps)) if a != b
-             and _dominates(caps[a], masks[a], caps[b], masks[b])] if assert_domination else []
+             and caps[a] <= caps[b] and (masks[a] is masks[b] or masks[b] is None)]
     lower, upper = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     model._cache["trial_plan"] = key, (masks, limit, lower, upper)
     return masks, limit, lower, upper
@@ -585,7 +585,7 @@ _BORN, _PEAK, _GENS, _VISITS, _LAST, _STATUS = range(6)   # slots of a trial's o
 
 
 def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None, seed=0,
-                    hard_cap=DEFAULT_HARD_CAP, couplings=None, assert_domination=True):
+                    hard_cap=DEFAULT_HARD_CAP, couplings=None):
     """Run ``run_coupled_trials`` for every replica index in ``replicas``.
 
     Returns one list of TrialOutcome (one per cap) per replica.  All live
@@ -595,17 +595,15 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
     generation so one kernel call holds at most _DRAW_BUDGET particles; a
     replica above that runs alone.
     """
-    caps = [float(c) if c is not None else math.inf for c in caps]
+    caps = _caps(caps)
     couplings = list(couplings) if couplings is not None else [None] * len(caps)
     if len(couplings) != len(caps):
         raise ModelError("one coupling entry per cap required")
-    if not caps:
-        raise ModelError("need at least one cap")
     # a stream key holds each index in 32 bits: 2**32 would reuse replica 0's stream
     replicas = [_whole(r, 0, "replica index", 2 ** 32) for r in replicas]
-    eta = _check_run(model, eta0, horizon, len(replicas), caps, target)
+    eta = _check_run(model, eta0, horizon, len(replicas), target)
     t_idx = model.index[target] if target is not None else None
-    masks, limit, lower, upper = _trial_plan(model, caps, couplings, assert_domination)
+    masks, limit, lower, upper = _trial_plan(model, caps, couplings)
     start = np.stack([eta.counts if mask is None else eta.counts * mask for mask in masks])
     if limit is not None:
         np.minimum(start, limit, out=start)
@@ -672,11 +670,10 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
 
 
 def run_coupled_trials(model: BrwModel, caps, eta0, horizon, target=None, seed=0,
-                       replica=0, hard_cap=DEFAULT_HARD_CAP, couplings=None,
-                       assert_domination=True):
+                       replica=0, hard_cap=DEFAULT_HARD_CAP, couplings=None):
     """Run one trial of every cap in ``caps`` jointly on shared draws.
 
-    caps are numbers or math.inf; couplings, when given, is a per-cap list
+    caps are numbers, math.inf or None; couplings, when given, is a per-cap list
     of None / RestrictionCoupling.  Returns one TrialOutcome per cap.  Every
     pair whose order is guaranteed (same coupling with smaller cap, or a
     restriction against its unrestricted partner) is asserted each step.
@@ -684,14 +681,13 @@ def run_coupled_trials(model: BrwModel, caps, eta0, horizon, target=None, seed=0
     the remaining states keep sharing draws.
     """
     return run_trial_batch(model, caps, eta0, horizon, [replica], target, seed, hard_cap,
-                           couplings, assert_domination)[0]
+                           couplings)[0]
 
 
 def run_survival_trial(model: BrwModel, eta0, horizon, target=None, cap=math.inf,
                        seed=0, replica=0, hard_cap=DEFAULT_HARD_CAP) -> TrialOutcome:
     """Simulate one trial to the horizon or extinction; fully reproducible."""
-    return run_coupled_trials(model, [cap], eta0, horizon, target, seed, replica,
-                              hard_cap, assert_domination=False)[0]
+    return run_coupled_trials(model, [cap], eta0, horizon, target, seed, replica, hard_cap)[0]
 
 
 @dataclass
@@ -724,12 +720,11 @@ def estimate_survival(model: BrwModel, eta0, horizon, replicas, target=None,
     """
     outcomes = [outs[0] for outs in run_trial_batch(
         model, [cap], eta0, horizon, range(_whole(replicas, 1, "replicas")), target, seed,
-        hard_cap, assert_domination=False)]
+        hard_cap)]
     alive = sum(o.alive for o in outcomes)
     lo, hi = wilson_interval(alive, replicas)
-    return SurvivalEstimate(alive / replicas, lo, hi, replicas, horizon,
-                            float(cap) if cap is not None else math.inf, seed, outcomes,
-                            sum(o.status == "overflow" for o in outcomes))
+    return SurvivalEstimate(alive / replicas, lo, hi, replicas, horizon, outcomes[0].cap, seed,
+                            outcomes, sum(o.status == "overflow" for o in outcomes))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .core import BrwModel, ModelError, law_table
 
 # below this dimension matrix powers and series solves run dense, which is faster
 _DENSE_CUTOFF = 400
+_REL_TOL = 1e-3     # converged: the last three ratios agree to this relative spread
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +149,6 @@ class GrowthEstimate:
     ratios: tuple = ()              # period-aligned consecutive-ratio estimates
     subsequence_rule: str = ""
     converged: bool = False
-    rel_tol: float = 1e-3
-
-    def csv_rows(self):
-        return [(n, term, True) for n, term in self.sequence]
 
 
 def _aitken(r):
@@ -169,12 +166,12 @@ def _aitken(r):
     return acc
 
 
-def _converged(ratios, rel_tol):
+def _converged(ratios):
     if len(ratios) < 3:
         return False
     tail = ratios[-3:]
     scale = max(abs(t) for t in tail) or 1.0
-    return (max(tail) - min(tail)) / scale <= rel_tol
+    return (max(tail) - min(tail)) / scale <= _REL_TOL
 
 
 def _log_sequence(M, start_idx, read, stride, n_max, stop_tol):
@@ -215,7 +212,7 @@ def _log_sequence(M, start_idx, read, stride, n_max, stop_tol):
     return out
 
 
-def _estimate_from_logs(logs, stride, rel_tol):
+def _estimate_from_logs(logs, stride):
     roots = tuple((n, math.exp(la / n)) for n, la in logs if math.isfinite(la))
     ratios = []
     finite = [(n, la) for n, la in logs if math.isfinite(la)]
@@ -226,36 +223,34 @@ def _estimate_from_logs(logs, stride, rel_tol):
     if not roots:
         return 0.0, roots, ratios, True
     value = _aitken(list(ratios)) if ratios else roots[-1][1]
-    return value, roots, ratios, _converged(ratios, rel_tol)
+    return value, roots, ratios, _converged(ratios)
 
 
-def local_growth_rate(M: MomentMatrix, x0, n_max=2000, rel_tol=1e-3,
-                      stop_tol=1e-13) -> GrowthEstimate:
+def local_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=1e-13) -> GrowthEstimate:
     """Dominant n-th-root growth of the return values m^(n)_{x0 x0}.
 
     Off-period powers of a periodic class are identically zero, so the roots
-    are taken along n = 0 mod period(x0); the reported value is the
-    Aitken-accelerated ratio of consecutive on-period terms.
+    are taken along n = 0 mod period(x0); the value is the Aitken-accelerated
+    ratio of on-period terms, converged when the last three agree to _REL_TOL.
     """
     sub = M.submatrix(M.communicating_class(x0))
     p = sub.period(x0)
     if p == 0:
-        return GrowthEstimate(0.0, (), (), "no return paths", True, rel_tol)
+        return GrowthEstimate(0.0, (), (), "no return paths", True)
     if n_max < 2 * p:
         raise ModelError(f"n_max={n_max} below twice the period {p}")
     i0 = sub.index[x0]
     logs = _log_sequence(sub, i0, lambda u: u[i0], p, n_max, stop_tol)
-    value, roots, ratios, conv = _estimate_from_logs(logs, p, rel_tol)
-    return GrowthEstimate(value, roots, ratios, f"n == 0 (mod {p})", conv, rel_tol)
+    value, roots, ratios, conv = _estimate_from_logs(logs, p)
+    return GrowthEstimate(value, roots, ratios, f"n == 0 (mod {p})", conv)
 
 
-def global_growth_rate(M: MomentMatrix, x0, n_max=2000, rel_tol=1e-3,
-                       stop_tol=1e-13) -> GrowthEstimate:
+def global_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=1e-13) -> GrowthEstimate:
     """Dominant n-th-root growth of the row sums of M^n started at x0.
 
     A collapse of the iterate to zero (possible on nilpotent reachable sets)
     pins the estimate to 0.  Oscillating ratios are re-sampled at strides
-    2..6 before giving up on convergence.
+    2..6 before giving up on convergence (``_REL_TOL``).
     """
     if x0 not in M.index:
         raise ModelError(f"vertex {x0!r} not in the matrix")
@@ -266,11 +261,11 @@ def global_growth_rate(M: MomentMatrix, x0, n_max=2000, rel_tol=1e-3,
         logs = _log_sequence(M, i0, lambda u: u.sum(), stride, n_max, stop_tol)
         if logs and not math.isfinite(logs[-1][1]):
             return GrowthEstimate(0.0, tuple((n, math.exp(la / n)) for n, la in logs[:-1]),
-                                  (), "iterate collapsed to zero", True, rel_tol)
-        value, roots, ratios, conv = _estimate_from_logs(logs, stride, rel_tol)
+                                  (), "iterate collapsed to zero", True)
+        value, roots, ratios, conv = _estimate_from_logs(logs, stride)
         if conv or stride == 6:
             rule = "all n" if stride == 1 else f"n == 0 (mod {stride})"
-            return GrowthEstimate(value, roots, ratios, rule, conv, rel_tol)
+            return GrowthEstimate(value, roots, ratios, rule, conv)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +325,7 @@ def green_series(M: MomentMatrix, x, lam, n_max=400) -> float:
     return math.inf if y is None else float(y[i])
 
 
-def seneta_sequence(model: BrwModel, exhaustion, x0, n_max=2000, rel_tol=1e-3):
+def seneta_sequence(model: BrwModel, exhaustion, x0, n_max=2000):
     """Local growth of the induced submatrix along a sequence of windows.
 
     The induced restriction keeps m_xy for x, y inside each window, so the
@@ -343,5 +338,5 @@ def seneta_sequence(model: BrwModel, exhaustion, x0, n_max=2000, rel_tol=1e-3):
         subset = set(subset)
         if x0 not in subset:
             raise ModelError(f"x0={x0!r} missing from an exhaustion member")
-        out.append(local_growth_rate(M.submatrix(subset), x0, n_max=n_max, rel_tol=rel_tol))
+        out.append(local_growth_rate(M.submatrix(subset), x0, n_max=n_max))
     return out

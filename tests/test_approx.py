@@ -296,6 +296,21 @@ class TestPercolation:
         r = oriented_percolation(cfg, 5, seed=3)
         assert r.frequency == 1.0
 
+    @pytest.mark.parametrize("kwargs, what", [
+        ({"horizon": 2.5}, "horizon"),
+        ({"width": -3}, "width"),
+        ({"width": 2.5}, "width"),
+        ({"base": "n", "origin": -1}, "origin"),
+        ({"base": "q"}, "base"),
+        ({"edges": ((0, 1), (1, 0)), "origin": 7}, "origin"),
+        ({"edges": ((0, -1), (1, 0))}, "edge end"),
+        ({"edges": ()}, "origin"),
+    ], ids=["horizon-2.5", "width-neg", "width-2.5", "n-origin-neg", "unknown-base",
+            "edges-origin-7", "edges-negative", "edges-empty"])
+    def test_config_rejects_what_it_cannot_run(self, kwargs, what):
+        with pytest.raises(ModelError, match=what):
+            PercolationConfig(**{"p": 0.5, "horizon": 5, **kwargs})
+
     @pytest.mark.parametrize("budget", [None, 1000])
     @pytest.mark.parametrize("base", ["z", "n"])
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])

@@ -191,6 +191,22 @@ class TestErrors:
         assert run_cli(["classify", "--scenario", "zdrift",
                         "--set", "param.p=0.9", "--set", "param.q=0.8"]) == 2
 
+    @pytest.mark.parametrize("command, setting", [
+        ("sweep", "replicas=abc"),
+        ("sweep", "horizon=abc"),
+        ("sweep", "hard_cap=abc"),
+        ("percolate", "seed=abc"),
+        ("percolate", "p=abc"),
+        ("percolate", "width=abc"),
+        ("spatial", "radii=abc"),
+        ("percolate", "horizon=2.5"),
+    ])
+    def test_bad_number_exit_one(self, command, setting, tmp_path, capsys):
+        code = run_cli([command, "--scenario", "gw", "--set", setting, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
+
 
 class TestSpatialSpectral:
     def test_spatial_runs(self, tmp_path, capsys):

@@ -630,6 +630,14 @@ class TestRunValidation:
         with pytest.raises(ModelError, match="cap"):
             run(build_zd_translation(radius=2))
 
+    @pytest.mark.parametrize("run", [
+        lambda m: truncation_sweep(m, [], {0: 1}, 5, 3),
+        lambda m: run_trial_batch(m, [], {0: 1}, 5, [0]),
+    ], ids=["truncation_sweep", "run_trial_batch"])
+    def test_empty_cap_list(self, run):
+        with pytest.raises(ModelError, match="cap"):
+            run(build_zd_translation(radius=2))
+
     @pytest.mark.parametrize("replica", [2 ** 32, -1, 2 ** 40 + 7, 1.0])
     def test_replica_index_outside_the_stream_key(self, replica):
         # the key packs the index in 32 bits: 2**32 would reuse replica 0's stream
