@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph
-from scipy.special import xlogy
 
 from .core import BrwModel, IntDistribution, ModelError, restrict_model
 from .genfun import _verdict
@@ -51,6 +49,8 @@ class DriftParams:
 
 def _log_q(d: DriftParams, alpha, beta):
     """(log Q, admissible exponents) over broadcast alpha and beta; see ``q_value``."""
+    from scipy.special import xlogy
+
     a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
     e1, e2, e3 = b, b - a, 1.0 - 2.0 * b + a
     admissible = ~((b <= 0) | (e2 < -1e-15) | (e3 < -1e-15) | (b >= (1.0 + a) / 2.0 + 1e-15))
@@ -230,6 +230,8 @@ def spatial_experiment(model: BrwModel, exhaustion, x0, mc=None) -> SpatialResul
 
 def ball_exhaustion(model: BrwModel, x0, radii):
     """Graph-distance balls around x0 in the moment graph, one per radius."""
+    from scipy.sparse import csgraph
+
     M = moment_matrix(model)
     und = M.csr + M.csr.T
     dist = csgraph.shortest_path(und, method="D", unweighted=True,

@@ -55,8 +55,10 @@ def read_config_file(path) -> dict:
     return out
 
 
-# the numeric config keys and their types; "radii" is a list of whole numbers
-_NUMBERS = dict(replicas=int, horizon=int, hard_cap=int, seed=int, p=float, width=int, radii=int)
+# the numeric config keys and their types; "radii" is a list of whole numbers, and
+# the vertices x0 and target are whole numbers, as in every scenario
+_NUMBERS = dict(replicas=int, horizon=int, hard_cap=int, seed=int, p=float, width=int, radii=int,
+                x0=int, target=int)
 
 
 def _number(key, value):

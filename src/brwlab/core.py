@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
-from scipy.special._ufuncs import _binom_pmf  # scipy.stats.binom.pmf is this, clipped to [0, 1]
+from scipy.sparse import csr_matrix
 
 PROB_TOL = 1e-12
 
@@ -220,6 +219,9 @@ class IntDistribution:
             return self
         if self.support_max > 100_000:
             raise ModelError("thinning a law with huge bursts is not supported")
+        # scipy.stats.binom.pmf is this ufunc, clipped to [0, 1]
+        from scipy.special._ufuncs import _binom_pmf
+
         out = np.zeros(self.support_max + 1)
         for v, pv in zip(self.values, self.probs):
             out[: v + 1] += pv * np.clip(_binom_pmf(np.arange(v + 1), int(v), s), 0.0, 1.0)
@@ -688,6 +690,8 @@ def check_assumption_nonsingular(model: BrwModel):
     Classes are the strong components of this truncation's mean matrix, which
     can differ from the untruncated ones; the report carries that caveat.
     """
+    from scipy.sparse import csgraph
+
     ncomp, labels = csgraph.connected_components(law_table(model).mean(), connection="strong")
     classes = [[] for _ in range(ncomp)]
     for v, lab in zip(model.vertices, labels.tolist()):

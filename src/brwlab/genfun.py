@@ -11,15 +11,14 @@ the least fixed point of G on the ancestors of A, with the global one.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix, identity
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse import csr_matrix
 
 from .core import BrwModel, ModelError, continuous_counterpart, law_table, restrict_model
-from .spectral import GrowthEstimate, MomentMatrix, global_growth_rate, local_growth_rate, moment_matrix
+from .spectral import (GrowthEstimate, MomentMatrix, _solve_i_minus, global_growth_rate,
+                       local_growth_rate, moment_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +166,7 @@ def _newton_step(G: _GEvaluator, z: np.ndarray) -> np.ndarray:
     if active.size:
         J = G.jacobian(z)[active][:, active]
         rhs = gz[active] - z[active]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MatrixRankWarning)
-            dz = spsolve(identity(active.size, format="csr") - J, rhs)
+        dz = _solve_i_minus(J, rhs)
         z1[active] += dz if np.all(np.isfinite(dz)) else rhs
     return np.clip(z1, 0.0, 1.0)
 
@@ -228,6 +225,8 @@ def iterate_extinction(model: BrwModel, target="global", tol=1e-12, max_iter=200
     if missing or not A:
         raise ModelError(f"target must be a nonempty set of model vertices; "
                          f"not in the model: {missing[:5]}")
+    from scipy.sparse import csgraph
+
     # Anc(A): vertices at finite distance from A in the reversed moment graph
     dist = csgraph.dijkstra(moment_matrix(model).csr.T, indices=[model.index[v] for v in A],
                             unweighted=True, min_only=True)

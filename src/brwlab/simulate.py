@@ -459,7 +459,10 @@ class RestrictionCoupling:
 
 def _caps(caps) -> list:
     """A nonempty cap list as floats (None read as math.inf), each at least 1."""
-    caps = [math.inf if c is None else float(c) for c in caps]
+    try:
+        caps = [math.inf if c is None else float(c) for c in caps]
+    except (TypeError, ValueError, OverflowError):          # 10**400 does not fit a float
+        raise ModelError("each cap must be a number that fits a float, or None") from None
     if not caps or not all(c >= 1 for c in caps):          # NaN fails too
         raise ModelError(f"need at least one cap, each at least 1, got {caps}")
     return caps
@@ -471,9 +474,10 @@ def _cap_label(cap):
 
 
 def _cap_limits(caps):
-    """Caps from ``_caps`` as an int64 (S, 1) column, or None when none is finite."""
+    """Caps from ``_caps`` as an int64 (S, 1) column, or None when none is finite;
+    a cap at or above the int64 maximum clips nothing, like math.inf."""
     if any(map(math.isfinite, caps)):
-        return np.array([int(c) if math.isfinite(c) else _INT64_MAX for c in caps])[:, None]
+        return np.array([int(min(c, _INT64_MAX)) for c in caps])[:, None]
 
 
 def _step(states, caps, model, rng, keep_masks=None):
@@ -550,10 +554,12 @@ def _start_total(counts) -> int:
     return total
 
 
-def _check_run(model, eta0, horizon, replicas, vertex=None, role="target"):
+def _check_run(model, eta0, horizon, replicas, vertex=None, role="target", hard_cap=None):
     """The one validation point of the Monte Carlo runs; returns the start state."""
     _whole(replicas, 1, "replicas")
     _whole(horizon, 0, "horizon")
+    if hard_cap is not None:
+        _whole(hard_cap, 1, "hard_cap")
     if vertex is not None and vertex not in model.index:
         raise ModelError(f"{role} {vertex!r} is not a vertex of the model")
     if isinstance(eta0, dict):
@@ -601,7 +607,7 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
         raise ModelError("one coupling entry per cap required")
     # a stream key holds each index in 32 bits: 2**32 would reuse replica 0's stream
     replicas = [_whole(r, 0, "replica index", 2 ** 32) for r in replicas]
-    eta = _check_run(model, eta0, horizon, len(replicas), target)
+    eta = _check_run(model, eta0, horizon, len(replicas), target, hard_cap=hard_cap)
     t_idx = model.index[target] if target is not None else None
     masks, limit, lower, upper = _trial_plan(model, caps, couplings)
     start = np.stack([eta.counts if mask is None else eta.counts * mask for mask in masks])

@@ -15,8 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix, identity, issparse
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse import csr_matrix, identity, issparse
 
 from .core import BrwModel, ModelError, law_table
 
@@ -77,6 +76,8 @@ class MomentMatrix:
 
     def _strong_labels(self):
         if self._labels is None:
+            from scipy.sparse import csgraph
+
             _, self._labels = csgraph.connected_components(
                 self.csr, directed=True, connection="strong")
         return self._labels
@@ -103,6 +104,8 @@ class MomentMatrix:
             return 0
         # BFS levels from x inside the class, then gcd over edges of
         # level(u) + 1 - level(v); all vertices are reachable within a class
+        from scipy.sparse import csgraph
+
         start = cls.index(x)
         level = csgraph.shortest_path(sub, method="D", unweighted=True,
                                       indices=start).astype(np.int64)
@@ -272,6 +275,19 @@ def global_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=1e-13) -> Growt
 # generating series
 # ---------------------------------------------------------------------------
 
+def _solve_i_minus(A, b):
+    """Solve (I - A) x = b for a square sparse A by scipy's spsolve.
+
+    A singular system gives non-finite entries, with its MatrixRankWarning
+    silenced.
+    """
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MatrixRankWarning)
+        return spsolve(identity(A.shape[0], format="csr") - A, b)
+
+
 def _series_sum(A, b):
     """sum_n A^n b for nonnegative A and b, or None where the series diverges.
 
@@ -280,13 +296,11 @@ def _series_sum(A, b):
     b, a singular system or a negative entry certifies divergence (Seneta 2006, ch. 1).
     """
     n = A.shape[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MatrixRankWarning)
-        try:
-            h = (np.linalg.solve(np.eye(n) - A.toarray(), b) if n <= _DENSE_CUTOFF
-                 else spsolve(identity(n, format="csr") - A, b))
-        except np.linalg.LinAlgError:
-            return None
+    try:
+        h = (np.linalg.solve(np.eye(n) - A.toarray(), b) if n <= _DENSE_CUTOFF
+             else _solve_i_minus(A, b))
+    except np.linalg.LinAlgError:
+        return None
     return h if np.isfinite(h).all() and (h >= 0).all() else None
 
 

@@ -96,20 +96,21 @@ def test_05_coupling_domination():
         model = bl.build_scenario("zd_translation", {"radius": 6})
         window = frozenset(range(-2, 3))
         pairs = 0
-        for r in range(2500):   # (inf,1) and (inf,5): two pairs per replica
-            bl.run_coupled_trials(model, [1, 5, math.inf], {0: 1}, 25,
-                                  seed=501, replica=r, hard_cap=4000)
-            pairs += 2
-        for r in range(2500):   # restriction coupling against the free process
-            bl.run_coupled_trials(model, [math.inf, math.inf], {0: 1}, 25,
-                                  seed=502, replica=r, hard_cap=4000,
+        # each batch runs replicas 0..2499 as 2,500 run_coupled_trials calls
+        # would, asserting every domination pair at every step
+        outs = bl.run_trial_batch(model, [1, 5, math.inf], {0: 1}, 25, range(2500),
+                                  seed=501, hard_cap=4000)
+        pairs += 2 * len(outs)  # (inf,1) and (inf,5): two pairs per replica
+        # restriction coupling against the free process
+        outs = bl.run_trial_batch(model, [math.inf, math.inf], {0: 1}, 25, range(2500),
+                                  seed=502, hard_cap=4000,
                                   couplings=[bl.RestrictionCoupling(window), None])
-            pairs += 1
-        for r in range(2500):   # capped + restricted lower against free upper
-            bl.run_coupled_trials(model, [5, math.inf], {0: 1}, 25,
-                                  seed=503, replica=r, hard_cap=4000,
+        pairs += len(outs)
+        # capped + restricted lower against free upper
+        outs = bl.run_trial_batch(model, [5, math.inf], {0: 1}, 25, range(2500),
+                                  seed=503, hard_cap=4000,
                                   couplings=[bl.RestrictionCoupling(window), None])
-            pairs += 1
+        pairs += len(outs)
         assert pairs == 10_000
 
 

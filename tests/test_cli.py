@@ -200,6 +200,8 @@ class TestErrors:
         ("percolate", "width=abc"),
         ("spatial", "radii=abc"),
         ("percolate", "horizon=2.5"),
+        ("sweep", "target=[1]"),
+        ("sweep", "x0=[1]"),
     ])
     def test_bad_number_exit_one(self, command, setting, tmp_path, capsys):
         code = run_cli([command, "--scenario", "gw", "--set", setting, "--out", str(tmp_path)])

@@ -217,16 +217,40 @@ class TestThinningPmf:
         assert seen
 
     def test_import_leaves_scipy_stats_out(self):
-        import brwlab
-
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(brwlab.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = ("import sys, brwlab, brwlab.cli; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert _fresh_python(code) == "[]"
+
+    def test_monte_carlo_leaves_scipy_graph_and_solvers_out(self):
+        # the bench's sweep and replicas set-up models, one coupled trial and a
+        # mean curve: none of them needs a graph search or a linear solve
+        code = """if True:
+            import math, sys
+            import brwlab as bl, brwlab.cli
+            line6 = bl.build_scenario("zd_translation", {"radius": 6})
+            window = bl.RestrictionCoupling(frozenset(range(-2, 3)))
+            bl.build_scenario("line_ex45", {"size": 64})
+            bl.build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}})
+            bl.build_scenario("zd_translation", {"radius": 10})
+            bl.run_coupled_trials(line6, [5, math.inf], {0: 1}, 25, seed=503, hard_cap=4000,
+                                  couplings=[window, None])
+            bl.mean_curve(line6, {0: 1}, 10, replicas=100, seed=1)
+            print(sorted(m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg",
+                                     "scipy.linalg") if m in sys.modules))
+        """
+        assert _fresh_python(code) == "[]"
+
+
+def _fresh_python(code) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports this brwlab."""
+    import brwlab
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(brwlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,8 @@ class TestIterateExtinction:
             solved.append(bool(np.all(np.isfinite(x))))
             return x
 
-        spsolve_orig = gf.spsolve
-        monkeypatch.setattr(gf, "spsolve", recording)
+        spsolve_orig = gf._solve_i_minus
+        monkeypatch.setattr(gf, "_solve_i_minus", recording)
         laws = {0: law_from([({0: 1}, 1.0)]),
                 1: law_from([({1: 2}, 0.6), ({}, 0.4)]),
                 2: law_from([({2: 2}, 0.5), ({}, 0.5)]),

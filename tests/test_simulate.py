@@ -630,6 +630,28 @@ class TestRunValidation:
         with pytest.raises(ModelError, match="cap"):
             run(build_zd_translation(radius=2))
 
+    def test_cap_too_large_for_a_float(self):
+        m = build_zd_translation(radius=2)
+        with pytest.raises(ModelError, match="cap"):
+            truncation_sweep(m, [10 ** 400], {0: 1}, 5, 3)
+        with pytest.raises(ModelError, match="cap"):
+            run_coupled_trials(m, [2, 10 ** 400], {0: 1}, 5)
+
+    def test_cap_beyond_int64_clips_nothing(self):
+        m = build_zd_translation(radius=2)
+        res = truncation_sweep(m, [2 ** 63, 1e19], {0: 1}, 8, 20, seed=4)
+        runs = [[(o.alive, o.visits_to_target, o.peak_population, o.total_born, o.status)
+                 for o in res.outcomes[c]] for c in (2 ** 63, 1e19, math.inf)]
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("hard_cap", [-5, 0, 2.5, math.inf])
+    def test_hard_cap_not_a_whole_number_at_least_one(self, hard_cap):
+        m = build_zd_translation(radius=2)
+        with pytest.raises(ModelError, match="hard_cap"):
+            truncation_sweep(m, [1], {0: 1}, 5, 3, hard_cap=hard_cap)
+        with pytest.raises(ModelError, match="hard_cap"):
+            run_coupled_trials(m, [1, math.inf], {0: 1}, 5, hard_cap=hard_cap)
+
     @pytest.mark.parametrize("run", [
         lambda m: truncation_sweep(m, [], {0: 1}, 5, 3),
         lambda m: run_trial_batch(m, [], {0: 1}, 5, [0]),
