@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ class TestThinningPmf:
     def test_monte_carlo_leaves_scipy_graph_and_solvers_out(self):
         # the bench's sweep and replicas set-up models, one coupled trial and a
         # mean curve: none of them needs a graph search or a linear solve
-        code = """if True:
+        code = textwrap.dedent("""
             import math, sys
             import brwlab as bl, brwlab.cli
             line6 = bl.build_scenario("zd_translation", {"radius": 6})
@@ -237,7 +238,7 @@ class TestThinningPmf:
             bl.mean_curve(line6, {0: 1}, 10, replicas=100, seed=1)
             print(sorted(m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg",
                                      "scipy.linalg") if m in sys.modules))
-        """
+        """)
         assert _fresh_python(code) == "[]"
 
 
