@@ -236,10 +236,7 @@ def ball_exhaustion(model: BrwModel, x0, radii):
     und = M.csr + M.csr.T
     dist = csgraph.shortest_path(und, method="D", unweighted=True,
                                  indices=M.index[x0])
-    out = []
-    for r in radii:
-        out.append(tuple(v for v in model.vertices if dist[M.index[v]] <= r))
-    return out
+    return [tuple(M.vertices[i] for i in np.flatnonzero(dist <= r).tolist()) for r in radii]
 
 
 # ---------------------------------------------------------------------------

@@ -539,9 +539,9 @@ class TrialOutcome:
 
 
 def _whole(value, least, what, below=math.inf):
-    """``value`` as an int when it is a whole number (numpy integers included)
-    in [least, below)."""
-    if not isinstance(value, numbers.Integral) or not least <= value < below:
+    """``value`` as an int when it is a whole number (numpy integers included,
+    bools not) in [least, below)."""
+    if type(value) is bool or not (isinstance(value, numbers.Integral) and least <= value < below):
         raise ModelError(f"{what} must be a whole number in [{least}, {below}), got {value!r}")
     return int(value)
 

@@ -41,7 +41,8 @@ class MomentMatrix:
         if self.csr.nnz and self.csr.data.min() < 0:
             raise ModelError("negative weight in a moment matrix")
         self._labels = None
-        self._periods = {}
+        self._classes = {}      # strong-component label -> that class's MomentMatrix
+        self._period = None     # set on an irreducible matrix (a class) once computed
 
     @staticmethod
     def from_rows(rows: dict, vertices) -> "MomentMatrix":
@@ -67,12 +68,14 @@ class MomentMatrix:
         return float(self.row_sums().max()) if self.dim else 0.0
 
     def submatrix(self, subset) -> "MomentMatrix":
-        keepset = set(subset)
-        keep = [v for v in self.vertices if v in keepset]
-        if not keep:
+        idx = np.unique([self.index[v] for v in subset if v in self.index])
+        if not idx.size:
             raise ModelError("empty submatrix")
-        idx = np.array([self.index[v] for v in keep])
-        return MomentMatrix(self.csr[np.ix_(idx, idx)], keep)
+        return self if idx.size == self.dim else self._cut(idx)
+
+    def _cut(self, idx) -> "MomentMatrix":
+        """The principal submatrix on the ascending indices idx."""
+        return MomentMatrix(self.csr[idx][:, idx], [self.vertices[i] for i in idx.tolist()])
 
     def _strong_labels(self):
         if self._labels is None:
@@ -82,37 +85,37 @@ class MomentMatrix:
                 self.csr, directed=True, connection="strong")
         return self._labels
 
-    def communicating_class(self, x):
+    def _class_matrix(self, x) -> "MomentMatrix":
+        """x's communicating class: self when irreducible, else cut once and cached."""
         if x not in self.index:
             raise ModelError(f"vertex {x!r} not in the matrix")
+        if self.is_irreducible():
+            return self
         labels = self._strong_labels()
         lab = labels[self.index[x]]
-        return tuple(v for v in self.vertices if labels[self.index[v]] == lab)
+        if lab not in self._classes:
+            self._classes[lab] = cls = self._cut(np.flatnonzero(labels == lab))
+            cls._labels = np.zeros(cls.dim, labels.dtype)     # irreducible by construction
+        return self._classes[lab]
+
+    def communicating_class(self, x):
+        return self._class_matrix(x).vertices
 
     def is_irreducible(self) -> bool:
-        return len(set(self._strong_labels())) == 1
+        return self.dim > 0 and not self._strong_labels().any()
 
     def period(self, x) -> int:
         """gcd of return-path lengths through x's class (0 if x has no returns)."""
-        if x in self._periods:
-            return self._periods[x]
-        cls = self.communicating_class(x)
-        idx = np.array([self.index[v] for v in cls])
-        sub = self.csr[np.ix_(idx, idx)]
-        if sub.nnz == 0:
-            self._periods[x] = 0
-            return 0
-        # BFS levels from x inside the class, then gcd over edges of
-        # level(u) + 1 - level(v); all vertices are reachable within a class
-        from scipy.sparse import csgraph
+        cls = self._class_matrix(x)
+        if cls._period is None:
+            # a class invariant: gcd over edges of level(u) + 1 - level(v), BFS from 0
+            from scipy.sparse import csgraph
 
-        start = cls.index(x)
-        level = csgraph.shortest_path(sub, method="D", unweighted=True,
-                                      indices=start).astype(np.int64)
-        coo = sub.tocoo()
-        diffs = level[coo.row] + 1 - level[coo.col]
-        self._periods[x] = int(abs(np.gcd.reduce(diffs)))
-        return self._periods[x]
+            level = csgraph.shortest_path(cls.csr, method="D", unweighted=True,
+                                          indices=0).astype(np.int64)
+            coo = cls.csr.tocoo()
+            cls._period = int(abs(np.gcd.reduce(level[coo.row] + 1 - level[coo.col])))
+        return cls._period
 
 
 def moment_matrix(model: BrwModel) -> MomentMatrix:
@@ -133,9 +136,9 @@ def expected_population(M: MomentMatrix, eta0, n: int) -> np.ndarray:
             u[M.index[v]] = c
     else:
         u = np.asarray(eta0, dtype=float).copy()
-    mat = M.csr
+    mat_t = M.csr.T
     for _ in range(n):
-        u = mat.T.dot(u)
+        u = mat_t.dot(u)
     return u
 
 
@@ -194,13 +197,13 @@ def _log_sequence(M, start_idx, read, stride, n_max, stop_tol):
     last_ratio = None
     for n in range(1, n_max + 1):
         u = u @ mat if dense else mat.dot(u)
-        s = u.sum()
+        s = np.add.reduce(u)
         if s <= 0.0:
             out.append((n, -math.inf))
             break
         logscale += math.log(s)
         u /= s
-        if n % stride == 0:
+        if stride == 1 or n % stride == 0:
             val = read(u)
             out.append((n, math.log(val) + logscale if val > 0 else -math.inf))
             if len(out) >= 2 and math.isfinite(out[-1][1]) and math.isfinite(out[-2][1]):
@@ -216,16 +219,13 @@ def _log_sequence(M, start_idx, read, stride, n_max, stop_tol):
 
 
 def _estimate_from_logs(logs, stride):
-    roots = tuple((n, math.exp(la / n)) for n, la in logs if math.isfinite(la))
-    ratios = []
     finite = [(n, la) for n, la in logs if math.isfinite(la)]
-    for (n0, a), (n1, b) in zip(finite, finite[1:]):
-        if n1 - n0 == stride:
-            ratios.append(math.exp((b - a) / stride))
-    ratios = tuple(ratios)
+    roots = tuple((n, math.exp(la / n)) for n, la in finite)
+    ratios = tuple(math.exp((b - a) / stride)
+                   for (n0, a), (n1, b) in zip(finite, finite[1:]) if n1 - n0 == stride)
     if not roots:
         return 0.0, roots, ratios, True
-    value = _aitken(list(ratios)) if ratios else roots[-1][1]
+    value = _aitken(ratios) if ratios else roots[-1][1]
     return value, roots, ratios, _converged(ratios)
 
 
@@ -236,14 +236,14 @@ def local_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=1e-13) -> Growth
     are taken along n = 0 mod period(x0); the value is the Aitken-accelerated
     ratio of on-period terms, converged when the last three agree to _REL_TOL.
     """
-    sub = M.submatrix(M.communicating_class(x0))
-    p = sub.period(x0)
+    cls = M._class_matrix(x0)
+    p = M.period(x0)
     if p == 0:
         return GrowthEstimate(0.0, (), (), "no return paths", True)
     if n_max < 2 * p:
         raise ModelError(f"n_max={n_max} below twice the period {p}")
-    i0 = sub.index[x0]
-    logs = _log_sequence(sub, i0, lambda u: u[i0], p, n_max, stop_tol)
+    i0 = cls.index[x0]
+    logs = _log_sequence(cls, i0, lambda u: u[i0], p, n_max, stop_tol)
     value, roots, ratios, conv = _estimate_from_logs(logs, p)
     return GrowthEstimate(value, roots, ratios, f"n == 0 (mod {p})", conv)
 
@@ -261,7 +261,7 @@ def global_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=1e-13) -> Growt
         raise ModelError("n_max must be at least 2")
     i0 = M.index[x0]
     for stride in (1, 2, 3, 4, 5, 6):
-        logs = _log_sequence(M, i0, lambda u: u.sum(), stride, n_max, stop_tol)
+        logs = _log_sequence(M, i0, np.add.reduce, stride, n_max, stop_tol)
         if logs and not math.isfinite(logs[-1][1]):
             return GrowthEstimate(0.0, tuple((n, math.exp(la / n)) for n, la in logs[:-1]),
                                   (), "iterate collapsed to zero", True)
@@ -297,19 +297,25 @@ def _series_sum(A, b):
     """
     n = A.shape[0]
     try:
-        h = (np.linalg.solve(np.eye(n) - A.toarray(), b) if n <= _DENSE_CUTOFF
-             else _solve_i_minus(A, b))
+        h = (np.linalg.solve(np.eye(n) - (A.toarray() if issparse(A) else A), b)
+             if n <= _DENSE_CUTOFF else _solve_i_minus(A, b))
     except np.linalg.LinAlgError:
         return None
     return h if np.isfinite(h).all() and (h >= 0).all() else None
 
 
 def _class_block(M: MomentMatrix, x, lam):
-    """lam * M on x's communicating class (csr), and x's index in that class."""
+    """lam * M on x's class (dense up to _DENSE_CUTOFF vertices) and x's index in it."""
     if not 0.0 <= lam < math.inf:
         raise ModelError(f"lam must be finite and nonnegative, got {lam!r}")
-    sub = M.submatrix(M.communicating_class(x))
-    return sub.csr * float(lam), sub.index[x]
+    cls = M._class_matrix(x)
+    block = cls.csr.toarray() if cls.dim <= _DENSE_CUTOFF else cls.csr
+    return block * float(lam), cls.index[x]
+
+
+def _vector(a):
+    """A row or column of a class block as a 1-D array."""
+    return a.toarray().ravel() if issparse(a) else a
 
 
 def first_return_series(M: MomentMatrix, x, lam, n_max=400) -> float:
@@ -322,8 +328,8 @@ def first_return_series(M: MomentMatrix, x, lam, n_max=400) -> float:
     """
     A, i = _class_block(M, x, lam)
     t = np.flatnonzero(np.arange(A.shape[0]) != i)
-    h = _series_sum(A[t][:, t], A[t, i].toarray().ravel())
-    return math.inf if h is None else float(A[i, i] + A[i, t].toarray().ravel() @ h)
+    h = _series_sum(A[t][:, t], _vector(A[t, i]))
+    return math.inf if h is None else float(A[i, i] + _vector(A[i, t]) @ h)
 
 
 def green_series(M: MomentMatrix, x, lam, n_max=400) -> float:
@@ -346,11 +352,8 @@ def seneta_sequence(model: BrwModel, exhaustion, x0, n_max=2000):
     n-th entry is the growth of (m_xy) on exhaustion[n] at x0.  For nested
     windows the values are nondecreasing.
     """
+    windows = [set(subset) for subset in exhaustion]
+    if any(x0 not in w for w in windows):
+        raise ModelError(f"x0={x0!r} missing from an exhaustion member")
     M = moment_matrix(model)
-    out = []
-    for subset in exhaustion:
-        subset = set(subset)
-        if x0 not in subset:
-            raise ModelError(f"x0={x0!r} missing from an exhaustion member")
-        out.append(local_growth_rate(M.submatrix(subset), x0, n_max=n_max))
-    return out
+    return [local_growth_rate(M.submatrix(w), x0, n_max=n_max) for w in windows]

@@ -22,6 +22,7 @@ from brwlab.approx import (
 from brwlab.core import IntDistribution, ModelError
 from brwlab.scenarios import build_scenario, build_zd_translation
 from brwlab.simulate import _philox
+from brwlab.spectral import moment_matrix
 
 
 def mp_q_value(rho_bar, p, q, alpha, beta):
@@ -396,6 +397,19 @@ class TestSpatialExperiment:
         m = build_zd_translation(radius=6)
         balls = ball_exhaustion(m, 0, (1, 3, 5))
         assert set(balls[0]) < set(balls[1]) < set(balls[2])
+
+    @pytest.mark.parametrize("model", [build_zd_translation(radius=6),
+                                       build_scenario("tree_counterpart", {"depth": 3})],
+                             ids=["line", "tree"])
+    def test_ball_exhaustion_equals_vertex_scan(self, model):
+        from scipy.sparse import csgraph
+
+        M = moment_matrix(model)
+        dist = csgraph.shortest_path(M.csr + M.csr.T, method="D", unweighted=True,
+                                     indices=M.index[0])
+        radii = (0, 1, 2, 3, 5, 50)
+        scan = [tuple(v for v in model.vertices if dist[M.index[v]] <= r) for r in radii]
+        assert ball_exhaustion(model, 0, radii) == scan
 
     def test_mc_columns(self):
         m = build_zd_translation(radius=5)

@@ -11,6 +11,12 @@ def run_cli(args):
     return main(args)
 
 
+def _golden(workload) -> dict:
+    """The seed-0 CSV digests of one benchmark workload."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+    return json.loads(path.read_text())["full"][workload]
+
+
 class TestScenarios:
     def test_lists_all_names(self, capsys):
         assert run_cli(["scenarios"]) == 0
@@ -42,6 +48,14 @@ class TestClassify:
         value = [ln for ln in lines if ln.startswith("qbar_x0 ")][0].split(" ", 1)[1]
         assert abs(float(value) - 1 / 3) <= 1e-8
 
+    def test_evidence_body_matches_bench_golden(self, tmp_path, capsys):
+        code = run_cli(["classify", "--scenario", "gw", "--set", 'param.rho={"0":0.25,"2":0.75}',
+                        "--out", str(tmp_path)])
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "classify_evidence.csv").read_bytes()).hexdigest()
+        assert digest == "748ac9cc24dd48a9eb80fa300b6e84acd20e3d13c9b1a236b8362b01e956688f"
+        assert digest == _golden("analytic")["cli classify/classify_evidence.csv"]
+
     @pytest.mark.parametrize("scenario, method", [("line_ex45", "fixed-point"),
                                                   ("gw", "finite-irreducible")])
     def test_solves_once(self, scenario, method, tmp_path, capsys, monkeypatch):
@@ -64,8 +78,7 @@ class TestExtinction:
         assert body.startswith("vertex,qbar")
 
     def test_line_ex45_body_matches_bench_golden(self, tmp_path, capsys):
-        golden = pathlib.Path(__file__).resolve().parent.parent / "bench" / "golden.json"
-        want = json.loads(golden.read_text())["full"]["analytic"]["cli extinction/extinction.csv"]
+        want = _golden("analytic")["cli extinction/extinction.csv"]
         code = run_cli(["extinction", "--scenario", "line_ex45", "--set", "param.size=64",
                         "--out", str(tmp_path)])
         assert code == 0
@@ -88,8 +101,7 @@ class TestExtinction:
 
 class TestPercolate:
     def test_body_matches_bench_golden(self, tmp_path, capsys):
-        golden = pathlib.Path(__file__).resolve().parent.parent / "bench" / "golden.json"
-        want = json.loads(golden.read_text())["full"]["replicas"]["cli percolate/percolation.csv"]
+        want = _golden("replicas")["cli percolate/percolation.csv"]
         code = run_cli(["percolate", "--set", "p=0.7", "--horizon", "150", "--replicas", "100",
                         "--seed", "0", "--out", str(tmp_path)])
         assert code == 0
@@ -129,8 +141,7 @@ class TestSweepDeterminism:
         }
 
     def test_bench_bodies_match_bench_golden(self, tmp_path, capsys):
-        golden = pathlib.Path(__file__).resolve().parent.parent / "bench" / "golden.json"
-        want = json.loads(golden.read_text())["full"]["sweep"]
+        want = _golden("sweep")
         code = run_cli(["sweep", "--scenario", "zd_translation", "--set", "param.radius=20",
                         "--caps", "1,2,4,8", "--horizon", "100", "--replicas", "10",
                         "--seed", "7", "--out", str(tmp_path)])
@@ -223,3 +234,11 @@ class TestSpatialSpectral:
         assert code == 0
         body = (tmp_path / "growth.csv").read_text()
         assert body.startswith("series,n,term,on_subsequence")
+
+    def test_growth_body_matches_bench_golden(self, tmp_path, capsys):
+        code = run_cli(["spectral", "--scenario", "zd_translation", "--set", "param.radius=12",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "growth.csv").read_bytes()).hexdigest()
+        assert digest == "a3de3f9d10b9fa2bdd44690588ef1ea6daf5e3d1b4e3bcc112ffc23b7ffa41af"
+        assert digest == _golden("analytic")["cli spectral/growth.csv"]

@@ -652,6 +652,15 @@ class TestRunValidation:
         with pytest.raises(ModelError, match="hard_cap"):
             run_coupled_trials(m, [1, math.inf], {0: 1}, 5, hard_cap=hard_cap)
 
+    @pytest.mark.parametrize("key", ["hard_cap", "horizon", "replicas"])
+    def test_bool_is_not_a_whole_number(self, key):
+        # bool is a numbers.Integral, so True once ran as a hard cap, horizon or count of 1
+        m = build_zd_translation(radius=2)
+        args = {"hard_cap": 10, "horizon": 5, "replicas": 3, key: True}
+        with pytest.raises(ModelError, match=key):
+            truncation_sweep(m, [1], {0: 1}, args["horizon"], args["replicas"],
+                             hard_cap=args["hard_cap"])
+
     @pytest.mark.parametrize("run", [
         lambda m: truncation_sweep(m, [], {0: 1}, 5, 3),
         lambda m: run_trial_batch(m, [], {0: 1}, 5, [0]),

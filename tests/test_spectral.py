@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from brwlab.core import BrwModel, ModelError, OffspringConfig, build_offspring_law
-from brwlab.scenarios import build_line_noext, build_scenario, build_zd_translation
+from brwlab.genfun import lambda_sweep
+from brwlab.scenarios import build_line_noext, build_scenario, build_zd_translation, tree_rates
 from brwlab.spectral import (
     MomentMatrix,
     expected_population,
@@ -296,3 +298,97 @@ class TestSeneta:
         m = build_zd_translation(radius=4)
         with pytest.raises(ModelError):
             seneta_sequence(m, [range(1, 3)], 0)
+
+
+def _repr_digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _reducible_matrices():
+    """Random sparse 8-vertex matrices, most with several communicating
+    classes and some with a vertex without returns, and two period-2 classes."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for _ in range(6):
+        A = rng.uniform(0.1, 1.5, (8, 8)) * (rng.random((8, 8)) < 0.3)
+        out.append(MomentMatrix(A, tuple(range(8))))
+    out.append(MomentMatrix(np.kron(np.eye(2), [[0.0, 2.0], [1.5, 0.0]]), tuple("abcd")))
+    return out
+
+
+def _cycle_with_tail(n):
+    """A directed n-cycle (one class, above the dense cutoff) that also feeds a
+    vertex n without return, and a vertex n + 1 that feeds the cycle."""
+    A = np.zeros((n + 2, n + 2))
+    A[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    A[0, n] = 2.0
+    A[n + 1, 0] = 0.5
+    return MomentMatrix(A, tuple(range(n + 2)))
+
+
+class TestSameBytesPins:
+    """sha256 of the exact repr of growth and series outputs.  Recorded before
+    classes became index arrays cut once per matrix; any moved float shows."""
+
+    def test_seneta_sequence_radius_30(self):
+        m = build_zd_translation(radius=30)
+        ests = seneta_sequence(m, [range(-r, r + 1) for r in range(1, 31)], 0, n_max=6000)
+        got = [(e.value, e.sequence, e.ratios, e.converged) for e in ests]
+        assert _repr_digest(got) == (
+            "45b3ad8911853c6826bb1357c2ca9c55ab9cb2d90183aa64607bb9683111d662")
+
+    def test_lambda_sweep_tree(self):
+        verts, K = tree_rates(4, 5)
+        projected = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, width=2e-3,
+                                 projected_row_sum=4.0, stop_tol=1e-9)
+        general = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, width=2e-2,
+                               grid=(0.2, 0.3, 0.4), stop_tol=1e-9)
+        assert _repr_digest((projected, general)) == (
+            "28b672a334611480fdc749e4ccb6b6fd55a273207faab38811bbfb2962b4af65")
+
+    def test_series_on_acceptance_09_matrices(self):
+        rng = np.random.default_rng(1312)
+        got = []
+        while len(got) < 10 * 6 * 2:
+            A = rng.uniform(0.0, 1.2, (6, 6)) * (rng.random((6, 6)) < 0.8)
+            M = MomentMatrix(A, tuple(range(6)))
+            if M.max_row_sum() == 0.0:
+                continue
+            lam = 0.5 / M.max_row_sum()
+            for x in range(6):
+                got += [first_return_series(M, x, lam, n_max=800),
+                        green_series(M, x, lam, n_max=800)]
+        assert _repr_digest(got) == (
+            "251f999c9948c0d34d13a6cad160e06e272b18fb3e3eda2e0698ad5c94f32910")
+
+    def test_series_on_reducible_and_sparse_classes(self):
+        got = []
+        for M in _reducible_matrices():
+            for x in M.vertices:
+                got += [first_return_series(M, x, 0.3), green_series(M, x, 0.3)]
+        M = _cycle_with_tail(450)
+        for x in (0, 7, 450, 451):
+            for lam in (0.5, 0.999, 1.0, 1.001):
+                got += [first_return_series(M, x, lam), green_series(M, x, lam)]
+        assert _repr_digest(got) == (
+            "68ce130a100ea3d018156fc29d8d25f8747d380e8eda154d6baade9f09312440")
+
+    def test_growth_on_reducible_and_sparse_classes(self):
+        got = []
+        for M in _reducible_matrices():
+            for x in M.vertices:
+                got += [M.communicating_class(x), M.period(x), M.is_irreducible(),
+                        local_growth_rate(M, x, n_max=3000),
+                        global_growth_rate(M, x, n_max=3000)]
+        M = _cycle_with_tail(450)
+        for x in (0, 450, 451):
+            got += [local_growth_rate(M, x, n_max=1400), global_growth_rate(M, x, n_max=1400)]
+        assert _repr_digest(got) == (
+            "761c0cc7c7d85900ad32a515837b5f44c47bc348c183e9b1cc685e9eb34415e1")
+
+    def test_expected_population(self):
+        m = build_zd_translation(radius=30)
+        M = moment_matrix(m)
+        got = [expected_population(M, {0: 1, 5: 2}, n).tolist() for n in (0, 1, 7, 40)]
+        assert _repr_digest(got) == (
+            "c157c03ba91a2cf9d5d56e90b0dcb14a7b7f4faff2d58d77d814aef3571b307c")
