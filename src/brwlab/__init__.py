@@ -40,6 +40,7 @@ from .genfun import (
     iterate_extinction,
     lambda_sweep,
     strong_local_compare,
+    survival_probability,
 )
 from .simulate import (
     PopulationState,

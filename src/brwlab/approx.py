@@ -19,8 +19,8 @@ import numpy as np
 
 from .core import BrwModel, IntDistribution, ModelError, restrict_model
 from .genfun import _verdict
-from .simulate import (_DRAW_BUDGET, DEFAULT_HARD_CAP, _cap_label, _caps, _chunks, _StreamPool,
-                       _whole, estimate_survival, run_trial_batch, wilson_interval)
+from .simulate import (_DRAW_BUDGET, _MAX_CELLS, DEFAULT_HARD_CAP, _cap_label, _caps, _chunks,
+                       _StreamPool, _whole, estimate_survival, run_trial_batch, wilson_interval)
 from .spectral import local_growth_rate, moment_matrix, seneta_sequence
 
 
@@ -295,8 +295,9 @@ def truncation_sweep(model: BrwModel, caps, eta0, horizon, replicas, target=None
         raise ModelError("caps must be strictly ascending")
     if not math.isinf(caps[-1]):
         caps.append(math.inf)
-    batch = run_trial_batch(model, caps, eta0, horizon, range(_whole(replicas, 1, "replicas")),
-                            target, seed, hard_cap)
+    batch = run_trial_batch(model, caps, eta0, horizon,
+                            range(_whole(replicas, 1, "replicas", _MAX_CELLS + 1)), target, seed,
+                            hard_cap)
     per_cap = {c: list(outs) for c, outs in zip(caps, zip(*batch))}
     rows = []
     for c in caps:

@@ -106,13 +106,19 @@ def _build(cfg):
     return scenarios.build_scenario(name, _scenario_params(cfg))
 
 
+def _vertex(cfg, model, key, default):
+    """The vertex a config key names (``default`` when unset); UsageError if
+    the model has no such vertex."""
+    v = cfg.get(key)
+    if v is None:
+        return default
+    if v not in model.index:
+        raise UsageError(f"{key}={v!r} is not a vertex of the model")
+    return v
+
+
 def _x0(cfg, model):
-    x0 = cfg.get("x0")
-    if x0 is None:
-        return 0 if 0 in model.index else model.vertices[0]
-    if x0 not in model.index:
-        raise UsageError(f"x0={x0!r} is not a vertex of the model")
-    return x0
+    return _vertex(cfg, model, "x0", 0 if 0 in model.index else model.vertices[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +215,7 @@ def cmd_sweep(args) -> int:
     cfg = _merge_config(args)
     model = _build(cfg)
     x0 = _x0(cfg, model)
+    target = _vertex(cfg, model, "target", x0)
     caps = cfg.get("caps", [1, 2, 4, 8])
     if isinstance(caps, str):
         try:
@@ -220,7 +227,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("the caps list must not be empty")
     result = approx.truncation_sweep(
         model, caps, {x0: 1}, cfg.get("horizon", 100), cfg.get("replicas", 200),
-        target=cfg.get("target", x0), seed=cfg["seed"], hard_cap=cfg.get("hard_cap", 10 ** 6))
+        target=target, seed=cfg["seed"], hard_cap=cfg.get("hard_cap", 10 ** 6))
     out = cfg["out"]
     h = write_manifest(out, model, cfg["seed"])
     header, rows = result.csv_rows()

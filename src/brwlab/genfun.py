@@ -17,6 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .core import BrwModel, ModelError, continuous_counterpart, law_table, restrict_model
+from .simulate import _whole
 from .spectral import (GrowthEstimate, MomentMatrix, _solve_i_minus, global_growth_rate,
                        local_growth_rate, moment_matrix)
 
@@ -236,6 +237,23 @@ def iterate_extinction(model: BrwModel, target="global", tol=1e-12, max_iter=200
     q = np.ones(model.size)
     q[anc] = q_anc
     return q, diag
+
+
+def survival_probability(model: BrwModel, x0, horizon) -> float:
+    """P(some particle is alive at generation ``horizon`` | one particle at x0),
+    exactly: 1 - (G^T(0))(x0), from T evaluations of G.
+
+    (G^T(0))(x) is the probability that the descendants of a particle at x
+    are extinct by generation T.  This is the survival frequency that
+    ``estimate_survival`` estimates when no trial overflows; a restricted
+    Monte Carlo row follows it on ``restrict_model`` of the model.
+    """
+    if x0 not in model.index:
+        raise ModelError(f"x0 {x0!r} is not a vertex of the model")
+    G, z = _evaluator(model), np.zeros(model.size)
+    for _ in range(_whole(horizon, 0, "horizon")):
+        z = G(z)
+    return float(1.0 - z[model.index[x0]])
 
 
 @dataclass

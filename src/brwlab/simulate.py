@@ -13,9 +13,11 @@ One kernel draws all offspring.  It advances an (R, S, V) count array:
 R replicas, each with S coupled rows over V vertices, by one occupancy pass
 per generation: the occupied (replica, vertex) sites, each with one draw
 block sized by the largest of its rows, are sorted once into the canonical
-order, only the law groups that hold particles are visited, every temporary
-is sized by the occupied sites or their particles, and each row's children
-are counted by one bincount.  A trial batch steps all its live replicas
+order, only the law groups that hold particles are visited, each group's
+draws are read in chunks of at most _DRAW_BUDGET at fixed positions of its
+stream, every temporary is sized by the occupied sites or the budget, and
+each row's arrivals are summed from its per-(site, target) child counts by
+one scatter-add.  A trial batch steps all its live replicas
 together, each replica drawing from its own (seed, replica, generation)
 stream, so a batch is bit-identical to running its replicas one at a time;
 single steps use R = 1, and the replica-batched mean curves share one
@@ -27,6 +29,7 @@ step does not depend on any parent ordering.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import threading
@@ -43,13 +46,23 @@ _BATCH_SALT = 0xC2B2AE3D27D4EB4F
 _INT64_MAX = 2 ** 63 - 1
 _U32, _U63 = np.uint64(32), np.uint64(63)
 
-# Draws one _advance call (or one percolation level block) holds at most,
-# which bounds its temporaries; chosen by measurement.
+# Draws _advance holds at once: it reads each law group's draws in chunks of
+# at most this many, so its temporaries are sized by the occupied sites or
+# the budget (a percolation level block holds as many uniforms); chosen by
+# measurement.
 _DRAW_BUDGET = 1 << 16
+
+# Draws a trial batch hands one kernel call, which bounds the call's occupied
+# sites and per-replica generators; a replica above it runs alone.
+_BATCH_DRAWS = _DRAW_BUDGET
 
 # Cdfs of at most this many entries are inverted by a comparison scan, larger
 # ones by binary search; chosen by measurement.
 _SCAN_CDF = 8
+
+# Cells one dense Monte Carlo array may hold (1 GiB of int64): replicas x rows
+# x vertices of a state, replicas x (horizon + 1) tracked samples.
+_MAX_CELLS = 2 ** 27
 
 DEFAULT_HARD_CAP = 10 ** 8
 _Z95 = 1.959963984540054                    # the two-sided 95% normal quantile
@@ -156,21 +169,20 @@ class TrialStreams:
         return _philox(_TRIAL_SALT, self.seed, self.replica, _whole(n, 0, "generation", 2 ** 32))
 
 
-def _draw_indices(rng, cdf, sizes):
-    """iid indices with P(i) = cdf[i] - cdf[i-1] (inverse cdf on uniforms):
-    ``sizes`` of them from one shared generator, or, given a list of
-    per-replica generators, sizes[r] from rng[r] for each r in turn."""
-    if isinstance(rng, np.random.Generator):
-        if sizes == 0:
-            return np.empty(0, dtype=np.int64)
-        u = rng.random(sizes)
-    else:
-        u = np.empty(int(sizes.sum()))
-        pos = 0
-        for r in sizes.nonzero()[0].tolist():
-            k = int(sizes[r])
-            rng[r].random(out=u[pos:pos + k])
-            pos += k
+def _draw_indices(rng, cdf, stops, lo, hi):
+    """iid indices with P(i) = cdf[i] - cdf[i-1] (inverse cdf on uniforms) at
+    positions lo..hi-1 of a group's draw stream: from one shared generator
+    (stops None), or from one generator per run, rng[i] holding the positions
+    from stops[i-1] (0 for i = 0) up to stops[i].  A run read in pieces
+    draws what it draws in one piece, so chunks may cut runs anywhere."""
+    if stops is None:
+        return _invert_cdf(cdf, rng.random(hi - lo))
+    u = np.empty(hi - lo)
+    i, pos = bisect.bisect_right(stops, lo), lo
+    while pos < hi:
+        stop = min(stops[i], hi)
+        rng[i].random(out=u[pos - lo:stop - lo])
+        i, pos = i + 1, stop
     return _invert_cdf(cdf, u)
 
 
@@ -201,13 +213,20 @@ def _ranges(starts, stops):
 def _chunks(sizes, budget):
     """Split consecutive replicas into (lo, hi) runs of at most ``budget``
     draws; a replica above the budget gets a run of its own."""
-    lo, held = 0, 0
-    for i, k in enumerate(sizes.tolist()):
-        if held + k > budget and i > lo:
-            yield lo, i
-            lo, held = i, 0
-        held += k
-    yield lo, len(sizes)
+    held = np.concatenate(([0], np.add.accumulate(sizes)))     # draws before each replica
+    lo, n = 0, sizes.size
+    while True:
+        hi = min(n, max(lo + 1, int(held.searchsorted(held[lo] + budget, "right")) - 1))
+        yield lo, hi
+        if hi >= n:
+            return
+        lo = hi
+
+
+def _edges(total):
+    """The fixed chunk edges of a stream of ``total`` > _DRAW_BUDGET draws:
+    the multiples of _DRAW_BUDGET below it, then total."""
+    return np.append(np.arange(0, total, _DRAW_BUDGET), total)
 
 
 # ---------------------------------------------------------------------------
@@ -294,60 +313,107 @@ def _sampler(model: BrwModel):
 # the stepping kernel
 # ---------------------------------------------------------------------------
 
-def _atom_arrivals(block, reads, dest, rng, starts, group):
-    """Flat destinations of one atom-law vertex's children, per row; the
-    arguments are those of ``_product_arrivals``.  The vertex has one entry
-    per replica, so each entry is its replica's run of draws."""
-    A = group.cdf.size
-    ids = _draw_indices(rng, group.cdf, int(block.sum()) if starts is None else block)
-    if block.size > 1:
-        ids += np.arange(0, block.size * A, A).repeat(block)
-    first = block.cumsum() - block
-    out = []
-    for row in reads:
-        atoms = np.bincount(ids if (row == block).all() else ids[_ranges(first, first + row)],
-                            minlength=block.size * A).reshape(block.size, A)
-        out.append(dest.ravel().repeat((atoms @ group.configs).ravel()))
+def _born_at(rng, stops, group, total, queries):
+    """born[q], the children of the first q particles of a product group's
+    stream of ``total`` particles, for each array q of ``queries`` (every row
+    of q ascending).  The child totals are read in chunks of at most
+    _DRAW_BUDGET at fixed positions and summed with a carry, so only the
+    queries and one chunk are held."""
+    if total <= _DRAW_BUDGET:
+        born = np.zeros(total + 1, dtype=np.int64)
+        np.add.accumulate(group.rho_values[_draw_indices(rng, group.rho_cdf, stops, 0, total)],
+                          out=born[1:])
+        return [born[q] for q in queries]
+    out = [np.zeros_like(q) for q in queries]
+    edges = _edges(total)
+    rows = [(q, o, q.searchsorted(edges, "right").tolist())   # chunk c: q in (edges[c], edges[c+1]]
+            for qs, os in zip(queries, out) for q, o in zip(np.atleast_2d(qs), np.atleast_2d(os))]
+    carry = 0
+    for c, (lo, hi) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+        born = np.add.accumulate(group.rho_values[_draw_indices(rng, group.rho_cdf, stops, lo, hi)])
+        for q, o, cut in rows:
+            i, j = cut[c], cut[c + 1]
+            o[i:j] = born[q[i:j] - (lo + 1)] + carry
+        carry += int(born[-1])
     return out
 
 
-def _product_arrivals(block, reads, dest, rng, starts, group):
-    """Flat destinations (replica * V + vertex) of one product group's children,
-    per row, or None when no child is born.
+def _tally(rng, stops, cdf, firsts, ends, whole, prefix):
+    """Each row's counts of the outcomes of cdf per (entry, outcome), entries *
+    cdf.size flat, over a group's stream of draws read as ``_draw_indices``
+    reads it.  Entry i holds positions firsts[i]..ends[i]-1 (consecutive);
+    row s reads all of them when whole[s], else those below prefix[s, i].
+    The stream is read in chunks of at most _DRAW_BUDGET at fixed positions;
+    a chunk cuts an entry where it falls, and each chunk's counts are added
+    into the entries it covers."""
+    n, k = ends.size, cdf.size
+    total = int(ends[-1])
+    if total <= _DRAW_BUDGET:
+        ids = _draw_indices(rng, cdf, stops, 0, total)
+        if n > 1:
+            ids += np.arange(0, n * k, k).repeat(ends - firsts)
+        full = np.bincount(ids, minlength=n * k) if any(whole) else None
+        if prefix is None:
+            return [full] * len(whole)
+        return [full if w else np.bincount(ids[_ranges(firsts, stop)], minlength=n * k)
+                for w, stop in zip(whole, prefix)]
+    full = np.zeros(n * k, dtype=np.int64) if any(whole) else None
+    out = [full if w else np.zeros(n * k, dtype=np.int64) for w in whole]
+    edges = _edges(total)
+    e0s = ends.searchsorted(edges[:-1], "right").tolist()     # first entry each chunk covers
+    e1s = firsts.searchsorted(edges[1:], "left").tolist()     # one past its last
+    for lo, hi, e0, e1 in zip(edges[:-1].tolist(), edges[1:].tolist(), e0s, e1s):
+        a = np.maximum(firsts[e0:e1], lo)
+        b = np.minimum(ends[e0:e1], hi)
+        ids = _draw_indices(rng, cdf, stops, lo, hi)
+        ids += np.arange(0, (e1 - e0) * k, k).repeat(b - a)
+        if full is not None:
+            full[e0 * k:e1 * k] += np.bincount(ids, minlength=(e1 - e0) * k)
+        for w, o, stop in zip(whole, out, () if prefix is None else prefix):
+            if not w:
+                o[e0 * k:e1 * k] += np.bincount(
+                    ids[_ranges(a - lo, np.clip(stop[e0:e1], a, b) - lo)], minlength=(e1 - e0) * k)
+    return out
+
+
+def _product_arrivals(block, reads, rng, lasts, group):
+    """Each row's child counts of one product group per (entry, dispersal
+    slot), entries * k flat, or None when no child is born.
 
     The entries are the group's occupied (replica, vertex) blocks in draw
-    order: block holds their sizes, reads (S, entries) each row's prefix of
-    them and dest (entries, k) their flat target sites.  rng is the shared
-    generator (starts None) or one generator per replica, rng[i] drawing for
-    the run of entries from starts[i] on.  The children of a block's first j
-    particles are one contiguous range of the flat child array, so a row
-    that reads a prefix of some blocks gathers its children by ranges.
+    order: block holds their sizes and reads (S, entries) each row's prefix
+    of them.  rng is the shared generator (lasts None) or one generator per
+    replica, rng[i] drawing for the run of entries that ends at entry
+    lasts[i].  Pass 1 reads the child totals and keeps only the children
+    born before each block's start and end and each row's prefix end.  The
+    children of a block's first j particles are one contiguous range of the
+    group's children, so pass 2 reads the dispersal slots and counts, for a
+    row that reads a prefix of some blocks, the ranges it reads.
     """
     # ufunc methods: cumsum and all without the wrappers small trials pay for
     ends = np.add.accumulate(block)                        # one past each block's last particle
-    shared = starts is None
-    values = group.rho_values[_draw_indices(
-        rng, group.rho_cdf, int(ends[-1]) if shared else np.add.reduceat(block, starts))]
-    born = np.zeros(values.size + 1, dtype=np.int64)       # children of the first j particles
-    np.add.accumulate(values, out=born[1:])
-    cend = born[ends]                                      # children up to each block's end
-    if cend[-1] == 0:
-        return None
-    cstart = born[ends - block]                            # children before each block
+    firsts = ends - block
     whole = np.logical_and.reduce(reads == block, axis=1).tolist()  # rows reading whole blocks
-    # each row's range ends, (S, entries); None when every row reads whole blocks
-    stops = None if all(whole) else born[reads + (ends - block)]
-    del born, values                               # particle-sized: freed before the child draws
-    kids = cend - cstart
-    k = dest.shape[1]
-    flat = _draw_indices(rng, group.w_cdf,
-                         int(cend[-1]) if shared else np.add.reduceat(kids, starts))
-    if block.size > 1:
-        flat += np.arange(0, block.size * k, k).repeat(kids)
-    flat = dest.take(flat)
-    if stops is None:
-        return [flat] * len(whole)
-    return [flat if w else flat[_ranges(cstart, stop)] for w, stop in zip(whole, stops)]
+    born = _born_at(rng, None if lasts is None else ends[lasts].tolist(), group, int(ends[-1]),
+                    [firsts, ends] if all(whole) else [firsts, ends, reads + firsts])
+    if born[1][-1] == 0:
+        return None
+    return _tally(rng, None if lasts is None else born[1][lasts].tolist(), group.w_cdf, born[0],
+                  born[1], whole, born[2] if len(born) > 2 else None)
+
+
+def _atom_arrivals(block, reads, rng, lasts, group):
+    """Each row's child counts of one atom-law vertex per (entry, vertex its
+    atoms reach), entries * U flat; the arguments are those of
+    ``_product_arrivals``.  The vertex has one entry per replica, so each
+    entry is its replica's run of draws; a row's atom counts times the
+    atoms' configurations are its child counts."""
+    ends = np.add.accumulate(block)
+    firsts = ends - block
+    whole = np.logical_and.reduce(reads == block, axis=1).tolist()
+    atoms = _tally(rng, None if lasts is None else ends.tolist(), group.cdf, firsts, ends, whole,
+                   None if all(whole) else reads + firsts)
+    return [(c.reshape(ends.size, group.cdf.size) @ group.configs).ravel() for c in atoms]
 
 
 def _advance(counts, model, rng, keep_masks=None):
@@ -358,14 +424,16 @@ def _advance(counts, model, rng, keep_masks=None):
     theirs.  One occupancy pass lays out the draw blocks: one per occupied
     (replica, vertex), sized by the maximum over that replica's rows, ordered
     by law group (groups by least vertex), then replica-major, then by vertex.
-    Only the groups that hold particles are visited, and every array is sized
-    by the occupied blocks or their particles, never by R·V.  Row s reads the
-    first counts[r, s, v] draws of its block, so a smaller row sees a prefix
-    of a larger one's particles, gathered by prefix ranges.  Each row's
-    children, of every group, are counted by one bincount.  keep_masks[s]
-    (None or a boolean vertex mask) kills row s's children sent outside the
-    mask, realizing the restriction coupling.  Caps are NOT applied here;
-    the uncapped arrivals are returned.
+    Only the groups that hold particles are visited, and each group's draws
+    are read in chunks of at most _DRAW_BUDGET, so besides the (R, V)
+    occupancy and the output every array is sized by the occupied blocks or
+    the budget, never by the particles.  Row s
+    reads the first counts[r, s, v] draws of its block, so a smaller row sees
+    a prefix of a larger one's particles.  Each group gives each row's child
+    counts per (block, target site), and each row's arrivals are one int64
+    scatter-add of all of them.  keep_masks[s] (None or a boolean vertex mask)
+    kills row s's children sent outside the mask, realizing the restriction
+    coupling.  Caps are NOT applied here; the uncapped arrivals are returned.
     """
     R, S, V = counts.shape
     if R == 1 and isinstance(rng, list):
@@ -376,43 +444,50 @@ def _advance(counts, model, rng, keep_masks=None):
     occ = (sizes > 0).ravel().nonzero()[0]                 # replica * V + vertex, replica-major
     vert = occ % V
     gid = group_of[vert]
-    order = gid.argsort(kind="stable")                     # the draw order
-    occ, vert, gid = occ[order], vert[order], gid[order]
+    if len(groups) > 1:
+        order = gid.argsort(kind="stable")                 # the draw order
+        occ, vert, gid = occ[order], vert[order], gid[order]
     base = occ - vert                                      # replica * V
     bounds = gid.searchsorted(np.arange(len(groups) + 1))
     block = sizes.ravel()[occ]
     reads = block[None] if S == 1 else counts[occ // V, :, vert].T  # (S, entries)
     if not shared:             # each replica's entries in one group form a run of draws
-        run = np.ones(occ.size, dtype=bool)
-        run[1:] = (base[1:] != base[:-1]) | (gid[1:] != gid[:-1])
+        run = np.ones(occ.size + 1, dtype=bool)            # the runs' starts, then the end
+        run[1:-1] = (base[1:] != base[:-1]) | (gid[1:] != gid[:-1])
         run_at = run.nonzero()[0]
+        run_last = run_at[1:] - 1                          # each run's last entry
+        run_at = run_at[:-1]
         run_rng = [rng[i] for i in (base[run_at] // V).tolist()]
         run_bounds = run_at.searchsorted(bounds)
-    parts = [[] for _ in range(S)]                         # per row: flat child destinations
+    dests, weights = [], [[] for _ in range(S)]            # per group: target sites, row counts
     for g in (bounds[1:] > bounds[:-1]).nonzero()[0].tolist():
         a, b = bounds[g], bounds[g + 1]
         group = groups[g]
-        starts, grng = None, rng
+        lasts, grng = None, rng
         if not shared:
             i, j = run_bounds[g], run_bounds[g + 1]
-            starts, grng = run_at[i:j] - a, run_rng[i:j]
+            lasts, grng = run_last[i:j] - a, run_rng[i:j]
+        arrive = _atom_arrivals if isinstance(group, _AtomGroup) else _product_arrivals
+        kids = arrive(block[a:b], reads[:, a:b], grng, lasts, group)
+        if kids is None:
+            continue
         dest = group.targets[row_of[vert[a:b]]]            # (entries, k) flat target sites
         if R > 1:
             dest += base[a:b, None]
-        arrive = _atom_arrivals if isinstance(group, _AtomGroup) else _product_arrivals
-        for s, f in enumerate(arrive(block[a:b], reads[:, a:b], dest, grng, starts, group) or ()):
-            parts[s].append(f)
-    new = None if S == 1 else np.empty((R, S, V), dtype=np.int64)
-    for s, row in enumerate(parts):
-        flat = row[0] if len(row) == 1 else np.concatenate(row or [np.empty(0, np.intp)])
-        arrivals = np.bincount(flat, minlength=R * V).reshape(R, V)
-        if new is None:
-            new = arrivals[:, None]
-        else:
-            new[:, s] = arrivals
-        if keep_masks and keep_masks[s] is not None:
-            new[:, s] *= keep_masks[s]
-    return new
+        dests.append(dest.ravel())
+        for row, w in zip(weights, kids):
+            row.append(w)
+    new = np.zeros((S, R, V), dtype=np.int64)
+    if dests:
+        dest = dests[0] if len(dests) == 1 else np.concatenate(dests)
+        for row, w in zip(new.reshape(S, R * V), weights):
+            # exact in int64; a weighted bincount would round-trip through float64
+            np.add.at(row, dest, w[0] if len(w) == 1 else np.concatenate(w))
+    if keep_masks:
+        for row, mask in zip(new, keep_masks):
+            if mask is not None:
+                row *= mask
+    return new.transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +629,19 @@ def _start_total(counts) -> int:
     return total
 
 
-def _check_run(model, eta0, horizon, replicas, vertex=None, role="target", hard_cap=None):
+def _check_cells(what, cells):
+    """Refuse a dense array of more than _MAX_CELLS cells before it is made."""
+    if cells > _MAX_CELLS:
+        raise ModelError(f"{what} would hold {cells} cells, more than 2**27: use fewer "
+                         "replicas, rows or generations")
+
+
+def _check_run(model, eta0, horizon, replicas, vertex=None, role="target", hard_cap=None,
+               rows=1):
     """The one validation point of the Monte Carlo runs; returns the start state."""
     _whole(replicas, 1, "replicas")
     _whole(horizon, 0, "horizon")
+    _check_cells("the replicas x rows x vertices state", replicas * rows * model.size)
     if hard_cap is not None:
         _whole(hard_cap, 1, "hard_cap")
     if vertex is not None and vertex not in model.index:
@@ -598,16 +682,18 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
     replicas advance together, each drawing from its own
     TrialStreams(seed, replica).generation(n) key, so the outcomes equal the
     one-at-a-time runs bit for bit.  The live replicas are re-chunked every
-    generation so one kernel call holds at most _DRAW_BUDGET particles; a
-    replica above that runs alone.
+    generation so one kernel call holds at most _BATCH_DRAWS particles; a
+    replica above that runs alone.  ``replicas`` is a sequence, and the
+    replicas x caps x vertices state must fit _MAX_CELLS.
     """
     caps = _caps(caps)
     couplings = list(couplings) if couplings is not None else [None] * len(caps)
     if len(couplings) != len(caps):
         raise ModelError("one coupling entry per cap required")
+    eta = _check_run(model, eta0, horizon, len(replicas), target, hard_cap=hard_cap,
+                     rows=len(caps))
     # a stream key holds each index in 32 bits: 2**32 would reuse replica 0's stream
     replicas = [_whole(r, 0, "replica index", 2 ** 32) for r in replicas]
-    eta = _check_run(model, eta0, horizon, len(replicas), target, hard_cap=hard_cap)
     t_idx = model.index[target] if target is not None else None
     masks, limit, lower, upper = _trial_plan(model, caps, couplings)
     start = np.stack([eta.counts if mask is None else eta.counts * mask for mask in masks])
@@ -641,7 +727,7 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
         stepped = counts if len(row_masks) == len(masks) else counts[:, rows]
         new = np.empty_like(stepped)
         spans = ([(0, 1)] if idx.size == 1
-                 else _chunks(stepped.max(axis=1).sum(axis=1), _DRAW_BUDGET))
+                 else _chunks(stepped.max(axis=1).sum(axis=1), _BATCH_DRAWS))
         for lo, hi in spans:
             rngs = pool.streams(replica_ids[idx[lo:hi]], gen)
             new[lo:hi] = _advance(stepped[lo:hi], model, rngs, row_masks)
@@ -725,8 +811,8 @@ def estimate_survival(model: BrwModel, eta0, horizon, replicas, target=None,
     inputs, never on execution order, so replicas may run anywhere.
     """
     outcomes = [outs[0] for outs in run_trial_batch(
-        model, [cap], eta0, horizon, range(_whole(replicas, 1, "replicas")), target, seed,
-        hard_cap)]
+        model, [cap], eta0, horizon, range(_whole(replicas, 1, "replicas", _MAX_CELLS + 1)),
+        target, seed, hard_cap)]
     alive = sum(o.alive for o in outcomes)
     lo, hi = wilson_interval(alive, replicas)
     return SurvivalEstimate(alive / replicas, lo, hi, replicas, horizon, outcomes[0].cap, seed,
@@ -748,6 +834,9 @@ def mean_curve(model: BrwModel, eta0, horizon, replicas, seed=0, track=None):
     """
     eta = _check_run(model, eta0, horizon, replicas, vertex=track, role="track")
     R, V = int(replicas), model.size
+    _check_cells("the generations x vertices means", (horizon + 1) * V)
+    if track is not None:
+        _check_cells("the replicas x generations samples", R * (horizon + 1))
     counts = np.zeros((R, V), dtype=np.int64)
     counts[:] = eta.counts
     t_idx = model.index[track] if track is not None else None

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from brwlab.cli import EXIT_SCENARIO, EXIT_USAGE, main
+from brwlab.cli import EXIT_USAGE, main
 
 
 def run_cli(args):
@@ -158,11 +158,14 @@ class TestSweepDeterminism:
         assert code == 3
         assert (tmp_path / "sweep.csv").exists()
 
-    def test_unknown_target_exit_two(self, tmp_path, capsys):
+    def test_unknown_target_writes_nothing(self, tmp_path, capsys):
+        # the same exit code as an unknown --x0
         code = run_cli(["sweep", "--scenario", "gw", "--target", "5", "--caps", "1",
                         "--horizon", "5", "--replicas", "2", "--out", str(tmp_path)])
-        assert code == EXIT_SCENARIO
-        assert "target 5" in capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "target=5" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+        assert not (tmp_path / "manifest.txt").exists()
 
 
 class TestConfigFile:

@@ -23,6 +23,7 @@ from brwlab.genfun import (
     iterate_extinction,
     lambda_sweep,
     strong_local_compare,
+    survival_probability,
 )
 from brwlab.scenarios import (
     build_line_ex45,
@@ -368,6 +369,30 @@ class TestGrouping:
         assert ev(z).tobytes() == np.clip(g, 0.0, 1.0).tobytes()
         J = ev.P.multiply(scale[:, None]).toarray()
         assert ev.jacobian(z).toarray().tobytes() == J.tobytes()
+
+
+class TestSurvivalProbability:
+    def test_gw_closed_form(self):
+        # 1 - G^T(0) for G(s) = .4 + .6 s^2: 1, .6, 1 - (.4 + .6 * .4^2)
+        m = gw({0: 0.4, 2: 0.6})
+        assert survival_probability(m, 0, 0) == 1.0
+        assert survival_probability(m, 0, 1) == pytest.approx(0.6, abs=1e-15)
+        assert survival_probability(m, 0, 2) == pytest.approx(0.504, abs=1e-15)
+
+    def test_decreases_to_global_survival(self):
+        m = gw({0: 0.4, 2: 0.6})
+        seq = [survival_probability(m, 0, t) for t in range(0, 400, 40)]
+        assert all(a >= b for a, b in zip(seq, seq[1:]))
+        assert seq[-1] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_rejects_unknown_vertex_and_bad_horizon(self):
+        m = gw({0: 0.4, 2: 0.6})
+        with pytest.raises(ModelError, match="x0"):
+            survival_probability(m, 3, 5)
+        with pytest.raises(ModelError, match="horizon"):
+            survival_probability(m, 0, -1)
+        with pytest.raises(ModelError, match="horizon"):
+            survival_probability(m, 0, 2.5)
 
 
 class TestSubsolution:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from brwlab.core import (
     build_offspring_law,
     product_form_law,
 )
+from brwlab.genfun import survival_probability
 from brwlab.scenarios import build_scenario, build_zd_translation
 from brwlab.simulate import (
     _TRIAL_SALT,
@@ -299,6 +301,34 @@ class TestTrials:
         assert born.mean() <= bound + 4 * se
 
 
+def _wilson(successes, n, z):
+    phat = successes / n
+    denom = 1.0 + z * z / n
+    center = (phat + z * z / (2 * n)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    return center - half, center + half
+
+
+class TestSurvivalLaw:
+    """Monte Carlo survival frequencies against the exact finite-horizon law
+    1 - (G^T(0))(x0).  Seeds, replica count and the z = 4 Wilson interval were
+    fixed before the first run; a kernel that draws the wrong law fails
+    here even when no digest pin moves."""
+
+    @pytest.mark.parametrize("name, params, horizon, seed, oracle", [
+        ("gw", {"rho": {0: 0.4, 2: 0.6}}, 20, 17, 0.33517),
+        ("line_ex45", {"size": 64}, 30, 18, 0.74059),
+    ])
+    def test_frequency_brackets_exact_survival(self, name, params, horizon, seed, oracle):
+        m = build_scenario(name, params)
+        exact = survival_probability(m, 0, horizon)
+        assert exact == pytest.approx(oracle, abs=5e-6)
+        est = estimate_survival(m, {0: 1}, horizon, 4000, seed=seed)
+        assert est.overflow_count == 0
+        lo, hi = _wilson(round(est.frequency * 4000), 4000, 4.0)
+        assert lo <= exact <= hi
+
+
 class TestSweepMachinery:
     def test_monotone_in_cap_by_construction(self):
         m = build_zd_translation(radius=8)
@@ -428,14 +458,81 @@ def _digest(outcomes) -> str:
     return _sha(repr([dataclasses.astuple(o) for o in outcomes]).encode())
 
 
-@pytest.fixture(params=[None, 1, 300], ids=["default-budget", "one-replica-per-call",
-                                           "budget-300"])
+@pytest.fixture(params=[None, ("_BATCH_DRAWS", 1), ("_BATCH_DRAWS", 300), ("_DRAW_BUDGET", 1000)],
+                ids=["default-budget", "one-replica-per-call", "budget-300", "chunk-1000"])
 def draw_budget(request, monkeypatch):
-    """Run a test at the default particle budget of one kernel call, with every
-    replica alone, and with a budget that splits a batch mid-generation."""
+    """Run a test at the default budgets; with every replica alone in its kernel
+    call; with a batch budget that splits a batch mid-generation; and with the
+    kernel reading its draws in chunks of 1000 (7 or 64 where a test asks),
+    which cut blocks and each replica's run of draws, so one site can span
+    several chunks."""
     if request.param is not None:
-        monkeypatch.setattr(simulate, "_DRAW_BUDGET", request.param)
+        monkeypatch.setattr(simulate, *request.param)
     return request.param
+
+
+def _advance_cases():
+    """(name, counts, model, rng, keep_masks) inputs of ``_advance``: product and
+    atom groups, shared and per-replica streams, S > 1 rows that read
+    prefixes of their blocks under keep masks, and sites far above a chunk."""
+    line = build_zd_translation(radius=5)          # three product groups
+    mixed = interleaved_model()                    # two product groups and an atom group
+    ex45 = build_scenario("line_ex45", {"size": 12})   # atom groups only
+    gw = build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}})
+    pick = np.random.default_rng(2024)
+
+    def rows(model, R, caps, masks):
+        top = pick.integers(0, 40, (R, model.size))
+        top[0, pick.integers(model.size)] = 300
+        out = [np.minimum(top, c) * (1 if m is None else m) for c, m in zip(caps, masks)]
+        return np.stack(out, axis=1)
+
+    def streams(R, seed):
+        return [TrialStreams(seed, r).generation(3) for r in range(R)]
+
+    inner = np.arange(line.size) % 3 > 0
+    left = np.arange(mixed.size) < 5
+    return [
+        ("product-per-replica", rows(line, 4, [2 ** 62, 3, 2 ** 62, 5], [None, None, inner, inner]),
+         line, streams(4, 31), [None, None, inner, inner]),
+        ("mixed-per-replica", rows(mixed, 3, [2 ** 62, 2, 2 ** 62], [None, None, left]),
+         mixed, streams(3, 32), [None, None, left]),
+        ("atoms-per-replica", rows(ex45, 3, [2 ** 62, 4], [None, None]), ex45, streams(3, 33),
+         None),
+        ("mixed-shared", rows(mixed, 5, [2 ** 62], [None]), mixed, TrialStreams(34).generation(1),
+         None),
+        ("atoms-shared", rows(ex45, 4, [2 ** 62, 6], [None, None]), ex45,
+         TrialStreams(35).generation(1), None),
+        ("gw-one-site", np.array([[[300], [41]], [[170], [170]]]), gw, streams(2, 36), None),
+        ("gw-one-site-shared", np.array([[[300], [41]]]), gw, TrialStreams(37).generation(1),
+         None),
+    ]
+
+
+_ADVANCE_DIGESTS = {
+    "product-per-replica": "02267bbaad0ba841ee5f9baa5e082915b8fdc532b5f76c3fff620f767e860b74",
+    "mixed-per-replica": "2491808f2fb4fc10b5f46cee23e49ae4b1c658f54dfb228d03d34146831dba55",
+    "atoms-per-replica": "bd9e6b3ca4342d3577248af8cc7c8f4000a22a20d829b0a0ba4e090156c3ab00",
+    "mixed-shared": "023585f6df53c8a044255a3debe7ebe2bfd6392f7d277fa19541fdd9e84af476",
+    "atoms-shared": "640e62784364c17ba91e39119bacbb818819089871989d4c7c1f998958eeebc6",
+    "gw-one-site": "97dbc608b3c6823a2977de03c536ac7524edb0fb4dbd7fb7c6674f0e70622512",
+    "gw-one-site-shared": "2b07e1c0afd998ae1b9a989ffb234367249f33a3c91f40ad775c2e806d03daf0",
+}
+
+
+class TestKernelChunks:
+    """``_advance`` reads each group's draws in chunks at fixed positions of
+    its stream; its output must not depend on where the chunks fall.  The
+    digests were recorded before the kernel read its draws in chunks."""
+
+    @pytest.mark.parametrize("draw_budget", [None, ("_DRAW_BUDGET", 7), ("_DRAW_BUDGET", 64)],
+                             ids=["default-budget", "chunk-7", "chunk-64"], indirect=True)
+    @pytest.mark.parametrize("name", list(_ADVANCE_DIGESTS))
+    def test_chunks_do_not_move_a_byte(self, draw_budget, name):
+        counts, model, rng, masks = {c[0]: c[1:] for c in _advance_cases()}[name]
+        out = simulate._advance(counts, model, rng, masks)
+        assert out.shape == counts.shape and out.dtype == np.int64
+        assert _sha(out.tobytes()) == _ADVANCE_DIGESTS[name]
 
 
 class TestTrialBatch:
@@ -458,7 +555,7 @@ class TestTrialBatch:
         assert _digest(outs) == "776d6279287b7206e08ebfb43110be4de80a0e6a50c5d1038f1965107a13afe3"
         assert len({o.generations for o in outs if o.status == "overflow"}) > 1
         assert len({o.generations for o in outs if o.status == "extinct"}) > 1
-        if draw_budget == 1:
+        if draw_budget == ("_BATCH_DRAWS", 1):
             assert set(widths) == {1}
         else:   # a chunk boundary inside the batch: wide calls and lone replicas
             assert max(widths) > 1 and min(widths) == 1
@@ -586,6 +683,23 @@ class TestStreamOffsets:
 
 class TestRunValidation:
     """Inputs a Monte Carlo run cannot use raise ModelError, not a traceback or output."""
+
+    @pytest.mark.parametrize("run", [
+        lambda m: mean_curve(m, {0: 1}, 8, 10 ** 12),
+        lambda m: mean_curve(m, {0: 1}, 10 ** 9, 10),
+        lambda m: mean_curve(m, {0: 1}, 10 ** 6, 1000, track=0),
+        lambda m: estimate_survival(m, {0: 1}, 5, 10 ** 10),
+        lambda m: truncation_sweep(m, [1], {0: 1}, 5, 10 ** 10),
+        lambda m: run_trial_batch(m, [1, 2, math.inf], {0: 1}, 5, range(3 * 10 ** 6)),
+    ], ids=["curve-replicas", "curve-means", "curve-samples", "survival-replicas",
+            "sweep-replicas", "batch-rows"])
+    def test_oversized_dense_state_fails_fast(self, run):
+        # each would allocate over 2**27 cells (or a 10**10-entry replica list)
+        m = build_zd_translation(radius=10)
+        start = time.perf_counter()
+        with pytest.raises(ModelError, match=r"2\*\*27|134217729"):
+            run(m)
+        assert time.perf_counter() - start < 1.0
 
     def test_replicas_below_one(self):
         m = build_zd_translation(radius=2)
@@ -789,7 +903,8 @@ def _cdfs(draw):
 
 
 class TestInverseCdf:
-    """The comparison scan and the range gather against their plain definitions."""
+    """The comparison scan, the range gather and the replica chunks against their
+    plain definitions."""
 
     @settings(max_examples=300, deadline=None)
     @given(_cdfs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
@@ -812,11 +927,32 @@ class TestInverseCdf:
 
         sizes = np.array(sizes)
         total = int(sizes.sum())
-        assert np.array_equal(_draw_indices(gen(0), cdf, total),
+        assert np.array_equal(_draw_indices(gen(0), cdf, None, 0, total),
                               _binary_search(cdf, gen(0).random(total)))
         u = np.concatenate([gen(r).random(k) for r, k in enumerate(sizes.tolist())])
-        assert np.array_equal(_draw_indices([gen(r) for r in range(sizes.size)], cdf, sizes),
+        stops = np.cumsum(sizes).tolist()
+        assert np.array_equal(_draw_indices([gen(r) for r in range(sizes.size)], cdf, stops, 0,
+                                            total), _binary_search(cdf, u))
+        # read in pieces at fixed positions, which cut runs anywhere
+        gens = [gen(r) for r in range(sizes.size)]
+        pieces = [_draw_indices(gens, cdf, stops, lo, min(lo + 7, total))
+                  for lo in range(0, total, 7)]
+        assert np.array_equal(np.concatenate(pieces + [np.empty(0, np.intp)]),
                               _binary_search(cdf, u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=30), st.integers(1, 60))
+    @example([], 5)
+    @example([70, 1, 1, 70, 2], 3)
+    def test_chunks_equal_the_greedy_loop(self, sizes, budget):
+        want, lo, held = [], 0, 0
+        for i, k in enumerate(sizes):
+            if held + k > budget and i > lo:
+                want.append((lo, i))
+                lo, held = i, 0
+            held += k
+        want.append((lo, len(sizes)))
+        assert list(simulate._chunks(np.array(sizes, dtype=np.int64), budget)) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 8)), max_size=12))
@@ -829,8 +965,8 @@ class TestInverseCdf:
 
 
 class TestMemory:
-    """tracemalloc peaks of the kernel's largest bench states, at or below the
-    peaks measured when each bound was set (numpy 2.4)."""
+    """tracemalloc peaks of the kernel's largest bench states against fixed
+    bounds; the comments give the peaks measured with numpy 2.4."""
 
     @staticmethod
     def _peak_mb(run):
@@ -848,9 +984,17 @@ class TestMemory:
         counts = np.stack([np.minimum(top, c) for c in (1, 2, 4, 8)] + [top])[None]
         peak = self._peak_mb(lambda: simulate._advance(counts, m, TrialStreams(7).generation(1),
                                                        [None] * 5))
-        assert peak <= 49.7          # 49.6 MB before
+        assert peak <= 4.0           # 1.7 MB; 24.5 MB before the kernel read in chunks
+
+    def test_one_site_above_many_chunks(self):
+        # a single-vertex GW population at the sweep's hard cap: one block of
+        # 10**6 particles, split across chunks
+        m = build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}})
+        counts = np.full((1, 1, 1), 10 ** 6, dtype=np.int64)
+        peak = self._peak_mb(lambda: simulate._advance(counts, m, TrialStreams(7).generation(1)))
+        assert peak <= 4.0           # 1.6 MB; 19.2 MB before the kernel read in chunks
 
     def test_bench_mean_curve(self):
         m = build_zd_translation(radius=10)
         peak = self._peak_mb(lambda: mean_curve(m, {0: 1}, 8, 100_000, seed=77, track=0))
-        assert peak <= 99.1          # 99.0 MB; 134.0 MB before the one occupancy pass
+        assert peak <= 85.0          # 65.0 MB; 96.6 MB before the kernel read in chunks
