@@ -43,7 +43,6 @@ from .genfun import (
     survival_probability,
 )
 from .simulate import (
-    PopulationState,
     RestrictionCoupling,
     TrialOutcome,
     TrialStreams,
@@ -52,9 +51,6 @@ from .simulate import (
     run_coupled_trials,
     run_survival_trial,
     run_trial_batch,
-    step,
-    step_coupled,
-    step_truncated,
     wilson_interval,
 )
 from .approx import (

@@ -20,7 +20,8 @@ import numpy as np
 from .core import BrwModel, IntDistribution, ModelError, restrict_model
 from .genfun import _verdict
 from .simulate import (_DRAW_BUDGET, _MAX_CELLS, DEFAULT_HARD_CAP, _cap_label, _caps, _chunks,
-                       _StreamPool, _whole, estimate_survival, run_trial_batch, wilson_interval)
+                       _seed, _StreamPool, _whole, estimate_survival, run_trial_batch,
+                       wilson_interval)
 from .spectral import local_growth_rate, moment_matrix, seneta_sequence
 
 
@@ -392,6 +393,7 @@ def oriented_percolation(config: PercolationConfig, replicas, seed=0) -> Percola
     only the batch's union window of edges and the sites they enter.
     """
     replicas = _whole(replicas, 1, "replicas")
+    _seed(seed)
     n, src, dst, origin = _perc_structure(config)
     E = src.size
     # into[:, v] lists v's in-edges, padded with E: a column of `carry` that stays closed

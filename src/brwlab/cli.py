@@ -92,6 +92,8 @@ def _merge_config(args) -> dict:
         cfg[key] = [_number(key, r) for r in val] if key == "radii" else _number(key, val)
     if cfg.get("replicas", 1) < 1:
         raise UsageError("replicas must be at least 1")
+    if not 0 <= cfg["seed"] < 2 ** 64:                # the width of a stream key word
+        raise UsageError(f"seed must be a whole number in [0, 2**64), got {cfg['seed']}")
     return cfg
 
 

@@ -17,11 +17,16 @@ order, only the law groups that hold particles are visited, each group's
 draws are read in chunks of at most _DRAW_BUDGET at fixed positions of its
 stream, every temporary is sized by the occupied sites or the budget, and
 each row's arrivals are summed from its per-(site, target) child counts by
-one scatter-add.  A trial batch steps all its live replicas
-together, each replica drawing from its own (seed, replica, generation)
-stream, so a batch is bit-identical to running its replicas one at a time;
-single steps use R = 1, and the replica-batched mean curves share one
-stream per generation with S = 1.
+one scatter-add.  A group's draws become per-site counts in one of two ways,
+which give the same integers: a call of at least _SEGMENT_FLOOR draws with
+at least _SEGMENT_RATIO draws per boundary point (site starts and ends, each
+row's prefix ends) and a cdf of at most _SCAN_CDF entries sums, for each
+interior cdf entry, the uniforms that reach it between consecutive boundary
+points; any other call inverts each draw and counts the indices.  A trial
+batch steps all its live replicas together, each replica drawing from its
+own (seed, replica, generation) stream, so a batch is bit-identical to
+running its replicas one at a time; the replica-batched mean curves share
+one stream per generation with S = 1.
 
 Per-site caps are applied after summing arrivals from all parents, so a
 step does not depend on any parent ordering.
@@ -40,7 +45,6 @@ import numpy as np
 from .core import BrwModel, ModelError, law_table
 
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _TRIAL_SALT = 0x9E3779B97F4A7C15
 _BATCH_SALT = 0xC2B2AE3D27D4EB4F
 _INT64_MAX = 2 ** 63 - 1
@@ -59,6 +63,15 @@ _BATCH_DRAWS = _DRAW_BUDGET
 # Cdfs of at most this many entries are inverted by a comparison scan, larger
 # ones by binary search; chosen by measurement.
 _SCAN_CDF = 8
+
+# A group call with at least _SEGMENT_FLOOR draws, at least _SEGMENT_RATIO
+# draws per boundary point (entry starts and ends, prefix ends) and a cdf of
+# at most _SCAN_CDF entries counts its draws by segment sums between those
+# points; any other inverts each draw.  Both give the same integers; the
+# segment sums win on large sites, per-draw indices on small sites and small
+# calls.  Chosen by measurement.
+_SEGMENT_FLOOR = 1 << 15
+_SEGMENT_RATIO = 32
 
 # Cells one dense Monte Carlo array may hold (1 GiB of int64): replicas x rows
 # x vertices of a state, replicas x (horizon + 1) tracked samples.
@@ -83,7 +96,7 @@ def wilson_interval(successes, n):
 
 def _seed_words(salt, seed) -> np.ndarray:
     """The first key word, seed ^ salt, and its float64-rounded twin (uint64)."""
-    words = np.full(2, (int(seed) & _MASK64) ^ salt, dtype=np.uint64)
+    words = np.full(2, int(seed) ^ salt, dtype=np.uint64)
     words[1:] = words[1:].astype(np.float64).astype(np.uint64)
     return words
 
@@ -161,7 +174,7 @@ class TrialStreams:
     """Per-(seed, replica) family of per-generation Philox generators."""
 
     def __init__(self, seed, replica=0):
-        self.seed = int(seed) & _MASK64
+        self.seed = _seed(seed)
         self.replica = _whole(replica, 0, "replica index", 2 ** 32)
 
     def generation(self, n) -> np.random.Generator:
@@ -169,21 +182,27 @@ class TrialStreams:
         return _philox(_TRIAL_SALT, self.seed, self.replica, _whole(n, 0, "generation", 2 ** 32))
 
 
-def _draw_indices(rng, cdf, stops, lo, hi):
-    """iid indices with P(i) = cdf[i] - cdf[i-1] (inverse cdf on uniforms) at
-    positions lo..hi-1 of a group's draw stream: from one shared generator
-    (stops None), or from one generator per run, rng[i] holding the positions
-    from stops[i-1] (0 for i = 0) up to stops[i].  A run read in pieces
-    draws what it draws in one piece, so chunks may cut runs anywhere."""
+def _uniforms(rng, stops, lo, hi):
+    """The uniforms at positions lo..hi-1 of a group's draw stream: from one
+    shared generator (stops None), or from one generator per run, rng[i]
+    holding the positions from stops[i-1] (0 for i = 0) up to stops[i].  A
+    run read in pieces draws what it draws in one piece, so chunks may cut
+    runs anywhere."""
     if stops is None:
-        return _invert_cdf(cdf, rng.random(hi - lo))
+        return rng.random(hi - lo)
     u = np.empty(hi - lo)
     i, pos = bisect.bisect_right(stops, lo), lo
     while pos < hi:
         stop = min(stops[i], hi)
         rng[i].random(out=u[pos - lo:stop - lo])
         i, pos = i + 1, stop
-    return _invert_cdf(cdf, u)
+    return u
+
+
+def _draw_indices(rng, cdf, stops, lo, hi):
+    """iid indices with P(i) = cdf[i] - cdf[i-1] (inverse cdf on the uniforms
+    ``_uniforms`` reads) at positions lo..hi-1 of a group's draw stream."""
+    return _invert_cdf(cdf, _uniforms(rng, stops, lo, hi))
 
 
 def _invert_cdf(cdf, u):
@@ -224,8 +243,8 @@ def _chunks(sizes, budget):
 
 
 def _edges(total):
-    """The fixed chunk edges of a stream of ``total`` > _DRAW_BUDGET draws:
-    the multiples of _DRAW_BUDGET below it, then total."""
+    """The fixed chunk edges of a stream of ``total`` > 0 draws: the multiples
+    of _DRAW_BUDGET below it, then total."""
     return np.append(np.arange(0, total, _DRAW_BUDGET), total)
 
 
@@ -313,12 +332,81 @@ def _sampler(model: BrwModel):
 # the stepping kernel
 # ---------------------------------------------------------------------------
 
-def _born_at(rng, stops, group, total, queries):
+def _segmented(cdf, total, entries, cols):
+    """Whether a group call of ``total`` draws over ``entries`` entries with
+    ``cols`` boundary points each counts its draws by segment sums
+    (``_seen``) rather than by per-draw indices."""
+    return (cdf.size <= _SCAN_CDF and total >= _SEGMENT_FLOOR
+            and total >= _SEGMENT_RATIO * entries * cols)
+
+
+def _boundaries(cols):
+    """(the distinct stream positions the columns hold, increasing; each
+    column's index into them, as rows).  cols are arrays over a group's
+    entries: the first holds each entry's start, the last its end (the next
+    entry's start), the others positions between the two, so sorting each
+    entry's few values orders all of them."""
+    q = np.stack(cols, axis=1)
+    order = q.argsort(axis=1)
+    flat = np.take_along_axis(q, order, axis=1).ravel()
+    new = np.empty(flat.size, dtype=bool)
+    new[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    rank = (np.add.accumulate(new) - 1).reshape(q.shape)
+    at = np.empty_like(rank)
+    np.put_along_axis(at, order, rank, axis=1)
+    return flat[new], at.T
+
+
+def _seen(rng, stops, cdf, points):
+    """(points.size, cdf.size) int64: row i counts each outcome of cdf among
+    the draws before points[i] of a group's stream, read as ``_draw_indices``
+    reads it; points increase strictly from 0 to the stream's length.
+
+    A draw's index exceeds j exactly when its uniform reaches cdf[j], so per
+    chunk of at most _DRAW_BUDGET each interior entry's indicator is summed
+    between consecutive points by one segment sum, and running sums of those
+    give the draws before each point whose index exceeds j; outcome j is the
+    difference of the sums for j - 1 and j.
+    """
+    total, k = int(points[-1]), cdf.size
+    above = np.zeros((k + 1, points.size), dtype=np.int64)  # row j: index > j - 1
+    above[0] = points
+    edges = _edges(total)
+    upto = points.searchsorted(edges, "right")     # chunk c holds points upto[c]..upto[c+1]-1
+    below = points.searchsorted(edges[1:], "left")  # of which those below its end
+    carry = np.zeros((k - 1, 1), dtype=np.int64)
+    inner = cdf[:-1, None]
+    for lo, hi, a, m, b in zip(edges[:-1].tolist(), edges[1:].tolist(), upto[:-1].tolist(),
+                               below.tolist(), upto[1:].tolist()):
+        u = _uniforms(rng, stops, lo, hi)      # read even when k == 1: the stream moves on
+        if k == 1:
+            continue
+        starts = np.concatenate(([0], points[a:m] - lo))   # strictly increasing: no empty segment
+        # a chunk's sums fit int32 (_DRAW_BUDGET < 2**31), which halves the reduceat's work
+        sums = np.add.reduceat((u >= inner).view(np.uint8), starts, axis=1, dtype=np.int32)
+        sums = np.add.accumulate(sums, axis=1, out=sums) + carry
+        above[1:k, a:b] = sums[:, :b - a]
+        carry = sums[:, -1:]
+    return (above[:-1] - above[1:]).T
+
+
+def _born_at(rng, stops, group, firsts, ends, prefix):
     """born[q], the children of the first q particles of a product group's
-    stream of ``total`` particles, for each array q of ``queries`` (every row
-    of q ascending).  The child totals are read in chunks of at most
-    _DRAW_BUDGET at fixed positions and summed with a carry, so only the
-    queries and one chunk are held."""
+    stream, as a list: at each entry's start (firsts) and end (ends), then,
+    when ``prefix`` (rows x entries) is given, at each row's prefix end.
+
+    A large call with few boundary points per draw sums the children by
+    segments (``_seen``); any other reads the child totals in chunks of at
+    most _DRAW_BUDGET at fixed positions and sums them with a carry.  Either
+    way only the boundary points and one chunk are held."""
+    total = int(ends[-1])
+    parts = () if prefix is None else prefix
+    if _segmented(group.rho_cdf, total, ends.size, 2 + len(parts)):
+        points, at = _boundaries([firsts, *parts, ends])
+        born = (_seen(rng, stops, group.rho_cdf, points) @ group.rho_values)[at]
+        return [born[0], born[-1]] + ([] if prefix is None else [born[1:-1]])
+    queries = [firsts, ends] if prefix is None else [firsts, ends, prefix]
     if total <= _DRAW_BUDGET:
         born = np.zeros(total + 1, dtype=np.int64)
         np.add.accumulate(group.rho_values[_draw_indices(rng, group.rho_cdf, stops, 0, total)],
@@ -343,11 +431,22 @@ def _tally(rng, stops, cdf, firsts, ends, whole, prefix):
     cdf.size flat, over a group's stream of draws read as ``_draw_indices``
     reads it.  Entry i holds positions firsts[i]..ends[i]-1 (consecutive);
     row s reads all of them when whole[s], else those below prefix[s, i].
-    The stream is read in chunks of at most _DRAW_BUDGET at fixed positions;
-    a chunk cuts an entry where it falls, and each chunk's counts are added
-    into the entries it covers."""
+
+    A large call with few boundary points per draw takes each count as a
+    difference of two rows of ``_seen``.  Any other reads the stream in
+    chunks of at most _DRAW_BUDGET at fixed positions; a chunk cuts an entry
+    where it falls, and each chunk's counts are added into the entries it
+    covers."""
     n, k = ends.size, cdf.size
     total = int(ends[-1])
+    if _segmented(cdf, total, n, 2 + whole.count(False)):
+        parts = [] if prefix is None else [p for w, p in zip(whole, prefix) if not w]
+        points, at = _boundaries([firsts, *parts, ends])
+        seen = _seen(rng, stops, cdf, points)
+        start = seen[at[0]]
+        full = (seen[at[-1]] - start).ravel() if any(whole) else None
+        prefix_at = iter(at[1:-1])                    # the prefix rows, in order
+        return [full if w else (seen[next(prefix_at)] - start).ravel() for w in whole]
     if total <= _DRAW_BUDGET:
         ids = _draw_indices(rng, cdf, stops, 0, total)
         if n > 1:
@@ -394,8 +493,8 @@ def _product_arrivals(block, reads, rng, lasts, group):
     ends = np.add.accumulate(block)                        # one past each block's last particle
     firsts = ends - block
     whole = np.logical_and.reduce(reads == block, axis=1).tolist()  # rows reading whole blocks
-    born = _born_at(rng, None if lasts is None else ends[lasts].tolist(), group, int(ends[-1]),
-                    [firsts, ends] if all(whole) else [firsts, ends, reads + firsts])
+    born = _born_at(rng, None if lasts is None else ends[lasts].tolist(), group, firsts, ends,
+                    None if all(whole) else reads + firsts)
     if born[1][-1] == 0:
         return None
     return _tally(rng, None if lasts is None else born[1][lasts].tolist(), group.w_cdf, born[0],
@@ -491,33 +590,8 @@ def _advance(counts, model, rng, keep_masks=None):
 
 
 # ---------------------------------------------------------------------------
-# states, couplings, single steps
+# couplings and caps
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PopulationState:
-    """Counts per vertex plus the generation index and the ever-born total."""
-
-    counts: np.ndarray
-    generation: int = 0
-    total_born: int = 0
-
-    @staticmethod
-    def from_dict(model: BrwModel, occupancy) -> "PopulationState":
-        c = np.zeros(model.size, dtype=np.int64)
-        for v, k in occupancy.items():
-            if v not in model.index:
-                raise ModelError(f"start vertex {v!r} is not a vertex of the model")
-            c[model.index[v]] = _whole(k, 0, f"occupation count at {v!r}", 2 ** 63)
-        return PopulationState(c, 0, _start_total(c))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def copy(self) -> "PopulationState":
-        return PopulationState(self.counts.copy(), self.generation, self.total_born)
-
 
 @dataclass(frozen=True)
 class RestrictionCoupling:
@@ -528,6 +602,8 @@ class RestrictionCoupling:
     def mask(self, model: BrwModel) -> np.ndarray:
         m = np.zeros(model.size, dtype=bool)
         for v in self.subset:
+            if v not in model.index:
+                raise ModelError(f"restriction vertex {v!r} is not a vertex of the model")
             m[model.index[v]] = True
         return m
 
@@ -553,46 +629,6 @@ def _cap_limits(caps):
     a cap at or above the int64 maximum clips nothing, like math.inf."""
     if any(map(math.isfinite, caps)):
         return np.array([int(min(c, _INT64_MAX)) for c in caps])[:, None]
-
-
-def _step(states, caps, model, rng, keep_masks=None):
-    """The (S, V) counts of coupled states one generation on, each clipped at its cap."""
-    new = _advance(np.stack([s.counts for s in states])[None], model, rng, keep_masks)[0]
-    limit = _cap_limits(caps)
-    return new if limit is None else np.minimum(new, limit, out=new)
-
-
-def step(state: PopulationState, model: BrwModel, rng) -> PopulationState:
-    """One exact-law generation: each particle draws an offspring configuration."""
-    return step_truncated(state, None, model, rng)
-
-
-def step_truncated(state: PopulationState, m, model: BrwModel, rng) -> PopulationState:
-    """As ``step`` then clip every site at m (applied after all arrivals)."""
-    new = _step([state], _caps([m]), model, rng)[0]
-    return PopulationState(new, state.generation + 1, state.total_born + int(new.sum()))
-
-
-def step_coupled(pair, caps, model: BrwModel, rng, coupling=None):
-    """Advance a dominating pair on shared draws; the order is asserted.
-
-    pair = (upper, lower) with lower.counts <= upper.counts and caps = (m, k),
-    k <= m.  coupling None makes the lower process read the identical draws;
-    a RestrictionCoupling additionally kills its out-of-subset children.
-    """
-    upper, lower = pair
-    m, k = _caps(caps)
-    if k > m:
-        raise ModelError("lower cap must not exceed the upper cap")
-    if not np.all(lower.counts <= upper.counts):
-        raise ModelError("coupled pair must start ordered (lower <= upper)")
-    mask = coupling.mask(model) if isinstance(coupling, RestrictionCoupling) else None
-    new = _step(pair, (m, k), model, rng, [None, mask])
-    if np.any(new[1] > new[0]):
-        raise RuntimeError("coupling domination violated")  # must never happen
-    up = PopulationState(new[0], upper.generation + 1, upper.total_born + int(new[0].sum()))
-    lo = PopulationState(new[1], lower.generation + 1, lower.total_born + int(new[1].sum()))
-    return up, lo
 
 
 # ---------------------------------------------------------------------------
@@ -621,12 +657,9 @@ def _whole(value, least, what, below=math.inf):
     return int(value)
 
 
-def _start_total(counts) -> int:
-    """The exact sum of start counts; it must fit the int64 run records."""
-    total = sum(counts.tolist())
-    if total >= 2 ** 63:
-        raise ModelError(f"start counts must total below 2**63, got {total}")
-    return total
+def _seed(seed) -> int:
+    """A run's seed: a whole number in [0, 2**64), the width of its key word."""
+    return _whole(seed, 0, "seed", 2 ** 64)
 
 
 def _check_cells(what, cells):
@@ -636,27 +669,35 @@ def _check_cells(what, cells):
                          "replicas, rows or generations")
 
 
-def _check_run(model, eta0, horizon, replicas, vertex=None, role="target", hard_cap=None,
+def _check_run(model, eta0, horizon, replicas, seed, vertex=None, role="target", hard_cap=None,
                rows=1):
-    """The one validation point of the Monte Carlo runs; returns the start state."""
+    """The one validation point of the Monte Carlo runs; returns the start
+    counts per vertex of ``eta0``, a dict vertex -> count."""
     _whole(replicas, 1, "replicas")
     _whole(horizon, 0, "horizon")
+    _seed(seed)
     _check_cells("the replicas x rows x vertices state", replicas * rows * model.size)
     if hard_cap is not None:
         _whole(hard_cap, 1, "hard_cap")
     if vertex is not None and vertex not in model.index:
         raise ModelError(f"{role} {vertex!r} is not a vertex of the model")
-    if isinstance(eta0, dict):
-        return PopulationState.from_dict(model, eta0)
-    _start_total(eta0.counts)
-    return eta0
+    if not isinstance(eta0, dict):
+        raise ModelError(f"the start must be a dict vertex -> count, got {type(eta0).__name__}")
+    counts = np.zeros(model.size, dtype=np.int64)
+    for v, k in eta0.items():
+        if v not in model.index:
+            raise ModelError(f"start vertex {v!r} is not a vertex of the model")
+        counts[model.index[v]] = _whole(k, 0, f"occupation count at {v!r}", 2 ** 63)
+    total = sum(counts.tolist())                    # exact: it must fit the int64 run records
+    if total >= 2 ** 63:
+        raise ModelError(f"start counts must total below 2**63, got {total}")
+    return counts
 
 
 def _trial_plan(model, caps, couplings):
     """(row masks, cap limits or None if none is finite, lower and upper rows
     of the domination pairs); the model keeps the last plan for the next run."""
-    key = (tuple(caps), tuple(c if isinstance(c, RestrictionCoupling) else None
-                              for c in couplings))
+    key = (tuple(caps), tuple(couplings))
     held = model._cache.get("trial_plan")
     if held is not None and held[0] == key:
         return held[1]
@@ -690,13 +731,15 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
     couplings = list(couplings) if couplings is not None else [None] * len(caps)
     if len(couplings) != len(caps):
         raise ModelError("one coupling entry per cap required")
-    eta = _check_run(model, eta0, horizon, len(replicas), target, hard_cap=hard_cap,
+    if not all(c is None or isinstance(c, RestrictionCoupling) for c in couplings):
+        raise ModelError("each coupling entry must be None or a RestrictionCoupling")
+    eta = _check_run(model, eta0, horizon, len(replicas), seed, target, hard_cap=hard_cap,
                      rows=len(caps))
     # a stream key holds each index in 32 bits: 2**32 would reuse replica 0's stream
     replicas = [_whole(r, 0, "replica index", 2 ** 32) for r in replicas]
     t_idx = model.index[target] if target is not None else None
     masks, limit, lower, upper = _trial_plan(model, caps, couplings)
-    start = np.stack([eta.counts if mask is None else eta.counts * mask for mask in masks])
+    start = np.stack([eta if mask is None else eta * mask for mask in masks])
     if limit is not None:
         np.minimum(start, limit, out=start)
     R = len(replicas)
@@ -832,13 +875,13 @@ def mean_curve(model: BrwModel, eta0, horizon, replicas, seed=0, track=None):
     (means, samples): means has shape (horizon+1, V); samples, when a track
     vertex is given, holds per-replica counts there, (replicas, horizon+1).
     """
-    eta = _check_run(model, eta0, horizon, replicas, vertex=track, role="track")
+    eta = _check_run(model, eta0, horizon, replicas, seed, vertex=track, role="track")
     R, V = int(replicas), model.size
     _check_cells("the generations x vertices means", (horizon + 1) * V)
     if track is not None:
         _check_cells("the replicas x generations samples", R * (horizon + 1))
     counts = np.zeros((R, V), dtype=np.int64)
-    counts[:] = eta.counts
+    counts[:] = eta
     t_idx = model.index[track] if track is not None else None
     means = np.zeros((horizon + 1, V))
     means[0] = counts.sum(axis=0) / R     # integer sums below 2**53: equal to counts.mean

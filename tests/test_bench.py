@@ -1,9 +1,10 @@
-"""The benchmark's traced analytic run, end to end in a fresh process.
+"""The benchmark's traced tiny runs, end to end in a fresh process.
 
 ``bench/tracing.py`` reads private names of the library (``MomentMatrix.
 _strong_labels``, ``.index`` and ``.csr``, the ``M`` and ``x0`` parameters of
-the growth functions), and the run checks the analytic golden digests at seed
-0, so a rename or a moved byte fails here rather than only in the benchmark.
+the growth functions, the Monte Carlo entry points), and each run checks the
+workload's tiny golden digests at seed 0, so a rename or a moved byte fails
+here rather than only in the benchmark.
 """
 
 import json
@@ -11,16 +12,22 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_analytic_run_is_correct():
+@pytest.mark.parametrize("workload, counter", [("analytic", "spectral.power_steps"),
+                                               ("sweep", "simulate.particles"),
+                                               ("replicas", "simulate.particles")],
+                         ids=["analytic", "sweep", "replicas"])
+def test_traced_tiny_run_is_correct(workload, counter):
     out = subprocess.run(
-        [sys.executable, os.path.join("bench", "run.py"), "--workload", "analytic",
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
          "--size", "tiny", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     result = json.loads([ln for ln in out.stdout.splitlines() if ln.startswith("{")][-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["spectral.power_steps"]["value"] > 0
+    assert result["metrics"][counter]["value"] > 0

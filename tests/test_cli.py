@@ -216,6 +216,8 @@ class TestErrors:
         ("percolate", "horizon=2.5"),
         ("sweep", "target=[1]"),
         ("sweep", "x0=[1]"),
+        ("sweep", "seed=-1"),
+        ("percolate", "seed=18446744073709551616"),
     ])
     def test_bad_number_exit_one(self, command, setting, tmp_path, capsys):
         code = run_cli([command, "--scenario", "gw", "--set", setting, "--out", str(tmp_path)])

@@ -23,9 +23,10 @@ from brwlab.genfun import survival_probability
 from brwlab.scenarios import build_scenario, build_zd_translation
 from brwlab.simulate import (
     _TRIAL_SALT,
-    PopulationState,
     RestrictionCoupling,
     TrialStreams,
+    _advance,
+    _check_run,
     _draw_indices,
     _invert_cdf,
     _philox,
@@ -37,9 +38,6 @@ from brwlab.simulate import (
     run_coupled_trials,
     run_survival_trial,
     run_trial_batch,
-    step,
-    step_coupled,
-    step_truncated,
     wilson_interval,
 )
 from brwlab.spectral import expected_population, moment_matrix
@@ -70,21 +68,24 @@ def interleaved_model():
     return BrwModel(tuple(range(9)), laws)
 
 
+def _one_step(model, start, rng):
+    """The uncapped counts one generation after ``start`` (a dict)."""
+    return _advance(_check_run(model, start, 1, 1, 0)[None, None], model, rng)[0, 0]
+
+
 class TestStep:
     def test_deterministic_doubling(self):
         m = doubling_model()
-        s = PopulationState.from_dict(m, {0: 1})
-        rng = TrialStreams(0).generation(1)
-        out = step(s, m, rng)
-        assert out.counts[0] == 2
-        assert out.generation == 1
-        assert out.total_born == 3
+        out = _one_step(m, {0: 1}, TrialStreams(0).generation(1))
+        assert out[0] == 2
+        o = run_survival_trial(m, {0: 1}, 1)
+        assert o.generations == 1
+        assert o.total_born == 3
 
     def test_certain_death(self):
         m = BrwModel((0,), {0: law_from([({}, 1.0)])})
-        s = PopulationState.from_dict(m, {0: 7})
-        out = step(s, m, TrialStreams(0).generation(1))
-        assert out.total == 0
+        out = _one_step(m, {0: 7}, TrialStreams(0).generation(1))
+        assert out.sum() == 0
 
     def test_one_step_mean_matches_moment_row(self):
         # binomial error bars: 4 sigma over 1e5 replicas
@@ -176,51 +177,45 @@ class TestEngineDistribution:
 class TestTruncatedStep:
     def test_contact_process_pins_doubling(self):
         m = doubling_model()
-        s = PopulationState.from_dict(m, {0: 1})
-        for gen in range(1, 6):
-            s = step_truncated(s, 1, m, TrialStreams(0).generation(gen))
-            assert s.counts[0] == 1
+        o, = run_coupled_trials(m, [1], {0: 1}, 5, target=0)
+        assert o.status == "completed" and o.visits_to_target == 5
+        assert o.peak_population == 1 and o.total_born == 6     # one particle per generation
 
     def test_infinite_cap_matches_plain_step(self):
         m = build_zd_translation(radius=4)
-        s0 = PopulationState.from_dict(m, {0: 3})
-        a = step(s0, m, TrialStreams(9).generation(1))
-        b = step_truncated(s0, math.inf, m, TrialStreams(9).generation(1))
-        assert np.array_equal(a.counts, b.counts)
+        a = _one_step(m, {0: 3}, TrialStreams(9).generation(1))
+        b, = run_coupled_trials(m, [math.inf], {0: 3}, 1, seed=9)
+        assert b.total_born == 3 + a.sum() and b.peak_population == max(3, a.sum())
 
     def test_cap_after_summing(self):
         # two parents each sending two children to one site: cap 3 keeps 3
         laws = {0: law_from([({1: 2}, 1.0)]), 1: law_from([({}, 1.0)])}
         m = BrwModel((0, 1), laws)
-        s = PopulationState.from_dict(m, {0: 2})
-        out = step_truncated(s, 3, m, TrialStreams(0).generation(1))
-        assert out.counts[m.index[1]] == 3
+        o, = run_coupled_trials(m, [3], {0: 2}, 1, target=1)
+        assert o.visits_to_target == 1 and o.total_born == 2 + 3
 
 
 class TestCoupledStep:
     def test_identity_coupling_equal_forever(self):
         m = build_zd_translation(radius=5)
-        up = PopulationState.from_dict(m, {0: 2})
-        lo = up.copy()
+        pair = np.stack([_check_run(m, {0: 2}, 1, 1, 0)] * 2)[None]
         streams = TrialStreams(3)
         for gen in range(1, 15):
-            up, lo = step_coupled((up, lo), (math.inf, math.inf), m,
-                                  streams.generation(gen))
-            assert np.array_equal(up.counts, lo.counts)
+            pair = _advance(pair, m, streams.generation(gen))
+            assert np.array_equal(pair[0, 0], pair[0, 1])
 
     def test_restriction_coupling_confines_lower(self):
         m = build_zd_translation(radius=6)
         keep = frozenset(range(-2, 3))
-        coup = RestrictionCoupling(keep)
-        up = PopulationState.from_dict(m, {0: 2})
-        lo = up.copy()
+        mask = RestrictionCoupling(keep).mask(m)
+        pair = np.stack([_check_run(m, {0: 2}, 1, 1, 0)] * 2)[None]
         streams = TrialStreams(5)
         for gen in range(1, 12):
-            up, lo = step_coupled((up, lo), (math.inf, math.inf), m,
-                                  streams.generation(gen), coupling=coup)
-            assert np.all(lo.counts <= up.counts)
+            pair = _advance(pair, m, streams.generation(gen), [None, mask])
+            up, lo = pair[0]
+            assert np.all(lo <= up)
             outside = [m.index[v] for v in m.vertices if v not in keep]
-            assert lo.counts[outside].sum() == 0
+            assert lo[outside].sum() == 0
 
     def test_caps_dominance_random_models(self):
         rng = np.random.default_rng(0)
@@ -230,13 +225,6 @@ class TestCoupledStep:
                                       seed=trial, hard_cap=10 ** 4)
             # run_coupled_trials asserts domination internally every step
             assert [o.cap for o in outs] == [1, 5, math.inf]
-
-    def test_bad_initial_order_rejected(self):
-        m = build_zd_translation(radius=2)
-        up = PopulationState.from_dict(m, {0: 1})
-        lo = PopulationState.from_dict(m, {0: 2})
-        with pytest.raises(ModelError):
-            step_coupled((up, lo), (math.inf, math.inf), m, TrialStreams(0).generation(1))
 
 
 class TestTrials:
@@ -430,19 +418,23 @@ class TestKernelPins:
             "9a0a3f6da091adf73948e8b349778959ca6f48e7c837afb02ab550d5582efca1"
 
     def test_single_steps_on_atom_laws(self):
+        # recorded from single coupled steps: a free row and a row capped at 2
+        # and restricted to the window on shared draws, and a free row alone
         m = build_scenario("line_ex45", {"size": 8})
-        win = RestrictionCoupling(frozenset(range(0, 5)))
-        up = PopulationState.from_dict(m, {0: 3, 1: 2})
-        lo = PopulationState.from_dict(m, {0: 2})
+        mask = RestrictionCoupling(frozenset(range(0, 5))).mask(m)
+        up = _check_run(m, {0: 3, 1: 2}, 1, 1, 0)
+        lo = _check_run(m, {0: 2}, 1, 1, 0)
         free = up.copy()
+        born = [up.sum(), lo.sum()]
         streams = TrialStreams(4)
         trace = []
         for gen in range(1, 9):
-            up, lo = step_coupled((up, lo), (math.inf, 2), m, streams.generation(gen),
-                                  coupling=win)
-            free = step(free, m, streams.generation(gen))
-            trace.append((up.counts.tolist(), lo.counts.tolist(), free.counts.tolist()))
-        assert (up.total_born, lo.total_born) == (37, 11)
+            up, lo = _advance(np.stack([up, lo])[None], m, streams.generation(gen), [None, mask])[0]
+            lo = np.minimum(lo, 2)
+            free = _advance(free[None, None], m, streams.generation(gen))[0, 0]
+            born = [born[0] + up.sum(), born[1] + lo.sum()]
+            trace.append((up.tolist(), lo.tolist(), free.tolist()))
+        assert born == [37, 11]
         assert _sha(repr(trace).encode()) == \
             "bc6de034f7a07ceeff72a27156173137a1564b434032dc637507aeddd6cca090"
 
@@ -458,27 +450,60 @@ def _digest(outcomes) -> str:
     return _sha(repr([dataclasses.astuple(o) for o in outcomes]).encode())
 
 
-@pytest.fixture(params=[None, ("_BATCH_DRAWS", 1), ("_BATCH_DRAWS", 300), ("_DRAW_BUDGET", 1000)],
-                ids=["default-budget", "one-replica-per-call", "budget-300", "chunk-1000"])
+_SEGMENTED = {"_SEGMENT_FLOOR": 0, "_SEGMENT_RATIO": 0}
+_PER_DRAW = {"_SEGMENT_FLOOR": 2 ** 63}
+
+
+@pytest.fixture(params=[None, {"_BATCH_DRAWS": 1}, {"_BATCH_DRAWS": 300}, {"_DRAW_BUDGET": 1000},
+                        _SEGMENTED, _PER_DRAW, {**_SEGMENTED, "_DRAW_BUDGET": 1000}],
+                ids=["default-budget", "one-replica-per-call", "budget-300", "chunk-1000",
+                     "segmented", "per-draw", "segmented-chunk-1000"])
 def draw_budget(request, monkeypatch):
     """Run a test at the default budgets; with every replica alone in its kernel
-    call; with a batch budget that splits a batch mid-generation; and with the
+    call; with a batch budget that splits a batch mid-generation; with the
     kernel reading its draws in chunks of 1000 (7 or 64 where a test asks),
     which cut blocks and each replica's run of draws, so one site can span
-    several chunks."""
-    if request.param is not None:
-        monkeypatch.setattr(simulate, *request.param)
+    several chunks; and with every group call that can count by segment sums
+    doing so, or none."""
+    for name, value in (request.param or {}).items():
+        monkeypatch.setattr(simulate, name, value)
     return request.param
+
+
+def cdf_sizes_model():
+    """A 12-cycle whose draw groups hold cdfs of 1, 2, 3 and 10 entries: product
+    laws whose child-count and dispersal cdfs have that many entries at
+    vertices 0-3, atom laws with that many atoms at vertices 4-7, and one
+    product group of four vertices at 8-11."""
+    ten = {k: 0.1 for k in range(10)}
+    laws = {
+        0: product_form_law(IntDistribution.from_dict({3: 1.0}), {1: 1.0}),
+        1: product_form_law(IntDistribution.from_dict({0: 0.4, 2: 0.6}), {0: 0.5, 2: 0.5}),
+        2: product_form_law(IntDistribution.from_dict({0: 0.3, 1: 0.3, 3: 0.4}),
+                            {1: 0.2, 2: 0.3, 3: 0.5}),
+        3: product_form_law(IntDistribution.from_dict(ten), {(3 + k) % 12: p for k, p in ten.items()}),
+        4: law_from([({5: 1, 6: 1}, 1.0)]),
+        5: law_from([({4: 1}, 0.5), ({6: 2}, 0.5)]),
+        6: law_from([({}, 0.3), ({7: 1}, 0.3), ({5: 1, 7: 1}, 0.4)]),
+        7: law_from([({(8 + k) % 12: 1 + k // 5}, 0.1) for k in range(10)]),
+    }
+    rho = IntDistribution.from_dict({0: 0.4, 2: 0.6})
+    laws.update({x: product_form_law(rho, {x - 1: 0.5, (x + 1) % 12: 0.5}) for x in range(8, 12)})
+    return BrwModel(tuple(range(12)), laws)
 
 
 def _advance_cases():
     """(name, counts, model, rng, keep_masks) inputs of ``_advance``: product and
     atom groups, shared and per-replica streams, S > 1 rows that read
-    prefixes of their blocks under keep masks, and sites far above a chunk."""
+    prefixes of their blocks under keep masks, sites far above a chunk, cdfs
+    of 1, 2, 3 and 10 entries, and one state on each side of the default
+    choice between counting by segment sums and by per-draw indices."""
     line = build_zd_translation(radius=5)          # three product groups
     mixed = interleaved_model()                    # two product groups and an atom group
     ex45 = build_scenario("line_ex45", {"size": 12})   # atom groups only
     gw = build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}})
+    sizes = cdf_sizes_model()
+    short = build_zd_translation(radius=3)
     pick = np.random.default_rng(2024)
 
     def rows(model, R, caps, masks):
@@ -492,6 +517,8 @@ def _advance_cases():
 
     inner = np.arange(line.size) % 3 > 0
     left = np.arange(mixed.size) < 5
+    half = np.arange(sizes.size) < 6
+    big = np.full((1, 1, short.size), 12_000)
     return [
         ("product-per-replica", rows(line, 4, [2 ** 62, 3, 2 ** 62, 5], [None, None, inner, inner]),
          line, streams(4, 31), [None, None, inner, inner]),
@@ -506,6 +533,16 @@ def _advance_cases():
         ("gw-one-site", np.array([[[300], [41]], [[170], [170]]]), gw, streams(2, 36), None),
         ("gw-one-site-shared", np.array([[[300], [41]]]), gw, TrialStreams(37).generation(1),
          None),
+        ("cdf-sizes-per-replica", rows(sizes, 3, [2 ** 62, 3, 2 ** 62], [None, None, half]),
+         sizes, streams(3, 38), [None, None, half]),
+        ("cdf-sizes-shared", rows(sizes, 2, [2 ** 62, 5], [None, None]), sizes,
+         TrialStreams(39).generation(1), None),
+        # 60,000 particles in the middle group's five sites: segment sums by default
+        ("above-the-floor", np.concatenate([big, np.minimum(big, 5)], axis=1), short,
+         TrialStreams(40).generation(1), None),
+        # 40,000 there too, over 1,000 sites of 40: per-draw indices by default
+        ("below-the-ratio", np.full((200, 1, short.size), 40), short,
+         TrialStreams(41).generation(1), None),
     ]
 
 
@@ -517,22 +554,41 @@ _ADVANCE_DIGESTS = {
     "atoms-shared": "640e62784364c17ba91e39119bacbb818819089871989d4c7c1f998958eeebc6",
     "gw-one-site": "97dbc608b3c6823a2977de03c536ac7524edb0fb4dbd7fb7c6674f0e70622512",
     "gw-one-site-shared": "2b07e1c0afd998ae1b9a989ffb234367249f33a3c91f40ad775c2e806d03daf0",
+    "cdf-sizes-per-replica": "0379090fff13abd318c3eb0a82320646fa2341ada863b26ac38172a8ad7cbd68",
+    "cdf-sizes-shared": "0bfa88906b6db556e16abc69b317984988bfc2d90ee94e4f2af2040dc6e1530d",
+    "above-the-floor": "e4197ef18b7e75ae39fcc7205860500c72581b054b025f12971f96759de5702b",
+    "below-the-ratio": "6ce82f607caded795006603fb89afd9cf645163ecba4458377ba1919b1348436",
 }
 
 
 class TestKernelChunks:
     """``_advance`` reads each group's draws in chunks at fixed positions of
-    its stream; its output must not depend on where the chunks fall.  The
-    digests were recorded before the kernel read its draws in chunks."""
+    its stream and counts them by segment sums or by per-draw indices; its
+    output must not depend on where the chunks fall or which way a group is
+    counted.  The first seven digests were recorded before the kernel read
+    its draws in chunks, the others before it counted by segment sums."""
 
-    @pytest.mark.parametrize("draw_budget", [None, ("_DRAW_BUDGET", 7), ("_DRAW_BUDGET", 64)],
-                             ids=["default-budget", "chunk-7", "chunk-64"], indirect=True)
+    @pytest.mark.parametrize("draw_budget", [
+        None, {"_DRAW_BUDGET": 7}, {"_DRAW_BUDGET": 64}, _SEGMENTED,
+        {**_SEGMENTED, "_DRAW_BUDGET": 7}, {**_SEGMENTED, "_DRAW_BUDGET": 64}, _PER_DRAW,
+    ], ids=["default-budget", "chunk-7", "chunk-64", "segmented", "segmented-chunk-7",
+            "segmented-chunk-64", "per-draw"], indirect=True)
     @pytest.mark.parametrize("name", list(_ADVANCE_DIGESTS))
     def test_chunks_do_not_move_a_byte(self, draw_budget, name):
         counts, model, rng, masks = {c[0]: c[1:] for c in _advance_cases()}[name]
         out = simulate._advance(counts, model, rng, masks)
         assert out.shape == counts.shape and out.dtype == np.int64
         assert _sha(out.tobytes()) == _ADVANCE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name, segmented", [("above-the-floor", True),
+                                                 ("below-the-ratio", False)])
+    def test_default_choice_of_counting(self, name, segmented, monkeypatch):
+        calls = []
+        seen = simulate._seen
+        monkeypatch.setattr(simulate, "_seen", lambda *a: calls.append(a[2].size) or seen(*a))
+        counts, model, rng, masks = {c[0]: c[1:] for c in _advance_cases()}[name]
+        simulate._advance(counts, model, rng, masks)
+        assert bool(calls) == segmented
 
 
 class TestTrialBatch:
@@ -555,7 +611,7 @@ class TestTrialBatch:
         assert _digest(outs) == "776d6279287b7206e08ebfb43110be4de80a0e6a50c5d1038f1965107a13afe3"
         assert len({o.generations for o in outs if o.status == "overflow"}) > 1
         assert len({o.generations for o in outs if o.status == "extinct"}) > 1
-        if draw_budget == ("_BATCH_DRAWS", 1):
+        if draw_budget == {"_BATCH_DRAWS": 1}:
             assert set(widths) == {1}
         else:   # a chunk boundary inside the batch: wide calls and lone replicas
             assert max(widths) > 1 and min(widths) == 1
@@ -734,12 +790,7 @@ class TestRunValidation:
         lambda m: run_coupled_trials(m, [math.nan, math.inf], {0: 1}, 5),
         lambda m: estimate_survival(m, {0: 1}, 5, 3, cap=math.nan),
         lambda m: truncation_sweep(m, [2, math.nan], {0: 1}, 5, 3),
-        lambda m: step_truncated(PopulationState.from_dict(m, {0: 1}), math.nan, m,
-                                 TrialStreams(0).generation(1)),
-        lambda m: step_coupled((PopulationState.from_dict(m, {0: 1}),) * 2, (math.inf, math.nan),
-                               m, TrialStreams(0).generation(1)),
-    ], ids=["run_coupled_trials", "estimate_survival", "truncation_sweep", "step_truncated",
-            "step_coupled"])
+    ], ids=["run_coupled_trials", "estimate_survival", "truncation_sweep"])
     def test_nan_cap(self, run):
         with pytest.raises(ModelError, match="cap"):
             run(build_zd_translation(radius=2))
@@ -794,6 +845,28 @@ class TestRunValidation:
         with pytest.raises(ModelError, match="replica index"):
             run_survival_trial(m, {0: 1}, 3, seed=5, replica=replica)
 
+    @pytest.mark.parametrize("seed", [1.5, 2 ** 64 + 1, 2 ** 64, -1, "a", True])
+    def test_seed_outside_the_stream_key(self, seed):
+        # 1.5 ran seed 1's stream and recorded 1.5, 2**64 + 1 shared seed 1's
+        # stream, -1 shared seed 2**64 - 1's, and "a" ended in a ValueError
+        m = build_zd_translation(radius=2)
+        runs = [lambda: TrialStreams(seed),
+                lambda: run_coupled_trials(m, [math.inf], {0: 1}, 5, seed=seed),
+                lambda: estimate_survival(m, {0: 1}, 5, 3, seed=seed),
+                lambda: truncation_sweep(m, [1], {0: 1}, 5, 3, seed=seed),
+                lambda: mean_curve(m, {0: 1}, 2, 4, seed=seed),
+                lambda: oriented_percolation(PercolationConfig(p=0.5, horizon=3), 2, seed=seed)]
+        for run in runs:
+            with pytest.raises(ModelError, match="seed"):
+                run()
+
+    def test_seed_at_the_top_of_the_key(self):
+        m = build_zd_translation(radius=2)
+        top = 2 ** 64 - 1
+        assert TrialStreams(np.uint64(top)).seed == top
+        o, = run_coupled_trials(m, [math.inf], {0: 1}, 3, seed=top)
+        assert o.seed == top
+
     @pytest.mark.parametrize("n", [2 ** 32, -1, 2 ** 40, 1.0, 1.5])
     def test_generation_outside_the_stream_key(self, n):
         # the key packs n in 32 bits: 2**32 would replay generation 0
@@ -809,8 +882,6 @@ class TestRunValidation:
         # 1.5 became 1 particle, NaN and 2**70 ended in numpy errors
         m = build_zd_translation(radius=2)
         with pytest.raises(ModelError, match="occupation count"):
-            PopulationState.from_dict(m, {0: count})
-        with pytest.raises(ModelError, match="occupation count"):
             estimate_survival(m, {0: count}, 3, 2)
 
     def test_start_counts_total_below_2_63(self):
@@ -818,19 +889,19 @@ class TestRunValidation:
         # which would read as extinct at generation 0
         m = build_zd_translation(radius=2)
         with pytest.raises(ModelError, match="total"):
-            PopulationState.from_dict(m, {0: 2 ** 62, 1: 2 ** 62})
+            mean_curve(m, {0: 2 ** 62, 1: 2 ** 62}, 3, 2)
         with pytest.raises(ModelError, match="total"):
             run_survival_trial(m, {0: 2 ** 62, 1: 2 ** 62}, 3)
-        state = PopulationState(np.array([0, 0, 2 ** 62, 2 ** 62, 0]))
         with pytest.raises(ModelError, match="total"):
-            run_trial_batch(m, [math.inf], state, 3, [0])
+            run_trial_batch(m, [math.inf], {0: 2 ** 62, 1: 2 ** 62}, 3, [0])
         top = run_survival_trial(m, {0: 2 ** 62, 1: 2 ** 62 - 1}, 0)
         assert top.status == "completed" and top.total_born == 2 ** 63 - 1
 
     def test_start_counts_accept_numpy_integers(self):
         m = build_zd_translation(radius=2)
-        state = PopulationState.from_dict(m, {0: np.int64(3), 1: np.uint8(2), 2: 0})
-        assert state.counts.tolist() == [0, 0, 3, 2, 0] and state.total_born == 5
+        counts = _check_run(m, {0: np.int64(3), 1: np.uint8(2), 2: 0}, 0, 1, 0)
+        assert counts.tolist() == [0, 0, 3, 2, 0]
+        assert run_survival_trial(m, {0: np.int64(3), 1: np.uint8(2), 2: 0}, 0).total_born == 5
 
     def test_replica_index_at_the_top_of_the_key(self):
         m = build_zd_translation(radius=2)
@@ -870,8 +941,21 @@ class TestRunValidation:
             estimate_survival(m, {99: 1}, 5, 3)
         with pytest.raises(ModelError, match="track"):
             mean_curve(m, {0: 1}, 3, 4, track=99)
-        with pytest.raises(ModelError, match="99"):
-            PopulationState.from_dict(m, {99: 1})
+        with pytest.raises(ModelError, match="99"):     # was a KeyError
+            run_coupled_trials(m, [math.inf, math.inf], {0: 1}, 5,
+                               couplings=[RestrictionCoupling(frozenset({0, 99})), None])
+
+    @pytest.mark.parametrize("couplings", [[None], ["window", None], [frozenset({0}), None]])
+    def test_coupling_entries(self, couplings):
+        # one entry per cap, each None or a RestrictionCoupling; any other was read as None
+        m = build_zd_translation(radius=2)
+        with pytest.raises(ModelError, match="coupling"):
+            run_coupled_trials(m, [math.inf, math.inf], {0: 1}, 5, couplings=couplings)
+
+    def test_start_must_be_a_dict(self):
+        m = build_zd_translation(radius=2)
+        with pytest.raises(ModelError, match="start"):
+            run_trial_batch(m, [math.inf], [0, 0, 1, 0, 0], 3, [0])
 
 
 def test_atom_configurations_are_sparse():
@@ -903,8 +987,8 @@ def _cdfs(draw):
 
 
 class TestInverseCdf:
-    """The comparison scan, the range gather and the replica chunks against their
-    plain definitions."""
+    """The comparison scan, the segment sums, the range gather and the replica
+    chunks against their plain definitions."""
 
     @settings(max_examples=300, deadline=None)
     @given(_cdfs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
@@ -917,6 +1001,31 @@ class TestInverseCdf:
         u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), extra, [0.0]])
         u = u[u < 1.0]
         assert np.array_equal(_invert_cdf(cdf, u), _binary_search(cdf, u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cdfs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+           st.lists(st.floats(0.0, 1.0), max_size=8), st.integers(1, 9))
+    @example(np.array([0.25, 0.5, 1.0]), [0.25, 0.5, 0.0], [0.5], 2)
+    def test_segment_sums_equal_index_counts(self, cdf, extra, cuts, budget):
+        # u exactly on, just below and just above every entry, read in chunks
+        # of 1 to 9 draws; the points split the stream anywhere
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), extra, [0.0]])
+        u = u[u < 1.0]
+        points = np.array(sorted({0, u.size, *(int(c * u.size) for c in cuts)}), dtype=np.int64)
+
+        class Stream:
+            pos = 0
+
+            def random(self, n):
+                self.pos += n
+                return u[self.pos - n:self.pos]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_DRAW_BUDGET", budget)
+            seen = simulate._seen(Stream(), None, cdf, points)
+        ids = _binary_search(cdf, u)
+        want = [np.bincount(ids[:p], minlength=cdf.size) for p in points.tolist()]
+        assert np.array_equal(seen, np.array(want))
 
     @settings(max_examples=60, deadline=None)
     @given(_cdfs(), st.lists(st.integers(0, 40), min_size=1, max_size=5),
