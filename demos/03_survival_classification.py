@@ -44,7 +44,7 @@ def main():
 
     print("\nstrong local survival on a transitive-looking window:")
     zd = bl.build_scenario("zd_translation", {"radius": 10})
-    sl = bl.strong_local_compare(zd, 0, 0, tol=1e-6)
+    sl = bl.strong_local_compare(zd, 0, 0)
     print(f"  qbar(0) = {sl.qbar_x0:.6f}, avoidance fixed point {sl.q_target_x0:.6f} "
           f"-> {sl.verdict}")
 

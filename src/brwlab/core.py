@@ -145,24 +145,24 @@ class IntDistribution:
         return IntDistribution.from_values([int(n)], [1.0])
 
     @staticmethod
-    def geometric(mean, tail_tol=PROB_TOL, cap=None) -> "IntDistribution":
+    def geometric(mean) -> "IntDistribution":
         """Geometric law rho(i) = (m/(1+m))^i / (1+m), truncated and renormalized.
 
-        The cap is chosen so the removed tail mass is below tail_tol; an
-        explicit cap that leaves more mass than tail_tol is rejected.
+        The support is 0..ceil(log PROB_TOL / log r) + 1 with r = m/(1+m), so
+        the removed tail mass is below PROB_TOL.  A mean that is not
+        finite, or whose support would exceed _MAX_DENSE entries (means above
+        about 36,000), raises ModelError before anything is allocated.
         """
         m = float(mean)
-        if m < 0:
-            raise ModelError("geometric mean must be nonnegative")
+        if not math.isfinite(m) or m < 0:
+            raise ModelError(f"geometric mean must be finite and nonnegative, got {m!r}")
         if m == 0:
             return IntDistribution.delta(0)
         r = m / (1.0 + m)
-        needed = int(math.ceil(math.log(tail_tol) / math.log(r))) + 1
-        if cap is None:
-            cap = needed
-        elif r ** cap > tail_tol:
-            raise ModelError(f"cap {cap} leaves tail mass {r ** cap:.3e} > {tail_tol}")
-        i = np.arange(cap + 1)
+        x = math.log(PROB_TOL) / math.log(r) if r < 1.0 else math.inf
+        if x + 2 > _MAX_DENSE:
+            raise ModelError(f"geometric mean {m!r} needs a support above {_MAX_DENSE} entries")
+        i = np.arange(int(math.ceil(x)) + 2)
         p = (1.0 - r) * r ** i
         return IntDistribution(p, normalize=True)
 
@@ -227,10 +227,11 @@ class IntDistribution:
             out[: v + 1] += pv * np.clip(_binom_pmf(np.arange(v + 1), int(v), s), 0.0, 1.0)
         return IntDistribution(out, normalize=True)
 
-    def allclose(self, other, tol=PROB_TOL) -> bool:
+    def allclose(self, other) -> bool:
+        """Equal within PROB_TOL at every value of either support."""
         union = np.union1d(self.values, other.values)
         for v in union:
-            if abs(self.prob_of(v) - other.prob_of(v)) > tol:
+            if abs(self.prob_of(v) - other.prob_of(v)) > PROB_TOL:
                 return False
         return True
 
@@ -369,23 +370,23 @@ class OffspringLaw:
         return sum(p for cfg, p in self._atoms
                    if sum(c for v, c in cfg.entries if v in subset) == 1)
 
-    def equal_within(self, other, tol=PROB_TOL) -> bool:
-        """Total-variation equality test (factorized fast path when possible)."""
+    def equal_within(self, other) -> bool:
+        """Total-variation equality within PROB_TOL (factorized fast path when possible)."""
         if self.product is not None and other.product is not None:
             a, b = self.product, other.product
-            if not a.rho.allclose(b.rho, tol):
+            if not a.rho.allclose(b.rho):
                 return False
-            ta = {t: w for t, w in zip(a.targets, a.weights) if w > tol}
-            tb = {t: w for t, w in zip(b.targets, b.weights) if w > tol}
+            ta = {t: w for t, w in zip(a.targets, a.weights) if w > PROB_TOL}
+            tb = {t: w for t, w in zip(b.targets, b.weights) if w > PROB_TOL}
             if set(ta) != set(tb):
                 return False
-            return all(abs(ta[t] - tb[t]) <= tol for t in ta)
+            return all(abs(ta[t] - tb[t]) <= PROB_TOL for t in ta)
         da = {cfg: p for cfg, p in self.atoms}
         db = {cfg: p for cfg, p in other.atoms}
         tv = 0.0
         for cfg in set(da) | set(db):
             tv += abs(da.get(cfg, 0.0) - db.get(cfg, 0.0))
-        return tv / 2.0 <= tol
+        return tv / 2.0 <= PROB_TOL
 
     def __repr__(self):
         kind = "product" if self.product is not None else f"{len(self._atoms)} atoms"
@@ -458,12 +459,13 @@ def product_form_law(rho, dispersal_row) -> OffspringLaw:
         rho, tuple(t for t, _ in items), tuple(w / s for _, w in items)))
 
 
-def continuous_counterpart(lam, rates_row, tail_cap=None, tail_tol=PROB_TOL) -> OffspringLaw:
+def continuous_counterpart(lam, rates_row) -> OffspringLaw:
     """Generation law of a rate-driven process: geometric totals, rate-proportional dispersal.
 
     With total rate k = sum of the row, child totals follow
-    rho(i) = (lam*k)^i / (1+lam*k)^{i+1} (truncated, renormalized) and each
-    child lands on y with probability rate[y]/k, so mean offspring at y is
+    rho(i) = (lam*k)^i / (1+lam*k)^{i+1}, cut where the tail falls below
+    PROB_TOL and renormalized (``IntDistribution.geometric``), and each child
+    lands on y with probability rate[y]/k, so mean offspring at y is
     lam * rate[y].
     """
     row = {int(t): float(w) for t, w in dict(rates_row).items() if w != 0.0}
@@ -472,7 +474,7 @@ def continuous_counterpart(lam, rates_row, tail_cap=None, tail_tol=PROB_TOL) -> 
     k = sum(row.values())
     if k <= 0:
         raise ModelError("total rate k(x) must be positive")
-    rho = IntDistribution.geometric(lam * k, tail_tol=tail_tol, cap=tail_cap)
+    rho = IntDistribution.geometric(lam * k)
     return product_form_law(rho, {t: w / k for t, w in row.items()})
 
 
@@ -518,12 +520,6 @@ class BrwModel:
 
     def law(self, vertex) -> OffspringLaw:
         return self.laws[vertex]
-
-    def with_metadata(self, name=None, params=None, finite_projection=None) -> "BrwModel":
-        return BrwModel(self.vertices, self.laws,
-                        name if name is not None else self.name,
-                        dict(params if params is not None else self.params),
-                        finite_projection if finite_projection is not None else self.finite_projection)
 
 
 def dominating_law(model: BrwModel) -> IntDistribution:
@@ -623,29 +619,26 @@ def law_table(model: BrwModel) -> LawTable:
 
 @dataclass(frozen=True)
 class Projection:
-    """Surjective vertex map from a model's vertex set onto a target list."""
+    """Vertex map from a model's vertex set onto its sorted image."""
 
     mapping: tuple  # ((source, target), ...)
     target_vertices: tuple
 
     @staticmethod
-    def make(mapping, target_vertices=None) -> "Projection":
+    def make(mapping) -> "Projection":
         m = dict(mapping)
-        targets = tuple(sorted(set(m.values()))) if target_vertices is None else tuple(target_vertices)
-        if set(m.values()) != set(targets):
-            raise ModelError("projection is not surjective onto the target vertex list")
-        return Projection(tuple(sorted(m.items())), targets)
+        return Projection(tuple(sorted(m.items())), tuple(sorted(set(m.values()))))
 
     def as_dict(self) -> dict:
         return dict(self.mapping)
 
 
-def project_model(model: BrwModel, proj: Projection, tol=PROB_TOL) -> BrwModel:
+def project_model(model: BrwModel, proj: Projection) -> BrwModel:
     """Collapse fibers of the projection; laws must agree along each fiber.
 
     The projected law at g(x) is the pushforward of the law at x; two
     vertices with the same image whose pushforwards differ (beyond total
-    variation tol) make the model non-projectable and raise.
+    variation PROB_TOL) make the model non-projectable and raise.
     """
     g = proj.as_dict()
     missing = [v for v in model.vertices if v not in g]
@@ -658,7 +651,7 @@ def project_model(model: BrwModel, proj: Projection, tol=PROB_TOL) -> BrwModel:
     for y, fiber in fibers.items():
         pushed = [model.laws[x].pushforward(g) for x in fiber]
         for x, law in zip(fiber[1:], pushed[1:]):
-            if not pushed[0].equal_within(law, tol):
+            if not pushed[0].equal_within(law):
                 raise ModelError(
                     f"fiber over {y!r} is inconsistent: {fiber[0]!r} and {x!r} "
                     "push to different laws")
@@ -707,34 +700,30 @@ def check_assumption_nonsingular(model: BrwModel):
     }
 
 
-def check_invariance(model: BrwModel, gamma, interior=None, tol=PROB_TOL):
+def check_invariance(model: BrwModel, gamma):
     """Does the law family commute with the vertex bijection on the interior?
 
     Truncation edges break exact invariance (edge laws are restrictions of
-    the untruncated ones), so by default a vertex is only checked when
-    neither its own offspring support nor its image's touches the gamma
-    boundary, i.e. vertices where the map or its inverse leaves the window.
-    Pass an explicit ``interior`` to widen or narrow the checked set; the
-    skipped boundary is reported either way.
+    the untruncated ones), so a vertex is only checked when neither its own
+    offspring support nor its image's touches the gamma boundary, i.e.
+    vertices where the map or its inverse leaves the window; laws are
+    compared within PROB_TOL.  The skipped boundary is reported.
     """
     g = dict(gamma)
     if len(set(g.values())) != len(g):
         raise ModelError("gamma is not injective")
     vset = set(model.vertices)
-    if interior is None:
-        image = set(g.values())
-        boundary = {v for v in model.vertices
-                    if v not in g or g[v] not in vset or v not in image}
+    image = set(g.values())
+    boundary = {v for v in model.vertices if v not in g or g[v] not in vset or v not in image}
 
-        def clear(v):
-            return v not in boundary and not (set(model.laws[v].support) & boundary)
+    def clear(v):
+        return v not in boundary and not (set(model.laws[v].support) & boundary)
 
-        interior = [v for v in model.vertices
-                    if v in g and g[v] in vset and clear(v) and clear(g[v])]
+    interior = [v for v in model.vertices if v in g and g[v] in vset and clear(v) and clear(g[v])]
     checked, failures = [], []
     for v in interior:
         moved = model.laws[v].pushforward(g)
-        if not moved.equal_within(model.laws[g[v]], tol):
+        if not moved.equal_within(model.laws[g[v]]):
             failures.append(v)
         checked.append(v)
     return {

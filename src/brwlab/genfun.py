@@ -320,7 +320,6 @@ class SurvivalReport:
     global_: str
     global_method: str               # "projection" | "finite-irreducible" | "fixed-point"
     global_evidence: dict
-    strong_local: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
     def coherent(self) -> bool:
@@ -335,9 +334,6 @@ class SurvivalReport:
                  f"  global  : {self.global_} via {self.global_method} "
                  + " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                             for k, v in scalars.items())]
-        for y, rep in self.strong_local.items():
-            lines.append(f"  strong local at {y}: {rep['verdict']} "
-                         f"(qbar={rep['qbar_x0']:.6g}, q_target={rep['q_target_x0']:.6g})")
         for n in self.notes:
             lines.append(f"  note: {n}")
         return "\n".join(lines)
@@ -358,7 +354,7 @@ def _verdict(value):
     return "inconclusive"
 
 
-def classify_survival(model: BrwModel, x0, n_max=2000, strong_targets=()) -> SurvivalReport:
+def classify_survival(model: BrwModel, x0, n_max=2000) -> SurvivalReport:
     """Three-way survival classification with explicit finite evidence.
 
     Local: return growth rate at x0 against 1 with the _MARGIN band.
@@ -406,10 +402,7 @@ def classify_survival(model: BrwModel, x0, n_max=2000, strong_targets=()) -> Sur
                      "global survival")
         global_ = "survives"
 
-    report = SurvivalReport(x0, local, lg, global_, method, evidence, {}, notes)
-    for y in strong_targets:
-        report.strong_local[y] = strong_local_compare(model, x0, y).__dict__
-    return report
+    return SurvivalReport(x0, local, lg, global_, method, evidence, notes)
 
 
 @dataclass
@@ -420,9 +413,13 @@ class StrongLocalReport:
     gap: float
 
 
-def strong_local_compare(model: BrwModel, x0, y, tol=_Q_BAND) -> StrongLocalReport:
-    """Do local extinction at {y} and global extinction coincide at x0 (within
-    tol, with qbar(x0) < 1 - tol)?  Both solves use iterate_extinction's defaults."""
+def strong_local_compare(model: BrwModel, x0, y) -> StrongLocalReport:
+    """Do local extinction at {y} and global extinction coincide at x0?
+
+    "yes" when both solves converge, qbar(x0) < 1 - _Q_BAND and the two
+    extinction probabilities at x0 differ by at most _Q_BAND; "inconclusive"
+    when a solve does not converge.  Both solves use iterate_extinction's
+    defaults."""
     if x0 not in model.index:
         raise ModelError(f"x0 = {x0!r} is not a vertex of the model")
     qbar, d1 = iterate_extinction(model, "global")
@@ -431,7 +428,7 @@ def strong_local_compare(model: BrwModel, x0, y, tol=_Q_BAND) -> StrongLocalRepo
     gap = float(abs(qy[i0] - qbar[i0]))
     if not (d1.converged and d2.converged):
         verdict = "inconclusive"
-    elif qbar[i0] < 1.0 - tol and gap <= tol:
+    elif qbar[i0] < 1.0 - _Q_BAND and gap <= _Q_BAND:
         verdict = "yes"
     else:
         verdict = "no"
@@ -452,16 +449,6 @@ class LambdaSweepResult:
     monotone: bool
 
 
-def _as_rates(rates, vertices):
-    if isinstance(rates, MomentMatrix):
-        return rates
-    if isinstance(rates, dict):
-        return MomentMatrix.from_rows(rates, vertices if vertices is not None else sorted(rates))
-    if vertices is None:
-        vertices = range(np.asarray(rates).shape[0] if not hasattr(rates, "shape") else rates.shape[0])
-    return MomentMatrix(rates, tuple(vertices))
-
-
 def _critical_rate(name, value, ratios, lam_lo, lam_hi, width):
     """lam = 1/value, bracketed by it and the reciprocals of the last three ratios."""
     lam = 1.0 / value if value > 0.0 else math.inf
@@ -476,8 +463,8 @@ def _critical_rate(name, value, ratios, lam_lo, lam_hi, width):
 
 
 def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
-                 projected_row_sum=None, grid=None, n_max=2000, stop_tol=1e-10,
-                 tail_tol=1e-12) -> LambdaSweepResult:
+                 projected_row_sum=None, grid=None, n_max=2000,
+                 stop_tol=1e-10) -> LambdaSweepResult:
     """Critical rates of the one-parameter family M = lam * K, in closed form.
 
     Scaling every rate by lam scales every growth rate of K by lam, so each
@@ -491,14 +478,21 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
     the widest acceptable bracket; a wider one, or a threshold outside
     [lam_lo, lam_hi], raises ModelError.
 
-    The table holds the extinction probability at x0 for each lam of
-    ``grid`` (default: 9 points over [lam_lo, lam_hi]).  With a projection
-    it is that of the geometric-total single-site counterpart,
-    min(1, 1/(lam * kbar)); otherwise the least fixed point of
-    ``counterpart_model(K, lam)``, and an unconverged solve raises
-    ModelError.  The table must be nonincreasing in lam.
+    ``rates`` is a MomentMatrix, or a rate matrix whose rows and columns
+    are labelled by ``vertices``.  The table holds the extinction
+    probability at x0 for each lam of ``grid`` (default: 9 points over
+    [lam_lo, lam_hi]).  With a projection it is that of the geometric-total
+    single-site counterpart, min(1, 1/(lam * kbar)); otherwise the least
+    fixed point of ``counterpart_model(K, lam)``, whose geometric tails are
+    cut at PROB_TOL, and an unconverged solve raises ModelError.  The table
+    must be nonincreasing in lam.
     """
-    K = _as_rates(rates, vertices)
+    if isinstance(rates, MomentMatrix):
+        K = rates
+    elif vertices is None:
+        raise ModelError("a rate matrix needs its vertices (or pass a MomentMatrix)")
+    else:
+        K = MomentMatrix(rates, tuple(vertices))
     if not math.isfinite(K.max_row_sum()):
         raise ModelError("rate row sums must be finite")
 
@@ -518,7 +512,7 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
                                              lam_lo, lam_hi, width)
 
         def qbar_at(lam):
-            model = counterpart_model(K, lam, tail_tol=tail_tol)
+            model = counterpart_model(K, lam)
             q, diag = iterate_extinction(model, "global", tol=1e-13)
             if not diag.converged:
                 raise ModelError(f"extinction solve at lam = {lam:.6g} did not converge "
@@ -534,8 +528,9 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
     return LambdaSweepResult(lambda_s, s_bracket, lambda_w, w_bracket, table, monotone)
 
 
-def counterpart_model(rates: MomentMatrix, lam, tail_tol=1e-12) -> BrwModel:
-    """Materialize the generation-chain model of rate matrix lam * K."""
+def counterpart_model(rates: MomentMatrix, lam) -> BrwModel:
+    """Materialize the generation-chain model of rate matrix lam * K
+    (``continuous_counterpart`` at every vertex)."""
     laws = {}
     csr = rates.csr
     for v in rates.vertices:
@@ -544,5 +539,5 @@ def counterpart_model(rates: MomentMatrix, lam, tail_tol=1e-12) -> BrwModel:
         row = {rates.vertices[j]: float(w) for j, w in zip(csr.indices[lo:hi], csr.data[lo:hi])}
         if not row:
             raise ModelError(f"vertex {v!r} has zero total rate")
-        laws[v] = continuous_counterpart(lam, row, tail_tol=tail_tol)
+        laws[v] = continuous_counterpart(lam, row)
     return BrwModel(rates.vertices, laws, name="counterpart", params={"lam": lam})

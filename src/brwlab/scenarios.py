@@ -29,7 +29,7 @@ def _gw_projection(model, rho):
     point = BrwModel((0,), {0: product_form_law(rho, {0: 1.0})},
                      name="gw", params={"from": model.name})
     mapping = {v: 0 for v in model.vertices}
-    return model.with_metadata(finite_projection=(point, mapping))
+    return BrwModel(model.vertices, model.laws, model.name, dict(model.params), (point, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -42,17 +42,17 @@ def build_gw(rho) -> BrwModel:
     return BrwModel((0,), {0: law}, name="gw", params={"rho_mean": rho.mean})
 
 
-def line_noext_search(size, n0=4) -> list:
+def line_noext_search(size) -> list:
     """Branch counts for the forward line tuned so extinction is certain.
 
-    Sets n_0 and then, window by window, picks the smallest power-of-two-ish
+    Sets n_0 = 4 and then, window by window, picks the smallest power-of-two-ish
     n_{k+1} such that the minimal solution of the finite inequality system
     (z fixed to 1 - p_{k+1} at the far end, then pulled back through
     z(i) = p_i z(i+1)^{n_i} + 1 - p_i with p_i = 2/n_i) stays above
     (k+1)/(k+2) everywhere.  The mean matrix is unchanged (p_i n_i = 2) while
     the fixed-point equations are pushed toward the all-ones solution.
     """
-    ns = [int(n0)]
+    ns = [4]
 
     def min_solution_floor(candidate):
         zs = 1.0 - 2.0 / candidate
@@ -121,12 +121,12 @@ def build_line_noext_irreducible(size, ns=None) -> BrwModel:
 
 
 def ex45_p(i) -> float:
-    """Default forward probability 1 - 2^{-(i+2)}; the misses are summable."""
+    """Forward probability 1 - 2^{-(i+2)} of line_ex45; the misses are summable."""
     return 1.0 - 2.0 ** (-(i + 2))
 
 
-def build_line_ex45(size, boundary="reflect", p_fn=None) -> BrwModel:
-    """Single-child line: forward w.p. p_i, backward or death sharing the rest.
+def build_line_ex45(size, boundary="reflect") -> BrwModel:
+    """Single-child line: forward w.p. p_i = ex45_p(i), backward or death sharing the rest.
 
     Row sums are (1+p_i)/2 < 1 at every vertex, yet the process escapes to
     the right and survives globally when the p_i approach 1 fast enough.
@@ -138,10 +138,9 @@ def build_line_ex45(size, boundary="reflect", p_fn=None) -> BrwModel:
         raise ModelError("line_ex45 needs at least 2 vertices")
     if boundary not in ("reflect", "kill"):
         raise ModelError(f"unknown boundary mode {boundary!r}")
-    pf = p_fn or ex45_p
     laws = {}
     for i in range(size):
-        p = pf(i)
+        p = ex45_p(i)
         back = i - 1 if i > 0 else 0
         if i < size - 1:
             fwd = i + 1
@@ -239,7 +238,7 @@ def tree_rates(degree, depth):
     return tuple(int(v) for v in verts), csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def build_tree_counterpart(degree=4, depth=6, lam=0.3, tail_tol=1e-12) -> BrwModel:
+def build_tree_counterpart(degree=4, depth=6, lam=0.3) -> BrwModel:
     """Generation chain of the rate-lam unit-edge process on a truncated tree.
 
     Child totals are geometric with mean lam * (in-window degree); building
@@ -264,10 +263,10 @@ def build_tree_counterpart(degree=4, depth=6, lam=0.3, tail_tol=1e-12) -> BrwMod
     laws = {}
     for v in verts:
         row = {u: 1.0 for u in neighbors[int(v)]}
-        laws[int(v)] = continuous_counterpart(lam, row, tail_tol=tail_tol)
+        laws[int(v)] = continuous_counterpart(lam, row)
     model = BrwModel(tuple(int(v) for v in verts), laws, name="tree_counterpart",
                      params={"degree": int(degree), "depth": int(depth), "lam": lam})
-    rho_full = IntDistribution.geometric(lam * degree, tail_tol=tail_tol)
+    rho_full = IntDistribution.geometric(lam * degree)
     return _gw_projection(model, rho_full)
 
 

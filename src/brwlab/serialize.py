@@ -49,39 +49,56 @@ def serialize_model(model: BrwModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(lines, i, key):
+    """The text after line i's keyword; ModelError unless that keyword is ``key``."""
+    line = lines[i] if i < len(lines) else "(end of text)"
+    word, _, rest = line.partition(" ")
+    if word != key:
+        raise ModelError(f"expected a line starting {key!r}, got {line!r}")
+    return rest
+
+
 def parse_model(text: str) -> BrwModel:
+    """Read a model back from ``serialize_model`` text; malformed text raises ModelError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_LINE:
         raise ModelError("not a serialized model (bad format line)")
-    name = lines[1].split(" ", 1)[1]
-    params = json.loads(lines[2].split(" ", 1)[1])
-    vertices = tuple(int(t) for t in lines[3].split()[1:])
+    try:
+        return _parse_body(lines)
+    except (IndexError, ValueError) as exc:   # ModelError and JSONDecodeError included
+        raise ModelError(f"malformed model text: {exc}") from exc
+
+
+def _parse_body(lines) -> BrwModel:
+    name = _fields(lines, 1, "scenario")
+    params = json.loads(_fields(lines, 2, "params"))
+    if not isinstance(params, dict):
+        raise ModelError("model params must be a JSON object")
+    vertices = tuple(int(t) for t in _fields(lines, 3, "vertices").split())
     laws = {}
     i = 4
     while i < len(lines):
-        head = lines[i].split()
-        if head[0] != "law":
-            raise ModelError(f"expected a law line, got {lines[i]!r}")
-        v = int(head[1])
-        if head[2] == "product":
-            pairs = [t.split(":") for t in lines[i + 1].split()[1:]]
+        head = _fields(lines, i, "law").split()
+        v = int(head[0])
+        if head[1] == "product":
+            pairs = [t.split(":") for t in _fields(lines, i + 1, "rho").split()]
             rho = IntDistribution.from_values([int(v) for v, _ in pairs],
                                               [float(p) for _, p in pairs], normalize=True)
             disp = {}
-            for pair in lines[i + 2].split()[1:]:
+            for pair in _fields(lines, i + 2, "disp").split():
                 t, w = pair.split(":")
                 disp[int(t)] = float(w)
             laws[v] = OffspringLaw(product=ProductForm(
                 rho, tuple(sorted(disp)), tuple(disp[t] for t in sorted(disp))))
             i += 3
         else:
-            count = int(head[3])
+            count = int(head[2])
             atoms = []
             for j in range(count):
-                parts = lines[i + 1 + j].split()
-                p = float(parts[1])
+                parts = _fields(lines, i + 1 + j, "atom").split()
+                p = float(parts[0])
                 cfg = {}
-                for pair in parts[2:]:
+                for pair in parts[1:]:
                     u, c = pair.split(":")
                     cfg[int(u)] = int(c)
                 atoms.append((OffspringConfig.make(cfg), p))

@@ -837,13 +837,6 @@ class SurvivalEstimate:
     outcomes: list = field(repr=False, default_factory=list)
     overflow_count: int = 0
 
-    def per_replica_rows(self):
-        header = ("replica", "seed", "alive", "last_target_visit",
-                  "peak_population", "total_born", "status")
-        rows = [(o.replica, o.seed, int(o.alive), o.last_target_visit,
-                 o.peak_population, o.total_born, o.status) for o in self.outcomes]
-        return header, rows
-
 
 def estimate_survival(model: BrwModel, eta0, horizon, replicas, target=None,
                       cap=math.inf, seed=0, hard_cap=DEFAULT_HARD_CAP) -> SurvivalEstimate:

@@ -69,6 +69,24 @@ class TestClassify:
         assert f"via {method}" in capsys.readouterr().out
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("scenario, settings, want", [
+        ("gw", ["--set", 'param.rho={"0":0.25,"2":0.75}'],
+         "4e1c6e4970712d6d9a7cb7b99010780b337c96ccd19797916130cfc43fdf6f3f"),
+        ("line_ex45", [], "e1d11764402781394634d4367edef2361bea4c3db4a288f2708fb3182c6745ab"),
+    ], ids=["gw", "line_ex45"])
+    def test_report_bytes_pinned(self, scenario, settings, want, tmp_path, capsys):
+        # sha256 of classify.txt (it holds no timestamp), recorded before the
+        # report lost its strong-local field
+        assert run_cli(["classify", "--scenario", scenario, *settings, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "classify.txt").read_bytes()).hexdigest() == want
+
+    @pytest.mark.parametrize("lam", ["1e17", "nan", "Infinity"])
+    def test_unbuildable_geometric_exit_two(self, lam, tmp_path, capsys):
+        code = run_cli(["classify", "--scenario", "tree_counterpart", "--set", f"param.lam={lam}",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestExtinction:
     def test_writes_vector(self, tmp_path, capsys):

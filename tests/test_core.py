@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import math
 import os
 import subprocess
 import sys
@@ -148,16 +151,28 @@ class TestContinuousCounterpart:
         with pytest.raises(ModelError):
             continuous_counterpart(1.0, {})
 
-    def test_cap_too_small_rejected(self):
-        with pytest.raises(ModelError):
-            continuous_counterpart(1.0, {0: 1.0}, tail_cap=5)
-
 
 class TestIntDistribution:
     def test_geometric_tail_below_tolerance(self):
         d = IntDistribution.geometric(4.0)
         r = 4.0 / 5.0
         assert r ** d.support_max <= 1e-12 * (1 + 1e-9)
+        assert d.support_max + 1 == math.ceil(math.log(1e-12) / math.log(r)) + 2
+
+    @pytest.mark.parametrize("mean", [1e17, math.nan, math.inf, 1e7])
+    def test_geometric_refuses_before_allocating(self, mean, monkeypatch):
+        # 1e17 rounds r to 1; 1e7 would need about 2.8e8 entries per array
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("geometric allocated before refusing its mean")
+
+        monkeypatch.setattr(np, "arange", no_allocation)
+        with pytest.raises(ModelError):
+            IntDistribution.geometric(mean)
+
+    def test_geometric_support_limit(self):
+        assert IntDistribution.geometric(36_000).support_max + 1 <= 1_000_000
+        with pytest.raises(ModelError, match="support above"):
+            IntDistribution.geometric(37_000)
 
     def test_mean_variance_consistency(self):
         d = IntDistribution.from_dict({0: 0.4, 2: 0.6})
@@ -167,7 +182,8 @@ class TestIntDistribution:
     def test_thinning_of_geometric_stays_geometric(self):
         d = IntDistribution.geometric(2.0)
         t = d.thinned(0.5)
-        ref = IntDistribution.geometric(1.0, cap=d.support_max)
+        n = d.support_max
+        ref = IntDistribution(0.5 ** np.arange(1, n + 2), normalize=True)
         assert t.mean == pytest.approx(1.0, abs=1e-9)
         for k in range(10):
             assert abs(t.prob_of(k) - ref.prob_of(k)) < 1e-9
@@ -534,3 +550,30 @@ def test_restriction_idempotent(model, subset):
     b = restrict_model(a, subset)
     for v in a.vertices:
         assert a.laws[v].equal_within(b.laws[v])
+
+
+# ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+def test_defaulted_public_parameter_count():
+    """Parameters with defaults of the public functions, and of the methods
+    without a leading underscore of the classes, defined in the library
+    modules; a new knob must update this count on purpose."""
+    count = 0
+    for name in ("core", "spectral", "genfun", "simulate", "approx", "scenarios", "serialize"):
+        module = importlib.import_module(f"brwlab.{name}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                functions = [obj]
+            elif inspect.isclass(obj):
+                functions = [getattr(m, "__func__", m) for a, m in vars(obj).items()
+                             if not a.startswith("_")]
+                functions = [f for f in functions if inspect.isfunction(f)]
+            else:
+                continue
+            count += sum(p.default is not inspect.Parameter.empty
+                         for f in functions for p in inspect.signature(f).parameters.values())
+    assert count == 62

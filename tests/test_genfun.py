@@ -484,16 +484,16 @@ class TestClassify:
 
 class TestStrongLocal:
     def test_gw_point(self):
-        rep = strong_local_compare(gw({0: 0.4, 2: 0.6}), 0, 0, tol=1e-6)
+        rep = strong_local_compare(gw({0: 0.4, 2: 0.6}), 0, 0)
         assert rep.verdict == "yes"
         assert rep.gap <= 1e-9
 
     def test_transitive_window_interior(self):
-        rep = strong_local_compare(build_zd_translation(radius=10), 0, 0, tol=1e-6)
+        rep = strong_local_compare(build_zd_translation(radius=10), 0, 0)
         assert rep.verdict == "yes"
 
     def test_no_local_survival(self):
-        rep = strong_local_compare(gw({0: 0.8, 2: 0.2}), 0, 0, tol=1e-6)
+        rep = strong_local_compare(gw({0: 0.8, 2: 0.2}), 0, 0)
         assert rep.verdict == "no"
         assert rep.q_target_x0 == pytest.approx(1.0, abs=1e-9)
 
@@ -531,6 +531,14 @@ class TestLambdaSweep:
         K = MomentMatrix(np.array([[1.0]]), (0,))
         with pytest.raises(ModelError):
             lambda_sweep(K, 0, 2.0, 3.0, projected_row_sum=1.0)
+
+    def test_rate_matrix_needs_vertices(self):
+        verts, K = tree_rates(4, 2)
+        with pytest.raises(ModelError, match="vertices"):
+            lambda_sweep(K, 0, 0.2, 0.6, projected_row_sum=4.0)
+        labelled = lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0)
+        wrapped = lambda_sweep(MomentMatrix(K, verts), 0, 0.2, 0.6, projected_row_sum=4.0)
+        assert repr(labelled) == repr(wrapped)
 
     def test_lambda_s_is_reciprocal_perron_root(self):
         verts, K = tree_rates(4, 3)

@@ -20,7 +20,7 @@ class TestRoundTrip:
         back = parse_model(serialize_model(m))
         assert back.vertices == m.vertices
         for v in m.vertices:
-            assert back.laws[v].equal_within(m.laws[v], tol=1e-12)
+            assert back.laws[v].equal_within(m.laws[v])
 
     def test_round_trip_preserves_means(self):
         m = build_zd_translation(radius=5)
@@ -48,3 +48,33 @@ class TestHash:
     def test_bad_text_rejected(self):
         with pytest.raises(ModelError):
             parse_model("not a model\n")
+
+
+def _drop_line(text, start):
+    lines = text.splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(start))
+    return "\n".join(lines[:i] + lines[i + 1:]) + "\n"
+
+
+GW_TEXT = serialize_model(build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}}))
+LINE_TEXT = serialize_model(build_line_noext(3))
+
+
+class TestMalformedText:
+    @pytest.mark.parametrize("text", [
+        "\n".join(GW_TEXT.splitlines()[:2]) + "\n",
+        "\n".join(GW_TEXT.splitlines()[:3]) + "\n",
+        _drop_line(GW_TEXT, "rho "),
+        _drop_line(GW_TEXT, "disp "),
+        "\n".join(GW_TEXT.splitlines()[:5]) + "\n",
+        _drop_line(LINE_TEXT, "atom "),
+        "\n".join(LINE_TEXT.splitlines()[:-1]) + "\n",
+        GW_TEXT.replace("params {", "params {x"),
+        GW_TEXT.replace("params {\"rho_mean\": 1.2}", "params [1]"),
+        GW_TEXT.replace("vertices 0", "vertices zero"),
+    ], ids=["no-params", "no-vertices", "no-rho", "no-disp", "law-at-end", "atom-missing",
+            "last-atom-missing", "bad-json", "params-not-object", "bad-vertex"])
+    def test_raises_model_error(self, text):
+        assert text != GW_TEXT
+        with pytest.raises(ModelError):
+            parse_model(text)
