@@ -176,6 +176,7 @@ class SpatialRow:
     growth: float
     converged: bool
     verdict: str
+    bracket: tuple | None = None    # certified (low, high) of the growth, if computed
     mc_frequency: float | None = None
     mc_ci: tuple | None = None
 
@@ -188,13 +189,14 @@ class SpatialResult:
     first_surviving_index: int | None
 
     def csv_rows(self):
-        header = ("index", "window_size", "growth", "converged", "verdict",
-                  "mc_frequency", "mc_ci_low", "mc_ci_high")
+        header = ("index", "window_size", "growth", "growth_low", "growth_high", "converged",
+                  "verdict", "mc_frequency", "mc_ci_low", "mc_ci_high")
         rows = []
         for r in self.rows:
+            g_lo, g_hi = r.bracket if r.bracket else ("", "")
             lo, hi = r.mc_ci if r.mc_ci else ("", "")
-            rows.append((r.index, r.window_size, r.growth, int(r.converged), r.verdict,
-                         "" if r.mc_frequency is None else r.mc_frequency, lo, hi))
+            rows.append((r.index, r.window_size, r.growth, g_lo, g_hi, int(r.converged),
+                         r.verdict, "" if r.mc_frequency is None else r.mc_frequency, lo, hi))
         return header, rows
 
 
@@ -203,7 +205,9 @@ def spatial_experiment(model: BrwModel, exhaustion, x0, mc=None) -> SpatialResul
 
     Restriction only ever lowers the growth, so when the full window
     survives locally the report also gives the first index whose restricted
-    growth clears 1 + 1e-3.  mc, when given, is a dict of estimate_survival
+    growth clears 1 + 1e-3.  Each row carries its window's certified growth
+    bracket where ``seneta_sequence`` computed one (None where power
+    iteration ran).  mc, when given, is a dict of estimate_survival
     options (horizon, replicas, seed, cap, hard_cap) run on each restricted model.
     """
     estimates = seneta_sequence(model, exhaustion, x0)
@@ -213,7 +217,7 @@ def spatial_experiment(model: BrwModel, exhaustion, x0, mc=None) -> SpatialResul
     first = None
     for i, (subset, est) in enumerate(zip(exhaustion, estimates)):
         verdict = _verdict(est.value)
-        row = SpatialRow(i, len(set(subset)), est.value, est.converged, verdict)
+        row = SpatialRow(i, len(set(subset)), est.value, est.converged, verdict, est.bracket)
         if verdict == "survives" and first is None:
             first = i
         if mc:

@@ -206,8 +206,10 @@ def cmd_spatial(args) -> int:
     approx.write_csv(os.path.join(out, "spatial.csv"), header, rows)
     print(f"full-window growth {result.full_growth:.6g} ({result.full_verdict}) [model {h}]")
     for row in result.rows:
-        print(f"  window {row.index} (|V|={row.window_size}): growth {row.growth:.6g} "
-              f"-> {row.verdict}")
+        bracket = (f" in [{row.bracket[0]:.15g}, {row.bracket[1]:.15g}]"
+                   if row.bracket else "")
+        print(f"  window {row.index} (|V|={row.window_size}): growth {row.growth:.6g}"
+              f"{bracket} -> {row.verdict}")
     if result.first_surviving_index is not None:
         print(f"  first surviving window index: {result.first_surviving_index}")
     return EXIT_OK

@@ -82,8 +82,10 @@ def _parse_body(lines) -> BrwModel:
         v = int(head[0])
         if head[1] == "product":
             pairs = [t.split(":") for t in _fields(lines, i + 1, "rho").split()]
-            rho = IntDistribution.from_values([int(v) for v, _ in pairs],
-                                              [float(p) for _, p in pairs], normalize=True)
+            # written probabilities that sum to 1 are kept bit for bit, so a
+            # parsed model serializes to the text it was read from
+            rho = IntDistribution._from_values([int(v) for v, _ in pairs],
+                                               [float(p) for _, p in pairs], True, True)
             disp = {}
             for pair in _fields(lines, i + 2, "disp").split():
                 t, w = pair.split(":")

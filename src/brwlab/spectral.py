@@ -6,13 +6,18 @@ ratio of consecutive (period-aligned) terms converges geometrically to the
 dominant root; we report the raw n-th-root sequence as evidence and an
 Aitken-accelerated ratio as the value.  Everything is carried in log scale
 so supercritical windows cannot overflow.
+
+Seneta windows up to ``_DENSE_CUTOFF`` class vertices are certified instead:
+one dense eigensolve gives a positive vector v, and the Collatz-Wielandt
+bounds min (Mv)_i/v_i <= rho <= max (Mv)_i/v_i, widened by the rounding of
+their one matrix-vector product, bracket the window's Perron root.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity, issparse
@@ -21,7 +26,8 @@ from .core import BrwModel, ModelError, law_table
 
 # below this dimension matrix powers and series solves run dense, which is faster
 _DENSE_CUTOFF = 400
-_REL_TOL = 1e-3     # converged: the last three ratios agree to this relative spread
+_REL_TOL = 1e-3     # converged: the last three ratios (or a bracket's ends) agree to this
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +154,16 @@ def expected_population(M: MomentMatrix, eta0, n: int) -> np.ndarray:
 
 @dataclass
 class GrowthEstimate:
-    """Reported root estimate with its finite evidence sequence."""
+    """Reported root estimate with its finite evidence: a sequence, or a bracket."""
 
     value: float
     sequence: tuple = ()            # (n, n-th root of the tracked quantity)
     ratios: tuple = ()              # period-aligned consecutive-ratio estimates
     subsequence_rule: str = ""
     converged: bool = False
+    # (low, high) certified to hold the root, None where power iteration ran; out of
+    # repr, so the recorded repr digests of power-iteration estimates stand
+    bracket: tuple | None = field(default=None, repr=False)
 
 
 def _aitken(r):
@@ -345,15 +354,58 @@ def green_series(M: MomentMatrix, x, lam, n_max=400) -> float:
     return math.inf if y is None else float(y[i])
 
 
+def _perron_bracket(cls: MomentMatrix):
+    """Certified (low, high) around the Perron root of an irreducible class, or None.
+
+    v = |eigenvector of the eigenvalue with the largest real part| from one
+    dense ``eig``.  Any positive v gives min (Av)_i/v_i <= rho(A) <= max
+    (Av)_i/v_i.  Each computed ratio is an n-term dot product and one
+    division, so it lies within a factor 1 +- gamma_{n+2} of the exact one,
+    gamma_k = k u / (1 - k u); both ends are widened by that factor and then
+    by one ulp for the rounding of the widening itself.  None when some
+    product a_ij v_j could leave the normal range (a zero or NaN entry of v
+    included), where that error bound does not hold.
+    """
+    A = cls.csr.toarray()
+    w, vecs = np.linalg.eig(A)
+    v = np.abs(vecs[:, np.argmax(w.real)])
+    if not v.min() * A[A > 0].min() >= np.finfo(float).tiny:
+        return None
+    ratios = (A @ v) / v
+    ku = (cls.dim + 2) * _UNIT_ROUNDOFF
+    gamma = ku / (1.0 - ku)
+    return (float(np.nextafter(ratios.min() * (1.0 - gamma), -math.inf)),
+            float(np.nextafter(ratios.max() * (1.0 + gamma), math.inf)))
+
+
+def _window_growth(W: MomentMatrix, x0, n_max) -> GrowthEstimate:
+    """Perron bracket of x0's class in W when it has an edge and at most
+    _DENSE_CUTOFF vertices and v certifies; ``local_growth_rate`` otherwise."""
+    cls = W._class_matrix(x0)
+    if cls.csr.nnz and cls.dim <= _DENSE_CUTOFF:
+        bracket = _perron_bracket(cls)
+        if bracket is not None:
+            low, high = bracket
+            return GrowthEstimate((low + high) / 2, subsequence_rule="Collatz-Wielandt bracket",
+                                  converged=high - low <= _REL_TOL * high, bracket=bracket)
+    return local_growth_rate(W, x0, n_max=n_max)
+
+
 def seneta_sequence(model: BrwModel, exhaustion, x0, n_max=2000):
     """Local growth of the induced submatrix along a sequence of windows.
 
     The induced restriction keeps m_xy for x, y inside each window, so the
-    n-th entry is the growth of (m_xy) on exhaustion[n] at x0.  For nested
-    windows the values are nondecreasing.
+    n-th entry is the Perron root of x0's class in (m_xy) on exhaustion[n];
+    for nested windows the roots are nondecreasing and increase to the full
+    root (Seneta 2006).  A class with an edge and at most _DENSE_CUTOFF
+    vertices gets a certified Collatz-Wielandt ``bracket`` from one dense
+    eigensolve: ``value`` is its midpoint, ``converged`` means its width is
+    at most _REL_TOL * high, and ``sequence`` and ``ratios`` are empty.  A
+    class without returns, a larger class, or one whose eigenvector does not
+    certify gets ``local_growth_rate`` with ``n_max`` and no bracket.
     """
     windows = [set(subset) for subset in exhaustion]
     if any(x0 not in w for w in windows):
         raise ModelError(f"x0={x0!r} missing from an exhaustion member")
     M = moment_matrix(model)
-    return [local_growth_rate(M.submatrix(w), x0, n_max=n_max) for w in windows]
+    return [_window_growth(M.submatrix(w), x0, n_max) for w in windows]

@@ -393,6 +393,15 @@ class TestSpatialExperiment:
         for row in res.rows:
             assert row.verdict == "dies"
 
+    def test_bracket_columns(self):
+        r = 201     # window r has 403 vertices, above the dense cutoff
+        m = build_zd_translation(radius=r)
+        header, rows = spatial_experiment(m, [range(-3, 4), range(-r, r + 1)], 0).csv_rows()
+        growth, low, high = (header.index(c) for c in ("growth", "growth_low", "growth_high"))
+        assert rows[0][low] <= rows[0][growth] <= rows[0][high]
+        assert rows[0][low] <= 1.5 * math.cos(math.pi / 8) <= rows[0][high]
+        assert rows[1][low] == rows[1][high] == ""
+
     def test_ball_exhaustion_nested(self):
         m = build_zd_translation(radius=6)
         balls = ball_exhaustion(m, 0, (1, 3, 5))

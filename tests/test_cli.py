@@ -251,6 +251,16 @@ class TestSpatialSpectral:
         assert code == 0
         assert (tmp_path / "spatial.csv").exists()
 
+    def test_spatial_reports_brackets(self, tmp_path, capsys):
+        code = run_cli(["spatial", "--scenario", "zd_translation", "--set", "param.radius=5",
+                        "--set", "radii=[1,5]", "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count(" in [") == 2
+        header = (tmp_path / "spatial.csv").read_text().splitlines()[0]
+        assert header == ("index,window_size,growth,growth_low,growth_high,converged,verdict,"
+                          "mc_frequency,mc_ci_low,mc_ci_high")
+
     def test_spectral_runs(self, tmp_path, capsys):
         code = run_cli(["spectral", "--scenario", "zd_translation",
                         "--set", "param.radius=5", "--out", str(tmp_path)])

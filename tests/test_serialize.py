@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brwlab.core import ModelError
+from brwlab.core import BrwModel, ModelError, continuous_counterpart
 from brwlab.scenarios import build_line_noext, build_scenario, build_zd_translation
 from brwlab.serialize import model_hash, parse_model, serialize_model
 from brwlab.spectral import moment_matrix
@@ -21,6 +21,18 @@ class TestRoundTrip:
         assert back.vertices == m.vertices
         for v in m.vertices:
             assert back.laws[v].equal_within(m.laws[v])
+
+    @pytest.mark.parametrize("model", [
+        build_scenario("tree_counterpart", {"depth": 2}),
+        BrwModel((0, 1, 2), {0: continuous_counterpart(0.7, {1: 1.0, 2: 2.5}),
+                             1: continuous_counterpart(0.7, {0: 3.0}),
+                             2: continuous_counterpart(0.7, {0: 0.2, 1: 0.1, 2: 1.0})}),
+    ], ids=["tree_counterpart", "continuous_counterpart"])
+    def test_geometric_laws_keep_their_bytes(self, model):
+        text = serialize_model(model)
+        back = parse_model(text)
+        assert serialize_model(back) == text
+        assert model_hash(back) == model_hash(model)
 
     def test_round_trip_preserves_means(self):
         m = build_zd_translation(radius=5)

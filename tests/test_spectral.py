@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from brwlab import spectral
 from brwlab.core import BrwModel, ModelError, OffspringConfig, build_offspring_law
 from brwlab.genfun import lambda_sweep
 from brwlab.scenarios import build_line_noext, build_scenario, build_zd_translation, tree_rates
 from brwlab.spectral import (
+    _DENSE_CUTOFF,
     MomentMatrix,
+    _perron_bracket,
+    _window_growth,
     expected_population,
     first_return_series,
     global_growth_rate,
@@ -300,6 +304,66 @@ class TestSeneta:
             seneta_sequence(m, [range(1, 3)], 0)
 
 
+class TestPerronBracket:
+    """Collatz-Wielandt brackets of seneta windows, and the windows that keep
+    power iteration."""
+
+    def test_random_irreducible_brackets_hold_the_dense_root(self):
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 3, 5, 8, 13, 40, 120):
+            for density in (0.1, 0.5, 1.0):
+                A = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < density)
+                A[np.arange(n), (np.arange(n) + 1) % n] += 0.05     # a cycle: irreducible
+                M = MomentMatrix(A, tuple(range(n)))
+                assert M.is_irreducible()
+                low, high = _perron_bracket(M)
+                root = np.abs(np.linalg.eigvals(A)).max()
+                assert low <= root <= high
+                assert high - low <= 1e-12 * high
+
+    def test_period_two_blocks(self):
+        M = MomentMatrix(np.kron(np.eye(2), [[0.0, 2.0], [1.5, 0.0]]), tuple("abcd"))
+        for x in "abcd":
+            est = _window_growth(M, x, 100)
+            low, high = est.bracket
+            assert low <= math.sqrt(3.0) <= high and high - low <= 1e-14
+            assert est.value == pytest.approx(math.sqrt(3.0), abs=1e-14)
+            assert est.converged and est.sequence == () and est.ratios == ()
+
+    def test_singleton_with_a_self_loop(self):
+        est = _window_growth(MomentMatrix(np.array([[0.7]]), (0,)), 0, 100)
+        low, high = est.bracket
+        assert low < 0.7 < high and high - low <= 1e-15
+
+    @pytest.mark.parametrize("A", [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),           # vertex 0 has no return path
+        np.array([[0.0, 1e-300], [1e300, 0.0]]),      # v = (1e-300, 1) certifies nothing
+    ], ids=["no-returns", "underflowing-vector"])
+    def test_fallback_is_local_growth_rate(self, A):
+        M = MomentMatrix(A, (0, 1))
+        est = _window_growth(M, 0, 100)
+        assert est.bracket is None
+        assert repr(est) == repr(local_growth_rate(MomentMatrix(A, (0, 1)), 0, n_max=100))
+
+    def test_window_above_the_cutoff_is_local_growth_rate(self):
+        r = _DENSE_CUTOFF // 2 + 1
+        m = build_zd_translation(radius=r)
+        window = range(-r, r + 1)
+        (est,) = seneta_sequence(m, [window], 0, n_max=600)
+        assert est.bracket is None
+        assert repr(est) == repr(local_growth_rate(
+            moment_matrix(m).submatrix(window), 0, n_max=600))
+
+    def test_acceptance_06_windows_run_no_power_iteration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("power iteration ran on a dense window")
+
+        monkeypatch.setattr(spectral, "_log_sequence", refuse)
+        m = build_zd_translation(radius=30)
+        ests = seneta_sequence(m, [range(-r, r + 1) for r in range(1, 31)], 0, n_max=6000)
+        assert all(e.bracket is not None for e in ests)
+
+
 def _repr_digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
@@ -331,11 +395,18 @@ class TestSameBytesPins:
     classes became index arrays cut once per matrix; any moved float shows."""
 
     def test_seneta_sequence_radius_30(self):
+        """Re-recorded when dense windows became Perron brackets (the power-
+        iteration digest was 45b3ad8911853c6826bb1357c2ca9c55ab9cb2d90183aa64607bb9683111d662)."""
         m = build_zd_translation(radius=30)
         ests = seneta_sequence(m, [range(-r, r + 1) for r in range(1, 31)], 0, n_max=6000)
-        got = [(e.value, e.sequence, e.ratios, e.converged) for e in ests]
+        for r, e in zip(range(1, 31), ests):
+            low, high = e.bracket
+            assert low <= 1.5 * math.cos(math.pi / (2 * r + 2)) <= high
+            assert high - low <= 1e-12
+        got = [(e.value, e.bracket, e.sequence, e.ratios, e.subsequence_rule, e.converged)
+               for e in ests]
         assert _repr_digest(got) == (
-            "45b3ad8911853c6826bb1357c2ca9c55ab9cb2d90183aa64607bb9683111d662")
+            "2352fd9a7d5ce06e623f4f03c7bd389504446a8eac2bb7c64a2e40c3ab0286c1")
 
     def test_lambda_sweep_tree(self):
         verts, K = tree_rates(4, 5)
