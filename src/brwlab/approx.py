@@ -3,7 +3,9 @@ and an oriented-percolation sanity simulator.
 
 The two programs mirror each other: confining a surviving process to large
 enough windows keeps it surviving (tracked through restricted growth
-rates), and capping the per-site population at large enough m keeps it
+rates, read for every window and for the full model by one
+``seneta_sequence`` call, so each carries the same kind of certified Perron
+bracket), and capping the per-site population at large enough m keeps it
 surviving (tracked through coupled survival frequencies against the
 uncapped baseline).  The drift helpers bound where the capped comparison
 argument applies for nearest-neighbour kernels on the line.
@@ -17,12 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BrwModel, IntDistribution, ModelError, restrict_model
+from .core import BrwModel, IntDistribution, ModelError
 from .genfun import _verdict
 from .simulate import (_DRAW_BUDGET, _MAX_CELLS, DEFAULT_HARD_CAP, _cap_label, _caps, _chunks,
-                       _seed, _StreamPool, _whole, estimate_survival, run_trial_batch,
-                       wilson_interval)
-from .spectral import local_growth_rate, moment_matrix, seneta_sequence
+                       _seed, _StreamPool, _whole, run_trial_batch, wilson_interval)
+from .spectral import moment_matrix, seneta_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +91,20 @@ class RegionResult:
         return not bool(self.mask.any())
 
 
-def supercritical_region(d: DriftParams, resolution=60) -> RegionResult:
+_RESOLUTION = 60      # grid points per axis of the supercritical region
+
+
+def supercritical_region(d: DriftParams) -> RegionResult:
     """Grid the set {Q > 1} and certify a rectangle plus integer directions.
 
-    The rectangle [a1,a2] x [b1,b2] is grown around the anchor
-    (p-q, p), where Q = rho_bar; the integers satisfy a1*N <= d1 < d2 <= a2*N,
-    b1*N <= d3 <= b2*N and Q(d_l/N, d3/N) > 1 for l = 1, 2.  Empty for
-    rho_bar <= 1.
+    The grid has _RESOLUTION points per axis.  The rectangle [a1,a2] x [b1,b2]
+    is grown around the anchor (p-q, p), where Q = rho_bar; the integers
+    satisfy a1*N <= d1 < d2 <= a2*N, b1*N <= d3 <= b2*N and Q(d_l/N, d3/N) > 1
+    for l = 1, 2.  Empty for rho_bar <= 1.
     """
-    if resolution < 2:
-        raise ModelError(f"resolution must be at least 2, got {resolution!r}")
     a_star, b_star = d.p - d.q, d.p
-    alphas = np.linspace(a_star - 0.5, a_star + 0.5, resolution)
-    betas = np.linspace(1e-3, 1.0 - 1e-3, resolution)
+    alphas = np.linspace(a_star - 0.5, a_star + 0.5, _RESOLUTION)
+    betas = np.linspace(1e-3, 1.0 - 1e-3, _RESOLUTION)
     log_q, admissible = _log_q(d, alphas[:, None], betas[None, :])
     mask = admissible & (log_q > 0.0)
     if d.rho_bar <= 1.0:
@@ -116,7 +118,7 @@ def supercritical_region(d: DriftParams, resolution=60) -> RegionResult:
 
     # grow a symmetric box around the anchor until it stops being supercritical
     da = db = 0.0
-    step = 1.0 / (4.0 * resolution)
+    step = 1.0 / (4.0 * _RESOLUTION)
     while rect_ok(a_star - da - step, a_star + da + step, b_star - db - step, b_star + db + step):
         da += step
         db += step
@@ -124,7 +126,7 @@ def supercritical_region(d: DriftParams, resolution=60) -> RegionResult:
             break
     if da == 0.0:
         return RegionResult(alphas, betas, mask, None, None,
-                            f"no rectangle found at resolution {resolution}; refine the grid")
+                            f"no rectangle found at resolution {_RESOLUTION}; refine the grid")
     a1, a2, b1, b2 = a_star - da, a_star + da, b_star - db, b_star + db
     for N in range(max(2, math.ceil(2.0 / (a2 - a1))), 10_000):
         d1 = math.ceil(a1 * N)
@@ -177,8 +179,6 @@ class SpatialRow:
     converged: bool
     verdict: str
     bracket: tuple | None = None    # certified (low, high) of the growth, if computed
-    mc_frequency: float | None = None
-    mc_ci: tuple | None = None
 
 
 @dataclass
@@ -190,45 +190,35 @@ class SpatialResult:
 
     def csv_rows(self):
         header = ("index", "window_size", "growth", "growth_low", "growth_high", "converged",
-                  "verdict", "mc_frequency", "mc_ci_low", "mc_ci_high")
+                  "verdict")
         rows = []
         for r in self.rows:
             g_lo, g_hi = r.bracket if r.bracket else ("", "")
-            lo, hi = r.mc_ci if r.mc_ci else ("", "")
             rows.append((r.index, r.window_size, r.growth, g_lo, g_hi, int(r.converged),
-                         r.verdict, "" if r.mc_frequency is None else r.mc_frequency, lo, hi))
+                         r.verdict))
         return header, rows
 
 
-def spatial_experiment(model: BrwModel, exhaustion, x0, mc=None) -> SpatialResult:
-    """Restricted local growth along a window sequence, with optional MC columns.
+def spatial_experiment(model: BrwModel, exhaustion, x0) -> SpatialResult:
+    """Restricted local growth along a window sequence.
 
     Restriction only ever lowers the growth, so when the full window
     survives locally the report also gives the first index whose restricted
-    growth clears 1 + 1e-3.  Each row carries its window's certified growth
-    bracket where ``seneta_sequence`` computed one (None where power
-    iteration ran).  mc, when given, is a dict of estimate_survival
-    options (horizon, replicas, seed, cap, hard_cap) run on each restricted model.
+    growth clears 1 + 1e-3.  The rows and the full model's growth come from
+    one ``seneta_sequence`` call, the whole vertex set as its last window,
+    so each carries the certified growth bracket where that call computed
+    one (None where power iteration ran).
     """
-    estimates = seneta_sequence(model, exhaustion, x0)
-    full = local_growth_rate(moment_matrix(model), x0)
+    *estimates, full = seneta_sequence(model, [*exhaustion, model.vertices], x0)
     full_verdict = _verdict(full.value)
     rows = []
     first = None
     for i, (subset, est) in enumerate(zip(exhaustion, estimates)):
         verdict = _verdict(est.value)
-        row = SpatialRow(i, len(set(subset)), est.value, est.converged, verdict, est.bracket)
+        rows.append(SpatialRow(i, len(set(subset)), est.value, est.converged, verdict,
+                               est.bracket))
         if verdict == "survives" and first is None:
             first = i
-        if mc:
-            sub = restrict_model(model, subset)
-            est_mc = estimate_survival(
-                sub, {x0: 1}, mc.get("horizon", 100), mc.get("replicas", 200),
-                target=x0, cap=mc.get("cap", math.inf), seed=mc.get("seed", 0),
-                hard_cap=mc.get("hard_cap", DEFAULT_HARD_CAP))
-            row.mc_frequency = est_mc.frequency
-            row.mc_ci = (est_mc.ci_low, est_mc.ci_high)
-        rows.append(row)
     return SpatialResult(rows, full.value, full_verdict,
                          first if full_verdict == "survives" else None)
 
@@ -269,13 +259,6 @@ class SweepResult:
                   "visit_frequency", "overflow_count")
         rows = [(_cap_label(r.cap), r.alive_frequency, r.ci[0], r.ci[1], r.visit_frequency,
                  r.overflow_count) for r in self.rows]
-        return header, rows
-
-    def summary_rows(self, scenario="", params=""):
-        header = ("scenario", "params", "m", "horizon", "replicas",
-                  "frequency", "ci_low", "ci_high")
-        rows = [(scenario, params, _cap_label(r.cap), self.horizon, self.replicas,
-                 r.alive_frequency, r.ci[0], r.ci[1]) for r in self.rows]
         return header, rows
 
     def per_replica_rows(self):

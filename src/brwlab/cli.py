@@ -20,7 +20,7 @@ import sys
 
 from . import approx, genfun, scenarios, spectral
 from .core import ModelError
-from .serialize import params_json, write_manifest
+from .serialize import write_manifest
 from .simulate import _cap_label
 
 EXIT_OK = 0
@@ -238,8 +238,6 @@ def cmd_sweep(args) -> int:
     approx.write_csv(os.path.join(out, "sweep.csv"), header, rows)
     header, rows = result.per_replica_rows()
     approx.write_csv(os.path.join(out, "replicas.csv"), header, rows)
-    header, rows = result.summary_rows(model.name, params_json(model))
-    approx.write_csv(os.path.join(out, "summary.csv"), header, rows)
     print(f"cap sweep, {result.replicas} replicas, horizon {result.horizon} [model {h}]")
     overflow = 0
     for row in result.rows:

@@ -2,9 +2,10 @@
 
 The coordinatewise map G sends z in [0,1]^V to the vector of offspring
 PGF values; its least fixed point is the global extinction vector.  Local
-survival is read from the return growth rate, global survival from fixed
-points (or from a registered finite projection / the finite-window row-sum
-criterion), and strong local survival at A from comparing local extinction,
+survival is read from the return growth rate; global survival from a
+registered finite projection's row-sum growth, else on a finite irreducible
+window from the same return growth (both hold exactly when rho(M) > 1), else
+from fixed points; strong local survival at A from comparing local extinction,
 the least fixed point of G on the ancestors of A, with the global one.
 """
 
@@ -359,10 +360,11 @@ def classify_survival(model: BrwModel, x0, n_max=2000) -> SurvivalReport:
 
     Local: return growth rate at x0 against 1 with the _MARGIN band.
     Global: a registered finite projection decides via its row-sum growth;
-    otherwise finite irreducible windows use their own row-sum growth, and
-    everything else falls back to the least fixed point (extinction within
-    _Q_BAND of 1 is reported as death on this truncation, which is the sound
-    direction for restrictions of larger constructions).
+    on a finite irreducible window both survivals hold exactly when rho(M) > 1,
+    so the local estimate decides and is the evidence; everything else falls
+    back to the least fixed point (extinction within _Q_BAND of 1 is reported
+    as death on this truncation, which is the sound direction for
+    restrictions of larger constructions).
     """
     M = moment_matrix(model)
     lg = local_growth_rate(M, x0, n_max=n_max)
@@ -377,10 +379,9 @@ def classify_survival(model: BrwModel, x0, n_max=2000) -> SurvivalReport:
         method = "projection"
         evidence = {"growth": gg, "value": gg.value, "projected_x0": y0}
     elif M.is_irreducible():
-        gg = global_growth_rate(M, x0, n_max=n_max)
-        global_ = _verdict(gg.value)
+        global_ = local
         method = "finite-irreducible"
-        evidence = {"growth": gg, "value": gg.value}
+        evidence = {"growth": lg, "value": lg.value}
     else:
         q, diag = iterate_extinction(model, "global")
         qx = float(q[model.index[x0]])
@@ -463,8 +464,7 @@ def _critical_rate(name, value, ratios, lam_lo, lam_hi, width):
 
 
 def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
-                 projected_row_sum=None, grid=None, n_max=2000,
-                 stop_tol=1e-10) -> LambdaSweepResult:
+                 projected_row_sum=None, grid=None, stop_tol=1e-10) -> LambdaSweepResult:
     """Critical rates of the one-parameter family M = lam * K, in closed form.
 
     Scaling every rate by lam scales every growth rate of K by lam, so each
@@ -496,7 +496,7 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
     if not math.isfinite(K.max_row_sum()):
         raise ModelError("rate row sums must be finite")
 
-    est = local_growth_rate(K, x0, n_max=n_max, stop_tol=stop_tol)
+    est = local_growth_rate(K, x0, stop_tol=stop_tol)
     lambda_s, s_bracket = _critical_rate("lambda_s", est.value, est.ratios,
                                          lam_lo, lam_hi, width)
 
@@ -507,7 +507,7 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
         def qbar_at(lam):
             return 1.0 if lam * kbar <= 1.0 else 1.0 / (lam * kbar)
     else:
-        est = global_growth_rate(K, x0, n_max=n_max, stop_tol=stop_tol)
+        est = global_growth_rate(K, x0, stop_tol=stop_tol)
         lambda_w, w_bracket = _critical_rate("lambda_w", est.value, est.ratios,
                                              lam_lo, lam_hi, width)
 

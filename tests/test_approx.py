@@ -105,11 +105,6 @@ class TestSupercriticalRegion:
         assert q_value(d, d1 / N, d3 / N) > 1.0
         assert q_value(d, d2 / N, d3 / N) > 1.0
 
-    @pytest.mark.parametrize("resolution", [1, 0, -3])
-    def test_resolution_below_two_rejected(self, resolution):
-        with pytest.raises(ModelError):
-            supercritical_region(DriftParams(1.3, 0.3, 0.15), resolution=resolution)
-
 
 def _scalar_q(d, alpha, beta):
     """The scalar rate formula the array evaluation replaced, kept as the reference."""
@@ -187,10 +182,11 @@ def _region_params():
 class TestArrayRegion:
     """The array evaluation equals the scalar loop it replaced."""
 
-    def test_region_matches_scalar_loop(self):
+    def test_region_matches_scalar_loop(self, monkeypatch):
         for k, d in enumerate(_region_params()):
             resolution = (60, 60, 23, 2)[k % 4]
-            r = supercritical_region(d, resolution)
+            monkeypatch.setattr(approx, "_RESOLUTION", resolution)
+            r = supercritical_region(d)
             mask, rectangle, integers = _scalar_region(d, resolution)
             assert np.array_equal(r.mask, mask), d
             assert r.rectangle == rectangle, d
@@ -420,14 +416,21 @@ class TestSpatialExperiment:
         scan = [tuple(v for v in model.vertices if dist[M.index[v]] <= r) for r in radii]
         assert ball_exhaustion(model, 0, radii) == scan
 
-    def test_mc_columns(self):
-        m = build_zd_translation(radius=5)
-        res = spatial_experiment(m, [range(-2, 3), range(-5, 6)], 0,
-                                 mc={"horizon": 40, "replicas": 60, "seed": 2,
-                                     "hard_cap": 10 ** 4})
-        for row in res.rows:
-            assert row.mc_frequency is not None
-            assert 0.0 <= row.mc_ci[0] <= row.mc_frequency <= row.mc_ci[1] <= 1.0
+    def test_full_growth_in_the_whole_window_bracket(self, monkeypatch):
+        # the full model's growth comes from the rows' certified estimator, so
+        # it lies in the bracket of the window that is the whole model
+        import brwlab.spectral as sp
+        calls = []
+        real = sp.local_growth_rate
+        monkeypatch.setattr(sp, "local_growth_rate",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        m = build_zd_translation(radius=10)
+        res = spatial_experiment(m, ball_exhaustion(m, 0, (1, 2, 5, 10)), 0)
+        last = res.rows[-1]
+        assert last.window_size == m.size
+        assert res.full_growth == last.growth
+        assert last.bracket[0] <= res.full_growth <= last.bracket[1]
+        assert calls == []
 
 
 class TestTruncationSweep:

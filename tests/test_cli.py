@@ -168,6 +168,14 @@ class TestSweepDeterminism:
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == want[f"cli sweep/{name}"], name
 
+    def test_writes_manifest_and_two_tables(self, tmp_path, capsys):
+        code = run_cli(["sweep", "--scenario", "zd_translation", "--set", "param.radius=4",
+                        "--caps", "1,2", "--horizon", "10", "--replicas", "5",
+                        "--out", str(tmp_path)])
+        assert code in (0, 3)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.txt", "replicas.csv", "sweep.csv"]
+
     def test_overflow_exit_code(self, tmp_path, capsys):
         code = run_cli(["sweep", "--scenario", "gw",
                         "--set", 'param.rho={"2": 1.0}',
@@ -258,8 +266,7 @@ class TestSpatialSpectral:
         out = capsys.readouterr().out
         assert out.count(" in [") == 2
         header = (tmp_path / "spatial.csv").read_text().splitlines()[0]
-        assert header == ("index,window_size,growth,growth_low,growth_high,converged,verdict,"
-                          "mc_frequency,mc_ci_low,mc_ci_high")
+        assert header == "index,window_size,growth,growth_low,growth_high,converged,verdict"
 
     def test_spectral_runs(self, tmp_path, capsys):
         code = run_cli(["spectral", "--scenario", "zd_translation",

@@ -576,4 +576,4 @@ def test_defaulted_public_parameter_count():
                 continue
             count += sum(p.default is not inspect.Parameter.empty
                          for f in functions for p in inspect.signature(f).parameters.values())
-    assert count == 62
+    assert count == 57

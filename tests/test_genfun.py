@@ -11,6 +11,7 @@ from brwlab.core import (
     OffspringConfig,
     build_offspring_law,
     continuous_counterpart,
+    product_form_law,
     restrict_model,
 )
 from brwlab.genfun import (
@@ -476,6 +477,39 @@ class TestClassify:
         assert any("truncation" in n for n in rep.notes)
         assert rep.global_evidence["newton_steps"] == 0
 
+    def test_irreducible_window_global_from_return_growth(self, monkeypatch):
+        # on a finite irreducible window local and global survival both hold
+        # exactly when the Perron root exceeds 1, so no row-sum estimate runs
+        import brwlab.genfun as gf
+        calls = []
+        monkeypatch.setattr(gf, "global_growth_rate", lambda *a, **k: calls.append(a))
+        rng = np.random.default_rng(99)         # the acceptance-03 draw
+        models = []
+        for _ in range(100):
+            disp = rng.uniform(0.1, 1.0, (5, 5))
+            disp /= disp.sum(axis=1, keepdims=True)
+            laws = {}
+            for v in range(5):
+                mean = rng.uniform(0.6, 1.4)
+                laws[v] = product_form_law({0: 1.0 - mean / 2, 2: mean / 2},
+                                           {u: disp[v, u] for u in range(5)})
+            models.append(BrwModel(tuple(range(5)), laws))
+        for means in ((1.6, 0.9), (1.6, 0.5)):  # period 2: root sqrt(m0 m1), 1.2 and 0.89
+            laws = {v: product_form_law({0: 1.0 - m / 2, 2: m / 2}, {1 - v: 1.0})
+                    for v, m in enumerate(means)}
+            models.append(BrwModel((0, 1), laws))
+        checked = 0
+        for model in models:
+            root = max(abs(np.linalg.eigvals(moment_matrix(model).csr.toarray())))
+            rep = classify_survival(model, 0, n_max=4000)
+            assert rep.global_method == "finite-irreducible"
+            assert rep.global_evidence["growth"] is rep.local_growth
+            if abs(root - 1.0) > 1e-3:
+                checked += 1
+                assert rep.global_ == ("survives" if root > 1.0 else "dies"), root
+        assert calls == []
+        assert checked >= 100
+
     def test_evidence_rows_present(self):
         rep = classify_survival(gw({2: 1.0}), 0)
         assert rep.evidence_csv_rows()
@@ -624,13 +658,12 @@ class TestLambdaSweep:
 
     def test_bracket_wider_than_width_rejected(self):
         verts, K = tree_rates(4, 4)
-        res = lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0,
-                           n_max=12, width=1.0)
+        res = lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0)
         lo, hi = res.lambda_s_bracket
-        assert hi - lo > 1e-3
+        assert hi - lo > 1e-12
         with pytest.raises(ModelError, match="wider"):
             lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0,
-                         n_max=12, width=1e-3)
+                         width=1e-12)
 
 
 class TestReportCoherence:
