@@ -10,7 +10,9 @@ the degree-r tree with unit edge rates the thresholds split:
 
 Between them the colony survives by fleeing: the population explodes while
 every fixed vertex is eventually abandoned.  The window's own return rate
-approaches the untruncated value from below as the depth grows.
+approaches the untruncated value from below as the depth grows.  Each
+window's lam_s comes with a certified bracket: the reciprocal of a
+Collatz-Wielandt bracket of the window's Perron root.
 """
 
 import math
@@ -27,8 +29,9 @@ def main():
         verts, K = bl.tree_rates(degree, depth)
         res = bl.lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, width=2e-3,
                               projected_row_sum=float(degree), stop_tol=1e-9)
+        lo, hi = res.lambda_s_bracket
         print(f"  depth {depth}: lam_w = {res.lambda_w:.4f}, "
-              f"lam_s = {res.lambda_s:.4f}   ({len(verts)} vertices)")
+              f"lam_s = {res.lambda_s:.4f} in [{lo:.5f}, {hi:.5f}]   ({len(verts)} vertices)")
 
     print("\nextinction probability along the rate axis (depth 7):")
     verts, K = bl.tree_rates(degree, 7)

@@ -19,8 +19,8 @@ from scipy.sparse import csr_matrix
 
 from .core import BrwModel, ModelError, continuous_counterpart, law_table, restrict_model
 from .simulate import _whole
-from .spectral import (GrowthEstimate, MomentMatrix, _solve_i_minus, global_growth_rate,
-                       local_growth_rate, moment_matrix)
+from .spectral import (_DENSE_CUTOFF, GrowthEstimate, MomentMatrix, _perron_bracket,
+                       _solve_i_minus, global_growth_rate, local_growth_rate, moment_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +34,9 @@ class _GEvaluator:
     product plus one polynomial evaluation per group.  Atom rows take one
     pass over the count entries: c log z per entry, one ``add.reduceat`` per
     atom, ``math.exp`` on each atom's sum (the libm bits of a scalar loop)
-    and one bincount summing each row's atoms.  ``jacobian`` gives G'(z) as a
-    sparse matrix from the same data.
+    and one bincount summing each row's atoms.  A model without atom rows,
+    or without product groups, skips that pass.  ``jacobian`` gives G'(z) as
+    a sparse matrix from the same data.
     """
 
     def __init__(self, model: BrwModel):
@@ -59,18 +60,20 @@ class _GEvaluator:
         self._slots = int(nnz_per_atom.max()) if self.atom_probs.size else 0
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            cz = self._cnt * np.log(z[self.counts.indices])
-        logs = np.zeros(self.atom_probs.size)                  # sum of c log z per atom
-        logs[self._filled] = np.add.reduceat(cz, self.counts.indptr[:-1][self._filled])
-        terms = self.atom_probs * np.array([math.exp(x) for x in logs.tolist()])
-        # float even with no atoms, where bincount returns integers
-        out = np.bincount(self.atom_rows, weights=terms, minlength=z.size).astype(float, copy=False)
+        if self.atom_probs.size:
+            with np.errstate(divide="ignore"):
+                cz = self._cnt * np.log(z[self.counts.indices])
+            logs = np.zeros(self.atom_probs.size)              # sum of c log z per atom
+            logs[self._filled] = np.add.reduceat(cz, self.counts.indptr[:-1][self._filled])
+            terms = self.atom_probs * np.array([math.exp(x) for x in logs.tolist()])
+            out = np.bincount(self.atom_rows, weights=terms, minlength=z.size)
+        else:
+            out = np.zeros(z.size)
         if self.groups:
             pz = self.P.dot(z)
             for coeffs, _, idx in self.groups:
                 out[idx] = np.polynomial.polynomial.polyval(pz[idx], coeffs)
-        return np.clip(out, 0.0, 1.0)
+        return out.clip(0.0, 1.0)
 
     def jacobian(self, z: np.ndarray) -> csr_matrix:
         """G'(z): diag(rho'(Pz)) P on product-form rows, summed atom terms elsewhere.
@@ -159,18 +162,21 @@ def _newton_step(G: _GEvaluator, z: np.ndarray) -> np.ndarray:
     """z + (I - G'(z)_AA)^-1 (G(z) - z)_A on the active set A = {G(z) > z}.
 
     Coordinates off A are held fixed, which also holds the vertices whose
-    least fixed point is 0 at 0.  A singular solve falls back to the plain
-    step G(z) on A.
+    least fixed point is 0 at 0.  The Jacobian block is cut from a dense
+    copy up to _DENSE_CUTOFF vertices and solved by ``_solve_i_minus``; a
+    singular solve falls back to the plain step G(z) on A.
     """
     gz = G(z)
     active = np.flatnonzero(gz > z)
     z1 = z.copy()
     if active.size:
-        J = G.jacobian(z)[active][:, active]
+        J = G.jacobian(z)
+        J = (J.toarray()[np.ix_(active, active)] if z.size <= _DENSE_CUTOFF
+             else J[active][:, active])
         rhs = gz[active] - z[active]
         dz = _solve_i_minus(J, rhs)
-        z1[active] += dz if np.all(np.isfinite(dz)) else rhs
-    return np.clip(z1, 0.0, 1.0)
+        z1[active] += dz if np.isfinite(dz).all() else rhs
+    return z1.clip(0.0, 1.0)
 
 
 def _least_fixed_point(G: _GEvaluator, tol, max_iter):
@@ -178,12 +184,12 @@ def _least_fixed_point(G: _GEvaluator, tol, max_iter):
     z = np.zeros(G.model.size)
     for it in range(1, max_iter + 1):
         z1 = G(z) if it <= _KLEENE_STEPS else _newton_step(G, z)
-        if np.any(z1 < z - 1e-12):
+        if (z1 < z - 1e-12).any():
             raise RuntimeError("extinction iterates lost monotonicity")
-        step = float(np.max(np.abs(z1 - z)))
+        step = float(np.abs(z1 - z).max())
         z = z1
         if step < tol:
-            resid = float(np.max(np.abs(G(z) - z)))
+            resid = float(np.abs(G(z) - z).max())
             if resid < tol:
                 return z, IterationDiagnostics(it, resid, True,
                                                newton_steps=max(0, it - _KLEENE_STEPS))
@@ -450,12 +456,22 @@ class LambdaSweepResult:
     monotone: bool
 
 
-def _critical_rate(name, value, ratios, lam_lo, lam_hi, width):
-    """lam = 1/value, bracketed by it and the reciprocals of the last three ratios."""
-    lam = 1.0 / value if value > 0.0 else math.inf
+def _reciprocal(value):
+    return 1.0 / value if value > 0.0 else math.inf
+
+
+def _reciprocal_bracket(low, high):
+    """[1/high, 1/low] rounded outward: each division is correctly rounded,
+    so one ulp covers it."""
+    return (float(np.nextafter(1.0 / high, 0.0)),
+            float(np.nextafter(_reciprocal(low), math.inf)))
+
+
+def _critical_rate(name, lam, ends, lam_lo, lam_hi, width):
+    """lam, bracketed by the smallest interval holding ``ends``, checked
+    against [lam_lo, lam_hi] and ``width``."""
     if not lam_lo <= lam <= lam_hi:
         raise ModelError(f"{name} = {lam:.6g} lies outside [{lam_lo}, {lam_hi}]")
-    ends = [lam] + [1.0 / r for r in ratios[-3:]]
     bracket = (min(ends), max(ends))
     if bracket[1] - bracket[0] > width:
         raise ModelError(f"{name} bracket [{bracket[0]:.6g}, {bracket[1]:.6g}] is wider "
@@ -468,14 +484,16 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
     """Critical rates of the one-parameter family M = lam * K, in closed form.
 
     Scaling every rate by lam scales every growth rate of K by lam, so each
-    threshold is the reciprocal of one growth estimate of the unscaled K:
-    lam_s = 1/(return growth of K at x0), and lam_w = 1/kbar when the
-    untruncated construction has constant row sum kbar
-    (``projected_row_sum``), otherwise 1/(row-sum growth of K from x0).
-    Each bracket is the smallest interval holding the threshold and the
-    reciprocals of the estimate's last three period-aligned ratios (a
-    projection's lam_w bracket is the single point 1/kbar).  ``width`` is
-    the widest acceptable bracket; a wider one, or a threshold outside
+    threshold is the reciprocal of one root of the unscaled K.  lam_s =
+    1/rho(C) for x0's communicating class C of K: its bracket is the
+    reciprocal of a certified Perron bracket of C (``_perron_bracket``,
+    refined until the lam bracket is at most ``width`` wide or its step
+    budget ends), and lam_s is the reciprocal of that bracket's midpoint.
+    lam_w = 1/kbar when the untruncated construction has constant row sum
+    kbar (``projected_row_sum``; its bracket is the single point 1/kbar),
+    otherwise 1/(row-sum growth of K from x0) by power iteration stopped at
+    ``stop_tol``, bracketed by it and the reciprocals of the estimate's last
+    three ratios.  A bracket wider than ``width``, or a threshold outside
     [lam_lo, lam_hi], raises ModelError.
 
     ``rates`` is a MomentMatrix, or a rate matrix whose rows and columns
@@ -496,20 +514,31 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
     if not math.isfinite(K.max_row_sum()):
         raise ModelError("rate row sums must be finite")
 
-    est = local_growth_rate(K, x0, stop_tol=stop_tol)
-    lambda_s, s_bracket = _critical_rate("lambda_s", est.value, est.ratios,
-                                         lam_lo, lam_hi, width)
+    cls = K._class_matrix(x0)
+    lambda_s, s_ends = math.inf, (math.inf,)        # no return paths: rho = 0
+    if cls.csr.nnz:
+        def narrow(low, high):
+            lo, hi = _reciprocal_bracket(low, high)
+            return hi - lo <= width
+
+        rho = _perron_bracket(cls, narrow)
+        if rho is None:
+            raise ModelError(f"no certified Perron bracket for the class of x0 = {x0!r}")
+        lambda_s, s_ends = 1.0 / ((rho[0] + rho[1]) / 2), _reciprocal_bracket(*rho)
+    lambda_s, s_bracket = _critical_rate("lambda_s", lambda_s, s_ends, lam_lo, lam_hi, width)
 
     if projected_row_sum is not None:
         kbar = float(projected_row_sum)
-        lambda_w, w_bracket = _critical_rate("lambda_w", kbar, (), lam_lo, lam_hi, width)
+        w = _reciprocal(kbar)
+        lambda_w, w_bracket = _critical_rate("lambda_w", w, (w,), lam_lo, lam_hi, width)
 
         def qbar_at(lam):
             return 1.0 if lam * kbar <= 1.0 else 1.0 / (lam * kbar)
     else:
         est = global_growth_rate(K, x0, stop_tol=stop_tol)
-        lambda_w, w_bracket = _critical_rate("lambda_w", est.value, est.ratios,
-                                             lam_lo, lam_hi, width)
+        w = _reciprocal(est.value)
+        lambda_w, w_bracket = _critical_rate(
+            "lambda_w", w, [w] + [1.0 / r for r in est.ratios[-3:]], lam_lo, lam_hi, width)
 
         def qbar_at(lam):
             model = counterpart_model(K, lam)

@@ -7,10 +7,18 @@ dominant root; we report the raw n-th-root sequence as evidence and an
 Aitken-accelerated ratio as the value.  Everything is carried in log scale
 so supercritical windows cannot overflow.
 
-Seneta windows up to ``_DENSE_CUTOFF`` class vertices are certified instead:
-one dense eigensolve gives a positive vector v, and the Collatz-Wielandt
-bounds min (Mv)_i/v_i <= rho <= max (Mv)_i/v_i, widened by the rounding of
-their one matrix-vector product, bracket the window's Perron root.
+Perron roots are certified instead where a caller can use a bracket: any
+positive v gives the Collatz-Wielandt bounds min (Mv)_i/v_i <= rho <=
+max (Mv)_i/v_i, widened by the rounding of their one matrix-vector
+product.  A class of up to ``_DENSE_CUTOFF`` vertices takes v from one
+dense eigensolve; seneta windows use only that.  A larger class, or one
+whose eigenvector does not certify, takes v from the shifted iteration
+v <- (M + I)v, which converges for periodic classes too, when the caller
+(``lambda_sweep``) says how narrow the bracket must be.
+
+Linear solves (I - A) x = b, the generating series and Newton steps
+alike, run through ``_solve_i_minus``: dense up to ``_DENSE_CUTOFF``
+unknowns, sparse above.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .core import BrwModel, ModelError, law_table
 _DENSE_CUTOFF = 400
 _REL_TOL = 1e-3     # converged: the last three ratios (or a bracket's ends) agree to this
 _UNIT_ROUNDOFF = 2.0 ** -53
+_CW_STEPS = 5_000   # step budget of the shifted Collatz-Wielandt iteration
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +294,24 @@ def global_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=1e-13) -> Growt
 # ---------------------------------------------------------------------------
 
 def _solve_i_minus(A, b):
-    """Solve (I - A) x = b for a square sparse A by scipy's spsolve.
+    """Solve (I - A) x = b for a square A, dense or sparse.
 
-    A singular system gives non-finite entries, with its MatrixRankWarning
-    silenced.
+    Up to _DENSE_CUTOFF unknowns the system is densified and solved by
+    LAPACK, above it by scipy's spsolve.  A singular system gives
+    non-finite entries: NaN from the dense solve, spsolve's own with its
+    MatrixRankWarning silenced.
     """
+    n = A.shape[0]
+    if n <= _DENSE_CUTOFF:
+        try:
+            return np.linalg.solve(np.eye(n) - (A.toarray() if issparse(A) else A), b)
+        except np.linalg.LinAlgError:
+            return np.full(n, math.nan)
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MatrixRankWarning)
-        return spsolve(identity(A.shape[0], format="csr") - A, b)
+        return spsolve(identity(n, format="csr") - A, b)
 
 
 def _series_sum(A, b):
@@ -304,12 +321,7 @@ def _series_sum(A, b):
     partial sum, so it is the series; when every index reaches the support of
     b, a singular system or a negative entry certifies divergence (Seneta 2006, ch. 1).
     """
-    n = A.shape[0]
-    try:
-        h = (np.linalg.solve(np.eye(n) - (A.toarray() if issparse(A) else A), b)
-             if n <= _DENSE_CUTOFF else _solve_i_minus(A, b))
-    except np.linalg.LinAlgError:
-        return None
+    h = _solve_i_minus(A, b)
     return h if np.isfinite(h).all() and (h >= 0).all() else None
 
 
@@ -354,28 +366,63 @@ def green_series(M: MomentMatrix, x, lam, n_max=400) -> float:
     return math.inf if y is None else float(y[i])
 
 
-def _perron_bracket(cls: MomentMatrix):
-    """Certified (low, high) around the Perron root of an irreducible class, or None.
+def _widened(ratios, terms):
+    """(min, max) of computed Collatz-Wielandt ratios, each an at most
+    ``terms``-term dot product and one division, widened to hold the exact ones.
 
-    v = |eigenvector of the eigenvalue with the largest real part| from one
-    dense ``eig``.  Any positive v gives min (Av)_i/v_i <= rho(A) <= max
-    (Av)_i/v_i.  Each computed ratio is an n-term dot product and one
-    division, so it lies within a factor 1 +- gamma_{n+2} of the exact one,
-    gamma_k = k u / (1 - k u); both ends are widened by that factor and then
-    by one ulp for the rounding of the widening itself.  None when some
-    product a_ij v_j could leave the normal range (a zero or NaN entry of v
-    included), where that error bound does not hold.
+    Each computed ratio lies within a factor 1 +- gamma_{terms+2} of the
+    exact one, gamma_k = k u / (1 - k u); both ends are widened by that
+    factor and then by one ulp for the rounding of the widening itself.
     """
-    A = cls.csr.toarray()
-    w, vecs = np.linalg.eig(A)
-    v = np.abs(vecs[:, np.argmax(w.real)])
-    if not v.min() * A[A > 0].min() >= np.finfo(float).tiny:
-        return None
-    ratios = (A @ v) / v
-    ku = (cls.dim + 2) * _UNIT_ROUNDOFF
+    ku = (terms + 2) * _UNIT_ROUNDOFF
     gamma = ku / (1.0 - ku)
     return (float(np.nextafter(ratios.min() * (1.0 - gamma), -math.inf)),
             float(np.nextafter(ratios.max() * (1.0 + gamma), math.inf)))
+
+
+def _perron_bracket(cls: MomentMatrix, done=None):
+    """Certified (low, high) around the Perron root of an irreducible class, or None.
+
+    A class of at most _DENSE_CUTOFF vertices first tries v = |eigenvector
+    of the eigenvalue with the largest real part| from one dense ``eig``:
+    any positive v gives min (Av)_i/v_i <= rho(A) <= max (Av)_i/v_i, and
+    the n-term ratios are widened by ``_widened``.  v certifies when no
+    product a_ij v_j can leave the normal range (a zero or NaN entry of v
+    fails), where that error bound holds.
+
+    A larger class, or one whose v does not certify, gets None without
+    ``done``.  With it, the shifted iteration v <- (A + I)v / max(...) from
+    the ones vector: A + I is aperiodic with A's Perron vector, so v
+    converges to it even on a periodic class.  At every certifying iterate
+    the ratios of A + I minus 1 bound rho(A) = rho(A + I) - 1; they are
+    computed as (Av)_i/v_i, which is the same number without the
+    cancellation, widened by gamma_{(row nnz) + 3}, and the bracket is the
+    intersection over iterates.  The iteration stops once done(low, high)
+    holds or after _CW_STEPS steps; None when no iterate certified.
+    """
+    A, tiny = cls.csr, np.finfo(float).tiny
+    a_min = A.data[A.data > 0].min()
+    if cls.dim <= _DENSE_CUTOFF:
+        D = A.toarray()
+        w, vecs = np.linalg.eig(D)
+        v = np.abs(vecs[:, np.argmax(w.real)])
+        if v.min() * a_min >= tiny:
+            return _widened((D @ v) / v, cls.dim)
+    if done is None:
+        return None
+    terms = int(np.diff(A.indptr).max()) + 1
+    low, high = -math.inf, math.inf
+    v = np.ones(cls.dim)
+    for _ in range(_CW_STEPS):
+        av = A @ v
+        if v.min() * a_min >= tiny:
+            lo, hi = _widened(av / v, terms)
+            low, high = max(low, lo), min(high, hi)
+            if done(low, high):
+                break
+        av += v
+        v = av / av.max()
+    return None if high == math.inf else (low, high)
 
 
 def _window_growth(W: MomentMatrix, x0, n_max) -> GrowthEstimate:
@@ -402,10 +449,16 @@ def seneta_sequence(model: BrwModel, exhaustion, x0, n_max=2000):
     eigensolve: ``value`` is its midpoint, ``converged`` means its width is
     at most _REL_TOL * high, and ``sequence`` and ``ratios`` are empty.  A
     class without returns, a larger class, or one whose eigenvector does not
-    certify gets ``local_growth_rate`` with ``n_max`` and no bracket.
+    certify gets ``local_growth_rate`` with ``n_max`` and no bracket.  A
+    window that occurs more than once is solved once, and its entries share
+    that estimate.
     """
-    windows = [set(subset) for subset in exhaustion]
+    windows = [frozenset(subset) for subset in exhaustion]
     if any(x0 not in w for w in windows):
         raise ModelError(f"x0={x0!r} missing from an exhaustion member")
     M = moment_matrix(model)
-    return [_window_growth(M.submatrix(w), x0, n_max) for w in windows]
+    solved = {}
+    for w in windows:
+        if w not in solved:
+            solved[w] = _window_growth(M.submatrix(w), x0, n_max)
+    return [solved[w] for w in windows]

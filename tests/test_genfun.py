@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -317,6 +318,85 @@ class TestIterateExtinction:
             iterate_extinction(build_zd_translation(radius=2), set())
 
 
+def _mixed_atom_model():
+    """Vertex 0 keeps one child at itself (qbar = 0), 1 is supercritical, 2
+    critical (forces the Newton phase) and 3 feeds on all three."""
+    return BrwModel((0, 1, 2, 3), {0: law_from([({0: 1}, 1.0)]),
+                                   1: law_from([({1: 2}, 0.6), ({}, 0.4)]),
+                                   2: law_from([({2: 2}, 0.5), ({}, 0.5)]),
+                                   3: law_from([({0: 1, 1: 1}, 0.5), ({2: 1}, 0.25),
+                                                ({}, 0.25)])})
+
+
+_GUARD_MODELS = {
+    "line_ex45": lambda: build_scenario("line_ex45", {"size": 64}),
+    "gw": lambda: gw({0: 0.4, 2: 0.6}),
+    "mixed_atoms": _mixed_atom_model,
+    "critical_gw": lambda: gw({0: 0.5, 2: 0.5}),
+    "product_and_atoms": lambda: BrwModel((0, 1), {
+        0: product_form_law({0: 0.3, 2: 0.7}, {0: 0.5, 1: 0.5}),
+        1: law_from([({0: 1, 1: 1}, 0.6), ({}, 0.4)])}),
+}
+
+
+class TestEvaluatorBits:
+    """sha256 of the exact repr of extinction solves, of G at 20 random points
+    and of 1,000 Kleene steps, recorded before the evaluator skipped the pass
+    of a law kind the model lacks and Newton steps solved dense blocks.
+    line_ex45, gw and product_and_atoms finish in the Kleene phase;
+    mixed_atoms and critical_gw take 20 and 19 Newton steps."""
+
+    SOLVE = {
+        "line_ex45": "2331084efe1b968f068335adf00c80e3da976d60277f324be290b9bf858c5a15",
+        "gw": "d80b607f5b56eb8863778a8ba61e6480408d216e0e6c03ed384da80a62be5fc8",
+        "mixed_atoms": "2d478891929ed7d1ac757d5241774571e769e0881c868c3b73f4777619b8ac08",
+        "critical_gw": "e1ee93782f6d6862aabb21b46965e3122df1324f9a4395b95c728bb73132d7d1",
+        "product_and_atoms": "06e809c515e9562de3e27b969531c7db1d0d38844585dedc5a3e61b377bb4ebc",
+    }
+    EVAL = {
+        "line_ex45": "93e8efc6e5c0ee6fa38b99faf4b2cd60c3186759911077e6b20f8652c9fc600b",
+        "gw": "25e1e9d3b8b5cb29b8371585e0e633d7074f34e395784c25aa8380a2d6df0b0e",
+        "mixed_atoms": "4160fe48b0d48093a8ba3793a88c2dcd369dbdfadfb18371e63bff4c2a587e33",
+        "critical_gw": "5a06322da270f727a2291cb40023769b74df9d6bcefc64be5e636d668c306e84",
+    }
+    KLEENE = {
+        "line_ex45": "961d69141ed042d141ba7c879e40370ce225586ecb5fb2c799389e273106c66e",
+        "gw": "4065f5a2e30825450c5485b043a481f89b8094e5634eccee8cebedfd24b57912",
+        "mixed_atoms": "8644e68752da33c5a3723bf3325d6f7f71b816666b8b1b331872fae3e9cf77a6",
+        "critical_gw": "f6b69787107d23326d264491e68c27810b254ed7f6d9fb53bae42c1f0ca22dcf",
+    }
+
+    @staticmethod
+    def _digest(obj):
+        return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(SOLVE))
+    def test_extinction_solve(self, name):
+        q, diag = iterate_extinction(_GUARD_MODELS[name](), "global")
+        assert diag.converged
+        assert self._digest((q.tolist(), diag)) == self.SOLVE[name]
+
+    @pytest.mark.parametrize("name", sorted(EVAL))
+    def test_eval_G_at_random_points(self, name):
+        m = _GUARD_MODELS[name]()
+        rng = np.random.default_rng(23)
+        got = [eval_G(m, rng.random(m.size)).tolist() for _ in range(20)]
+        assert self._digest(got) == self.EVAL[name]
+
+    @pytest.mark.parametrize("name", sorted(KLEENE))
+    def test_thousand_kleene_steps(self, name):
+        m = _GUARD_MODELS[name]()
+        got = [survival_probability(m, v, 1000) for v in m.vertices[:4]]
+        assert self._digest(got) == self.KLEENE[name]
+
+    def test_both_law_kinds_at_random_points(self):
+        m = _GUARD_MODELS["product_and_atoms"]()
+        rng = np.random.default_rng(23)
+        got = [eval_G(m, rng.random(2)).tolist() for _ in range(20)]
+        assert self._digest(got) == (
+            "559b4589977bc198df2e903c1c7aafa028b5203e1637d2f87f26d5c3a9d8aac0")
+
+
 class TestJacobian:
     def _check(self, model, z, h=1e-6):
         from brwlab.genfun import _evaluator
@@ -600,7 +680,7 @@ class TestLambdaSweep:
     def test_projection_solves_no_fixed_point(self, monkeypatch):
         import brwlab.genfun as gf
 
-        calls = {"local": 0, "global": 0, "extinction": 0}
+        calls = {"bracket": 0, "local": 0, "global": 0, "extinction": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -608,12 +688,33 @@ class TestLambdaSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(gf, "_perron_bracket", counted("bracket", gf._perron_bracket))
         monkeypatch.setattr(gf, "local_growth_rate", counted("local", gf.local_growth_rate))
         monkeypatch.setattr(gf, "global_growth_rate", counted("global", gf.global_growth_rate))
         monkeypatch.setattr(gf, "iterate_extinction", counted("extinction", gf.iterate_extinction))
         verts, K = tree_rates(4, 3)
         lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0)
-        assert calls == {"local": 1, "global": 0, "extinction": 0}
+        assert calls == {"bracket": 1, "local": 0, "global": 0, "extinction": 0}
+
+    def test_no_power_iteration_and_no_period(self, monkeypatch):
+        import brwlab.genfun as gf
+        import brwlab.spectral as sp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lambda_s ran power iteration or a period search")
+
+        monkeypatch.setattr(gf, "local_growth_rate", refuse)
+        monkeypatch.setattr(sp, "local_growth_rate", refuse)
+        monkeypatch.setattr(sp.MomentMatrix, "period", refuse)
+        for depth in (4, 7):        # a dense and a sparse class
+            verts, K = tree_rates(4, depth)
+            res = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, projected_row_sum=4.0)
+            lo, hi = res.lambda_s_bracket
+            assert lo <= res.lambda_s <= hi and hi - lo <= 2e-3
+        K = MomentMatrix(np.array([[0.0, 1.0], [1.69, 0.0]]), (0, 1))     # period 2
+        res = lambda_sweep(K, 0, 0.3, 1.5, grid=(0.4, 1.0))
+        lo, hi = res.lambda_s_bracket
+        assert lo <= 1.0 / 1.3 <= hi
 
     def test_without_projection_uses_row_sum_growth(self):
         K = MomentMatrix(np.array([[0.5, 1.0], [0.8, 0.3]]), (0, 1))
@@ -660,10 +761,10 @@ class TestLambdaSweep:
         verts, K = tree_rates(4, 4)
         res = lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0)
         lo, hi = res.lambda_s_bracket
-        assert hi - lo > 1e-12
+        assert hi - lo > 0.0
         with pytest.raises(ModelError, match="wider"):
             lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0,
-                         width=1e-12)
+                         width=(hi - lo) / 2)
 
 
 class TestReportCoherence:

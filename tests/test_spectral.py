@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import csr_matrix, random as sparse_random
+from scipy.sparse.linalg import eigsh
 
 from brwlab import spectral
 from brwlab.core import BrwModel, ModelError, OffspringConfig, build_offspring_law
@@ -13,6 +15,7 @@ from brwlab.spectral import (
     _DENSE_CUTOFF,
     MomentMatrix,
     _perron_bracket,
+    _solve_i_minus,
     _window_growth,
     expected_population,
     first_return_series,
@@ -261,6 +264,22 @@ class TestSeriesSolve:
         assert math.isinf(green_series(M, 0, 1.001))      # negative solution
         assert first_return_series(M, 0, 1.0) == pytest.approx(1.0, rel=1e-12)
 
+    def test_one_solve_rule_for_dense_and_sparse_input(self):
+        rng = np.random.default_rng(5)
+        A = rng.uniform(0.0, 0.2, (6, 6))
+        b = rng.uniform(0.0, 1.0, 6)
+        dense = _solve_i_minus(A, b)
+        assert np.array_equal(_solve_i_minus(csr_matrix(A), b), dense)
+        np.testing.assert_allclose((np.eye(6) - A) @ dense, b, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [3, _DENSE_CUTOFF + 5])
+    def test_singular_system_is_non_finite(self, n):
+        # I - A is singular for A = I; dense and sparse solves both say so
+        x = _solve_i_minus(csr_matrix(np.eye(n)), np.ones(n))
+        assert not np.isfinite(x).all()
+        if n <= _DENSE_CUTOFF:
+            assert not np.isfinite(_solve_i_minus(np.eye(n), np.ones(n))).all()
+
     @pytest.mark.parametrize("series", [green_series, first_return_series])
     def test_unknown_vertex(self, series):
         M = MomentMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 1))
@@ -302,6 +321,20 @@ class TestSeneta:
         m = build_zd_translation(radius=4)
         with pytest.raises(ModelError):
             seneta_sequence(m, [range(1, 3)], 0)
+
+    def test_each_distinct_window_solved_once(self, monkeypatch):
+        m = build_zd_translation(radius=8)
+        windows = [range(-8, 9), range(-3, 4), range(-8, 9), [0, -1, 1, 2, -2, 3, -3],
+                   range(-6, 7), range(-8, 9)]
+        fresh = [seneta_sequence(m, [w], 0)[0] for w in windows]
+        calls = []
+        solve = spectral._window_growth
+        monkeypatch.setattr(spectral, "_window_growth",
+                            lambda W, x0, n_max: calls.append(W.dim) or solve(W, x0, n_max))
+        ests = seneta_sequence(m, windows, 0)
+        assert calls == [17, 7, 13]
+        assert repr(ests) == repr(fresh)
+        assert [e.bracket for e in ests] == [e.bracket for e in fresh]
 
 
 class TestPerronBracket:
@@ -364,6 +397,86 @@ class TestPerronBracket:
         assert all(e.bracket is not None for e in ests)
 
 
+def _sparse_irreducible(rng, n, period_two):
+    """A random sparse nonnegative n x n matrix made irreducible by a cycle
+    through every vertex; with period_two, only edges between the halves
+    (a bipartite class, whose cycle has even length for even n)."""
+    A = sparse_random(n, n, density=3.0 / n, random_state=rng, format="lil")
+    order = rng.permutation(n)
+    if period_two:
+        half = n // 2
+        A[:half, :half] = 0.0
+        A[half:, half:] = 0.0
+        evens, odds = rng.permutation(half), half + rng.permutation(n - half)
+        order = np.ravel(np.column_stack([evens, odds]))
+    for a, b in zip(order, np.roll(order, -1)):
+        A[a, b] += 0.5
+    return MomentMatrix(A.tocsr(), tuple(range(n)))
+
+
+def _narrow(rel):
+    return lambda low, high: high - low <= rel * high
+
+
+class TestShiftedBracket:
+    """The shifted Collatz-Wielandt iteration above the dense cutoff, and
+    for dense classes whose eigenvector does not certify."""
+
+    @pytest.mark.parametrize("n, period_two", [
+        (401, False), (401 + 1, True), (900, False), (1200, True)])
+    def test_random_sparse_classes_hold_the_dense_root(self, n, period_two):
+        M = _sparse_irreducible(np.random.default_rng(n), n, period_two)
+        assert M.is_irreducible() and M.dim > _DENSE_CUTOFF
+        if period_two:
+            assert M.period(0) == 2
+        low, high = _perron_bracket(M, _narrow(1e-9))
+        root = np.abs(np.linalg.eigvals(M.csr.toarray())).max()
+        assert low <= root <= high
+        assert high - low <= 1e-9 * high
+
+    @pytest.mark.parametrize("period_two", [False, True])
+    def test_symmetric_3000_vertex_class_holds_the_eigsh_root(self, period_two):
+        M = _sparse_irreducible(np.random.default_rng(3000), 3000, period_two)
+        S = MomentMatrix(M.csr + M.csr.T, M.vertices)
+        low, high = _perron_bracket(S, _narrow(1e-8))
+        root = float(eigsh(S.csr, k=1, which="LA")[0][0])
+        assert low <= root <= high
+        assert high - low <= 1e-8 * high
+
+    @pytest.mark.parametrize("depth", range(3, 10))
+    @pytest.mark.parametrize("width", [2e-3, 1e-6])
+    def test_tree_lambda_s_holds_the_reciprocal_root(self, depth, width):
+        verts, K = tree_rates(4, depth)
+        res = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, width=width, projected_row_sum=4.0)
+        lo, hi = res.lambda_s_bracket
+        root = float(eigsh(K, k=1, which="LA")[0][0]) if depth > 3 else \
+            np.abs(np.linalg.eigvals(K.toarray())).max()
+        assert lo <= 1.0 / root <= hi
+        assert lo <= res.lambda_s <= hi
+        assert hi - lo <= width
+
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    def test_certified_before_it_converges(self, monkeypatch, steps):
+        monkeypatch.setattr(spectral, "_CW_STEPS", steps)
+        verts, K = tree_rates(4, 6)
+        M = MomentMatrix(K, verts)
+        low, high = _perron_bracket(M, lambda low, high: False)
+        root = float(eigsh(K, k=1, which="LA")[0][0])
+        assert low <= root <= high
+        if steps == 1:      # the ones vector: the row sums 1 (leaves) to 4 (inner)
+            assert low <= 1.0 and high >= 4.0
+
+    def test_non_certifying_dense_class_iterates_when_asked(self):
+        M = MomentMatrix(np.array([[0.0, 1e-300], [1e300, 0.0]]), (0, 1))
+        assert _perron_bracket(M) is None
+        low, high = _perron_bracket(M, _narrow(1e-3))
+        assert low <= 1.0 <= high
+
+    def test_above_cutoff_without_a_stop_rule_is_none(self):
+        verts, K = tree_rates(4, 5)
+        assert _perron_bracket(MomentMatrix(K, verts)) is None
+
+
 def _repr_digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
@@ -409,13 +522,16 @@ class TestSameBytesPins:
             "2352fd9a7d5ce06e623f4f03c7bd389504446a8eac2bb7c64a2e40c3ab0286c1")
 
     def test_lambda_sweep_tree(self):
+        """Re-recorded when lambda_s became the reciprocal of a shifted
+        Collatz-Wielandt bracket (the power-iteration digest was
+        28b672a334611480fdc749e4ccb6b6fd55a273207faab38811bbfb2962b4af65)."""
         verts, K = tree_rates(4, 5)
         projected = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, width=2e-3,
                                  projected_row_sum=4.0, stop_tol=1e-9)
         general = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, width=2e-2,
                                grid=(0.2, 0.3, 0.4), stop_tol=1e-9)
         assert _repr_digest((projected, general)) == (
-            "28b672a334611480fdc749e4ccb6b6fd55a273207faab38811bbfb2962b4af65")
+            "aaaafa63e120c752849ab58bb33f04c7de735af810b82b1ae385de7e7a2ea603")
 
     def test_series_on_acceptance_09_matrices(self):
         rng = np.random.default_rng(1312)
