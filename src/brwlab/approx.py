@@ -1,5 +1,5 @@
 """Approximation programs: window exhaustions, cap sweeps, drift analysis,
-and an oriented-percolation sanity simulator.
+and an oriented-percolation sanity simulator on windows of Z and N.
 
 The two programs mirror each other: confining a surviving process to large
 enough windows keeps it surviving (tracked through restricted growth
@@ -8,7 +8,8 @@ rates, read for every window and for the full model by one
 bracket), and capping the per-site population at large enough m keeps it
 surviving (tracked through coupled survival frequencies against the
 uncapped baseline).  The drift helpers bound where the capped comparison
-argument applies for nearest-neighbour kernels on the line.
+with oriented percolation applies for nearest-neighbour kernels on the
+line, by a rectangle of exponents with Q > 1 certified at its corners.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BrwModel, IntDistribution, ModelError
+from .core import BrwModel, IntDistribution, ModelError, _index_of
 from .genfun import _verdict
 from .simulate import (_DRAW_BUDGET, _MAX_CELLS, DEFAULT_HARD_CAP, _cap_label, _caps, _chunks,
                        _seed, _StreamPool, _whole, run_trial_batch, wilson_interval)
@@ -97,10 +98,14 @@ _RESOLUTION = 60      # grid points per axis of the supercritical region
 def supercritical_region(d: DriftParams) -> RegionResult:
     """Grid the set {Q > 1} and certify a rectangle plus integer directions.
 
-    The grid has _RESOLUTION points per axis.  The rectangle [a1,a2] x [b1,b2]
-    is grown around the anchor (p-q, p), where Q = rho_bar; the integers
-    satisfy a1*N <= d1 < d2 <= a2*N, b1*N <= d3 <= b2*N and Q(d_l/N, d3/N) > 1
-    for l = 1, 2.  Empty for rho_bar <= 1.
+    The grid has _RESOLUTION points per axis.  A square box [a1,a2] x [b1,b2]
+    grows around the anchor (p-q, p), where Q = rho_bar, and each candidate
+    is tested at its four corners only: log Q = log rho_bar + sum_i e_i log p_i
+    - sum_i e_i log e_i with e = (beta, beta-alpha, 1-2beta+alpha) affine in
+    (alpha, beta), so log Q is concave on the (convex) admissible triangle and
+    a box lies in {Q > 1} exactly when its corners do.  The integers satisfy
+    a1*N <= d1 < d2 <= a2*N and b1*N <= d3 <= b2*N, so both points
+    (d_l/N, d3/N) lie in the box, where Q > 1.  Empty for rho_bar <= 1.
     """
     a_star, b_star = d.p - d.q, d.p
     alphas = np.linspace(a_star - 0.5, a_star + 0.5, _RESOLUTION)
@@ -111,34 +116,27 @@ def supercritical_region(d: DriftParams) -> RegionResult:
         return RegionResult(alphas, betas, mask, None, None,
                             "rho_bar <= 1: no supercritical exponents")
 
-    def rect_ok(a1, a2, b1, b2, samples=9):
-        log_q, admissible = _log_q(d, np.linspace(a1, a2, samples)[:, None],
-                                   np.linspace(b1, b2, samples)[None, :])
+    def corners_ok(a1, a2, b1, b2):
+        log_q, admissible = _log_q(d, np.array([a1, a2])[:, None], np.array([b1, b2])[None, :])
         return bool((admissible & (log_q > 0.0)).all())
 
-    # grow a symmetric box around the anchor until it stops being supercritical
-    da = db = 0.0
-    step = 1.0 / (4.0 * _RESOLUTION)
-    while rect_ok(a_star - da - step, a_star + da + step, b_star - db - step, b_star + db + step):
+    # grow a square box around the anchor until it stops being supercritical
+    da, step = 0.0, 1.0 / (4.0 * _RESOLUTION)
+    while corners_ok(a_star - da - step, a_star + da + step,
+                     b_star - da - step, b_star + da + step):
         da += step
-        db += step
         if da > 0.4:
             break
     if da == 0.0:
         return RegionResult(alphas, betas, mask, None, None,
                             f"no rectangle found at resolution {_RESOLUTION}; refine the grid")
-    a1, a2, b1, b2 = a_star - da, a_star + da, b_star - db, b_star + db
+    a1, a2, b1, b2 = a_star - da, a_star + da, b_star - da, b_star + da
     for N in range(max(2, math.ceil(2.0 / (a2 - a1))), 10_000):
         d1 = math.ceil(a1 * N)
         d2 = d1 + 1
         d3 = int(round(b_star * N))
-        if d2 > a2 * N or d3 < b1 * N or d3 > b2 * N or d3 in (d1, d2):
-            continue
-        try:
-            if q_value(d, d1 / N, d3 / N) > 1.0 and q_value(d, d2 / N, d3 / N) > 1.0:
-                return RegionResult(alphas, betas, mask, (a1, a2, b1, b2), (d1, d2, d3, N))
-        except ModelError:
-            continue
+        if d2 <= a2 * N and b1 * N <= d3 <= b2 * N and d3 not in (d1, d2):
+            return RegionResult(alphas, betas, mask, (a1, a2, b1, b2), (d1, d2, d3, N))
     return RegionResult(alphas, betas, mask, (a1, a2, b1, b2), None,
                         "no integer triple found below N=10000; refine the rectangle")
 
@@ -230,7 +228,7 @@ def ball_exhaustion(model: BrwModel, x0, radii):
     M = moment_matrix(model)
     und = M.csr + M.csr.T
     dist = csgraph.shortest_path(und, method="D", unweighted=True,
-                                 indices=M.index[x0])
+                                 indices=_index_of(M.index, x0, "x0"))
     return [tuple(M.vertices[i] for i in np.flatnonzero(dist <= r).tolist()) for r in radii]
 
 
@@ -306,51 +304,38 @@ def truncation_sweep(model: BrwModel, caps, eta0, horizon, replicas, target=None
 class PercolationConfig:
     """Bernoulli(p) bond percolation on (base graph) x (oriented levels).
 
-    base "z" is the window -width..width of the line (width defaults to the
-    horizon) with edges to self and both neighbours; base "n" the one-sided
-    window 0..width; a custom graph is given as a nonempty edge list on
-    0..n_sites-1 (self-loops included only if listed).  The origin is a site.
+    base "z" is the window -width..width of the line, base "n" the one-sided
+    window 0..width (width defaults to the horizon); each site has edges to
+    itself and to both neighbours inside the window, and the origin is site 0.
     """
 
     p: float
     horizon: int
     base: str = "z"
     width: int | None = None
-    edges: tuple | None = None
-    origin: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ModelError("open probability must lie in [0, 1]")
-        w = _whole(self.horizon, 1, "horizon")
+        _whole(self.horizon, 1, "horizon")
         if self.width is not None:
-            w = _whole(self.width, 0, "width")
-        if self.edges is not None:        # an empty list has no site for the origin
-            ends = [_whole(v, 0, "edge end") for e in self.edges for v in e]
-            lo, hi = 0, max(ends, default=-1) + 1
-        elif self.base in ("z", "n"):
-            lo, hi = (-w if self.base == "z" else 0), w + 1
-        else:
+            _whole(self.width, 0, "width")
+        if self.base not in ("z", "n"):
             raise ModelError(f"unknown base graph {self.base!r}")
-        _whole(self.origin, lo, "origin", hi)
 
 
 _PERC_SALT = 0x7F4A7C159E3779B9
 
 
 def _perc_structure(config: PercolationConfig):
-    if config.edges is not None:
-        n = max(max(e) for e in config.edges) + 1
-        src = np.array([e[0] for e in config.edges], dtype=np.int64)
-        dst = np.array([e[1] for e in config.edges], dtype=np.int64)
-        return n, src, dst, int(config.origin)
+    """(sites, edge sources, edge targets, origin index); edges go by source."""
     w = config.width if config.width is not None else config.horizon
     lo = -w if config.base == "z" else 0
     n = w + 1 - lo
     src = np.repeat(np.arange(n), 3)
     dst = src + np.tile([0, -1, 1], n)                     # to itself, then left, then right
     inside = (dst >= 0) & (dst < n)
-    return n, src[inside], dst[inside], int(config.origin) - lo
+    return n, src[inside], dst[inside], -lo
 
 
 @dataclass
@@ -388,14 +373,6 @@ def oriented_percolation(config: PercolationConfig, replicas, seed=0) -> Percola
     order = np.argsort(dst, kind="stable")
     into = np.full((int(indeg.max()), n), E)
     into[np.arange(E) - np.repeat(np.cumsum(indeg) - indeg, indeg), dst[order]] = order
-    # every edge leaving sites first..last lies in [lead[first], tail[last]):
-    # lead[v] is the least out-edge of v or a later site, tail[v] one past the
-    # greatest of v or an earlier site (exact spans when edges go by source)
-    lead, tail = np.full(n, E), np.zeros(n, dtype=np.int64)
-    np.minimum.at(lead, src, np.arange(E))
-    np.maximum.at(tail, src, np.arange(1, E + 1))
-    lead = np.minimum.accumulate(lead[::-1])[::-1]
-    tail = np.maximum.accumulate(tail)
     pool = _StreamPool(_PERC_SALT, seed)
     survived = np.zeros(replicas, dtype=bool)
     revisits = np.zeros(replicas, dtype=np.int64)
@@ -405,8 +382,10 @@ def oriented_percolation(config: PercolationConfig, replicas, seed=0) -> Percola
         reach[:, origin] = True
         u = np.ones((live.size, E))                # row i: uniforms of live[i]'s span
         for level in range(1, config.horizon + 1):
-            start = lead[reach.argmax(axis=1)] & -4     # on a Philox block boundary
-            stop = np.maximum(tail[n - 1 - reach[:, ::-1].argmax(axis=1)], start)
+            # the edges leaving the first..last reached site, from a Philox block
+            # boundary; each site has its self-loop, so no span is empty
+            start = src.searchsorted(reach.argmax(axis=1)) & -4
+            stop = src.searchsorted(n - 1 - reach[:, ::-1].argmax(axis=1), "right")
             for row, rng, a, b in zip(u, pool.streams(live, level, start >> 2),
                                       start.tolist(), stop.tolist()):
                 rng.random(out=row[a:b])
@@ -415,9 +394,8 @@ def oriented_percolation(config: PercolationConfig, replicas, seed=0) -> Percola
             np.logical_and(reach[:, src[e0:e1]], u[:live.size, e0:e1] < config.p,
                            out=carry[:, e0:e1])
             reach = np.zeros_like(reach)
-            if e1 > e0:                            # the sites the window's edges enter
-                s0, s1 = int(dst[e0:e1].min()), int(dst[e0:e1].max()) + 1
-                reach[:, s0:s1] = carry[:, into[:, s0:s1]].any(axis=1)
+            s0, s1 = int(dst[e0:e1].min()), int(dst[e0:e1].max()) + 1   # the sites they enter
+            reach[:, s0:s1] = carry[:, into[:, s0:s1]].any(axis=1)
             revisits[live] += reach[:, origin]
             alive = reach.any(axis=1)
             live, reach = live[alive], reach[alive]

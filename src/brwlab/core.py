@@ -33,6 +33,13 @@ class ModelError(ValueError):
     """Invalid law, model or operation input."""
 
 
+def _index_of(index: dict, v, role) -> int:
+    """index[v], or ModelError when v is not one of the indexed vertices."""
+    if v not in index:
+        raise ModelError(f"{role} {v!r} is not a vertex of the model")
+    return index[v]
+
+
 # ---------------------------------------------------------------------------
 # offspring configurations
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .core import BrwModel, ModelError, continuous_counterpart, law_table, restrict_model
+from .core import (BrwModel, ModelError, _index_of, continuous_counterpart, law_table,
+                   restrict_model)
 from .simulate import _whole
 from .spectral import (_DENSE_CUTOFF, GrowthEstimate, MomentMatrix, _perron_bracket,
                        _solve_i_minus, global_growth_rate, local_growth_rate, moment_matrix)
@@ -115,9 +116,7 @@ def as_field(model: BrwModel, values) -> np.ndarray:
     if isinstance(values, dict):
         z = np.zeros(model.size)
         for v, x in values.items():
-            if v not in model.index:
-                raise ModelError(f"field key {v!r} is not a vertex of the model")
-            z[model.index[v]] = x
+            z[_index_of(model.index, v, "field key")] = x
     elif np.isscalar(values):
         z = np.full(model.size, float(values))
     else:
@@ -255,8 +254,7 @@ def survival_probability(model: BrwModel, x0, horizon) -> float:
     ``estimate_survival`` estimates when no trial overflows; a restricted
     Monte Carlo row follows it on ``restrict_model`` of the model.
     """
-    if x0 not in model.index:
-        raise ModelError(f"x0 {x0!r} is not a vertex of the model")
+    _index_of(model.index, x0, "x0")
     G, z = _evaluator(model), np.zeros(model.size)
     for _ in range(_whole(horizon, 0, "horizon")):
         z = G(z)
@@ -273,10 +271,11 @@ class SubsolutionReport:
 
 def check_subsolution(model: BrwModel, z, x0, tol=1e-12) -> SubsolutionReport:
     """Is z a certificate of global survival: G(z) <= z everywhere, z(x0) < 1?"""
+    i0 = _index_of(model.index, x0, "x0")
     z = as_field(model, z)
     gz = eval_G(model, z)
     violation = float(np.max(gz - z))
-    x0v = float(z[model.index[x0]])
+    x0v = float(z[i0])
     strict = x0v < 1.0 - tol
     return SubsolutionReport(violation <= tol and strict, max(violation, 0.0), x0v, strict)
 
@@ -296,12 +295,13 @@ def check_mean_condition(model: BrwModel, v, x0) -> MeanConditionReport:
     matching fixed-line identity G(1-(1-t)v) = 1-(1-t)v at each t of
     _PROBE_TS; a full functional verification is not attempted.
     """
+    i0 = _index_of(model.index, x0, "x0")
     M = moment_matrix(model)
     v = as_field(model, v)
     mv = M.csr.dot(v)
     slack = mv - v
     holds = bool(np.all(slack >= -_SLACK_TOL))
-    x0_pos = v[model.index[x0]] > 0.0
+    x0_pos = v[i0] > 0.0
     equality = {}
     eq_idx = np.nonzero(np.abs(slack) <= _SLACK_TOL)[0]
     if eq_idx.size:
@@ -427,11 +427,9 @@ def strong_local_compare(model: BrwModel, x0, y) -> StrongLocalReport:
     extinction probabilities at x0 differ by at most _Q_BAND; "inconclusive"
     when a solve does not converge.  Both solves use iterate_extinction's
     defaults."""
-    if x0 not in model.index:
-        raise ModelError(f"x0 = {x0!r} is not a vertex of the model")
+    i0 = _index_of(model.index, x0, "x0")
     qbar, d1 = iterate_extinction(model, "global")
     qy, d2 = iterate_extinction(model, {y})
-    i0 = model.index[x0]
     gap = float(abs(qy[i0] - qbar[i0]))
     if not (d1.converged and d2.converged):
         verdict = "inconclusive"

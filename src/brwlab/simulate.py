@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BrwModel, ModelError, law_table
+from .core import BrwModel, ModelError, _index_of, law_table
 
 _MASK32 = 0xFFFFFFFF
 _TRIAL_SALT = 0x9E3779B97F4A7C15
@@ -602,9 +602,7 @@ class RestrictionCoupling:
     def mask(self, model: BrwModel) -> np.ndarray:
         m = np.zeros(model.size, dtype=bool)
         for v in self.subset:
-            if v not in model.index:
-                raise ModelError(f"restriction vertex {v!r} is not a vertex of the model")
-            m[model.index[v]] = True
+            m[_index_of(model.index, v, "restriction vertex")] = True
         return m
 
 
@@ -679,15 +677,14 @@ def _check_run(model, eta0, horizon, replicas, seed, vertex=None, role="target",
     _check_cells("the replicas x rows x vertices state", replicas * rows * model.size)
     if hard_cap is not None:
         _whole(hard_cap, 1, "hard_cap")
-    if vertex is not None and vertex not in model.index:
-        raise ModelError(f"{role} {vertex!r} is not a vertex of the model")
+    if vertex is not None:
+        _index_of(model.index, vertex, role)
     if not isinstance(eta0, dict):
         raise ModelError(f"the start must be a dict vertex -> count, got {type(eta0).__name__}")
     counts = np.zeros(model.size, dtype=np.int64)
     for v, k in eta0.items():
-        if v not in model.index:
-            raise ModelError(f"start vertex {v!r} is not a vertex of the model")
-        counts[model.index[v]] = _whole(k, 0, f"occupation count at {v!r}", 2 ** 63)
+        counts[_index_of(model.index, v, "start vertex")] = _whole(
+            k, 0, f"occupation count at {v!r}", 2 ** 63)
     total = sum(counts.tolist())                    # exact: it must fit the int64 run records
     if total >= 2 ** 63:
         raise ModelError(f"start counts must total below 2**63, got {total}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, identity, issparse
 
-from .core import BrwModel, ModelError, law_table
+from .core import BrwModel, ModelError, _index_of, law_table
 
 # below this dimension matrix powers and series solves run dense, which is faster
 _DENSE_CUTOFF = 400
@@ -53,8 +53,8 @@ class MomentMatrix:
         self.csr = matrix.tocsr() if issparse(matrix) else csr_matrix(np.asarray(matrix, dtype=float))
         if self.csr.shape != (self.dim, self.dim):
             raise ModelError("matrix shape does not match the vertex list")
-        if self.csr.nnz and self.csr.data.min() < 0:
-            raise ModelError("negative weight in a moment matrix")
+        if self.csr.nnz and not (self.csr.data.min() >= 0 and self.csr.data.max() < math.inf):
+            raise ModelError("negative or non-finite weight in a moment matrix")  # NaN too
         self._labels = None
         self._classes = {}      # strong-component label -> that class's MomentMatrix
         self._period = None     # set on an irreducible matrix (a class) once computed
@@ -67,14 +67,14 @@ class MomentMatrix:
         for v, row in rows.items():
             for u, w in row.items():
                 if w != 0.0:
-                    r.append(index[v])
-                    c.append(index[u])
+                    r.append(_index_of(index, v, "row"))
+                    c.append(_index_of(index, u, "column"))
                     d.append(float(w))
         n = len(vertices)
         return MomentMatrix(csr_matrix((d, (r, c)), shape=(n, n)), vertices)
 
     def entry(self, x, y) -> float:
-        return float(self.csr[self.index[x], self.index[y]])
+        return float(self.csr[_index_of(self.index, x, "x"), _index_of(self.index, y, "y")])
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.csr.sum(axis=1)).ravel()
@@ -102,12 +102,11 @@ class MomentMatrix:
 
     def _class_matrix(self, x) -> "MomentMatrix":
         """x's communicating class: self when irreducible, else cut once and cached."""
-        if x not in self.index:
-            raise ModelError(f"vertex {x!r} not in the matrix")
+        i = _index_of(self.index, x, "x")
         if self.is_irreducible():
             return self
         labels = self._strong_labels()
-        lab = labels[self.index[x]]
+        lab = labels[i]
         if lab not in self._classes:
             self._classes[lab] = cls = self._cut(np.flatnonzero(labels == lab))
             cls._labels = np.zeros(cls.dim, labels.dtype)     # irreducible by construction
@@ -148,9 +147,11 @@ def expected_population(M: MomentMatrix, eta0, n: int) -> np.ndarray:
     if isinstance(eta0, dict):
         u = np.zeros(M.dim)
         for v, c in eta0.items():
-            u[M.index[v]] = c
+            u[_index_of(M.index, v, "start vertex")] = c
     else:
         u = np.asarray(eta0, dtype=float).copy()
+        if u.shape != (M.dim,):
+            raise ModelError(f"start vector must have length {M.dim}, got shape {u.shape}")
     mat_t = M.csr.T
     for _ in range(n):
         u = mat_t.dot(u)
@@ -273,11 +274,9 @@ def global_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=1e-13) -> Growt
     pins the estimate to 0.  Oscillating ratios are re-sampled at strides
     2..6 before giving up on convergence (``_REL_TOL``).
     """
-    if x0 not in M.index:
-        raise ModelError(f"vertex {x0!r} not in the matrix")
+    i0 = _index_of(M.index, x0, "x0")
     if n_max < 2:
         raise ModelError("n_max must be at least 2")
-    i0 = M.index[x0]
     for stride in (1, 2, 3, 4, 5, 6):
         logs = _log_sequence(M, i0, np.add.reduce, stride, n_max, stop_tol)
         if logs and not math.isfinite(logs[-1][1]):
@@ -412,16 +411,16 @@ def _perron_bracket(cls: MomentMatrix, done=None):
         return None
     terms = int(np.diff(A.indptr).max()) + 1
     low, high = -math.inf, math.inf
-    v = np.ones(cls.dim)
+    v, ratios = np.ones(cls.dim), np.empty(cls.dim)     # both reused at every step
     for _ in range(_CW_STEPS):
         av = A @ v
         if v.min() * a_min >= tiny:
-            lo, hi = _widened(av / v, terms)
+            lo, hi = _widened(np.divide(av, v, out=ratios), terms)
             low, high = max(low, lo), min(high, hi)
             if done(low, high):
                 break
         av += v
-        v = av / av.max()
+        np.divide(av, av.max(), out=v)
     return None if high == math.inf else (low, high)
 
 

@@ -206,6 +206,28 @@ class TestArrayRegion:
                         continue
                     assert q_value(d, alpha, beta) == want
 
+    def test_rectangle_interior_is_supercritical(self):
+        # log Q is concave, so Q > 1 at the four corners holds inside the box
+        for d in _region_params():
+            rect = supercritical_region(d).rectangle
+            if rect is None:
+                continue
+            a1, a2, b1, b2 = rect
+            log_q, admissible = approx._log_q(d, np.linspace(a1, a2, 41)[:, None],
+                                              np.linspace(b1, b2, 41)[None, :])
+            assert (admissible & (log_q > 0.0)).all(), d
+
+    def test_boxes_are_probed_at_their_corners(self, monkeypatch):
+        points, real = [], approx._log_q
+        monkeypatch.setattr(approx, "_log_q",
+                            lambda d, a, b: points.append(np.broadcast(a, b).size) or real(d, a, b))
+        monkeypatch.setattr(approx, "q_value", lambda *a: pytest.fail("q_value called"))
+        for d in _region_params():
+            points.clear()
+            supercritical_region(d)
+            assert points[0] == approx._RESOLUTION ** 2, d        # the mask grid
+            assert all(n <= 4 for n in points[1:]), d
+
 
 class TestChebyshev:
     def test_worked_example(self):
@@ -262,13 +284,6 @@ class TestVarianceBound:
         assert exact_var_n2 > variance_bound(rho, 2)
 
 
-# edges of sites 0..10 in shuffled order; site 11 only receives
-_SHUFFLED_EDGES = tuple(
-    tuple(e) for e in np.random.default_rng(7).permutation(
-        [(s, t) for s in range(11) for t in (s, (s + 1) % 12, (s + 5) % 12, (s + 11) % 12)]
-    ).tolist())
-
-
 class TestPercolation:
     def test_p_one_exact(self):
         r = oriented_percolation(PercolationConfig(p=1.0, horizon=25), 10, seed=0)
@@ -287,23 +302,12 @@ class TestPercolation:
             freqs.append(r.frequency)
         assert freqs == sorted(freqs)
 
-    def test_custom_edges(self):
-        edges = ((0, 0), (0, 1), (1, 0), (1, 1))
-        cfg = PercolationConfig(p=1.0, horizon=10, edges=edges, origin=0)
-        r = oriented_percolation(cfg, 5, seed=3)
-        assert r.frequency == 1.0
-
     @pytest.mark.parametrize("kwargs, what", [
         ({"horizon": 2.5}, "horizon"),
         ({"width": -3}, "width"),
         ({"width": 2.5}, "width"),
-        ({"base": "n", "origin": -1}, "origin"),
         ({"base": "q"}, "base"),
-        ({"edges": ((0, 1), (1, 0)), "origin": 7}, "origin"),
-        ({"edges": ((0, -1), (1, 0))}, "edge end"),
-        ({"edges": ()}, "origin"),
-    ], ids=["horizon-2.5", "width-neg", "width-2.5", "n-origin-neg", "unknown-base",
-            "edges-origin-7", "edges-negative", "edges-empty"])
+    ], ids=["horizon-2.5", "width-neg", "width-2.5", "unknown-base"])
     def test_config_rejects_what_it_cannot_run(self, kwargs, what):
         with pytest.raises(ModelError, match=what):
             PercolationConfig(**{"p": 0.5, "horizon": 5, **kwargs})
@@ -322,15 +326,12 @@ class TestPercolation:
 
     @pytest.mark.parametrize("budget", [None, 1000])
     @pytest.mark.parametrize("cfg", [
-        # sources out of order, so a replica's reached edges are not one run;
-        # site 11 has no out-edge
-        PercolationConfig(p=0.6, horizon=40, edges=_SHUFFLED_EDGES, origin=3),
         # clusters that reach the window edge
         PercolationConfig(p=0.7, horizon=60, width=6),
         PercolationConfig(p=0.7, horizon=60, base="n", width=9),
         PercolationConfig(p=1.0, horizon=30),
         PercolationConfig(p=1.0, horizon=30, base="n", width=12),
-    ], ids=["shuffled-edges", "z-narrow", "n-narrow", "z-p1", "n-p1-narrow"])
+    ], ids=["z-narrow", "n-narrow", "z-p1", "n-p1-narrow"])
     def test_span_draws_equal_replica_loop(self, cfg, budget, monkeypatch):
         # the batch draws only each replica's span of reachable edges; the
         # loop draws every edge from a fresh stream

@@ -8,8 +8,9 @@ from scipy.sparse import csr_matrix, random as sparse_random
 from scipy.sparse.linalg import eigsh
 
 from brwlab import spectral
+from brwlab.approx import ball_exhaustion
 from brwlab.core import BrwModel, ModelError, OffspringConfig, build_offspring_law
-from brwlab.genfun import lambda_sweep
+from brwlab.genfun import check_mean_condition, check_subsolution, lambda_sweep
 from brwlab.scenarios import build_line_noext, build_scenario, build_zd_translation, tree_rates
 from brwlab.spectral import (
     _DENSE_CUTOFF,
@@ -60,6 +61,30 @@ class TestMomentMatrix:
     def test_period_with_loop(self):
         M = MomentMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]), (0, 1))
         assert M.period(0) == 1
+
+
+_LINE = build_zd_translation(radius=2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expected_population(moment_matrix(_LINE), {7: 1}, 2),
+    lambda: expected_population(moment_matrix(_LINE), np.ones(_LINE.size + 1), 2),
+    lambda: check_subsolution(_LINE, 0.5, 7),
+    lambda: check_mean_condition(_LINE, 1.0, 7),
+    lambda: ball_exhaustion(_LINE, 7, (1,)),
+    lambda: moment_matrix(_LINE).entry(0, 7),
+    lambda: MomentMatrix(np.array([[np.nan]]), (0,)),
+    lambda: local_growth_rate(MomentMatrix(np.array([[np.nan]]), (0,)), 0),
+    lambda: MomentMatrix(csr_matrix(np.array([[1.0, np.inf], [1.0, 0.0]])), (0, 1)),
+    lambda: MomentMatrix.from_rows({7: {0: 1.0}}, (0,)),
+], ids=["population-start-vertex", "population-start-length", "subsolution-x0",
+        "mean-condition-x0", "ball-x0", "entry-vertex", "nan-weight", "nan-growth",
+        "inf-weight", "rows-vertex"])
+def test_unusable_input_raises_model_error(call):
+    # input the code cannot use fails with ModelError, not with a KeyError, a numpy
+    # error or a silent answer
+    with pytest.raises(ModelError):
+        call()
 
 
 class TestExpectedPopulation:
