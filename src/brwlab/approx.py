@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BrwModel, IntDistribution, ModelError, _index_of
+from .core import BrwModel, IntDistribution, ModelError, _index_of, _whole
 from .genfun import _verdict
 from .simulate import (_DRAW_BUDGET, _MAX_CELLS, DEFAULT_HARD_CAP, _cap_label, _caps, _chunks,
-                       _seed, _StreamPool, _whole, run_trial_batch, wilson_interval)
+                       _seed, _StreamPool, run_trial_batch, wilson_interval)
 from .spectral import moment_matrix, seneta_sequence
 
 
@@ -160,8 +160,7 @@ def chebyshev_k(sigma2, D, eps) -> int:
 
 def variance_bound(rho: IntDistribution, n) -> float:
     """mean^(n-1) * variance: dominates the per-site variance after n steps."""
-    if n < 1:
-        raise ModelError("n must be at least 1")
+    _whole(n, 1, "n")
     return rho.mean ** (n - 1) * rho.variance
 
 

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import approx, genfun, scenarios, spectral
-from .core import ModelError
+from .core import ModelError, _real, _whole
 from .serialize import write_manifest
 from .simulate import _cap_label
 
@@ -55,18 +55,28 @@ def read_config_file(path) -> dict:
     return out
 
 
-# the numeric config keys and their types; "radii" is a list of whole numbers, and
-# the vertices x0 and target are whole numbers, as in every scenario
-_NUMBERS = dict(replicas=int, horizon=int, hard_cap=int, seed=int, p=float, width=int, radii=int,
-                x0=int, target=int)
+# the config keys that have a flag, --<key>; a flag of a numeric key is read
+# as its --set twin is, so both fail alike
+_FLAGS = ("scenario", "seed", "horizon", "replicas", "caps", "target", "x0", "p", "out")
+
+# the numeric config keys: p is a finite number of at least 0, the others whole
+# numbers in [least, below); "radii" is a list of whole numbers, and the
+# vertices x0 and target are whole numbers, as in every scenario
+_ANY = (-math.inf, math.inf)
+_NUMBERS = dict(replicas=(1, math.inf), horizon=_ANY, hard_cap=_ANY, seed=(0, 2 ** 64),
+                width=_ANY, radii=_ANY, x0=_ANY, target=_ANY, p=None)
 
 
 def _number(key, value):
-    """``value`` of the numeric config key ``key`` as its type; UsageError otherwise."""
-    kind = _NUMBERS[key]
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):   # JSON: int or float
-        raise UsageError(f"{key} must be a {'whole ' * (kind is int)}number, got {value!r}")
-    return kind(value)
+    """``value`` of the numeric config key ``key``, read by core's typed
+    readers; UsageError otherwise."""
+    bounds = _NUMBERS[key]
+    try:
+        if bounds is None:
+            return _real(value, 0, key)
+        return _whole(value, bounds[0], key, bounds[1])
+    except ModelError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _merge_config(args) -> dict:
@@ -78,11 +88,10 @@ def _merge_config(args) -> dict:
             raise UsageError(f"--set needs key=value, got {item!r}")
         key, val = item.split("=", 1)
         cfg[key.strip()] = _parse_value(val.strip())
-    for key in ("scenario", "horizon", "replicas", "seed", "out", "target",
-                "x0", "caps", "p"):
-        val = getattr(args, key, None)
+    for key in _FLAGS:
+        val = getattr(args, key)
         if val is not None:
-            cfg[key] = val
+            cfg[key] = _parse_value(val) if key in _NUMBERS else val
     cfg.setdefault("seed", _parse_value(os.environ.get("BRWLAB_SEED") or "0"))
     cfg.setdefault("out", "brwlab_out")
     for key in (k for k in _NUMBERS if k in cfg):
@@ -90,10 +99,6 @@ def _merge_config(args) -> dict:
         if key == "radii" and not isinstance(val, list):
             raise UsageError(f"radii must be a list of whole numbers, got {val!r}")
         cfg[key] = [_number(key, r) for r in val] if key == "radii" else _number(key, val)
-    if cfg.get("replicas", 1) < 1:
-        raise UsageError("replicas must be at least 1")
-    if not 0 <= cfg["seed"] < 2 ** 64:                # the width of a stream key word
-        raise UsageError(f"seed must be a whole number in [0, 2**64), got {cfg['seed']}")
     return cfg
 
 
@@ -128,10 +133,10 @@ def _x0(cfg, model):
 # ---------------------------------------------------------------------------
 
 def cmd_scenarios(args) -> int:
-    for name, schema, notes in scenarios.scenario_table():
+    for name, params, notes in scenarios.scenario_table():
         print(name)
-        for key, desc in schema.items():
-            print(f"    {key}: {desc}")
+        for key, (kind, default, desc) in params.items():
+            print(f"    {key} ({kind}, default {json.dumps(default)}): {desc}")
         print(f"    -- {notes}")
     return EXIT_OK
 
@@ -290,15 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable); scenario "
                             "parameters use param.<name>")
-        p.add_argument("--scenario")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--replicas", type=int)
-        p.add_argument("--caps")
-        p.add_argument("--target", type=int)
-        p.add_argument("--x0", type=int)
-        p.add_argument("--p", type=float)
-        p.add_argument("--out")
+        for key in _FLAGS:
+            p.add_argument(f"--{key}")
     return parser
 
 

@@ -17,6 +17,7 @@ window are deleted) so that a model is closed under its own dynamics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,24 @@ def _index_of(index: dict, v, role) -> int:
     if v not in index:
         raise ModelError(f"{role} {v!r} is not a vertex of the model")
     return index[v]
+
+
+def _whole(value, least, what, below=math.inf):
+    """``value`` as an int when it is a whole number (numpy integers included,
+    bools not) in [least, below)."""
+    if type(value) is bool or not (isinstance(value, numbers.Integral) and least <= value < below):
+        span = f" in [{least}, {below})" if (least, below) != (-math.inf, math.inf) else ""
+        raise ModelError(f"{what} must be a whole number{span}, got {value!r}")
+    return int(value)
+
+
+def _real(value, least, what):
+    """``value`` as a float when it is a finite real number (numpy floats
+    included, bools not) of at least ``least``."""
+    if type(value) is bool or not (isinstance(value, numbers.Real) and math.isfinite(value)
+                                   and value >= least):
+        raise ModelError(f"{what} must be a finite number of at least {least}, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +186,7 @@ class IntDistribution:
         finite, or whose support would exceed _MAX_DENSE entries (means above
         about 36,000), raises ModelError before anything is allocated.
         """
-        m = float(mean)
-        if not math.isfinite(m) or m < 0:
-            raise ModelError(f"geometric mean must be finite and nonnegative, got {m!r}")
+        m = _real(mean, 0, "geometric mean")
         if m == 0:
             return IntDistribution.delta(0)
         r = m / (1.0 + m)

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .core import (BrwModel, ModelError, _index_of, continuous_counterpart, law_table,
+from .core import (BrwModel, ModelError, _index_of, _whole, continuous_counterpart, law_table,
                    restrict_model)
-from .simulate import _whole
 from .spectral import (_DENSE_CUTOFF, GrowthEstimate, MomentMatrix, _perron_bracket,
                        _solve_i_minus, global_growth_rate, local_growth_rate, moment_matrix)
 

@@ -1,9 +1,13 @@
 """Canonical model builders, addressable by name + parameter map.
 
-Each scenario builds a finite truncation of a countable construction, with
-the restriction (suppression of reproductions outside the window) already
-applied, and registers a finite locally-isomorphic model where one exists
-so that global survival of the untruncated process stays decidable.
+``SCENARIOS`` declares each scenario's builder and the kind, default and
+description of each parameter; ``scenario_table`` lists it.  The one entry
+point ``build_scenario`` fills the defaults (None selects one too) and reads
+each value by its kind, so a bad value is a ``ModelError`` before a builder
+runs.  Each builds a finite truncation of a countable construction, with the
+restriction (suppression of reproductions outside the window) applied, and
+registers a finite locally-isomorphic model where one exists so that global
+survival of the untruncated process stays decidable.
 """
 
 from __future__ import annotations
@@ -18,28 +22,28 @@ from .core import (
     IntDistribution,
     ModelError,
     OffspringConfig,
+    _real,
+    _whole,
     build_offspring_law,
     continuous_counterpart,
     product_form_law,
 )
 
 
-def _gw_projection(model, rho):
-    """Register the single-vertex model every site-independent law collapses to."""
-    point = BrwModel((0,), {0: product_form_law(rho, {0: 1.0})},
-                     name="gw", params={"from": model.name})
-    mapping = {v: 0 for v in model.vertices}
-    return BrwModel(model.vertices, model.laws, model.name, dict(model.params), (point, mapping))
+def _gw_projection(name, vertices, rho):
+    """The single-vertex model every site-independent law collapses to, and
+    the map of ``vertices`` onto it."""
+    point = BrwModel((0,), {0: product_form_law(rho, {0: 1.0})}, name="gw", params={"from": name})
+    return point, {v: 0 for v in vertices}
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each takes every parameter of its declaration, already read
 # ---------------------------------------------------------------------------
 
-def build_gw(rho) -> BrwModel:
-    rho = IntDistribution.from_dict(rho) if isinstance(rho, dict) else rho
-    law = product_form_law(rho, {0: 1.0})
-    return BrwModel((0,), {0: law}, name="gw", params={"rho_mean": rho.mean})
+def _gw(rho) -> BrwModel:
+    return BrwModel((0,), {0: product_form_law(rho, {0: 1.0})}, name="gw",
+                    params={"rho_mean": rho.mean})
 
 
 def line_noext_search(size) -> list:
@@ -74,50 +78,25 @@ def line_noext_search(size) -> list:
     return ns
 
 
-def build_line_noext(size, ns=None) -> BrwModel:
-    size = int(size)
-    if size < 2:
-        raise ModelError("line_noext needs at least 2 vertices")
-    ns = line_noext_search(size) if ns is None else [int(n) for n in ns]
-    if len(ns) < size:
-        raise ModelError(f"need {size} branch counts, got {len(ns)}")
-    laws = {}
-    for i in range(size - 1):
-        p = 2.0 / ns[i]
-        laws[i] = build_offspring_law([
-            (OffspringConfig.make({i + 1: ns[i]}), p),
-            (OffspringConfig.make({}), 1.0 - p),
-        ])
-    # all reproduction of the last vertex leaves the window
-    laws[size - 1] = build_offspring_law([(OffspringConfig.make({}), 1.0)])
-    return BrwModel(tuple(range(size)), laws, name="line_noext",
-                    params={"size": size, "ns": list(ns[:size])})
-
-
-def build_line_noext_irreducible(size, ns=None) -> BrwModel:
-    size = int(size)
-    if size < 3:
-        raise ModelError("irreducible line needs at least 3 vertices")
-    ns = line_noext_search(size) if ns is None else [int(n) for n in ns]
-    laws = {}
-    p0 = 2.0 / ns[0]
-    laws[0] = build_offspring_law([
-        (OffspringConfig.make({1: ns[0]}), p0),
-        (OffspringConfig.make({}), 1.0 - p0),
-    ])
-    for i in range(1, size - 1):
-        p = 2.0 / ns[i]
-        laws[i] = build_offspring_law([
-            (OffspringConfig.make({i + 1: ns[i], i - 1: 1}), p),
-            (OffspringConfig.make({}), 1.0 - p),
-        ])
-    p = 2.0 / ns[size - 1]
-    laws[size - 1] = build_offspring_law([
-        (OffspringConfig.make({size - 2: 1}), p),
-        (OffspringConfig.make({}), 1.0 - p),
-    ])
-    return BrwModel(tuple(range(size)), laws, name="line_noext_irreducible",
-                    params={"size": size, "ns": list(ns[:size])})
+def _forward_line(size, ns, name, least, back) -> BrwModel:
+    """Vertex i of the line 0..size-1 has n_i children at i + 1 w.p. 2/n_i
+    and none otherwise, so mean growth is 2 per generation; the last vertex's
+    children leave the window.  With ``back`` each burst also drops one child
+    at i - 1, which makes the line irreducible.  The counts n_i are ``ns``,
+    or ``line_noext_search``'s when it is None."""
+    if size < least:
+        raise ModelError(f"{name} needs at least {least} vertices")
+    ns = line_noext_search(size) if ns is None else ns
+    if len(ns) < size or min(ns[:size]) < 2:        # a burst has probability 2/n_i
+        raise ModelError(f"need {size} branch counts of at least 2, got {ns}")
+    laws, ns = {}, ns[:size]
+    for i, n in enumerate(ns):
+        burst = {i + 1: n} if i < size - 1 else {}
+        if back and i:
+            burst[i - 1] = 1
+        atoms = [(burst, 2.0 / n), ({}, 1.0 - 2.0 / n)] if burst else [({}, 1.0)]
+        laws[i] = build_offspring_law([(OffspringConfig.make(c), p) for c, p in atoms])
+    return BrwModel(tuple(range(size)), laws, name=name, params={"size": size, "ns": ns})
 
 
 def ex45_p(i) -> float:
@@ -125,7 +104,7 @@ def ex45_p(i) -> float:
     return 1.0 - 2.0 ** (-(i + 2))
 
 
-def build_line_ex45(size, boundary="reflect") -> BrwModel:
+def _line_ex45(size, boundary) -> BrwModel:
     """Single-child line: forward w.p. p_i = ex45_p(i), backward or death sharing the rest.
 
     Row sums are (1+p_i)/2 < 1 at every vertex, yet the process escapes to
@@ -133,7 +112,6 @@ def build_line_ex45(size, boundary="reflect") -> BrwModel:
     The last vertex either reflects its forward child onto itself (default;
     keeps the child-count law and the escape route) or kills it.
     """
-    size = int(size)
     if size < 2:
         raise ModelError("line_ex45 needs at least 2 vertices")
     if boundary not in ("reflect", "kill"):
@@ -158,57 +136,40 @@ def build_line_ex45(size, boundary="reflect") -> BrwModel:
                     params={"size": size, "boundary": boundary})
 
 
-def _window_vertices(radius):
-    return tuple(range(-int(radius), int(radius) + 1))
+def _translation_window(rho, rho_bar, steps, radius, name, params) -> BrwModel:
+    """Translation-invariant product-form law on a symmetric window of the line.
 
-
-def _translation_window(rho, steps, radius, name, params) -> BrwModel:
-    """Translation-invariant product-form law on a symmetric window of the line."""
-    verts = _window_vertices(radius)
+    The child-count law is ``rho``, or when it is None the two-point law with
+    mean ``rho_bar`` on {0, ceil(rho_bar)}.
+    """
+    if rho is None:
+        if rho_bar <= 0:
+            raise ModelError("rho_bar must be positive")
+        n = max(1, math.ceil(rho_bar))
+        rho = IntDistribution.from_dict({0: 1.0 - rho_bar / n, n: rho_bar / n})
+    verts = tuple(range(-radius, radius + 1))
     vset = set(verts)
-    laws = {}
-    for x in verts:
-        row = {x + d: w for d, w in steps.items()}
-        laws[x] = product_form_law(rho, row).restrict(vset)
-    model = BrwModel(verts, laws, name=name, params=params)
-    return _gw_projection(model, rho)
+    laws = {x: product_form_law(rho, {x + d: w for d, w in steps.items()}).restrict(vset)
+            for x in verts}
+    return BrwModel(verts, laws, name=name, params={"radius": radius, **params,
+                                                    "rho_mean": rho.mean},
+                    finite_projection=_gw_projection(name, verts, rho))
 
 
-def _rho_from_params(params, default_mean=1.5):
-    if "rho" in params and params["rho"] is not None:
-        d = params["rho"]
-        return IntDistribution.from_dict({int(k): float(v) for k, v in dict(d).items()})
-    rb = float(params.get("rho_bar", default_mean))
-    if rb <= 0:
-        raise ModelError("rho_bar must be positive")
-    n = max(1, math.ceil(rb))
-    return IntDistribution.from_dict({0: 1.0 - rb / n, n: rb / n})
+def _zd_translation(radius, rho, rho_bar) -> BrwModel:
+    return _translation_window(rho, rho_bar, {-1: 0.5, +1: 0.5}, radius, "zd_translation", {})
 
 
-def build_zd_translation(radius=20, rho=None, rho_bar=1.5) -> BrwModel:
-    rho_dist = _rho_from_params({"rho": rho, "rho_bar": rho_bar})
-    return _translation_window(
-        rho_dist, {-1: 0.5, +1: 0.5}, radius,
-        "zd_translation",
-        {"radius": int(radius), "rho_mean": rho_dist.mean})
-
-
-def build_zdrift(radius=20, p=0.25, q=0.25, rho=None, rho_bar=1.5) -> BrwModel:
-    p, q = float(p), float(q)
-    if p < 0 or q < 0 or p + q > 1.0 + 1e-12:
-        raise ModelError(f"need p, q >= 0 and p + q <= 1, got p={p}, q={q}")
-    rho_dist = _rho_from_params({"rho": rho, "rho_bar": rho_bar})
+def _zdrift(radius, p, q, rho, rho_bar) -> BrwModel:
+    if p + q > 1.0 + 1e-12:
+        raise ModelError(f"need p + q <= 1, got p={p}, q={q}")
     steps = {d: w for d, w in {+1: p, -1: q, 0: 1.0 - p - q}.items() if w > 0}
-    return _translation_window(
-        rho_dist, steps, radius, "zdrift",
-        {"radius": int(radius), "p": p, "q": q, "rho_mean": rho_dist.mean})
+    return _translation_window(rho, rho_bar, steps, radius, "zdrift", {"p": p, "q": q})
 
 
 def tree_vertices_and_edges(degree, depth):
     """Breadth-first truncation of the homogeneous tree: ids, parent array, depths."""
-    degree, depth = int(degree), int(depth)
-    if degree < 3:
-        raise ModelError("tree degree must be at least 3")
+    degree, depth = _whole(degree, 3, "tree degree"), _whole(depth, 0, "tree depth")
     parents = [-1]
     depths = [0]
     frontier = [0]
@@ -238,7 +199,7 @@ def tree_rates(degree, depth):
     return tuple(int(v) for v in verts), csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def build_tree_counterpart(degree=4, depth=6, lam=0.3) -> BrwModel:
+def _tree_counterpart(degree, depth, lam) -> BrwModel:
     """Generation chain of the rate-lam unit-edge process on a truncated tree.
 
     Child totals are geometric with mean lam * (in-window degree); building
@@ -252,7 +213,6 @@ def build_tree_counterpart(degree=4, depth=6, lam=0.3) -> BrwModel:
     line with p = (degree-1)/degree, q = 1/degree: the ``zdrift`` scenario
     is that projected object.
     """
-    lam = float(lam)
     if lam <= 0:
         raise ModelError("lam must be positive")
     verts, parents, _ = tree_vertices_and_edges(degree, depth)
@@ -260,73 +220,93 @@ def build_tree_counterpart(degree=4, depth=6, lam=0.3) -> BrwModel:
     for v in verts[1:]:
         neighbors[int(v)].append(int(parents[v]))
         neighbors[int(parents[v])].append(int(v))
-    laws = {}
-    for v in verts:
-        row = {u: 1.0 for u in neighbors[int(v)]}
-        laws[int(v)] = continuous_counterpart(lam, row)
-    model = BrwModel(tuple(int(v) for v in verts), laws, name="tree_counterpart",
-                     params={"degree": int(degree), "depth": int(depth), "lam": lam})
-    rho_full = IntDistribution.geometric(lam * degree)
-    return _gw_projection(model, rho_full)
+    laws = {v: continuous_counterpart(lam, {u: 1.0 for u in row}) for v, row in neighbors.items()}
+    vertices = tuple(neighbors)
+    return BrwModel(vertices, laws, name="tree_counterpart",
+                    params={"degree": degree, "depth": depth, "lam": lam},
+                    finite_projection=_gw_projection(
+                        "tree_counterpart", vertices, IntDistribution.geometric(lam * degree)))
 
 
 # ---------------------------------------------------------------------------
-# registry
+# parameter kinds and the registry
 # ---------------------------------------------------------------------------
+
+def _typed(cls, value, what):
+    """``value`` when it is a ``cls``; ModelError otherwise."""
+    if not isinstance(value, cls):
+        raise ModelError(f"{what} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
+def _law(value, what) -> IntDistribution:
+    """A dict count -> probability, whose counts may be JSON's decimal strings."""
+    return IntDistribution.from_dict({
+        _whole(int(k) if isinstance(k, str) and k.isdecimal() else k, 0, f"a count of {what}"):
+        _real(p, 0, f"{what}[{k!r}]") for k, p in _typed(dict, value, what).items()})
+
+
+# a parameter's kind names the reader of its value
+_KINDS = {
+    "whole": lambda value, what: _whole(value, 0, what),
+    "real": lambda value, what: _real(value, 0, what),
+    "law": _law,
+    "wholes": lambda value, what: [_whole(n, 0, f"an entry of {what}")
+                                   for n in _typed(list, value, what)],
+    "word": lambda value, what: _typed(str, value, what),
+}
+
+# parameters shared by several scenarios: name -> (kind, default, description)
+_LINE = {"size": ("whole", 16, "window length"),
+         "ns": ("wholes", None, "branch counts; unset takes line_noext_search's")}
+_TRANSLATION = {"radius": ("whole", 20, "window radius"),
+                "rho": ("law", None, "child-count law count -> probability; "
+                                     "unset takes the two-point law of mean rho_bar"),
+                "rho_bar": ("real", 1.5, "mean child count when rho is unset")}
 
 SCENARIOS = {
     "gw": {
-        "build": lambda p: build_gw(p.get("rho", {0: 0.4, 2: 0.6})),
-        "schema": {"rho": "dict count->prob (default {0:0.4, 2:0.6})"},
+        "build": _gw,
+        "params": {"rho": ("law", {0: 0.4, 2: 0.6}, "child-count law count -> probability")},
         "notes": "single-site branching process; children stay on the site",
     },
     "line_noext": {
-        "build": lambda p: build_line_noext(p.get("size", 16), p.get("ns")),
-        "schema": {"size": "int window length (default 16)",
-                   "ns": "optional branch counts; default from line_noext_search"},
+        "build": lambda size, ns: _forward_line(size, ns, "line_noext", 2, back=False),
+        "params": _LINE,
         "notes": "forward-only line, n_i children w.p. 2/n_i: mean growth 2 per "
                  "generation yet extinction a.s. for the searched n_i",
     },
     "line_noext_irreducible": {
-        "build": lambda p: build_line_noext_irreducible(p.get("size", 16), p.get("ns")),
-        "schema": {"size": "int window length (default 16)",
-                   "ns": "optional branch counts; default from line_noext_search"},
+        "build": lambda size, ns: _forward_line(size, ns, "line_noext_irreducible", 3, back=True),
+        "params": _LINE,
         "notes": "irreducible variant: each burst also drops one child backward",
     },
     "line_ex45": {
-        "build": lambda p: build_line_ex45(p.get("size", 64), p.get("boundary", "reflect")),
-        "schema": {"size": "int window length (default 64)",
-                   "boundary": "'reflect' (default) or 'kill' for the last vertex"},
+        "build": _line_ex45,
+        "params": {"size": ("whole", 64, "window length"),
+                   "boundary": ("word", "reflect", "'reflect' or 'kill' for the last vertex")},
         "notes": "single-child line with row sums (1+p_i)/2 < 1 that still survives "
                  "globally by escaping to the right",
     },
     "zd_translation": {
-        "build": lambda p: build_zd_translation(p.get("radius", 20), p.get("rho"),
-                                                p.get("rho_bar", 1.5)),
-        "schema": {"radius": "int window radius (default 20)",
-                   "rho": "dict count->prob (optional)",
-                   "rho_bar": "float mean used when rho omitted (default 1.5)"},
+        "build": _zd_translation,
+        "params": _TRANSLATION,
         "notes": "translation-invariant symmetric nearest-neighbour dispersal on a "
                  "line window; projects to a single-site model with the same rho",
     },
     "tree_counterpart": {
-        "build": lambda p: build_tree_counterpart(p.get("degree", 4), p.get("depth", 6),
-                                                  p.get("lam", 0.3)),
-        "schema": {"degree": "int tree degree (default 4)",
-                   "depth": "int truncation depth (default 6)",
-                   "lam": "float rate multiplier (default 0.3)"},
+        "build": _tree_counterpart,
+        "params": {"degree": ("whole", 4, "tree degree"),
+                   "depth": ("whole", 6, "truncation depth"),
+                   "lam": ("real", 0.3, "rate multiplier")},
         "notes": "generation chain of the unit-rate process on a homogeneous tree "
                  "window: geometric totals, uniform dispersal to neighbours",
     },
     "zdrift": {
-        "build": lambda p: build_zdrift(p.get("radius", 20), p.get("p", 0.25),
-                                        p.get("q", 0.25), p.get("rho"),
-                                        p.get("rho_bar", 1.5)),
-        "schema": {"radius": "int window radius (default 20)",
-                   "p": "float probability of step +1 (default 0.25)",
-                   "q": "float probability of step -1 (default 0.25)",
-                   "rho": "dict count->prob (optional)",
-                   "rho_bar": "float mean used when rho omitted (default 1.5)"},
+        "build": _zdrift,
+        "params": {**_TRANSLATION,
+                   "p": ("real", 0.25, "probability of step +1"),
+                   "q": ("real", 0.25, "probability of step -1")},
         "notes": "drifting line kernel {+1: p, -1: q, 0: 1-p-q}; projects to a "
                  "single-site model with the same rho",
     },
@@ -334,20 +314,23 @@ SCENARIOS = {
 
 
 def build_scenario(name, params=None) -> BrwModel:
+    """The model of scenario ``name`` with ``params`` (name -> value) over its defaults."""
     if name not in SCENARIOS:
         raise ModelError(f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}")
     params = dict(params or {})
-    known = set(SCENARIOS[name]["schema"])
-    stray = set(params) - known
+    declared = SCENARIOS[name]["params"]
+    stray = set(params) - set(declared)
     if stray:
         raise ModelError(f"unknown parameters for {name!r}: {sorted(stray)}")
-    return SCENARIOS[name]["build"](params)
+    args = {}
+    for key, (kind, default, _) in declared.items():
+        value = default if params.get(key) is None else params[key]
+        args[key] = None if value is None else _KINDS[kind](value, f"{name} parameter {key}")
+    return SCENARIOS[name]["build"](**args)
 
 
 def scenario_table():
-    """Stable (name, schema, notes) listing for CLIs and reports."""
-    out = []
-    for name in sorted(SCENARIOS):
-        entry = SCENARIOS[name]
-        out.append((name, dict(entry["schema"]), entry["notes"]))
-    return out
+    """Stable (name, {parameter: (kind, default, description)}, notes) listing
+    for CLIs and reports."""
+    return [(name, dict(SCENARIOS[name]["params"]), SCENARIOS[name]["notes"])
+            for name in sorted(SCENARIOS)]

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BrwModel, ModelError, _index_of, law_table
+from .core import BrwModel, ModelError, _index_of, _whole, law_table
 
 _MASK32 = 0xFFFFFFFF
 _TRIAL_SALT = 0x9E3779B97F4A7C15
@@ -645,14 +644,6 @@ class TrialOutcome:
     total_born: int
     status: str                     # "completed" | "extinct" | "overflow"
     cap: float = math.inf
-
-
-def _whole(value, least, what, below=math.inf):
-    """``value`` as an int when it is a whole number (numpy integers included,
-    bools not) in [least, below)."""
-    if type(value) is bool or not (isinstance(value, numbers.Integral) and least <= value < below):
-        raise ModelError(f"{what} must be a whole number in [{least}, {below}), got {value!r}")
-    return int(value)
 
 
 def _seed(seed) -> int:

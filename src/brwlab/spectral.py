@@ -30,13 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, identity, issparse
 
-from .core import BrwModel, ModelError, _index_of, law_table
+from .core import BrwModel, ModelError, _index_of, _real, _whole, law_table
 
 # below this dimension matrix powers and series solves run dense, which is faster
 _DENSE_CUTOFF = 400
 _REL_TOL = 1e-3     # converged: the last three ratios (or a bracket's ends) agree to this
 _UNIT_ROUNDOFF = 2.0 ** -53
 _CW_STEPS = 5_000   # step budget of the shifted Collatz-Wielandt iteration
+_STOP_TOL = 1e-13   # power iteration stops once three stride-ratios agree to this
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ class MomentMatrix:
         return float(self.row_sums().max()) if self.dim else 0.0
 
     def submatrix(self, subset) -> "MomentMatrix":
-        idx = np.unique([self.index[v] for v in subset if v in self.index])
+        idx = np.unique([_index_of(self.index, v, "window vertex") for v in subset])
         if not idx.size:
             raise ModelError("empty submatrix")
         return self if idx.size == self.dim else self._cut(idx)
@@ -141,17 +142,19 @@ def moment_matrix(model: BrwModel) -> MomentMatrix:
 
 
 def expected_population(M: MomentMatrix, eta0, n: int) -> np.ndarray:
-    """Mean occupation after n generations from eta0 (a vector over M.vertices)."""
-    if n < 0:
-        raise ModelError("generation count must be nonnegative")
+    """Mean occupation after n generations from eta0 (a dict vertex -> count,
+    or a vector over M.vertices); the counts are finite and nonnegative."""
+    n = _whole(n, 0, "generation count")
     if isinstance(eta0, dict):
         u = np.zeros(M.dim)
         for v, c in eta0.items():
-            u[_index_of(M.index, v, "start vertex")] = c
+            u[_index_of(M.index, v, "start vertex")] = _real(c, 0, f"start count at {v!r}")
     else:
         u = np.asarray(eta0, dtype=float).copy()
         if u.shape != (M.dim,):
             raise ModelError(f"start vector must have length {M.dim}, got shape {u.shape}")
+        if not (np.isfinite(u).all() and (u >= 0).all()):
+            raise ModelError("start counts must be finite and nonnegative")
     mat_t = M.csr.T
     for _ in range(n):
         u = mat_t.dot(u)
@@ -248,7 +251,7 @@ def _estimate_from_logs(logs, stride):
     return value, roots, ratios, _converged(ratios)
 
 
-def local_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=1e-13) -> GrowthEstimate:
+def local_growth_rate(M: MomentMatrix, x0, n_max=2000) -> GrowthEstimate:
     """Dominant n-th-root growth of the return values m^(n)_{x0 x0}.
 
     Off-period powers of a periodic class are identically zero, so the roots
@@ -262,12 +265,12 @@ def local_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=1e-13) -> Growth
     if n_max < 2 * p:
         raise ModelError(f"n_max={n_max} below twice the period {p}")
     i0 = cls.index[x0]
-    logs = _log_sequence(cls, i0, lambda u: u[i0], p, n_max, stop_tol)
+    logs = _log_sequence(cls, i0, lambda u: u[i0], p, n_max, _STOP_TOL)
     value, roots, ratios, conv = _estimate_from_logs(logs, p)
     return GrowthEstimate(value, roots, ratios, f"n == 0 (mod {p})", conv)
 
 
-def global_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=1e-13) -> GrowthEstimate:
+def global_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=_STOP_TOL) -> GrowthEstimate:
     """Dominant n-th-root growth of the row sums of M^n started at x0.
 
     A collapse of the iterate to zero (possible on nilpotent reachable sets)
@@ -326,11 +329,10 @@ def _series_sum(A, b):
 
 def _class_block(M: MomentMatrix, x, lam):
     """lam * M on x's class (dense up to _DENSE_CUTOFF vertices) and x's index in it."""
-    if not 0.0 <= lam < math.inf:
-        raise ModelError(f"lam must be finite and nonnegative, got {lam!r}")
+    lam = _real(lam, 0, "lam")
     cls = M._class_matrix(x)
     block = cls.csr.toarray() if cls.dim <= _DENSE_CUTOFF else cls.csr
-    return block * float(lam), cls.index[x]
+    return block * lam, cls.index[x]
 
 
 def _vector(a):

@@ -20,7 +20,7 @@ from brwlab.approx import (
     variance_bound,
 )
 from brwlab.core import IntDistribution, ModelError
-from brwlab.scenarios import build_scenario, build_zd_translation
+from brwlab.scenarios import build_scenario
 from brwlab.simulate import _philox
 from brwlab.spectral import moment_matrix
 
@@ -266,7 +266,7 @@ class TestVarianceBound:
         # population front, where counts are small
         from brwlab.core import dominating_law
         from brwlab.simulate import mean_curve
-        m = build_zd_translation(radius=10, rho={0: 0.25, 2: 0.75})
+        m = build_scenario("zd_translation", {"radius": 10, "rho": {0: 0.25, 2: 0.75}})
         rho = dominating_law(m)
         _, samples = mean_curve(m, {0: 1}, 4, 40_000, seed=3, track=4)
         emp = samples[:, 4].astype(float).var(ddof=1)
@@ -366,7 +366,7 @@ def _percolation_loop(config, replicas, seed):
 
 class TestSpatialExperiment:
     def test_constant_exhaustion_matches_full(self):
-        m = build_zd_translation(radius=5)
+        m = build_scenario("zd_translation", {"radius": 5})
         full = [tuple(m.vertices)] * 3
         res = spatial_experiment(m, full, 0)
         for row in res.rows:
@@ -374,7 +374,7 @@ class TestSpatialExperiment:
             assert row.verdict == res.full_verdict
 
     def test_crossing_index_on_line(self):
-        m = build_zd_translation(radius=10)
+        m = build_scenario("zd_translation", {"radius": 10})
         exhaustion = [range(-r, r + 1) for r in range(1, 11)]
         res = spatial_experiment(m, exhaustion, 0)
         assert res.full_verdict == "survives"
@@ -382,7 +382,7 @@ class TestSpatialExperiment:
         assert res.first_surviving_index == 0
 
     def test_dying_model_has_no_crossing(self):
-        m = build_zd_translation(radius=6, rho={0: 0.6, 2: 0.4})
+        m = build_scenario("zd_translation", {"radius": 6, "rho": {0: 0.6, 2: 0.4}})
         exhaustion = [range(-r, r + 1) for r in (2, 4, 6)]
         res = spatial_experiment(m, exhaustion, 0)
         assert res.full_verdict == "dies"
@@ -392,7 +392,7 @@ class TestSpatialExperiment:
 
     def test_bracket_columns(self):
         r = 201     # window r has 403 vertices, above the dense cutoff
-        m = build_zd_translation(radius=r)
+        m = build_scenario("zd_translation", {"radius": r})
         header, rows = spatial_experiment(m, [range(-3, 4), range(-r, r + 1)], 0).csv_rows()
         growth, low, high = (header.index(c) for c in ("growth", "growth_low", "growth_high"))
         assert rows[0][low] <= rows[0][growth] <= rows[0][high]
@@ -400,11 +400,11 @@ class TestSpatialExperiment:
         assert rows[1][low] == rows[1][high] == ""
 
     def test_ball_exhaustion_nested(self):
-        m = build_zd_translation(radius=6)
+        m = build_scenario("zd_translation", {"radius": 6})
         balls = ball_exhaustion(m, 0, (1, 3, 5))
         assert set(balls[0]) < set(balls[1]) < set(balls[2])
 
-    @pytest.mark.parametrize("model", [build_zd_translation(radius=6),
+    @pytest.mark.parametrize("model", [build_scenario("zd_translation", {"radius": 6}),
                                        build_scenario("tree_counterpart", {"depth": 3})],
                              ids=["line", "tree"])
     def test_ball_exhaustion_equals_vertex_scan(self, model):
@@ -425,7 +425,7 @@ class TestSpatialExperiment:
         real = sp.local_growth_rate
         monkeypatch.setattr(sp, "local_growth_rate",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
-        m = build_zd_translation(radius=10)
+        m = build_scenario("zd_translation", {"radius": 10})
         res = spatial_experiment(m, ball_exhaustion(m, 0, (1, 2, 5, 10)), 0)
         last = res.rows[-1]
         assert last.window_size == m.size
@@ -436,7 +436,7 @@ class TestSpatialExperiment:
 
 class TestTruncationSweep:
     def test_monotone_rows_and_baseline(self):
-        m = build_zd_translation(radius=8)
+        m = build_scenario("zd_translation", {"radius": 8})
         res = truncation_sweep(m, [1, 4], {0: 1}, 60, 150, target=0, seed=21,
                                hard_cap=10 ** 4)
         freqs = [r.alive_frequency for r in res.rows]
@@ -444,12 +444,12 @@ class TestTruncationSweep:
         assert math.isinf(res.rows[-1].cap)
 
     def test_subcritical_all_zero(self):
-        m = build_zd_translation(radius=6, rho={0: 0.7, 2: 0.3})
+        m = build_scenario("zd_translation", {"radius": 6, "rho": {0: 0.7, 2: 0.3}})
         res = truncation_sweep(m, [1, 4], {0: 1}, 120, 150, target=0, seed=5)
         for row in res.rows:
             assert row.alive_frequency <= 0.03
 
     def test_duplicate_caps_rejected(self):
-        m = build_zd_translation(radius=3)
+        m = build_scenario("zd_translation", {"radius": 3})
         with pytest.raises(ModelError):
             truncation_sweep(m, [2, 2, 4], {0: 1}, 10, 5)

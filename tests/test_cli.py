@@ -252,6 +252,37 @@ class TestErrors:
         assert not any(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("scenario, setting", [
+        ("zd_translation", 'radius="abc"'),
+        ("zd_translation", "radius=2.5"),
+        ("zd_translation", "radius=-3"),
+        ("zd_translation", "radius=true"),
+        ("zd_translation", 'rho_bar="x"'),
+        ("zd_translation", "rho_bar=NaN"),
+        ("zd_translation", 'rho={"0": "a"}'),
+        ("line_noext", "size=2.5"),
+        ("tree_counterpart", 'depth="x"'),
+        ("line_noext", 'ns=["a"]'),
+        ("tree_counterpart", "lam=true"),
+    ])
+    def test_bad_scenario_value_exit_two(self, scenario, setting, tmp_path, capsys):
+        code = run_cli(["classify", "--scenario", scenario, "--set", f"param.{setting}",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "abc"), ("--horizon", "2.5"),
+                                             ("--replicas", "abc"), ("--p", "abc")])
+    def test_bad_flag_value_exit_one(self, flag, value, tmp_path, capsys):
+        # a flag value is read as its --set twin is
+        code = run_cli(["percolate", flag, value, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
+
+
 class TestSpatialSpectral:
     def test_spatial_runs(self, tmp_path, capsys):
         code = run_cli(["spatial", "--scenario", "zd_translation",

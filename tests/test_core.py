@@ -16,6 +16,8 @@ from brwlab.core import (
     ModelError,
     OffspringConfig,
     Projection,
+    _real,
+    _whole,
     build_offspring_law,
     check_assumption_nonsingular,
     check_invariance,
@@ -25,14 +27,8 @@ from brwlab.core import (
     project_model,
     restrict_model,
 )
-from brwlab.scenarios import (
-    build_line_ex45,
-    build_line_noext,
-    build_scenario,
-    build_zd_translation,
-    build_zdrift,
-    line_noext_search,
-)
+from brwlab.scenarios import SCENARIOS, build_scenario, line_noext_search, scenario_table
+from brwlab.serialize import serialize_model
 from brwlab.spectral import moment_matrix
 
 
@@ -290,7 +286,8 @@ class TestDominatingLaw:
         assert rho.as_dict() == pytest.approx({1: 0.5, 2: 0.5})
 
     def test_dominates_every_vertex(self):
-        m = build_zdrift(radius=4, p=0.3, q=0.2, rho={0: 0.3, 1: 0.2, 3: 0.5})
+        m = build_scenario("zdrift", {"radius": 4, "p": 0.3, "q": 0.2,
+                                      "rho": {0: 0.3, 1: 0.2, 3: 0.5}})
         rho = dominating_law(m)
         for v in m.vertices:
             rv = m.laws[v].rho
@@ -312,7 +309,7 @@ class TestProjectModel:
 
     def test_collapse_to_point_gives_single_site_process(self):
         # boundary laws of a window are thinned, so that collapse must fail
-        m = build_zd_translation(radius=3, rho={0: 0.4, 2: 0.6})
+        m = build_scenario("zd_translation", {"radius": 3, "rho": {0: 0.4, 2: 0.6}})
         with pytest.raises(ModelError):
             project_model(m, Projection.make({v: 0 for v in m.vertices}))
         # a cycle has no boundary: collapsing it recovers the one-site law
@@ -353,7 +350,7 @@ class TestProjectModel:
 
 class TestRestrictModel:
     def test_full_restriction_is_identity(self):
-        m = build_zd_translation(radius=3)
+        m = build_scenario("zd_translation", {"radius": 3})
         out = restrict_model(m, m.vertices)
         for v in m.vertices:
             assert out.laws[v].equal_within(m.laws[v])
@@ -370,7 +367,7 @@ class TestRestrictModel:
         assert got[()] == pytest.approx(0.5)
 
     def test_means_preserved_on_subset(self):
-        m = build_zd_translation(radius=6)
+        m = build_scenario("zd_translation", {"radius": 6})
         sub = restrict_model(m, range(-3, 4))
         M, Ms = moment_matrix(m), moment_matrix(sub)
         for x in sub.vertices:
@@ -378,14 +375,14 @@ class TestRestrictModel:
                 assert Ms.entry(x, y) == pytest.approx(M.entry(x, y), abs=1e-12)
 
     def test_idempotent_and_commutes(self):
-        m = build_zd_translation(radius=5)
+        m = build_scenario("zd_translation", {"radius": 5})
         a = restrict_model(restrict_model(m, range(-4, 5)), range(-2, 3))
         b = restrict_model(m, range(-2, 3))
         for v in b.vertices:
             assert a.laws[v].equal_within(b.laws[v])
 
     def test_empty_restriction_rejected(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError):
             restrict_model(m, ())
 
@@ -411,14 +408,14 @@ class TestAssumptionNonsingular:
 
 class TestInvariance:
     def test_translation_invariant_window(self):
-        m = build_zd_translation(radius=5)
+        m = build_scenario("zd_translation", {"radius": 5})
         gamma = {v: v + 1 for v in m.vertices if v + 1 in m.index}
         rep = check_invariance(m, gamma)
         assert rep["invariant"]
         assert rep["checked"]  # interior nonempty
 
     def test_perturbed_vertex_detected(self):
-        m = build_zd_translation(radius=5)
+        m = build_scenario("zd_translation", {"radius": 5})
         laws = dict(m.laws)
         laws[0] = product_form_law({0: 0.5, 2: 0.5}, {-1: 0.5, 1: 0.5})
         m2 = BrwModel(m.vertices, laws)
@@ -426,12 +423,12 @@ class TestInvariance:
         assert not check_invariance(m2, gamma)["invariant"]
 
     def test_identity_map(self):
-        m = build_zd_translation(radius=3)
+        m = build_scenario("zd_translation", {"radius": 3})
         rep = check_invariance(m, {v: v for v in m.vertices})
         assert rep["invariant"]
 
     def test_noninjective_rejected(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError):
             check_invariance(m, {v: 0 for v in m.vertices})
 
@@ -446,7 +443,7 @@ class TestScenarios:
         assert m.vertices == (0,)
 
     def test_line_noext_structure(self):
-        m = build_line_noext(5)
+        m = build_scenario("line_noext", {"size": 5})
         ns = m.params["ns"]
         assert ns[0] == 4
         law = m.laws[1]
@@ -463,7 +460,7 @@ class TestScenarios:
         assert zs >= (len(ns) - 1.0) / len(ns) - 1e-9
 
     def test_zdrift_projected_row(self):
-        m = build_zdrift(radius=4, p=0.3, q=0.2, rho_bar=1.5)
+        m = build_scenario("zdrift", {"radius": 4, "p": 0.3, "q": 0.2, "rho_bar": 1.5})
         M = moment_matrix(m)
         rb = m.laws[0].rho_bar
         assert M.entry(0, 1) == pytest.approx(0.3 * rb, abs=1e-12)
@@ -472,7 +469,7 @@ class TestScenarios:
 
     def test_zdrift_invalid_params(self):
         with pytest.raises(ModelError):
-            build_zdrift(radius=3, p=0.7, q=0.5)
+            build_scenario("zdrift", {"radius": 3, "p": 0.7, "q": 0.5})
 
     def test_unknown_scenario(self):
         with pytest.raises(ModelError):
@@ -482,8 +479,35 @@ class TestScenarios:
         with pytest.raises(ModelError):
             build_scenario("gw", {"bogus": 1})
 
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_listed_defaults_are_the_ones_used(self, name):
+        # every listed parameter is accepted, and passing its listed default
+        # builds the model that leaving it out builds
+        (params,) = [p for n, p, _ in scenario_table() if n == name]
+        plain = serialize_model(build_scenario(name))
+        for key, (kind, default, _) in params.items():
+            assert serialize_model(build_scenario(name, {key: default})) == plain, key
+            if default is not None and key in build_scenario(name).params:
+                assert build_scenario(name).params[key] == default, key
+
+    @pytest.mark.parametrize("name, params", [
+        ("zd_translation", {"radius": 2.5}),
+        ("zd_translation", {"radius": True}),
+        ("zd_translation", {"rho": {"0": 0.5, "2.5": 0.5}}),
+        ("zd_translation", {"rho": {0: True}}),
+        ("zdrift", {"p": "0.3"}),
+        ("line_ex45", {"boundary": 1}),
+        ("line_noext_irreducible", {"size": 4, "ns": [4, 8]}),
+        ("line_noext", {"size": 3, "ns": [0, 4, 8]}),
+        ("tree_counterpart", {"degree": 2}),
+    ], ids=["radius-float", "radius-bool", "rho-count-float", "rho-prob-bool", "p-string",
+            "boundary-int", "ns-short", "ns-zero", "degree-two"])
+    def test_bad_parameter_is_a_model_error(self, name, params):
+        with pytest.raises(ModelError):
+            build_scenario(name, params)
+
     def test_ex45_row_sums_below_one(self):
-        m = build_line_ex45(16)
+        m = build_scenario("line_ex45", {"size": 16})
         M = moment_matrix(m)
         assert np.all(M.row_sums() < 1.0)
 
@@ -556,6 +580,28 @@ def test_restriction_idempotent(model, subset):
 # public surface
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("value", [2, np.int64(2), 2 ** 70])
+def test_whole_reads_whole_numbers(value):
+    assert _whole(value, 0, "x") == value and type(_whole(value, 0, "x")) is int
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2", -1, None, 2 ** 64])
+def test_whole_refuses_the_rest(value):
+    with pytest.raises(ModelError):
+        _whole(value, 0, "x", 2 ** 64)
+
+
+@pytest.mark.parametrize("value", [0, 2, 0.5, np.float64(0.25), np.int64(3)])
+def test_real_reads_finite_numbers(value):
+    assert _real(value, 0, "x") == value and type(_real(value, 0, "x")) is float
+
+
+@pytest.mark.parametrize("value", [False, math.nan, math.inf, -math.inf, "0.5", -0.5, None])
+def test_real_refuses_the_rest(value):
+    with pytest.raises(ModelError):
+        _real(value, 0, "x")
+
+
 def test_defaulted_public_parameter_count():
     """Parameters with defaults of the public functions, and of the methods
     without a leading underscore of the classes, defined in the library
@@ -576,4 +622,4 @@ def test_defaulted_public_parameter_count():
                 continue
             count += sum(p.default is not inspect.Parameter.empty
                          for f in functions for p in inspect.signature(f).parameters.values())
-    assert count == 57
+    assert count == 42

@@ -27,14 +27,7 @@ from brwlab.genfun import (
     strong_local_compare,
     survival_probability,
 )
-from brwlab.scenarios import (
-    build_line_ex45,
-    build_line_noext,
-    build_scenario,
-    build_zd_translation,
-    ex45_p,
-    tree_rates,
-)
+from brwlab.scenarios import build_scenario, ex45_p, tree_rates
 from brwlab.spectral import MomentMatrix, global_growth_rate, moment_matrix
 
 
@@ -73,7 +66,7 @@ def ex45_subsolution(size):
 
 class TestEvalG:
     def test_at_one(self):
-        m = build_zd_translation(radius=4)
+        m = build_scenario("zd_translation", {"radius": 4})
         out = eval_G(m, np.ones(m.size))
         assert out == pytest.approx(np.ones(m.size), abs=1e-12)
 
@@ -83,7 +76,7 @@ class TestEvalG:
 
     def test_product_form_factorizes(self):
         # G(z|x) = F(P z (x)) for product-form laws
-        m = build_zd_translation(radius=3, rho={0: 0.4, 2: 0.6})
+        m = build_scenario("zd_translation", {"radius": 3, "rho": {0: 0.4, 2: 0.6}})
         rng = np.random.default_rng(0)
         z = rng.uniform(0, 1, m.size)
         out = eval_G(m, z)
@@ -96,7 +89,7 @@ class TestEvalG:
             assert out[m.index[v]] == pytest.approx(expected, abs=1e-12)
 
     def test_atom_law_matches_direct_sum(self):
-        m = build_line_noext(4)
+        m = build_scenario("line_noext", {"size": 4})
         z = np.array([0.3, 0.9, 0.2, 0.7])
         out = eval_G(m, z)
         for i in range(3):
@@ -122,7 +115,7 @@ class TestEvalG:
 @given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
 def test_eval_G_monotone(za, zb):
-    m = build_zd_translation(radius=1, rho={0: 0.3, 2: 0.7})
+    m = build_scenario("zd_translation", {"radius": 1, "rho": {0: 0.3, 2: 0.7}})
     lo = np.minimum(za, zb)
     hi = np.maximum(za, zb)
     assert np.all(eval_G(m, lo) <= eval_G(m, hi) + 1e-12)
@@ -229,20 +222,20 @@ class TestIterateExtinction:
         assert np.all(q2 <= z2 + 1e-12)
 
     def test_set_monotonicity(self):
-        m = build_zd_translation(radius=5)
+        m = build_scenario("zd_translation", {"radius": 5})
         qa, _ = iterate_extinction(m, {0})
         qb, _ = iterate_extinction(m, {-1, 0, 1})
         assert np.all(qa >= qb - 1e-9)
 
     def test_target_above_global(self):
-        m = build_zd_translation(radius=5)
+        m = build_scenario("zd_translation", {"radius": 5})
         qy, _ = iterate_extinction(m, {2})
         qbar, _ = iterate_extinction(m, "global")
         assert np.all(qy >= qbar - 1e-9)
 
     def test_unknown_target_vertex(self):
         with pytest.raises(ModelError):
-            iterate_extinction(build_zd_translation(radius=2), {99})
+            iterate_extinction(build_scenario("zd_translation", {"radius": 2}), {99})
 
     def test_period_three_cycle_target(self):
         # directed 3-cycle of bursts: avoidance of one site still converges
@@ -291,7 +284,7 @@ class TestIterateExtinction:
         assert rep.verdict == "yes"
 
     def test_irreducible_target_is_global_solve(self):
-        m = build_zd_translation(radius=10)
+        m = build_scenario("zd_translation", {"radius": 10})
         qbar, _ = iterate_extinction(m, "global")
         qy, _ = iterate_extinction(m, {0})
         assert qy.tobytes() == qbar.tobytes()
@@ -315,7 +308,7 @@ class TestIterateExtinction:
 
     def test_empty_target_rejected(self):
         with pytest.raises(ModelError):
-            iterate_extinction(build_zd_translation(radius=2), set())
+            iterate_extinction(build_scenario("zd_translation", {"radius": 2}), set())
 
 
 def _mixed_atom_model():
@@ -421,7 +414,7 @@ class TestJacobian:
 
     @pytest.mark.parametrize("zero", [False, True])
     def test_product_form_matches_finite_differences(self, zero):
-        m = build_zd_translation(radius=2, rho={0: 0.2, 1: 0.1, 3: 0.7})
+        m = build_scenario("zd_translation", {"radius": 2, "rho": {0: 0.2, 1: 0.1, 3: 0.7}})
         z = np.linspace(0.1, 0.9, m.size)
         if zero:
             z[::2] = 0.0
@@ -490,7 +483,7 @@ class TestSubsolution:
         assert rep.max_violation <= 1e-12
 
     def test_ex45_product_vector(self):
-        m = build_line_ex45(64)
+        m = build_scenario("line_ex45", {"size": 64})
         z = ex45_subsolution(64)
         rep = check_subsolution(m, z, 0)
         assert rep.accepted
@@ -515,7 +508,7 @@ class TestMeanCondition:
         # necessary-condition direction only: scan a coarse grid of constant
         # and geometric profiles; none should satisfy Mv >= v with v(0) > 0,
         # because mass escapes through the window edge
-        m = build_line_noext(8)
+        m = build_scenario("line_noext", {"size": 8})
         found = None
         for c in np.linspace(0.05, 1.0, 20):
             for decay in (1.0, 0.5, 0.25):
@@ -551,7 +544,7 @@ class TestClassify:
         assert rep.local_growth.value < oracle + 0.01
 
     def test_line_noext_ladder_flag(self):
-        rep = classify_survival(build_line_noext(12), 0)
+        rep = classify_survival(build_scenario("line_noext", {"size": 12}), 0)
         assert rep.global_ == "dies"
         assert rep.global_method == "fixed-point"
         assert any("truncation" in n for n in rep.notes)
@@ -603,7 +596,7 @@ class TestStrongLocal:
         assert rep.gap <= 1e-9
 
     def test_transitive_window_interior(self):
-        rep = strong_local_compare(build_zd_translation(radius=10), 0, 0)
+        rep = strong_local_compare(build_scenario("zd_translation", {"radius": 10}), 0, 0)
         assert rep.verdict == "yes"
 
     def test_no_local_survival(self):
@@ -613,7 +606,7 @@ class TestStrongLocal:
 
     def test_unknown_start_vertex(self):
         with pytest.raises(ModelError):
-            strong_local_compare(build_zd_translation(radius=2), 99, 0)
+            strong_local_compare(build_scenario("zd_translation", {"radius": 2}), 99, 0)
 
 
 class TestLambdaSweep:

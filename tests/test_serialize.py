@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from brwlab.core import BrwModel, ModelError, continuous_counterpart
-from brwlab.scenarios import build_line_noext, build_scenario, build_zd_translation
+from brwlab.scenarios import build_scenario
 from brwlab.serialize import model_hash, parse_model, serialize_model
 from brwlab.spectral import moment_matrix
 
@@ -35,7 +35,7 @@ class TestRoundTrip:
         assert model_hash(back) == model_hash(model)
 
     def test_round_trip_preserves_means(self):
-        m = build_zd_translation(radius=5)
+        m = build_scenario("zd_translation", {"radius": 5})
         back = parse_model(serialize_model(m))
         a, b = moment_matrix(m), moment_matrix(back)
         assert np.allclose(a.csr.toarray(), b.csr.toarray(), atol=1e-14)
@@ -43,17 +43,17 @@ class TestRoundTrip:
 
 class TestHash:
     def test_stable_across_builds(self):
-        a = build_zd_translation(radius=5)
-        b = build_zd_translation(radius=5)
+        a = build_scenario("zd_translation", {"radius": 5})
+        b = build_scenario("zd_translation", {"radius": 5})
         assert model_hash(a) == model_hash(b)
 
     def test_sensitive_to_parameters(self):
-        a = build_zd_translation(radius=5)
-        b = build_zd_translation(radius=5, rho={0: 0.3, 2: 0.7})
+        a = build_scenario("zd_translation", {"radius": 5})
+        b = build_scenario("zd_translation", {"radius": 5, "rho": {0: 0.3, 2: 0.7}})
         assert model_hash(a) != model_hash(b)
 
     def test_header_records_scenario(self):
-        m = build_line_noext(5)
+        m = build_scenario("line_noext", {"size": 5})
         text = serialize_model(m)
         assert text.splitlines()[1] == "scenario line_noext"
 
@@ -69,7 +69,7 @@ def _drop_line(text, start):
 
 
 GW_TEXT = serialize_model(build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}}))
-LINE_TEXT = serialize_model(build_line_noext(3))
+LINE_TEXT = serialize_model(build_scenario("line_noext", {"size": 3}))
 
 
 class TestMalformedText:

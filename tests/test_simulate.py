@@ -20,7 +20,7 @@ from brwlab.core import (
     product_form_law,
 )
 from brwlab.genfun import survival_probability
-from brwlab.scenarios import build_scenario, build_zd_translation
+from brwlab.scenarios import build_scenario
 from brwlab.simulate import (
     _TRIAL_SALT,
     RestrictionCoupling,
@@ -89,7 +89,7 @@ class TestStep:
 
     def test_one_step_mean_matches_moment_row(self):
         # binomial error bars: 4 sigma over 1e5 replicas
-        m = build_zd_translation(radius=2, rho={0: 0.3, 2: 0.7})
+        m = build_scenario("zd_translation", {"radius": 2, "rho": {0: 0.3, 2: 0.7}})
         R = 100_000
         means, _ = mean_curve(m, {0: 1}, 1, R, seed=11)
         M = moment_matrix(m)
@@ -143,7 +143,7 @@ class TestEngineDistribution:
         # the stepping engine's one-step configuration distribution must match
         # the law's materialized atoms (chi-square at 1%)
         from scipy.stats import chisquare
-        m = build_zd_translation(radius=2, rho={0: 0.5, 2: 0.5})
+        m = build_scenario("zd_translation", {"radius": 2, "rho": {0: 0.5, 2: 0.5}})
         law = m.laws[0]
         expected = {tuple(sorted(cfg.entries)): p for cfg, p in law.atoms}
         counts = {k: 0 for k in expected}
@@ -168,7 +168,7 @@ class TestEngineDistribution:
         # end-to-end: MC survival frequency on a multi-vertex window sits in
         # the CI around 1 - qbar(0) from the fixed-point iteration
         from brwlab.genfun import iterate_extinction
-        m = build_zd_translation(radius=8)
+        m = build_scenario("zd_translation", {"radius": 8})
         q, _ = iterate_extinction(m, "global")
         est = estimate_survival(m, {0: 1}, 150, 1500, seed=55, hard_cap=10 ** 4)
         assert est.ci_low <= 1.0 - q[m.index[0]] <= est.ci_high
@@ -182,7 +182,7 @@ class TestTruncatedStep:
         assert o.peak_population == 1 and o.total_born == 6     # one particle per generation
 
     def test_infinite_cap_matches_plain_step(self):
-        m = build_zd_translation(radius=4)
+        m = build_scenario("zd_translation", {"radius": 4})
         a = _one_step(m, {0: 3}, TrialStreams(9).generation(1))
         b, = run_coupled_trials(m, [math.inf], {0: 3}, 1, seed=9)
         assert b.total_born == 3 + a.sum() and b.peak_population == max(3, a.sum())
@@ -197,7 +197,7 @@ class TestTruncatedStep:
 
 class TestCoupledStep:
     def test_identity_coupling_equal_forever(self):
-        m = build_zd_translation(radius=5)
+        m = build_scenario("zd_translation", {"radius": 5})
         pair = np.stack([_check_run(m, {0: 2}, 1, 1, 0)] * 2)[None]
         streams = TrialStreams(3)
         for gen in range(1, 15):
@@ -205,7 +205,7 @@ class TestCoupledStep:
             assert np.array_equal(pair[0, 0], pair[0, 1])
 
     def test_restriction_coupling_confines_lower(self):
-        m = build_zd_translation(radius=6)
+        m = build_scenario("zd_translation", {"radius": 6})
         keep = frozenset(range(-2, 3))
         mask = RestrictionCoupling(keep).mask(m)
         pair = np.stack([_check_run(m, {0: 2}, 1, 1, 0)] * 2)[None]
@@ -220,7 +220,7 @@ class TestCoupledStep:
     def test_caps_dominance_random_models(self):
         rng = np.random.default_rng(0)
         for trial in range(20):
-            m = build_zd_translation(radius=4, rho={0: 0.3, 3: 0.7})
+            m = build_scenario("zd_translation", {"radius": 4, "rho": {0: 0.3, 3: 0.7}})
             outs = run_coupled_trials(m, [1, 5, math.inf], {0: 2}, 25,
                                       seed=trial, hard_cap=10 ** 4)
             # run_coupled_trials asserts domination internally every step
@@ -229,7 +229,7 @@ class TestCoupledStep:
 
 class TestTrials:
     def test_same_seed_identical_outcomes(self):
-        m = build_zd_translation(radius=5)
+        m = build_scenario("zd_translation", {"radius": 5})
         a = run_survival_trial(m, {0: 1}, 40, target=0, seed=12, replica=7, hard_cap=10 ** 4)
         b = run_survival_trial(m, {0: 1}, 40, target=0, seed=12, replica=7, hard_cap=10 ** 4)
         assert a == b
@@ -277,7 +277,7 @@ class TestTrials:
         # ever-born totals are stochastically below a single-site process
         # whose child count is the dominating law shifted up by one
         from brwlab.core import dominating_law
-        m = build_zd_translation(radius=6, rho={0: 0.5, 2: 0.5})
+        m = build_scenario("zd_translation", {"radius": 6, "rho": {0: 0.5, 2: 0.5}})
         rho = dominating_law(m)
         mean_shift = rho.mean + 1.0
         n = 6
@@ -319,7 +319,7 @@ class TestSurvivalLaw:
 
 class TestSweepMachinery:
     def test_monotone_in_cap_by_construction(self):
-        m = build_zd_translation(radius=8)
+        m = build_scenario("zd_translation", {"radius": 8})
         caps = [1, 2, 8, math.inf]
         alive = {c: 0 for c in caps}
         for r in range(300):
@@ -333,7 +333,7 @@ class TestSweepMachinery:
         assert freqs == sorted(freqs)
 
     def test_inf_row_equals_standalone_baseline(self):
-        m = build_zd_translation(radius=8)
+        m = build_scenario("zd_translation", {"radius": 8})
         for r in range(50):
             joint = run_coupled_trials(m, [2, math.inf], {0: 1}, 50, target=0,
                                        seed=4, replica=r, hard_cap=10 ** 4)[-1]
@@ -346,7 +346,7 @@ class TestSweepMachinery:
 
 class TestMeanCurve:
     def test_matches_expected_population(self):
-        m = build_zd_translation(radius=10)
+        m = build_scenario("zd_translation", {"radius": 10})
         horizon, R = 6, 40_000
         means, samples = mean_curve(m, {0: 1}, horizon, R, seed=3, track=0)
         M = moment_matrix(m)
@@ -498,12 +498,12 @@ def _advance_cases():
     prefixes of their blocks under keep masks, sites far above a chunk, cdfs
     of 1, 2, 3 and 10 entries, and one state on each side of the default
     choice between counting by segment sums and by per-draw indices."""
-    line = build_zd_translation(radius=5)          # three product groups
+    line = build_scenario("zd_translation", {"radius": 5})          # three product groups
     mixed = interleaved_model()                    # two product groups and an atom group
     ex45 = build_scenario("line_ex45", {"size": 12})   # atom groups only
     gw = build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}})
     sizes = cdf_sizes_model()
-    short = build_zd_translation(radius=3)
+    short = build_scenario("zd_translation", {"radius": 3})
     pick = np.random.default_rng(2024)
 
     def rows(model, R, caps, masks):
@@ -643,7 +643,7 @@ class TestTrialBatch:
         assert _digest(outs) == "b30fb6bf89982cb5780ac3dc2a42759542eeaef4a1997a1a6a819e780da53d33"
 
     def test_truncation_sweep_with_target(self, draw_budget):
-        m = build_zd_translation(radius=8)
+        m = build_scenario("zd_translation", {"radius": 8})
         res = truncation_sweep(m, [1, 2, 8], {0: 1}, 60, 100, target=0, seed=2,
                                hard_cap=10 ** 4)
         outs = [o for cap_outs in res.outcomes.values() for o in cap_outs]
@@ -657,14 +657,14 @@ class TestTrialBatch:
          "925ab6798d471cd1ab4dd0dd95c664f069ba23ab2206493952bcb82882e17038"),
     ])
     def test_restriction_pairs(self, draw_budget, caps, seed, want):
-        m = build_zd_translation(radius=6)
+        m = build_scenario("zd_translation", {"radius": 6})
         win = RestrictionCoupling(frozenset(range(-2, 3)))
         batch = run_trial_batch(m, caps, {0: 1}, 25, range(300), seed=seed, hard_cap=4000,
                                 couplings=[win, None])
         assert _digest([o for outs in batch for o in outs]) == want
 
     def test_batch_of_replica_subset_equals_single_runs(self):
-        m = build_zd_translation(radius=5)
+        m = build_scenario("zd_translation", {"radius": 5})
         reps = [9, 2, 40]
         batch = run_trial_batch(m, [2, math.inf], {0: 1}, 30, reps, target=0, seed=8,
                                 hard_cap=500)
@@ -751,14 +751,14 @@ class TestRunValidation:
             "sweep-replicas", "batch-rows"])
     def test_oversized_dense_state_fails_fast(self, run):
         # each would allocate over 2**27 cells (or a 10**10-entry replica list)
-        m = build_zd_translation(radius=10)
+        m = build_scenario("zd_translation", {"radius": 10})
         start = time.perf_counter()
         with pytest.raises(ModelError, match=r"2\*\*27|134217729"):
             run(m)
         assert time.perf_counter() - start < 1.0
 
     def test_replicas_below_one(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="replica"):
             truncation_sweep(m, [1], {0: 1}, 5, 0)
         with pytest.raises(ModelError, match="replica"):
@@ -769,7 +769,7 @@ class TestRunValidation:
             oriented_percolation(PercolationConfig(p=0.5, horizon=3), 0)
 
     def test_negative_horizon(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="horizon"):
             run_coupled_trials(m, [1, math.inf], {0: 1}, -1)
         with pytest.raises(ModelError, match="horizon"):
@@ -778,7 +778,7 @@ class TestRunValidation:
             mean_curve(m, {0: 1}, -1, 4)
 
     def test_cap_below_one(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="cap"):
             run_coupled_trials(m, [0.5, math.inf], {0: 1}, 5)
         with pytest.raises(ModelError, match="cap"):
@@ -793,17 +793,17 @@ class TestRunValidation:
     ], ids=["run_coupled_trials", "estimate_survival", "truncation_sweep"])
     def test_nan_cap(self, run):
         with pytest.raises(ModelError, match="cap"):
-            run(build_zd_translation(radius=2))
+            run(build_scenario("zd_translation", {"radius": 2}))
 
     def test_cap_too_large_for_a_float(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="cap"):
             truncation_sweep(m, [10 ** 400], {0: 1}, 5, 3)
         with pytest.raises(ModelError, match="cap"):
             run_coupled_trials(m, [2, 10 ** 400], {0: 1}, 5)
 
     def test_cap_beyond_int64_clips_nothing(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         res = truncation_sweep(m, [2 ** 63, 1e19], {0: 1}, 8, 20, seed=4)
         runs = [[(o.alive, o.visits_to_target, o.peak_population, o.total_born, o.status)
                  for o in res.outcomes[c]] for c in (2 ** 63, 1e19, math.inf)]
@@ -811,7 +811,7 @@ class TestRunValidation:
 
     @pytest.mark.parametrize("hard_cap", [-5, 0, 2.5, math.inf])
     def test_hard_cap_not_a_whole_number_at_least_one(self, hard_cap):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="hard_cap"):
             truncation_sweep(m, [1], {0: 1}, 5, 3, hard_cap=hard_cap)
         with pytest.raises(ModelError, match="hard_cap"):
@@ -820,7 +820,7 @@ class TestRunValidation:
     @pytest.mark.parametrize("key", ["hard_cap", "horizon", "replicas"])
     def test_bool_is_not_a_whole_number(self, key):
         # bool is a numbers.Integral, so True once ran as a hard cap, horizon or count of 1
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         args = {"hard_cap": 10, "horizon": 5, "replicas": 3, key: True}
         with pytest.raises(ModelError, match=key):
             truncation_sweep(m, [1], {0: 1}, args["horizon"], args["replicas"],
@@ -832,12 +832,12 @@ class TestRunValidation:
     ], ids=["truncation_sweep", "run_trial_batch"])
     def test_empty_cap_list(self, run):
         with pytest.raises(ModelError, match="cap"):
-            run(build_zd_translation(radius=2))
+            run(build_scenario("zd_translation", {"radius": 2}))
 
     @pytest.mark.parametrize("replica", [2 ** 32, -1, 2 ** 40 + 7, 1.0])
     def test_replica_index_outside_the_stream_key(self, replica):
         # the key packs the index in 32 bits: 2**32 would reuse replica 0's stream
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="replica index"):
             TrialStreams(5, replica)
         with pytest.raises(ModelError, match="replica index"):
@@ -849,7 +849,7 @@ class TestRunValidation:
     def test_seed_outside_the_stream_key(self, seed):
         # 1.5 ran seed 1's stream and recorded 1.5, 2**64 + 1 shared seed 1's
         # stream, -1 shared seed 2**64 - 1's, and "a" ended in a ValueError
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         runs = [lambda: TrialStreams(seed),
                 lambda: run_coupled_trials(m, [math.inf], {0: 1}, 5, seed=seed),
                 lambda: estimate_survival(m, {0: 1}, 5, 3, seed=seed),
@@ -861,7 +861,7 @@ class TestRunValidation:
                 run()
 
     def test_seed_at_the_top_of_the_key(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         top = 2 ** 64 - 1
         assert TrialStreams(np.uint64(top)).seed == top
         o, = run_coupled_trials(m, [math.inf], {0: 1}, 3, seed=top)
@@ -880,14 +880,14 @@ class TestRunValidation:
     @pytest.mark.parametrize("count", [1.5, 1.0, math.nan, -1, 2 ** 63, 2 ** 70])
     def test_start_counts_must_be_whole(self, count):
         # 1.5 became 1 particle, NaN and 2**70 ended in numpy errors
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="occupation count"):
             estimate_survival(m, {0: count}, 3, 2)
 
     def test_start_counts_total_below_2_63(self):
         # each count is valid, but an int64 sum of them wraps to -2**63,
         # which would read as extinct at generation 0
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="total"):
             mean_curve(m, {0: 2 ** 62, 1: 2 ** 62}, 3, 2)
         with pytest.raises(ModelError, match="total"):
@@ -898,13 +898,13 @@ class TestRunValidation:
         assert top.status == "completed" and top.total_born == 2 ** 63 - 1
 
     def test_start_counts_accept_numpy_integers(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         counts = _check_run(m, {0: np.int64(3), 1: np.uint8(2), 2: 0}, 0, 1, 0)
         assert counts.tolist() == [0, 0, 3, 2, 0]
         assert run_survival_trial(m, {0: np.int64(3), 1: np.uint8(2), 2: 0}, 0).total_born == 5
 
     def test_replica_index_at_the_top_of_the_key(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         top = 2 ** 32 - 1
         assert TrialStreams(5, np.uint32(top)).replica == top
         batch = run_trial_batch(m, [math.inf], {0: 1}, 3, [np.int64(top)], seed=5)
@@ -924,17 +924,17 @@ class TestRunValidation:
             "oriented_percolation"])
     def test_non_integral_replicas_and_horizons(self, run, what):
         with pytest.raises(ModelError, match=what):
-            run(build_zd_translation(radius=2))
+            run(build_scenario("zd_translation", {"radius": 2}))
 
     def test_numpy_integer_replicas_and_horizons(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         means, _ = mean_curve(m, {0: 1}, np.int64(2), np.int32(4), seed=1)
         assert np.array_equal(means, mean_curve(m, {0: 1}, 2, 4, seed=1)[0])
         est = estimate_survival(m, {0: 1}, np.int64(3), np.uint8(3), seed=1)
         assert est.replicas == 3 and len(est.outcomes) == 3
 
     def test_unknown_vertex(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="99"):
             run_coupled_trials(m, [math.inf], {99: 1}, 5)
         with pytest.raises(ModelError, match="99"):
@@ -948,12 +948,12 @@ class TestRunValidation:
     @pytest.mark.parametrize("couplings", [[None], ["window", None], [frozenset({0}), None]])
     def test_coupling_entries(self, couplings):
         # one entry per cap, each None or a RestrictionCoupling; any other was read as None
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="coupling"):
             run_coupled_trials(m, [math.inf, math.inf], {0: 1}, 5, couplings=couplings)
 
     def test_start_must_be_a_dict(self):
-        m = build_zd_translation(radius=2)
+        m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="start"):
             run_trial_batch(m, [math.inf], [0, 0, 1, 0, 0], 3, [0])
 
@@ -1088,7 +1088,7 @@ class TestMemory:
 
     def test_sweep_step_at_the_hard_cap(self):
         # about 10**6 particles in the uncapped row, four rows capped at 1-8
-        m = build_zd_translation(radius=20)
+        m = build_scenario("zd_translation", {"radius": 20})
         top = np.full(m.size, 24_390, dtype=np.int64)
         counts = np.stack([np.minimum(top, c) for c in (1, 2, 4, 8)] + [top])[None]
         peak = self._peak_mb(lambda: simulate._advance(counts, m, TrialStreams(7).generation(1),
@@ -1104,6 +1104,6 @@ class TestMemory:
         assert peak <= 4.0           # 1.6 MB; 19.2 MB before the kernel read in chunks
 
     def test_bench_mean_curve(self):
-        m = build_zd_translation(radius=10)
+        m = build_scenario("zd_translation", {"radius": 10})
         peak = self._peak_mb(lambda: mean_curve(m, {0: 1}, 8, 100_000, seed=77, track=0))
         assert peak <= 85.0          # 65.0 MB; 96.6 MB before the kernel read in chunks
