@@ -6,14 +6,11 @@ from .core import (
     ModelError,
     OffspringConfig,
     OffspringLaw,
-    Projection,
     build_offspring_law,
     check_assumption_nonsingular,
-    check_invariance,
     continuous_counterpart,
     dominating_law,
     product_form_law,
-    project_model,
     restrict_model,
 )
 from .scenarios import SCENARIOS, build_scenario, line_noext_search, scenario_table, tree_rates
@@ -36,7 +33,6 @@ from .genfun import (
     classify_survival,
     counterpart_model,
     eval_G,
-    eval_G_geometric,
     iterate_extinction,
     lambda_sweep,
     strong_local_compare,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BrwModel, IntDistribution, ModelError, _index_of, _whole
+from .core import BrwModel, IntDistribution, ModelError, _index_of, _real, _whole
 from .genfun import _verdict
 from .simulate import (_DRAW_BUDGET, _MAX_CELLS, DEFAULT_HARD_CAP, _cap_label, _caps, _chunks,
                        _seed, _StreamPool, run_trial_batch, wilson_interval)
@@ -147,11 +147,8 @@ def supercritical_region(d: DriftParams) -> RegionResult:
 
 def chebyshev_k(sigma2, D, eps) -> int:
     """Smallest k with sigma^2 / (D^2 k + sigma^2) <= eps (one-sided bound)."""
-    if sigma2 < 0:
-        raise ModelError("variance must be nonnegative")
-    if D < 1:
-        raise ModelError("D must be at least 1")
-    if not (0.0 < eps < 1.0):
+    sigma2, D = _real(sigma2, 0, "variance"), _real(D, 1, "D")
+    if not (0.0 < _real(eps, 0, "eps") < 1.0):
         raise ModelError("eps must lie in (0, 1)")
     if sigma2 == 0:
         return 0
@@ -314,7 +311,7 @@ class PercolationConfig:
     width: int | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
+        if _real(self.p, 0, "open probability") > 1.0:
             raise ModelError("open probability must lie in [0, 1]")
         _whole(self.horizon, 1, "horizon")
         if self.width is not None:

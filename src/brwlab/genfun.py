@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .core import (BrwModel, ModelError, _index_of, _whole, continuous_counterpart, law_table,
                    restrict_model)
@@ -42,7 +41,7 @@ class _GEvaluator:
     def __init__(self, model: BrwModel):
         self.model = model
         table = law_table(model)
-        self.P = table.disp
+        self.P = table.disp.tocsr()
         dense = [(rho.dense_probs(), rows) for rho, rows in table.rho_groups]
         self.groups = [(c, np.polynomial.polynomial.polyder(c), rows) for c, rows in dense]
         # counts[a, j] = children atom a sends to vertex j; atom a belongs to
@@ -56,7 +55,7 @@ class _GEvaluator:
         nnz_per_atom = np.diff(self.counts.indptr)
         self._filled = nnz_per_atom > 0
         self._entry_atom = np.repeat(np.arange(self.atom_probs.size), nnz_per_atom)
-        self._entry_slot = np.arange(self.counts.nnz) - self.counts.indptr[self._entry_atom]
+        self._entry_slot = np.arange(self._cnt.size) - self.counts.indptr[self._entry_atom]
         self._slots = int(nnz_per_atom.max()) if self.atom_probs.size else 0
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -75,8 +74,9 @@ class _GEvaluator:
                 out[idx] = np.polynomial.polynomial.polyval(pz[idx], coeffs)
         return out.clip(0.0, 1.0)
 
-    def jacobian(self, z: np.ndarray) -> csr_matrix:
-        """G'(z): diag(rho'(Pz)) P on product-form rows, summed atom terms elsewhere.
+    def jacobian(self, z: np.ndarray):
+        """G'(z), a scipy csr matrix: diag(rho'(Pz)) P on product-form rows,
+        summed atom terms elsewhere.
 
         The atom term for entry (a, j) is p_a c_aj z_j^(c_aj - 1) times the
         product of z_k^(c_ak) over the atom's other entries k, taken without
@@ -90,7 +90,9 @@ class _GEvaluator:
                 scale[idx] = np.polynomial.polynomial.polyval(pz[idx], dcoeffs)
         J = self.P.copy()
         J.data *= np.repeat(scale, np.diff(J.indptr))
-        if self.counts.nnz:
+        if self._cnt.size:
+            from scipy.sparse import csr_matrix
+
             cols, cnt = self.counts.indices, self._cnt
             table = np.ones((self.counts.shape[0], self._slots + 2))
             table[self._entry_atom, self._entry_slot + 1] = z[cols] ** cnt
@@ -130,12 +132,6 @@ def as_field(model: BrwModel, values) -> np.ndarray:
 def eval_G(model: BrwModel, z) -> np.ndarray:
     """G(z|x) = sum_f mu_x(f) prod_y z(y)^f(y), coordinatewise over vertices."""
     return _evaluator(model)(as_field(model, z))
-
-
-def eval_G_geometric(M: MomentMatrix, z) -> np.ndarray:
-    """Closed form 1 / (1 + M(1-z)) valid for geometric-total laws."""
-    z = np.asarray(z, dtype=float)
-    return 1.0 / (1.0 + M.csr.dot(1.0 - z))
 
 
 # ---------------------------------------------------------------------------

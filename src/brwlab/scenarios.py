@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .core import (
     BrwModel,
@@ -188,7 +187,10 @@ def tree_vertices_and_edges(degree, depth):
 
 
 def tree_rates(degree, depth):
-    """Unit rates on the edges of the truncated homogeneous tree (symmetric)."""
+    """Unit rates on the edges of the truncated homogeneous tree (symmetric),
+    as a scipy csr matrix."""
+    from scipy.sparse import csr_matrix
+
     verts, parents, _ = tree_vertices_and_edges(degree, depth)
     child = verts[1:]
     par = parents[1:]

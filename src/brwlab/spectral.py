@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity, issparse
 
 from .core import BrwModel, ModelError, _index_of, _real, _whole, law_table
 
@@ -48,6 +47,8 @@ class MomentMatrix:
     """Sparse nonnegative matrix of expected offspring counts m_xy."""
 
     def __init__(self, matrix, vertices):
+        from scipy.sparse import csr_matrix, issparse
+
         self.vertices = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self.dim = len(self.vertices)
@@ -62,6 +63,8 @@ class MomentMatrix:
 
     @staticmethod
     def from_rows(rows: dict, vertices) -> "MomentMatrix":
+        from scipy.sparse import csr_matrix
+
         vertices = tuple(vertices)
         index = {v: i for i, v in enumerate(vertices)}
         r, c, d = [], [], []
@@ -306,9 +309,10 @@ def _solve_i_minus(A, b):
     n = A.shape[0]
     if n <= _DENSE_CUTOFF:
         try:
-            return np.linalg.solve(np.eye(n) - (A.toarray() if issparse(A) else A), b)
+            return np.linalg.solve(np.eye(n) - (A if isinstance(A, np.ndarray) else A.toarray()), b)
         except np.linalg.LinAlgError:
             return np.full(n, math.nan)
+    from scipy.sparse import identity
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     with warnings.catch_warnings():
@@ -337,7 +341,7 @@ def _class_block(M: MomentMatrix, x, lam):
 
 def _vector(a):
     """A row or column of a class block as a 1-D array."""
-    return a.toarray().ravel() if issparse(a) else a
+    return a if isinstance(a, np.ndarray) else a.toarray().ravel()
 
 
 def first_return_series(M: MomentMatrix, x, lam, n_max=400) -> float:

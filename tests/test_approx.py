@@ -247,6 +247,17 @@ class TestChebyshev:
             if k > 0:
                 assert s2 / (D * D * (k - 1) + s2) > eps - 1e-12
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.1), (1.0, math.nan, 0.1),
+                                      (1.0, 1.0, math.nan), (math.inf, 1.0, 0.1),
+                                      (True, 1.0, 0.1), (-1.0, 1.0, 0.1), (1.0, 0.5, 0.1),
+                                      (1.0, 1.0, 1.0)],
+                             ids=["sigma2-nan", "D-nan", "eps-nan", "sigma2-inf", "sigma2-bool",
+                                  "sigma2-negative", "D-below-1", "eps-1"])
+    def test_refuses_bad_input(self, args):
+        # NaN once reached math.ceil and ended in a bare ValueError
+        with pytest.raises(ModelError):
+            chebyshev_k(*args)
+
     def test_halving_eps_roughly_doubles_k(self):
         k1 = chebyshev_k(10.0, 1.0, 0.01)
         k2 = chebyshev_k(10.0, 1.0, 0.005)
@@ -307,7 +318,12 @@ class TestPercolation:
         ({"width": -3}, "width"),
         ({"width": 2.5}, "width"),
         ({"base": "q"}, "base"),
-    ], ids=["horizon-2.5", "width-neg", "width-2.5", "unknown-base"])
+        ({"p": True}, "open probability"),
+        ({"p": math.nan}, "open probability"),
+        ({"p": 1.5}, "open probability"),
+        ({"p": -0.1}, "open probability"),
+    ], ids=["horizon-2.5", "width-neg", "width-2.5", "unknown-base", "p-bool", "p-nan",
+            "p-above-1", "p-negative"])
     def test_config_rejects_what_it_cannot_run(self, kwargs, what):
         with pytest.raises(ModelError, match=what):
             PercolationConfig(**{"p": 0.5, "horizon": 5, **kwargs})

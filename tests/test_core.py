@@ -15,16 +15,13 @@ from brwlab.core import (
     IntDistribution,
     ModelError,
     OffspringConfig,
-    Projection,
     _real,
     _whole,
     build_offspring_law,
     check_assumption_nonsingular,
-    check_invariance,
     continuous_counterpart,
     dominating_law,
     product_form_law,
-    project_model,
     restrict_model,
 )
 from brwlab.scenarios import SCENARIOS, build_scenario, line_noext_search, scenario_table
@@ -165,6 +162,20 @@ class TestIntDistribution:
         with pytest.raises(ModelError):
             IntDistribution.geometric(mean)
 
+    @pytest.mark.parametrize("d", [{2.7: 1.0}, {2.0: 1.0}, {"2": 1.0}, {True: 1.0},
+                                   {0: True}, {0: math.nan}, {0: math.inf, 1: -math.inf},
+                                   {0: "1.0"}],
+                             ids=["count-2.7", "count-float", "count-string", "count-bool",
+                                  "prob-bool", "prob-nan", "prob-inf", "prob-string"])
+    def test_from_dict_refuses_what_it_would_coerce(self, d):
+        # {2.7: 1.0} was the point mass at 2 and {0: True} the one at 0
+        with pytest.raises(ModelError):
+            IntDistribution.from_dict(d)
+
+    def test_from_dict_reads_whole_counts(self):
+        d = IntDistribution.from_dict({np.int64(2): np.float64(0.75), 0: 0.25})
+        assert d.values.tolist() == [0, 2] and d.probs.tolist() == [0.25, 0.75]
+
     def test_geometric_support_limit(self):
         assert IntDistribution.geometric(36_000).support_max + 1 <= 1_000_000
         with pytest.raises(ModelError, match="support above"):
@@ -185,24 +196,42 @@ class TestIntDistribution:
             assert abs(t.prob_of(k) - ref.prob_of(k)) < 1e-9
 
 
-def binom_mixture(d, s):
-    """Thinning of d as the per-atom mixture of scipy.stats.binom.pmf."""
-    from scipy.stats import binom
+def exact_thinning(d, s):
+    """The thinning of d at keep probability s: each probability is the float
+    nearest to the normalised binomial mixture sum_v p_v C(v, k) s^k (1-s)^(v-k),
+    evaluated exactly in integers from s = a / b and p_v = c_v / e_v (b and
+    each e_v are powers of two) and rounded once by int true division."""
+    n = d.support_max
+    a, b = float(s).as_integer_ratio()
+    kept = [a ** k for k in range(n + 1)]
+    lost = [(b - a) ** k for k in range(n + 1)]
+    ratios = [p.as_integer_ratio() for p in d.probs.tolist()]
+    e = max(den for _, den in ratios)
+    q = [0] * (n + 1)
+    for v, (c, den) in zip(d.values.tolist(), ratios):
+        w = c * (e // den) * b ** (n - v)
+        for k in range(v + 1):
+            q[k] += w * math.comb(v, k) * kept[k] * lost[v - k]
+    total = sum(q)
+    return [x / total for x in q]
 
-    out = np.zeros(d.support_max + 1)
-    for v, pv in zip(d.values, d.probs):
-        out[: v + 1] += pv * binom.pmf(np.arange(v + 1), int(v), s)
-    return IntDistribution(out, normalize=True)
+
+def dense(law, size):
+    """law's probabilities of 0, ..., size - 1."""
+    out = np.zeros(size)
+    out[law.values] = law.probs
+    return out
 
 
-def assert_same_law(a, b):
-    assert a.values.tobytes() == b.values.tobytes()
-    assert a.probs.tobytes() == b.probs.tobytes()
+# Horner's scheme is within 56 ulp of the exact law on these cases (the
+# geometric law at s = 1 - 1e-16); scipy's binomial pmf was off by up to 1,032.
+THINNING_ULPS = 64
 
 
 class TestThinningPmf:
     # 0.5 and 0.75 are the boundary keep probabilities of zd_translation and
-    # zdrift; at 1e-300 the unclipped ufunc exceeds 1
+    # zdrift, and at 1e-300 every s^k with k >= 2 underflows.  The test keeps
+    # the id it had when these cases were pinned to scipy's binomial pmf.
     @pytest.mark.parametrize("s", [0.0, 1e-300, 0.1, 1 / 3, 0.5, 0.75, 0.9, 1 - 1e-16])
     @pytest.mark.parametrize("law", [
         IntDistribution.from_dict({0: 0.25, 2: 0.75}),
@@ -211,7 +240,9 @@ class TestThinningPmf:
         IntDistribution.geometric(2.0),
     ], ids=["two", "two-sure", "spread", "geometric"])
     def test_bit_equal_to_scipy_binom(self, law, s):
-        assert_same_law(law.thinned(s), binom_mixture(law, s))
+        want = exact_thinning(law, s)
+        got = dense(law.thinned(s), len(want))
+        assert max(abs(g - w) / math.ulp(w) for g, w in zip(got.tolist(), want)) <= THINNING_ULPS
 
     @pytest.mark.parametrize("name", ["zd_translation", "zdrift"])
     def test_scenario_boundary_laws(self, name, monkeypatch):
@@ -221,7 +252,7 @@ class TestThinningPmf:
         def checked(self, keep_prob):
             out = orig(self, keep_prob)
             if keep_prob < 1.0:
-                assert_same_law(out, binom_mixture(self, keep_prob))
+                assert dense(out, self.support_max + 1).tolist() == exact_thinning(self, keep_prob)
                 seen.append(keep_prob)
             return out
 
@@ -229,29 +260,49 @@ class TestThinningPmf:
         build_scenario(name)
         assert seen
 
-    def test_import_leaves_scipy_stats_out(self):
-        code = ("import sys, brwlab, brwlab.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-        assert _fresh_python(code) == "[]"
+    def test_thinning_refuses_a_burst_above_its_bound(self):
+        assert IntDistribution.from_dict({0: 0.5, 10_000: 0.5}).thinned(0.5).mean == pytest.approx(2500)
+        with pytest.raises(ModelError, match="bursts above 10000"):
+            IntDistribution.from_dict({0: 0.5, 10_001: 0.5}).thinned(0.5)
 
-    def test_monte_carlo_leaves_scipy_graph_and_solvers_out(self):
-        # the bench's sweep and replicas set-up models, one coupled trial and a
-        # mean curve: none of them needs a graph search or a linear solve
-        code = textwrap.dedent("""
+    def test_import_leaves_scipy_stats_out(self, tmp_path):
+        # the import and both Monte Carlo subcommands load no scipy module
+        code = textwrap.dedent(f"""
+            import sys, brwlab, brwlab.cli
+            loaded = sorted(m for m in sys.modules if m.startswith('scipy'))
+            assert brwlab.cli.main(["sweep", "--scenario", "zd_translation",
+                                    "--set", "param.radius=20",
+                                    "--replicas", "4", "--horizon", "20",
+                                    "--out", {str(tmp_path / "s")!r}]) == 0
+            assert brwlab.cli.main(["percolate", "--replicas", "4", "--horizon", "20",
+                                    "--out", {str(tmp_path / "p")!r}]) == 0
+            print(loaded, sorted(m for m in sys.modules if m.startswith('scipy')))
+        """)
+        assert _fresh_python(code).splitlines()[-1] == "[] []"
+
+    def test_monte_carlo_leaves_scipy_graph_and_solvers_out(self, tmp_path):
+        # the bench's sweep and replicas set-up models, one coupled trial, a
+        # mean curve and both Monte Carlo subcommands load no scipy module
+        code = textwrap.dedent(f"""
             import math, sys
             import brwlab as bl, brwlab.cli
-            line6 = bl.build_scenario("zd_translation", {"radius": 6})
+            line6 = bl.build_scenario("zd_translation", {{"radius": 6}})
             window = bl.RestrictionCoupling(frozenset(range(-2, 3)))
-            bl.build_scenario("line_ex45", {"size": 64})
-            bl.build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}})
-            bl.build_scenario("zd_translation", {"radius": 10})
-            bl.run_coupled_trials(line6, [5, math.inf], {0: 1}, 25, seed=503, hard_cap=4000,
+            bl.build_scenario("line_ex45", {{"size": 64}})
+            bl.build_scenario("gw", {{"rho": {{0: 0.4, 2: 0.6}}}})
+            bl.build_scenario("zd_translation", {{"radius": 10}})
+            bl.run_coupled_trials(line6, [5, math.inf], {{0: 1}}, 25, seed=503, hard_cap=4000,
                                   couplings=[window, None])
-            bl.mean_curve(line6, {0: 1}, 10, replicas=100, seed=1)
-            print(sorted(m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg",
-                                     "scipy.linalg") if m in sys.modules))
+            bl.mean_curve(line6, {{0: 1}}, 10, replicas=100, seed=1)
+            assert brwlab.cli.main(["sweep", "--scenario", "zd_translation",
+                                    "--set", "param.radius=20",
+                                    "--replicas", "4", "--horizon", "20",
+                                    "--out", {str(tmp_path / "s")!r}]) == 0
+            assert brwlab.cli.main(["percolate", "--replicas", "4", "--horizon", "20",
+                                    "--out", {str(tmp_path / "p")!r}]) == 0
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
         """)
-        assert _fresh_python(code) == "[]"
+        assert _fresh_python(code).splitlines()[-1] == "[]"
 
 
 def _fresh_python(code) -> str:
@@ -296,57 +347,8 @@ class TestDominatingLaw:
 
 
 # ---------------------------------------------------------------------------
-# projection / restriction
+# restriction
 # ---------------------------------------------------------------------------
-
-class TestProjectModel:
-    def test_identity_projection(self):
-        m = build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}})
-        proj = Projection.make({0: 0})
-        out = project_model(m, proj)
-        assert out.vertices == m.vertices
-        assert out.laws[0].equal_within(m.laws[0])
-
-    def test_collapse_to_point_gives_single_site_process(self):
-        # boundary laws of a window are thinned, so that collapse must fail
-        m = build_scenario("zd_translation", {"radius": 3, "rho": {0: 0.4, 2: 0.6}})
-        with pytest.raises(ModelError):
-            project_model(m, Projection.make({v: 0 for v in m.vertices}))
-        # a cycle has no boundary: collapsing it recovers the one-site law
-        rho = {0: 0.4, 2: 0.6}
-        laws = {v: product_form_law(rho, {(v - 1) % 3: 0.5, (v + 1) % 3: 0.5})
-                for v in (0, 1, 2)}
-        cyc = BrwModel((0, 1, 2), laws)
-        out = project_model(cyc, Projection.make({v: 0 for v in (0, 1, 2)}))
-        assert out.vertices == (0,)
-        assert out.laws[0].rho.as_dict() == pytest.approx({0: 0.4, 2: 0.6})
-        assert moment_matrix(out).entry(0, 0) == pytest.approx(1.2)
-
-    def test_projected_means_sum_over_fibers(self):
-        # two columns of a strip collapse onto the line
-        rho = {0: 0.4, 2: 0.6}
-        verts = [(i, c) for i in range(3) for c in range(2)]
-        ids = {v: n for n, v in enumerate(verts)}
-        laws = {}
-        for (i, c), n in ids.items():
-            row = {}
-            for j in (i - 1, i + 1):
-                if 0 <= j < 3:
-                    row[ids[(j, 0)]] = 0.25
-                    row[ids[(j, 1)]] = 0.25
-            s = sum(row.values())
-            row = {k: w / s for k, w in row.items()}
-            laws[n] = product_form_law(rho, row)
-        m = BrwModel(tuple(ids.values()), laws)
-        g = {ids[(i, c)]: i for (i, c) in verts}
-        out = project_model(m, Projection.make(g))
-        M = moment_matrix(m)
-        Mp = moment_matrix(out)
-        for (i, c) in verts:
-            for j in range(3):
-                fiber_sum = sum(M.entry(ids[(i, c)], ids[(j, cc)]) for cc in range(2))
-                assert Mp.entry(i, j) == pytest.approx(fiber_sum, abs=1e-12)
-
 
 class TestRestrictModel:
     def test_full_restriction_is_identity(self):
@@ -404,33 +406,6 @@ class TestAssumptionNonsingular:
     def test_binary_fission_passes(self):
         m = BrwModel((0,), {0: law_from([({0: 2}, 1.0)])})
         assert check_assumption_nonsingular(m)["all_nonsingular"]
-
-
-class TestInvariance:
-    def test_translation_invariant_window(self):
-        m = build_scenario("zd_translation", {"radius": 5})
-        gamma = {v: v + 1 for v in m.vertices if v + 1 in m.index}
-        rep = check_invariance(m, gamma)
-        assert rep["invariant"]
-        assert rep["checked"]  # interior nonempty
-
-    def test_perturbed_vertex_detected(self):
-        m = build_scenario("zd_translation", {"radius": 5})
-        laws = dict(m.laws)
-        laws[0] = product_form_law({0: 0.5, 2: 0.5}, {-1: 0.5, 1: 0.5})
-        m2 = BrwModel(m.vertices, laws)
-        gamma = {v: v + 1 for v in m.vertices if v + 1 in m.index}
-        assert not check_invariance(m2, gamma)["invariant"]
-
-    def test_identity_map(self):
-        m = build_scenario("zd_translation", {"radius": 3})
-        rep = check_invariance(m, {v: v for v in m.vertices})
-        assert rep["invariant"]
-
-    def test_noninjective_rejected(self):
-        m = build_scenario("zd_translation", {"radius": 2})
-        with pytest.raises(ModelError):
-            check_invariance(m, {v: 0 for v in m.vertices})
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from brwlab.genfun import (
     classify_survival,
     counterpart_model,
     eval_G,
-    eval_G_geometric,
     iterate_extinction,
     lambda_sweep,
     strong_local_compare,
@@ -98,17 +97,17 @@ class TestEvalG:
             assert out[i] == pytest.approx(p * z[i + 1] ** n + 1 - p, abs=1e-12)
 
     def test_geometric_closed_form_agrees(self):
+        # geometric totals: G(z) = 1 / (1 + M(1 - z))
         rates = MomentMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 1))
         m = counterpart_model(rates, 1.3)
         z = np.array([0.2, 0.7])
-        direct = eval_G(m, z)
-        closed = eval_G_geometric(moment_matrix(m), z)
-        assert direct == pytest.approx(closed, abs=1e-10)
+        closed = 1.0 / (1.0 + moment_matrix(m).csr.dot(1.0 - z))
+        assert eval_G(m, z) == pytest.approx(closed, abs=1e-10)
 
     def test_geometric_closed_form_fixed_values(self):
-        M = MomentMatrix(np.array([[2.0]]), (0,))
-        assert eval_G_geometric(M, np.ones(1))[0] == pytest.approx(1.0)
-        assert eval_G_geometric(M, np.zeros(1))[0] == pytest.approx(1.0 / 3.0)
+        m = counterpart_model(MomentMatrix(np.array([[2.0]]), (0,)), 1.0)
+        assert eval_G(m, np.ones(1))[0] == pytest.approx(1.0)
+        assert eval_G(m, np.zeros(1))[0] == pytest.approx(1.0 / 3.0)
 
 
 @settings(max_examples=40, deadline=None)

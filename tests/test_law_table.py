@@ -185,7 +185,11 @@ def test_table_is_compiled_once_per_model():
     moment_matrix(m), _evaluator(m), _sampler(m)
     table = law_table(m)
     assert law_table(m) is table
-    assert _evaluator(m).P is table.disp
+    # the evaluator's dispersal matrix is built from the table's arrays
+    P = _evaluator(m).P
+    assert np.shares_memory(P.data, table.disp.data)
+    assert P.indices.tolist() == table.disp.indices.tolist()
+    assert P.indptr.tolist() == table.disp.indptr.tolist()
 
 
 def test_a_burst_law_compiles_without_densifying():
