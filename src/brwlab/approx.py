@@ -40,9 +40,9 @@ class DriftParams:
     q: float
 
     def __post_init__(self):
-        if self.rho_bar <= 0:
+        if _real(self.rho_bar, 0, "rho_bar") == 0:
             raise ModelError("rho_bar must be positive")
-        if self.p < 0 or self.q < 0 or self.p + self.q > 1.0 + 1e-12:
+        if _real(self.p, 0, "p") + _real(self.q, 0, "q") > 1.0 + 1e-12:
             raise ModelError("need p, q >= 0 and p + q <= 1")
 
     @property
@@ -80,41 +80,33 @@ def q_value(d: DriftParams, alpha, beta) -> float:
 
 @dataclass
 class RegionResult:
-    alphas: np.ndarray
-    betas: np.ndarray
-    mask: np.ndarray              # Q > 1 on the grid
+    empty: bool                   # no exponents with Q > 1
     rectangle: tuple | None       # (a1, a2, b1, b2)
     integers: tuple | None        # (d1, d2, d3, N)
     note: str = ""
 
-    @property
-    def empty(self) -> bool:
-        return not bool(self.mask.any())
 
-
-_RESOLUTION = 60      # grid points per axis of the supercritical region
+_RESOLUTION = 60      # the box grows by 1 / (4 * _RESOLUTION) per side and step
 
 
 def supercritical_region(d: DriftParams) -> RegionResult:
-    """Grid the set {Q > 1} and certify a rectangle plus integer directions.
+    """Decide whether {Q > 1} is empty; certify a rectangle plus integer directions.
 
-    The grid has _RESOLUTION points per axis.  A square box [a1,a2] x [b1,b2]
-    grows around the anchor (p-q, p), where Q = rho_bar, and each candidate
-    is tested at its four corners only: log Q = log rho_bar + sum_i e_i log p_i
-    - sum_i e_i log e_i with e = (beta, beta-alpha, 1-2beta+alpha) affine in
-    (alpha, beta), so log Q is concave on the (convex) admissible triangle and
-    a box lies in {Q > 1} exactly when its corners do.  The integers satisfy
-    a1*N <= d1 < d2 <= a2*N and b1*N <= d3 <= b2*N, so both points
-    (d_l/N, d3/N) lie in the box, where Q > 1.  Empty for rho_bar <= 1.
+    log Q = log rho_bar - KL(e || (p, q, s)) with e = (beta, beta-alpha,
+    1-2beta+alpha) affine in (alpha, beta), so Q <= rho_bar with equality
+    only at the anchor (p-q, p) (Gibbs' inequality), and log Q is concave on
+    the admissible triangle.  So {Q > 1} is nonempty exactly when Q > 1 at
+    the anchor, and a square box [a1,a2] x [b1,b2], grown around the anchor
+    by 1/(4 _RESOLUTION) per step, lies in it exactly when its four corners
+    do.  With q = 0 or s = 0 no box exists: Q > 1 only on a boundary segment.
+    The integers satisfy a1*N <= d1 < d2 <= a2*N and b1*N <= d3 <= b2*N, so
+    both points (d_l/N, d3/N) lie in the box.
     """
     a_star, b_star = d.p - d.q, d.p
-    alphas = np.linspace(a_star - 0.5, a_star + 0.5, _RESOLUTION)
-    betas = np.linspace(1e-3, 1.0 - 1e-3, _RESOLUTION)
-    log_q, admissible = _log_q(d, alphas[:, None], betas[None, :])
-    mask = admissible & (log_q > 0.0)
-    if d.rho_bar <= 1.0:
-        return RegionResult(alphas, betas, mask, None, None,
-                            "rho_bar <= 1: no supercritical exponents")
+    log_q, admissible = _log_q(d, a_star, b_star)
+    if not (d.rho_bar > 1.0 and admissible and log_q > 0.0):
+        return RegionResult(True, None, None, "rho_bar <= 1: no supercritical exponents"
+                            if d.rho_bar <= 1.0 else "Q at the anchor (p - q, p) is not above 1")
 
     def corners_ok(a1, a2, b1, b2):
         log_q, admissible = _log_q(d, np.array([a1, a2])[:, None], np.array([b1, b2])[None, :])
@@ -128,16 +120,18 @@ def supercritical_region(d: DriftParams) -> RegionResult:
         if da > 0.4:
             break
     if da == 0.0:
-        return RegionResult(alphas, betas, mask, None, None,
-                            f"no rectangle found at resolution {_RESOLUTION}; refine the grid")
+        return RegionResult(False, None, None, (
+            "q = 0: Q > 1 only on the boundary segment beta = alpha" if d.q == 0.0 else
+            "s = 0: Q > 1 only on the boundary segment beta = (1 + alpha) / 2" if d.stay <= 0.0
+            else f"no box of half-width {step:.4g} around the anchor has Q > 1 at its corners"))
     a1, a2, b1, b2 = a_star - da, a_star + da, b_star - da, b_star + da
     for N in range(max(2, math.ceil(2.0 / (a2 - a1))), 10_000):
         d1 = math.ceil(a1 * N)
         d2 = d1 + 1
         d3 = int(round(b_star * N))
         if d2 <= a2 * N and b1 * N <= d3 <= b2 * N and d3 not in (d1, d2):
-            return RegionResult(alphas, betas, mask, (a1, a2, b1, b2), (d1, d2, d3, N))
-    return RegionResult(alphas, betas, mask, (a1, a2, b1, b2), None,
+            return RegionResult(False, (a1, a2, b1, b2), (d1, d2, d3, N))
+    return RegionResult(False, (a1, a2, b1, b2), None,
                         "no integer triple found below N=10000; refine the rectangle")
 
 

@@ -77,10 +77,9 @@ class OffspringConfig:
     def make(mapping) -> "OffspringConfig":
         items = []
         for v, c in dict(mapping).items():
-            if c < 0 or int(c) != c:
-                raise ModelError(f"negative or non-integer child count {c!r} at vertex {v!r}")
-            if c > 0:
-                items.append((int(v), int(c)))
+            v = _whole(v, -math.inf, "a child's vertex")
+            if _whole(c, 0, f"the child count at vertex {v}"):
+                items.append((v, int(c)))
         return OffspringConfig(tuple(sorted(items)))
 
     @property
@@ -455,7 +454,7 @@ def build_offspring_law(atoms) -> OffspringLaw:
     for cfg, p in atoms:
         if not isinstance(cfg, OffspringConfig):
             cfg = OffspringConfig.make(cfg)
-        if not (0.0 < p <= 1.0 + PROB_TOL):
+        if not (0.0 < _real(p, 0, "an atom probability") <= 1.0 + PROB_TOL):
             raise ModelError(f"atom probability {p!r} outside (0, 1]")
         if cfg in seen:
             raise ModelError(f"duplicate offspring configuration {cfg.entries}")
@@ -471,9 +470,9 @@ def product_form_law(rho, dispersal_row) -> OffspringLaw:
     """Law with rho children placed independently by the dispersal row."""
     if isinstance(rho, dict):
         rho = IntDistribution.from_dict(rho)
-    items = sorted((int(t), float(w)) for t, w in dict(dispersal_row).items() if w != 0.0)
-    if any(w < 0 for _, w in items):
-        raise ModelError("negative dispersal weight")
+    items = sorted((_whole(t, -math.inf, "a dispersal target"), _real(w, 0, "a dispersal weight"))
+                   for t, w in dict(dispersal_row).items())
+    items = [(t, w) for t, w in items if w != 0.0]
     s = sum(w for _, w in items)
     if abs(s - 1.0) > PROB_TOL:
         raise ModelError(f"dispersal row sums to {s!r}, not 1 within {PROB_TOL}")
@@ -490,13 +489,13 @@ def continuous_counterpart(lam, rates_row) -> OffspringLaw:
     lands on y with probability rate[y]/k, so mean offspring at y is
     lam * rate[y].
     """
-    row = {int(t): float(w) for t, w in dict(rates_row).items() if w != 0.0}
-    if any(w < 0 for w in row.values()):
-        raise ModelError("negative rate")
+    row = {_whole(t, -math.inf, "a rate target"): _real(w, 0, "a rate")
+           for t, w in dict(rates_row).items()}
+    row = {t: w for t, w in row.items() if w != 0.0}
     k = sum(row.values())
     if k <= 0:
         raise ModelError("total rate k(x) must be positive")
-    rho = IntDistribution.geometric(lam * k)
+    rho = IntDistribution.geometric(_real(lam, 0, "lam") * k)
     return product_form_law(rho, {t: w / k for t, w in row.items()})
 
 

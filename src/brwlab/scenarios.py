@@ -94,7 +94,7 @@ def _forward_line(size, ns, name, least, back) -> BrwModel:
         if back and i:
             burst[i - 1] = 1
         atoms = [(burst, 2.0 / n), ({}, 1.0 - 2.0 / n)] if burst else [({}, 1.0)]
-        laws[i] = build_offspring_law([(OffspringConfig.make(c), p) for c, p in atoms])
+        laws[i] = build_offspring_law([(OffspringConfig.make(c), p) for c, p in atoms if p > 0])
     return BrwModel(tuple(range(size)), laws, name=name, params={"size": size, "ns": ns})
 
 

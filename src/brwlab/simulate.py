@@ -106,7 +106,7 @@ def _keys(words, replicas, n):
 
     They are the keys np.random.Philox(key=[a, b]) derives from a list: numpy
     holds an int64-range word and a word above 2**63 together only as
-    float64, so such a pair is rounded through float64 (ROADMAP item 1).
+    float64, so such a pair is rounded through float64 (ROADMAP item 2).
     """
     low = (np.asarray(replicas, dtype=np.uint64) << _U32) | np.uint64(int(n) & _MASK32)
     mixed = (low ^ words[0]) >> _U63                       # 1 where the top bits differ

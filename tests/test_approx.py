@@ -82,6 +82,18 @@ class TestQValue:
             q_value(d, 0.0, 0.8)       # beta above (1+alpha)/2
 
 
+class TestDriftParams:
+    @pytest.mark.parametrize("args", [(math.nan, 0.3, 0.2), (True, 0.3, 0.2),
+                                      (1.5, math.nan, 0.2), (1.5, True, 0.2),
+                                      (1.5, 0.3, math.nan), (1.5, 0.3, False),
+                                      (0.0, 0.3, 0.2), (1.5, -0.1, 0.2), (1.5, 0.6, 0.5)],
+                             ids=["rho-nan", "rho-bool", "p-nan", "p-bool", "q-nan", "q-bool",
+                                  "rho-zero", "p-negative", "p-plus-q"])
+    def test_refused(self, args):
+        with pytest.raises(ModelError):
+            DriftParams(*args)
+
+
 class TestSupercriticalRegion:
     def test_subcritical_empty(self):
         r = supercritical_region(DriftParams(0.9, 0.25, 0.25))
@@ -93,6 +105,27 @@ class TestSupercriticalRegion:
         assert not r.empty
         a1, a2, b1, b2 = r.rectangle
         assert a1 <= 0.0 <= a2 and b1 <= 0.25 <= b2
+
+    @pytest.mark.parametrize("d", [(1.00001, 0.3, 0.2), (1.5, 0.4, 0.0), (2.0, 0.6, 0.4),
+                                   (1.1, 1.0, 0.0)])
+    def test_supercritical_anchor_is_not_empty(self, d):
+        # Q(p - q, p) = rho_bar > 1, even where no box fits around the anchor
+        d = DriftParams(*d)
+        assert q_value(d, d.p - d.q, d.p) > 1.0
+        assert not supercritical_region(d).empty
+
+    @pytest.mark.parametrize("d", [(1.5, 0.0, 0.4), (1.2, 0.0, 0.0)])
+    def test_p_zero_is_empty(self, d):
+        # Q = 0 at every admissible exponent when p = 0, whatever rho_bar
+        r = supercritical_region(DriftParams(*d))
+        assert r.empty and r.rectangle is None and r.integers is None
+
+    @pytest.mark.parametrize("d, segment", [((1.5, 0.4, 0.0), "beta = alpha"),
+                                            ((2.0, 0.6, 0.4), "beta = (1 + alpha) / 2")])
+    def test_boundary_segment_has_no_box(self, d, segment):
+        r = supercritical_region(DriftParams(*d))
+        assert r.rectangle is None and r.integers is None
+        assert "boundary segment" in r.note and segment in r.note
 
     def test_integers_satisfy_inequalities(self):
         d = DriftParams(1.3, 0.3, 0.15)
@@ -120,7 +153,7 @@ def _scalar_q(d, alpha, beta):
 
 
 def _scalar_region(d, resolution=60):
-    """(mask, rectangle, integers) from the cell-by-cell loop, kept as the reference."""
+    """(rectangle, integers) from the cell-by-cell loop, kept as the reference."""
     def above_one(a, b):
         try:
             return _scalar_q(d, a, b) > 1.0
@@ -128,11 +161,8 @@ def _scalar_region(d, resolution=60):
             return False
 
     a_star, b_star = d.p - d.q, d.p
-    alphas = np.linspace(a_star - 0.5, a_star + 0.5, resolution)
-    betas = np.linspace(1e-3, 1.0 - 1e-3, resolution)
-    mask = np.array([[above_one(a, b) for b in betas] for a in alphas])
     if d.rho_bar <= 1.0:
-        return mask, None, None
+        return None, None
 
     def rect_ok(a1, a2, b1, b2, samples=9):
         return all(above_one(a, b) for a in np.linspace(a1, a2, samples)
@@ -146,7 +176,7 @@ def _scalar_region(d, resolution=60):
         if da > 0.4:
             break
     if da == 0.0:
-        return mask, None, None
+        return None, None
     a1, a2, b1, b2 = a_star - da, a_star + da, b_star - db, b_star + db
     for N in range(max(2, math.ceil(2.0 / (a2 - a1))), 10_000):
         d1 = math.ceil(a1 * N)
@@ -155,8 +185,8 @@ def _scalar_region(d, resolution=60):
         if d2 > a2 * N or d3 < b1 * N or d3 > b2 * N or d3 in (d1, d2):
             continue
         if above_one(d1 / N, d3 / N) and above_one(d2 / N, d3 / N):
-            return mask, (a1, a2, b1, b2), (d1, d2, d3, N)
-    return mask, (a1, a2, b1, b2), None
+            return (a1, a2, b1, b2), (d1, d2, d3, N)
+    return (a1, a2, b1, b2), None
 
 
 def _region_params():
@@ -187,8 +217,7 @@ class TestArrayRegion:
             resolution = (60, 60, 23, 2)[k % 4]
             monkeypatch.setattr(approx, "_RESOLUTION", resolution)
             r = supercritical_region(d)
-            mask, rectangle, integers = _scalar_region(d, resolution)
-            assert np.array_equal(r.mask, mask), d
+            rectangle, integers = _scalar_region(d, resolution)
             assert r.rectangle == rectangle, d
             assert r.integers == integers, d
 
@@ -205,6 +234,18 @@ class TestArrayRegion:
                             q_value(d, alpha, beta)
                         continue
                     assert q_value(d, alpha, beta) == want
+
+    def test_empty_agrees_with_a_fine_grid_and_the_anchor(self):
+        # Gibbs' inequality puts the maximum of Q at the anchor, so an empty
+        # region has no grid point with Q > 1 and a nonempty one has Q > 1
+        # at the anchor
+        a, b = np.linspace(-1.0, 1.0, 201)[:, None], np.linspace(0.0, 1.0, 101)[None, :]
+        for d in _region_params():
+            if supercritical_region(d).empty:
+                log_q, admissible = approx._log_q(d, a, b)
+                assert not (admissible & (log_q > 0.0)).any(), d
+            else:
+                assert q_value(d, d.p - d.q, d.p) > 1.0, d
 
     def test_rectangle_interior_is_supercritical(self):
         # log Q is concave, so Q > 1 at the four corners holds inside the box
@@ -225,8 +266,7 @@ class TestArrayRegion:
         for d in _region_params():
             points.clear()
             supercritical_region(d)
-            assert points[0] == approx._RESOLUTION ** 2, d        # the mask grid
-            assert all(n <= 4 for n in points[1:]), d
+            assert all(n <= 4 for n in points), d
 
 
 class TestChebyshev:

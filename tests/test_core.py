@@ -71,6 +71,34 @@ class TestBuildOffspringLaw:
         with pytest.raises(ModelError):
             OffspringConfig.make({0: -1})
 
+    @pytest.mark.parametrize("build", [
+        lambda: OffspringConfig.make({0.7: 1}),
+        lambda: OffspringConfig.make({1: True}),
+        lambda: OffspringConfig.make({True: 1}),
+        lambda: OffspringConfig.make({1: 2.0}),
+        lambda: product_form_law({0: 0.5, 2: 0.5}, {0.5: 1.0}),
+        lambda: product_form_law({0: 0.5, 2: 0.5}, {0: math.nan}),
+        lambda: product_form_law({0: 0.5, 2: 0.5}, {0: True}),
+        lambda: product_form_law({0: 0.5, 2: 0.5}, {0: 1.5, 1: -0.5}),
+        lambda: continuous_counterpart(1.0, {1.9: 1.0}),
+        lambda: continuous_counterpart(1.0, {1: math.inf}),
+        lambda: continuous_counterpart(True, {1: 1.0}),
+        lambda: build_offspring_law([({0: 1}, True)]),
+        lambda: build_offspring_law([({0: 1}, math.nan)]),
+    ], ids=["vertex-float", "count-bool", "vertex-bool", "count-float", "target-float",
+            "weight-nan", "weight-bool", "weight-negative", "rate-target-float", "rate-inf",
+            "lam-bool", "atom-prob-bool", "atom-prob-nan"])
+    def test_refuses_what_it_would_coerce(self, build):
+        # {0.7: 1} was a child at vertex 0 and {1: True} one child at 1
+        with pytest.raises(ModelError):
+            build()
+
+    def test_reads_numpy_whole_vertices_and_counts(self):
+        cfg = OffspringConfig.make({np.int64(-2): np.int64(3), 4: 0})
+        assert cfg.entries == ((-2, 3),) and type(cfg.entries[0][0]) is int
+        law = product_form_law({2: 1.0}, {np.int64(1): np.float64(0.25), 3: 0.75, 5: 0.0})
+        assert law.product.targets == (1, 3) and law.product.weights == (0.25, 0.75)
+
 
 class TestProductForm:
     def test_single_child(self):

@@ -467,6 +467,18 @@ class TestSurvivalProbability:
         with pytest.raises(ModelError, match="horizon"):
             survival_probability(m, 0, 2.5)
 
+    @pytest.mark.parametrize("K, searched", [(5, 0.2297), (10, 0.1047), (20, 0.0519),
+                                             (40, 0.0253)])
+    def test_equal_moments_different_survival(self, K, searched):
+        # the searched line_noext and its twin with exactly 2 children at
+        # i + 1 share M, yet only the twin reaches the window edge surely:
+        # survival is not a function of the moment matrix alone
+        line = build_scenario("line_noext", {"size": K})
+        twin = build_scenario("line_noext", {"size": K, "ns": [2] * K})
+        assert np.array_equal(moment_matrix(line).csr.toarray(), moment_matrix(twin).csr.toarray())
+        assert survival_probability(line, 0, K - 1) == pytest.approx(searched, abs=5e-5)
+        assert survival_probability(twin, 0, K - 1) == 1.0
+
 
 class TestSubsolution:
     def test_all_ones_rejected(self):
