@@ -42,7 +42,7 @@ class DriftParams:
     def __post_init__(self):
         if _real(self.rho_bar, 0, "rho_bar") == 0:
             raise ModelError("rho_bar must be positive")
-        if _real(self.p, 0, "p") + _real(self.q, 0, "q") > 1.0 + 1e-12:
+        if _real(self.p, 0, "p") + _real(self.q, 0, "q") > 1.0:
             raise ModelError("need p, q >= 0 and p + q <= 1")
 
     @property
@@ -72,7 +72,7 @@ def q_value(d: DriftParams, alpha, beta) -> float:
     outside beta > 0, beta >= alpha, beta <= (1+alpha)/2 are rejected.
     At (alpha, beta) = (p-q, p) the value is exactly rho_bar.
     """
-    val, admissible = _log_q(d, alpha, beta)
+    val, admissible = _log_q(d, _real(alpha, -math.inf, "alpha"), _real(beta, -math.inf, "beta"))
     if not admissible:
         raise ModelError(f"(alpha={alpha}, beta={beta}) outside the admissible exponent range")
     return math.exp(val) if math.isfinite(val) else 0.0

@@ -507,17 +507,17 @@ def continuous_counterpart(lam, rates_row) -> OffspringLaw:
 class BrwModel:
     """Finite truncation of a branching random walk: vertices + one law each.
 
-    Treated as immutable after construction.  ``finite_projection``, when
-    set by a scenario builder, records that the untruncated construction is
-    locally isomorphic to the given finite model under the given vertex map;
-    survival classification uses it to decide global behavior.
+    Treated as immutable after construction.  ``projected_law``, when set by
+    a scenario builder, is the child-count law of the Galton-Watson process
+    that the untruncated construction's total population projects onto;
+    survival classification decides global behavior by its mean.
     """
 
     vertices: tuple
     laws: dict
     name: str = ""
     params: dict = field(default_factory=dict)
-    finite_projection: "tuple | None" = None  # (BrwModel, {vertex: projected vertex})
+    projected_law: "IntDistribution | None" = None
 
     def __post_init__(self):
         self.vertices = tuple(self.vertices)
@@ -538,9 +538,6 @@ class BrwModel:
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    def law(self, vertex) -> OffspringLaw:
-        return self.laws[vertex]
 
 
 def dominating_law(model: BrwModel) -> IntDistribution:

@@ -2,8 +2,8 @@
 
 The coordinatewise map G sends z in [0,1]^V to the vector of offspring
 PGF values; its least fixed point is the global extinction vector.  Local
-survival is read from the return growth rate; global survival from a
-registered finite projection's row-sum growth, else on a finite irreducible
+survival is read from the return growth rate; global survival from the mean
+of a registered projected child-count law, else on a finite irreducible
 window from the same return growth (both hold exactly when rho(M) > 1), else
 from fixed points; strong local survival at A from comparing local extinction,
 the least fixed point of G on the ancestors of A, with the global one.
@@ -360,7 +360,7 @@ def classify_survival(model: BrwModel, x0, n_max=2000) -> SurvivalReport:
     """Three-way survival classification with explicit finite evidence.
 
     Local: return growth rate at x0 against 1 with the _MARGIN band.
-    Global: a registered finite projection decides via its row-sum growth;
+    Global: a registered projected (Galton-Watson) law decides by its mean;
     on a finite irreducible window both survivals hold exactly when rho(M) > 1,
     so the local estimate decides and is the evidence; everything else falls
     back to the least fixed point (extinction within _Q_BAND of 1 is reported
@@ -372,13 +372,11 @@ def classify_survival(model: BrwModel, x0, n_max=2000) -> SurvivalReport:
     local = _verdict(lg.value) if lg.value > 0 else "dies"
     notes = []
 
-    if model.finite_projection is not None:
-        proj, mapping = model.finite_projection
-        y0 = mapping[x0]
-        gg = global_growth_rate(moment_matrix(proj), y0, n_max=n_max)
-        global_ = _verdict(gg.value)
+    if model.projected_law is not None:
+        m = model.projected_law.mean
+        global_ = _verdict(m)
         method = "projection"
-        evidence = {"growth": gg, "value": gg.value, "projected_x0": y0}
+        evidence = {"value": m}
     elif M.is_irreducible():
         global_ = local
         method = "finite-irreducible"

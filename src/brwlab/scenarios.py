@@ -6,8 +6,8 @@ point ``build_scenario`` fills the defaults (None selects one too) and reads
 each value by its kind, so a bad value is a ``ModelError`` before a builder
 runs.  Each builds a finite truncation of a countable construction, with the
 restriction (suppression of reproductions outside the window) applied, and
-registers a finite locally-isomorphic model where one exists so that global
-survival of the untruncated process stays decidable.
+registers the child-count law its total population projects onto where one
+exists, so that global survival of the untruncated process stays decidable.
 """
 
 from __future__ import annotations
@@ -27,13 +27,6 @@ from .core import (
     continuous_counterpart,
     product_form_law,
 )
-
-
-def _gw_projection(name, vertices, rho):
-    """The single-vertex model every site-independent law collapses to, and
-    the map of ``vertices`` onto it."""
-    point = BrwModel((0,), {0: product_form_law(rho, {0: 1.0})}, name="gw", params={"from": name})
-    return point, {v: 0 for v in vertices}
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +145,7 @@ def _translation_window(rho, rho_bar, steps, radius, name, params) -> BrwModel:
             for x in verts}
     return BrwModel(verts, laws, name=name, params={"radius": radius, **params,
                                                     "rho_mean": rho.mean},
-                    finite_projection=_gw_projection(name, verts, rho))
+                    projected_law=rho)
 
 
 def _zd_translation(radius, rho, rho_bar) -> BrwModel:
@@ -160,7 +153,7 @@ def _zd_translation(radius, rho, rho_bar) -> BrwModel:
 
 
 def _zdrift(radius, p, q, rho, rho_bar) -> BrwModel:
-    if p + q > 1.0 + 1e-12:
+    if p + q > 1.0:
         raise ModelError(f"need p + q <= 1, got p={p}, q={q}")
     steps = {d: w for d, w in {+1: p, -1: q, 0: 1.0 - p - q}.items() if w > 0}
     return _translation_window(rho, rho_bar, steps, radius, "zdrift", {"p": p, "q": q})
@@ -206,8 +199,8 @@ def _tree_counterpart(degree, depth, lam) -> BrwModel:
 
     Child totals are geometric with mean lam * (in-window degree); building
     from the truncated edge set is exactly the restriction of the full-tree
-    law.  The untruncated construction has constant row sum lam * degree, so
-    a single-vertex geometric model is registered as its finite projection.
+    law.  Every vertex of the untruncated construction has geometric child
+    totals of mean lam * degree, so that law is registered as its projection.
 
     Height relative to a fixed boundary ray (any choice is isomorphic; take
     the leftmost infinite ray) sends each vertex's neighbours one step down
@@ -223,11 +216,9 @@ def _tree_counterpart(degree, depth, lam) -> BrwModel:
         neighbors[int(v)].append(int(parents[v]))
         neighbors[int(parents[v])].append(int(v))
     laws = {v: continuous_counterpart(lam, {u: 1.0 for u in row}) for v, row in neighbors.items()}
-    vertices = tuple(neighbors)
-    return BrwModel(vertices, laws, name="tree_counterpart",
+    return BrwModel(tuple(neighbors), laws, name="tree_counterpart",
                     params={"degree": degree, "depth": depth, "lam": lam},
-                    finite_projection=_gw_projection(
-                        "tree_counterpart", vertices, IntDistribution.geometric(lam * degree)))
+                    projected_law=IntDistribution.geometric(lam * degree))
 
 
 # ---------------------------------------------------------------------------

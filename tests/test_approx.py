@@ -80,15 +80,20 @@ class TestQValue:
             q_value(d, 0.2, 0.1)       # beta < alpha
         with pytest.raises(ModelError):
             q_value(d, 0.0, 0.8)       # beta above (1+alpha)/2
+        for alpha, beta in ((math.nan, 0.3), (0.0, math.nan), (math.inf, 0.3), (0.0, -math.inf),
+                            (True, 1.0), (1.0, True)):
+            with pytest.raises(ModelError):
+                q_value(d, alpha, beta)
 
 
 class TestDriftParams:
     @pytest.mark.parametrize("args", [(math.nan, 0.3, 0.2), (True, 0.3, 0.2),
                                       (1.5, math.nan, 0.2), (1.5, True, 0.2),
                                       (1.5, 0.3, math.nan), (1.5, 0.3, False),
-                                      (0.0, 0.3, 0.2), (1.5, -0.1, 0.2), (1.5, 0.6, 0.5)],
+                                      (0.0, 0.3, 0.2), (1.5, -0.1, 0.2), (1.5, 0.6, 0.5),
+                                      (1.5, 0.6, 0.4 + 1e-13)],
                              ids=["rho-nan", "rho-bool", "p-nan", "p-bool", "q-nan", "q-bool",
-                                  "rho-zero", "p-negative", "p-plus-q"])
+                                  "rho-zero", "p-negative", "p-plus-q", "p-plus-q-just-above"])
     def test_refused(self, args):
         with pytest.raises(ModelError):
             DriftParams(*args)

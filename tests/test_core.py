@@ -499,12 +499,13 @@ class TestScenarios:
         ("zd_translation", {"rho": {"0": 0.5, "2.5": 0.5}}),
         ("zd_translation", {"rho": {0: True}}),
         ("zdrift", {"p": "0.3"}),
+        ("zdrift", {"p": 0.6, "q": 0.4 + 1e-13}),
         ("line_ex45", {"boundary": 1}),
         ("line_noext_irreducible", {"size": 4, "ns": [4, 8]}),
         ("line_noext", {"size": 3, "ns": [0, 4, 8]}),
         ("tree_counterpart", {"degree": 2}),
     ], ids=["radius-float", "radius-bool", "rho-count-float", "rho-prob-bool", "p-string",
-            "boundary-int", "ns-short", "ns-zero", "degree-two"])
+            "p-plus-q-above-one", "boundary-int", "ns-short", "ns-zero", "degree-two"])
     def test_bad_parameter_is_a_model_error(self, name, params):
         with pytest.raises(ModelError):
             build_scenario(name, params)
@@ -520,7 +521,9 @@ class TestScenarios:
         sums = M.row_sums()
         assert sums[0] == pytest.approx(1.2, abs=1e-9)       # root: 4 edges
         assert sums.min() == pytest.approx(0.3, abs=1e-9)    # leaves: 1 edge
-        assert m.finite_projection is not None
+        law = IntDistribution.geometric(0.3 * 4)
+        assert np.array_equal(m.projected_law.values, law.values)
+        assert np.array_equal(m.projected_law.probs, law.probs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from brwlab.core import (
     restrict_model,
 )
 from brwlab.genfun import (
+    _verdict,
     check_mean_condition,
     check_subsolution,
     classify_survival,
@@ -553,6 +554,37 @@ class TestClassify:
         assert rep.global_method == "projection"
         oracle = 1.1 * 2 * math.sqrt(3) / 4
         assert rep.local_growth.value < oracle + 0.01
+
+    def test_projection_decides_by_the_projected_mean(self, monkeypatch):
+        # the projected law is the GW law the total population follows, so
+        # its mean is the row sum of M at every site away from the window edge
+        import brwlab.genfun as gf
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the projection runs no growth-rate estimate")
+        monkeypatch.setattr(gf, "global_growth_rate", refuse)
+        for name in ("zd_translation", "zdrift", "tree_counterpart"):
+            model = build_scenario(name)
+            rep = classify_survival(model, 0)
+            assert rep.global_method == "projection"
+            assert rep.global_evidence == {"value": model.projected_law.mean}, name
+            assert model.projected_law.mean == moment_matrix(model).row_sums()[model.index[0]], name
+
+    @pytest.mark.parametrize("name, params", [
+        *[(name, {"radius": 6, "rho_bar": rb, **extra})
+          for name, extra in (("zd_translation", {}), ("zdrift", {"p": 0.4, "q": 0.1}))
+          for rb in (0.5, 0.998, 0.999, 0.9995, 1.0, 1.0005, 1.001, 1.0011, 1.5, 3.0)],
+        *[("zd_translation", {"rho": rho})
+          for rho in ({1: 1.0}, {0: 1.0}, {0: 0.5, 2: 0.5}, {0: 0.25, 2: 0.75})],
+        *[("tree_counterpart", {"depth": 4, "lam": lam})
+          for lam in (0.2, 0.2497, 0.24975, 0.25, 0.25025, 0.2503, 0.275, 0.3)],
+        ("zd_translation", {}), ("zdrift", {}), ("tree_counterpart", {}),
+    ])
+    def test_projection_verdict_is_the_mean_verdict(self, name, params):
+        model = build_scenario(name, params)
+        rep = classify_survival(model, 0)
+        assert rep.global_ == _verdict(model.projected_law.mean)
+        assert rep.coherent()
 
     def test_line_noext_ladder_flag(self):
         rep = classify_survival(build_scenario("line_noext", {"size": 12}), 0)
