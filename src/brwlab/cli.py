@@ -1,10 +1,10 @@
 """Configuration-driven command line front end.
 
 Subcommands: classify, extinction, spectral, spatial, sweep, percolate,
-scenarios.  Options come from an optional flat key=value config file with
-command-line overrides winning; the seed may also arrive via BRWLAB_SEED
-(command line wins).  CSV bodies are byte-identical across repeated runs;
-the timestamp lives only in the manifest.
+scenarios.  Options are `key = value` items from BRWLAB_SEED, a config
+file, --set and the flags, later ones winning; every key is declared once,
+in _KEYS.  CSV bodies are byte-identical across repeated runs; the
+timestamp lives only in the manifest.
 
 Exit codes: 0 ok, 1 invalid configuration or usage, 2 scenario error,
 3 at least one trial hit the population hard cap (results still written).
@@ -17,11 +17,12 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import approx, genfun, scenarios, spectral
 from .core import ModelError, _real, _whole
 from .serialize import write_manifest
-from .simulate import _cap_label
+from .simulate import _cap_label, _caps
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,83 +41,86 @@ def _parse_value(text):
         return text
 
 
-def read_config_file(path) -> dict:
-    """Flat `key = value` lines; '#' comments; values parsed as JSON when possible."""
-    out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line (need key = value): {raw.rstrip()!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = _parse_value(val.strip())
-    return out
+_ANY = partial(_whole, least=-math.inf)
+_TEXT = partial(scenarios._typed, str)
 
 
-# the config keys that have a flag, --<key>; a flag of a numeric key is read
-# as its --set twin is, so both fail alike
+def _radii(value, what):
+    return [_ANY(r, what=what) for r in scenarios._typed(list, value, what)]
+
+
+def _cap_list(value, what):
+    """A list of caps, one cap, or the --caps text 1,2,inf; simulate._caps reads each cap."""
+    if isinstance(value, str):
+        value = [math.inf if c.strip() in ("inf", "Inf") else _parse_value(c)
+                 for c in value.split(",")]
+    return _caps(value if isinstance(value, list) else [value])
+
+
+# every top-level config key: key -> (reader, default).  A reader is called as
+# read(value, what=key) on each value that is not None and raises ModelError.
+# x0 and target default to the model's vertices.
+_KEYS = dict(
+    scenario=(_TEXT, None), seed=(partial(_whole, least=0, below=2 ** 64), 0), horizon=(_ANY, 100),
+    replicas=(partial(_whole, least=1), 200), caps=(_cap_list, (1, 2, 4, 8)), target=(_ANY, None),
+    x0=(_ANY, None), p=(partial(_real, least=0), 0.7), out=(_TEXT, "brwlab_out"),
+    hard_cap=(_ANY, 10 ** 6), width=(_ANY, None), radii=(_radii, None), base=(_TEXT, "z"))
+
+# the keys that have a flag, --<key>
 _FLAGS = ("scenario", "seed", "horizon", "replicas", "caps", "target", "x0", "p", "out")
 
-# the numeric config keys: p is a finite number of at least 0, the others whole
-# numbers in [least, below); "radii" is a list of whole numbers, and the
-# vertices x0 and target are whole numbers, as in every scenario
-_ANY = (-math.inf, math.inf)
-_NUMBERS = dict(replicas=(1, math.inf), horizon=_ANY, hard_cap=_ANY, seed=(0, 2 ** 64),
-                width=_ANY, radii=_ANY, x0=_ANY, target=_ANY, p=None)
 
-
-def _number(key, value):
-    """``value`` of the numeric config key ``key``, read by core's typed
-    readers; UsageError otherwise."""
-    bounds = _NUMBERS[key]
-    try:
-        if bounds is None:
-            return _real(value, 0, key)
-        return _whole(value, bounds[0], key, bounds[1])
-    except ModelError as exc:
-        raise UsageError(str(exc)) from None
+def _items(args):
+    """The run's (key, value) items in override order: BRWLAB_SEED, the config
+    file's `key = value` lines ('#' starts a comment), each --set, the flags.
+    Values are JSON where they parse, but the flag of a text key keeps its
+    text."""
+    if os.environ.get("BRWLAB_SEED"):
+        yield "seed", _parse_value(os.environ["BRWLAB_SEED"])
+    lines = []
+    if args.config:
+        with open(args.config) as fh:
+            lines = [line for raw in fh if (line := raw.split("#", 1)[0].strip())]
+    for text in lines + (args.set or []):
+        key, eq, value = text.partition("=")
+        if not eq:
+            raise UsageError(f"need key = value, got {text!r}")
+        yield key.strip(), _parse_value(value.strip())
+    for key in _FLAGS:
+        text = getattr(args, key)
+        if text is not None:
+            yield key, text if _KEYS[key][0] is _TEXT else _parse_value(text)
 
 
 def _merge_config(args) -> dict:
-    cfg = {}
-    if args.config:
-        cfg.update(read_config_file(args.config))
-    for item in args.set or []:
-        if "=" not in item:
-            raise UsageError(f"--set needs key=value, got {item!r}")
-        key, val = item.split("=", 1)
-        cfg[key.strip()] = _parse_value(val.strip())
-    for key in _FLAGS:
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = _parse_value(val) if key in _NUMBERS else val
-    cfg.setdefault("seed", _parse_value(os.environ.get("BRWLAB_SEED") or "0"))
-    cfg.setdefault("out", "brwlab_out")
-    for key in (k for k in _NUMBERS if k in cfg):
-        val = cfg[key]
-        if key == "radii" and not isinstance(val, list):
-            raise UsageError(f"radii must be a list of whole numbers, got {val!r}")
-        cfg[key] = [_number(key, r) for r in val] if key == "radii" else _number(key, val)
+    """Every key of _KEYS, read once (None selects the default), and the
+    param.<name> items; any other key is a UsageError."""
+    cfg = dict(_items(args))
+    for key in cfg:
+        if key not in _KEYS and not key.startswith("param."):
+            raise UsageError(f"unknown key {key!r}: the keys are {', '.join(_KEYS)} "
+                             "and param.<name>")
+    for key, (read, default) in _KEYS.items():
+        value = cfg.get(key)
+        try:
+            cfg[key] = default if value is None else read(value, what=key)
+        except ModelError as exc:
+            raise UsageError(str(exc)) from None
     return cfg
 
 
-def _scenario_params(cfg) -> dict:
-    return {k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("param.")}
-
-
 def _build(cfg):
-    name = cfg.get("scenario")
+    name = cfg["scenario"]
     if not name:
         raise UsageError("a scenario name is required (use --scenario)")
-    return scenarios.build_scenario(name, _scenario_params(cfg))
+    return scenarios.build_scenario(
+        name, {k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("param.")})
 
 
 def _vertex(cfg, model, key, default):
     """The vertex a config key names (``default`` when unset); UsageError if
     the model has no such vertex."""
-    v = cfg.get(key)
+    v = cfg[key]
     if v is None:
         return default
     if v not in model.index:
@@ -201,7 +205,7 @@ def cmd_spatial(args) -> int:
     cfg = _merge_config(args)
     model = _build(cfg)
     x0 = _x0(cfg, model)
-    radii = cfg.get("radii") or sorted({max(1, model.size // 8), max(2, model.size // 4),
+    radii = cfg["radii"] or sorted({max(1, model.size // 8), max(2, model.size // 4),
                                         model.size // 2, model.size})
     exhaustion = approx.ball_exhaustion(model, x0, radii)
     result = approx.spatial_experiment(model, exhaustion, x0)
@@ -225,18 +229,9 @@ def cmd_sweep(args) -> int:
     model = _build(cfg)
     x0 = _x0(cfg, model)
     target = _vertex(cfg, model, "target", x0)
-    caps = cfg.get("caps", [1, 2, 4, 8])
-    if isinstance(caps, str):
-        try:
-            caps = [math.inf if c.strip() in ("inf", "Inf") else int(c)
-                    for c in caps.split(",")]
-        except ValueError:
-            raise UsageError(f"bad caps list {caps!r} (use e.g. 1,2,4 or inf)")
-    if not caps:
-        raise UsageError("the caps list must not be empty")
     result = approx.truncation_sweep(
-        model, caps, {x0: 1}, cfg.get("horizon", 100), cfg.get("replicas", 200),
-        target=target, seed=cfg["seed"], hard_cap=cfg.get("hard_cap", 10 ** 6))
+        model, cfg["caps"], {x0: 1}, cfg["horizon"], cfg["replicas"], target=target,
+        seed=cfg["seed"], hard_cap=cfg["hard_cap"])
     out = cfg["out"]
     h = write_manifest(out, model, cfg["seed"])
     header, rows = result.csv_rows()
@@ -257,10 +252,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_percolate(args) -> int:
     cfg = _merge_config(args)
-    config = approx.PercolationConfig(
-        p=cfg.get("p", 0.7), horizon=cfg.get("horizon", 100), base=cfg.get("base", "z"),
-        width=cfg.get("width"))
-    result = approx.oriented_percolation(config, cfg.get("replicas", 200), seed=cfg["seed"])
+    config = approx.PercolationConfig(p=cfg["p"], horizon=cfg["horizon"], base=cfg["base"],
+                                      width=cfg["width"])
+    result = approx.oriented_percolation(config, cfg["replicas"], seed=cfg["seed"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     approx.write_csv(os.path.join(out, "percolation.csv"),

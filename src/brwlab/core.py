@@ -175,7 +175,8 @@ class IntDistribution:
 
     @staticmethod
     def delta(n) -> "IntDistribution":
-        return IntDistribution.from_values([int(n)], [1.0])
+        """The point mass at n, a whole number of at least 0."""
+        return IntDistribution.from_values([_whole(n, 0, "n")], [1.0])
 
     @staticmethod
     def geometric(mean) -> "IntDistribution":

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BrwModel, ModelError, _index_of, _whole, continuous_counterpart, law_table,
-                   restrict_model)
+from .core import (BrwModel, ModelError, _index_of, _real, _whole, continuous_counterpart,
+                   law_table, restrict_model)
 from .spectral import (_DENSE_CUTOFF, GrowthEstimate, MomentMatrix, _perron_bracket,
                        _solve_i_minus, global_growth_rate, local_growth_rate, moment_matrix)
 
@@ -173,6 +173,13 @@ def _newton_step(G: _GEvaluator, z: np.ndarray) -> np.ndarray:
     return z1.clip(0.0, 1.0)
 
 
+def _tol(tol) -> float:
+    """A tolerance: a finite number above 0."""
+    if _real(tol, 0, "tol") > 0:
+        return float(tol)
+    raise ModelError(f"tol must be above 0, got {tol!r}")
+
+
 def _least_fixed_point(G: _GEvaluator, tol, max_iter):
     """Kleene steps from the zero vector, then Newton steps; see ``iterate_extinction``."""
     z = np.zeros(G.model.size)
@@ -201,10 +208,12 @@ def iterate_extinction(model: BrwModel, target="global", tol=1e-12, max_iter=200
     and gains at least about one bit per step there (Esparza, Kiefer &
     Luttenberger 2010).  Every solve that Kleene finishes within the budget
     is the plain iteration, bit for bit.  Both phases check that the
-    iterates increase, share ``max_iter``, and stop when both the step and
-    the residual fall below tol.  At criticality G(z) - z = O((1 - z)^2)
-    rounds to 0 in float64 once 1 - z is near 1e-8, so such a solve stops
-    there, converged to within tol in residual but not in value.
+    iterates increase, share ``max_iter`` (a whole number of at least 1),
+    and stop when both the step and the residual fall below ``tol`` (a
+    finite number above 0; ModelError otherwise).  At criticality
+    G(z) - z = O((1 - z)^2) rounds to 0 in float64 once 1 - z is near 1e-8,
+    so such a solve stops there, converged to within tol in residual but
+    not in value.
 
     target=<vertex set> A: q(x, A), the probability that A is visited only
     finitely often, is the least fixed point of G on the ancestors of A and
@@ -217,6 +226,7 @@ def iterate_extinction(model: BrwModel, target="global", tol=1e-12, max_iter=200
     restricted to Anc(A) survives.  The solve is the global one on
     ``restrict_model(model, Anc(A))``, and the diagnostics are its own.
     """
+    tol, max_iter = _tol(tol), _whole(max_iter, 1, "max_iter")
     if isinstance(target, str):
         if target != "global":
             raise ModelError(f"unknown target {target!r}")
@@ -266,7 +276,7 @@ class SubsolutionReport:
 
 def check_subsolution(model: BrwModel, z, x0, tol=1e-12) -> SubsolutionReport:
     """Is z a certificate of global survival: G(z) <= z everywhere, z(x0) < 1?"""
-    i0 = _index_of(model.index, x0, "x0")
+    i0, tol = _index_of(model.index, x0, "x0"), _tol(tol)
     z = as_field(model, z)
     gz = eval_G(model, z)
     violation = float(np.max(gz - z))

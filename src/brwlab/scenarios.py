@@ -160,23 +160,14 @@ def _zdrift(radius, p, q, rho, rho_bar) -> BrwModel:
 
 
 def tree_vertices_and_edges(degree, depth):
-    """Breadth-first truncation of the homogeneous tree: ids, parent array, depths."""
+    """Breadth-first truncation of the homogeneous tree: ids and parent array.
+    Level d >= 1 holds degree (degree-1)^(d-1) vertices; the root's children
+    are 1..degree, and from vertex 1 on each vertex in id order has the next
+    degree-1 ids as children."""
     degree, depth = _whole(degree, 3, "tree degree"), _whole(depth, 0, "tree depth")
-    parents = [-1]
-    depths = [0]
-    frontier = [0]
-    nxt = 1
-    for d in range(1, depth + 1):
-        newf = []
-        for v in frontier:
-            kids = degree if v == 0 else degree - 1
-            for _ in range(kids):
-                parents.append(v)
-                depths.append(d)
-                newf.append(nxt)
-                nxt += 1
-        frontier = newf
-    return np.arange(nxt), np.array(parents), np.array(depths)
+    n = 1 + sum(degree * (degree - 1) ** (d - 1) for d in range(1, depth + 1))
+    deeper = np.arange(max(n - 1 - degree, 0)) // (degree - 1) + 1
+    return np.arange(n), np.concatenate([[-1], np.zeros(min(n - 1, degree), int), deeper])
 
 
 def tree_rates(degree, depth):
@@ -184,7 +175,7 @@ def tree_rates(degree, depth):
     as a scipy csr matrix."""
     from scipy.sparse import csr_matrix
 
-    verts, parents, _ = tree_vertices_and_edges(degree, depth)
+    verts, parents = tree_vertices_and_edges(degree, depth)
     child = verts[1:]
     par = parents[1:]
     rows = np.concatenate([par, child])
@@ -210,7 +201,7 @@ def _tree_counterpart(degree, depth, lam) -> BrwModel:
     """
     if lam <= 0:
         raise ModelError("lam must be positive")
-    verts, parents, _ = tree_vertices_and_edges(degree, depth)
+    verts, parents = tree_vertices_and_edges(degree, depth)
     neighbors = {int(v): [] for v in verts}
     for v in verts[1:]:
         neighbors[int(v)].append(int(parents[v]))

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BrwModel, ModelError, _index_of, _whole, law_table
+from .core import BrwModel, ModelError, _index_of, _real, _whole, law_table
 
 _MASK32 = 0xFFFFFFFF
 _TRIAL_SALT = 0x9E3779B97F4A7C15
@@ -606,14 +606,16 @@ class RestrictionCoupling:
 
 
 def _caps(caps) -> list:
-    """A nonempty cap list as floats (None read as math.inf), each at least 1."""
+    """A nonempty cap list as floats: each cap None or math.inf (no cap), or a whole
+    number of at least 1 that fits a float (1e19 is one; 2.5, NaN and True are not)."""
     try:
-        caps = [math.inf if c is None else float(c) for c in caps]
-    except (TypeError, ValueError, OverflowError):          # 10**400 does not fit a float
-        raise ModelError("each cap must be a number that fits a float, or None") from None
-    if not caps or not all(c >= 1 for c in caps):          # NaN fails too
-        raise ModelError(f"need at least one cap, each at least 1, got {caps}")
-    return caps
+        out = [math.inf if c is None or c == math.inf else _real(c, 1, "each cap") for c in caps]
+    except (ModelError, TypeError, OverflowError):      # 10**400 does not fit a float
+        out = []
+    if not out or not all(c == math.inf or c.is_integer() for c in out):
+        raise ModelError("caps must be a nonempty list of None, inf or whole numbers of at "
+                         f"least 1 that fit a float, got {caps!r}")
+    return out
 
 
 def _cap_label(cap):

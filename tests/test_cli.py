@@ -209,6 +209,51 @@ class TestConfigFile:
                         "--replicas", "10", "--out", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("line", ["horizn = 5", "caps = [2, 2.5]", "caps = [true]"],
+                             ids=["unknown-key", "fractional-cap", "bool-cap"])
+    @pytest.mark.parametrize("source", ["--set", "--config"])
+    def test_refused_item_writes_nothing(self, source, line, tmp_path, capsys):
+        # an unknown key was dropped without a word, [2, 2.5] printed two m=2
+        # rows and true ran as cap 1
+        value = line
+        if source == "--config":
+            value = tmp_path / "run.cfg"
+            value.write_text(f"scenario = gw\n{line}\n")
+        out = tmp_path / "out"
+        code = run_cli(["sweep", "--scenario", "gw", source, str(value), "--horizon", "3",
+                        "--replicas", "2", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["out=5", "scenario=[1]", "base=[1]"])
+    def test_text_key_refuses_other_values(self, setting, tmp_path, capsys, monkeypatch):
+        # out=5 and scenario=[1] ended in a TypeError traceback
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["extinction", "--set", "scenario=gw", "--set", setting])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_null_selects_the_default(self, tmp_path, capsys):
+        code = run_cli(["percolate", "--set", "p=null", "--set", "horizon=null", "--replicas", "2",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        assert "p=0.7 horizon=100:" in capsys.readouterr().out
+
+    def test_cap_forms_agree(self, tmp_path, capsys):
+        # --caps text, a --set list and whole-valued floats all reach simulate._caps
+        bodies = []
+        for i, caps in enumerate([["--caps", "1,2,inf"], ["--caps", "1, 2"],
+                                  ["--set", "caps=[1, 2]"], ["--set", "caps=[1.0, 2e0, null]"]]):
+            out = tmp_path / str(i)
+            assert run_cli(["sweep", "--scenario", "zd_translation", "--set", "param.radius=3",
+                            *caps, "--horizon", "6", "--replicas", "4", "--out", str(out)]) == 0
+            bodies.append([(out / name).read_bytes() for name in ("sweep.csv", "replicas.csv")])
+        assert bodies[0] == bodies[1] == bodies[2] == bodies[3]
+
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scenario gw\n")

@@ -200,6 +200,12 @@ class TestIntDistribution:
         with pytest.raises(ModelError):
             IntDistribution.from_dict(d)
 
+    @pytest.mark.parametrize("n", [2.7, True, -1, "2"])
+    def test_delta_refuses_what_it_would_coerce(self, n):
+        # delta(2.7) was the point mass at 2 and delta(True) the one at 1
+        with pytest.raises(ModelError, match="n must be a whole number"):
+            IntDistribution.delta(n)
+
     def test_from_dict_reads_whole_counts(self):
         d = IntDistribution.from_dict({np.int64(2): np.float64(0.75), 0: 0.25})
         assert d.values.tolist() == [0, 2] and d.probs.tolist() == [0.25, 0.75]

@@ -28,7 +28,7 @@ from brwlab.genfun import (
     survival_probability,
 )
 from brwlab.scenarios import build_scenario, ex45_p, tree_rates
-from brwlab.spectral import MomentMatrix, global_growth_rate, moment_matrix
+from brwlab.spectral import _DENSE_CUTOFF, MomentMatrix, global_growth_rate, moment_matrix
 
 
 def law_from(atom_dicts):
@@ -169,6 +169,28 @@ class TestIterateExtinction:
         assert not diag.converged
         assert diag.iterations == 1_005
         assert diag.newton_steps == 5
+
+    @pytest.mark.parametrize("setting", [{"max_iter": 2.5}, {"max_iter": True}, {"max_iter": 0},
+                                         {"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0}])
+    @pytest.mark.parametrize("target", ["global", {0}])
+    def test_bad_tol_or_max_iter(self, setting, target):
+        # max_iter=2.5 ended in a TypeError and True was reported as the
+        # iteration count; a NaN or negative tol ran all 200,000 iterations
+        with pytest.raises(ModelError, match=next(iter(setting))):
+            iterate_extinction(gw({0: 0.4, 2: 0.6}), target, **setting)
+
+    def test_newton_above_the_dense_cutoff(self):
+        # 401 sites, each critical and feeding only itself: the Newton phase
+        # cuts the sparse Jacobian block, and every site solves as one site does
+        n = 401
+        assert n > _DENSE_CUTOFF
+        laws = {v: product_form_law({0: 0.5, 2: 0.5}, {v: 1.0}) for v in range(n)}
+        q, diag = iterate_extinction(BrwModel(tuple(range(n)), laws), "global")
+        one = BrwModel((0,), {0: product_form_law({0: 0.5, 2: 0.5}, {0: 1.0})})
+        q1, diag1 = iterate_extinction(one, "global")
+        assert diag == diag1 and diag.converged and diag.newton_steps > 0
+        assert q1[0] == 0.9999999901942507
+        assert np.array_equal(q, np.full(n, q1[0]))
 
     def test_converged_solves_report_no_newton_steps(self):
         _, diag = iterate_extinction(gw({0: 0.4, 2: 0.6}), "global")
@@ -503,6 +525,13 @@ class TestSubsolution:
         assert rep.x0_value < 1.0
 
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, True])
+    def test_bad_tol(self, tol):
+        # a NaN tol silently rejected every certificate
+        with pytest.raises(ModelError, match="tol"):
+            check_subsolution(gw({0: 0.4, 2: 0.6}), np.full(1, 2.0 / 3.0), 0, tol=tol)
+
+
 class TestMeanCondition:
     def test_zero_vector_fails(self):
         m = gw({0: 0.4, 2: 0.6})
@@ -676,6 +705,18 @@ class TestLambdaSweep:
         assert table[0.2] == pytest.approx(1.0, abs=1e-8)
         assert table[0.24] == pytest.approx(1.0, abs=1e-8)
         assert table[0.4] < 0.99
+
+    @pytest.mark.xfail(strict=True, reason="global_growth_rate stops on the 4^n walk-count "
+                                           "plateau before the walk reaches the window edge")
+    def test_lambda_w_without_projection_is_the_window_rate(self):
+        # the window is finite and irreducible, so lambda_w = lambda_s = 1/rho(K)
+        # = 0.3141353274; the row-sum estimate stops after 5 terms at 4^n and
+        # reports lambda_w in (0.24999999999999994, 0.25000000000000006)
+        verts, K = tree_rates(4, 5)
+        res = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, width=2e-2, grid=(0.2, 0.3, 0.4),
+                           stop_tol=1e-9)
+        (w_lo, w_hi), (s_lo, s_hi) = res.lambda_w_bracket, res.lambda_s_bracket
+        assert w_lo <= s_hi and s_lo <= w_hi
 
     def test_bad_bracket_rejected(self):
         K = MomentMatrix(np.array([[1.0]]), (0,))

@@ -795,6 +795,19 @@ class TestRunValidation:
         with pytest.raises(ModelError, match="cap"):
             run(build_scenario("zd_translation", {"radius": 2}))
 
+    @pytest.mark.parametrize("caps", [[2, 2.5], [1.5], [True], [2, "4"]],
+                             ids=["2.5", "1.5", "bool", "text"])
+    def test_cap_not_a_whole_number(self, caps):
+        # [2, 2.5] ran two rows labelled 2 with equal frequencies, [1.5] ran
+        # as cap 1, True as cap 1 and "4" as cap 4
+        m = build_scenario("zd_translation", {"radius": 2})
+        with pytest.raises(ModelError, match="cap"):
+            truncation_sweep(m, caps, {0: 1}, 5, 3)
+        with pytest.raises(ModelError, match="cap"):
+            estimate_survival(m, {0: 1}, 5, 3, cap=caps[-1])
+        with pytest.raises(ModelError, match="cap"):
+            run_coupled_trials(m, [*caps, math.inf], {0: 1}, 5)
+
     def test_cap_too_large_for_a_float(self):
         m = build_scenario("zd_translation", {"radius": 2})
         with pytest.raises(ModelError, match="cap"):
