@@ -14,7 +14,7 @@ from .core import (
     restrict_model,
 )
 from .scenarios import SCENARIOS, build_scenario, line_noext_search, scenario_table, tree_rates
-from .serialize import model_hash, parse_model, serialize_model
+from .serialize import model_hash, serialize_model
 from .spectral import (
     GrowthEstimate,
     MomentMatrix,

@@ -124,7 +124,7 @@ class IntDistribution:
             raise ModelError("probabilities must be a nonempty 1-d array")
         self._init_sparse(np.arange(p.size, dtype=np.int64), p, normalize)
 
-    def _init_sparse(self, values, probs, normalize, exact=False):
+    def _init_sparse(self, values, probs, normalize):
         probs = np.asarray(probs, dtype=float)
         if np.any(probs < -PROB_TOL):
             raise ModelError("negative probability in integer distribution")
@@ -135,8 +135,7 @@ class IntDistribution:
                 raise ModelError("cannot normalize zero mass")
         elif abs(s - 1.0) > PROB_TOL:
             raise ModelError(f"probabilities sum to {s!r}, not 1 within {PROB_TOL}")
-        if not (exact and abs(s - 1.0) <= PROB_TOL):
-            probs = probs / s
+        probs = probs / s
         keep = probs > 0.0
         values, probs = np.asarray(values, dtype=np.int64)[keep], probs[keep]
         if values.size == 0:
@@ -147,17 +146,11 @@ class IntDistribution:
 
     @staticmethod
     def from_values(values, probs, normalize=False) -> "IntDistribution":
-        return IntDistribution._from_values(values, probs, normalize, False)
-
-    @staticmethod
-    def _from_values(values, probs, normalize, exact) -> "IntDistribution":
-        """from_values; with ``exact``, probabilities that already sum to 1 within
-        PROB_TOL are kept bit for bit instead of divided by their sum."""
         d = IntDistribution.__new__(IntDistribution)
         values = np.asarray(values, dtype=np.int64)
         if values.size and (np.any(values < 0) or len(np.unique(values)) != values.size):
             raise ModelError("values must be distinct nonnegative integers")
-        d._init_sparse(values, probs, normalize, exact)
+        d._init_sparse(values, probs, normalize)
         return d
 
     @staticmethod

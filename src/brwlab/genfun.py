@@ -19,7 +19,7 @@ import numpy as np
 from .core import (BrwModel, ModelError, _index_of, _real, _whole, continuous_counterpart,
                    law_table, restrict_model)
 from .spectral import (_DENSE_CUTOFF, GrowthEstimate, MomentMatrix, _perron_bracket,
-                       _solve_i_minus, global_growth_rate, local_growth_rate, moment_matrix)
+                       _solve_i_minus, local_growth_rate, moment_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +113,13 @@ def _evaluator(model: BrwModel) -> _GEvaluator:
 
 
 def as_field(model: BrwModel, values) -> np.ndarray:
-    """Coerce a dict/scalar/array to a [0,1]-vector over model.vertices."""
-    if isinstance(values, dict):
-        z = np.zeros(model.size)
-        for v, x in values.items():
-            z[_index_of(model.index, v, "field key")] = x
-    elif np.isscalar(values):
-        z = np.full(model.size, float(values))
-    else:
-        z = np.asarray(values, dtype=float)
-        if z.shape != (model.size,):
-            raise ModelError(f"field vector must have length {model.size}")
+    """A real vector over model.vertices with coordinates in [0,1], as floats;
+    any other shape or type, a dict, a scalar or text included, raises ModelError."""
+    z = np.asarray(values)
+    if z.shape != (model.size,) or z.dtype.kind not in "iuf":
+        raise ModelError(f"field must be a real vector of length {model.size}, "
+                         f"got {z.dtype} of shape {z.shape}")
+    z = z.astype(float, copy=False)
     if not np.all((z >= -1e-12) & (z <= 1.0 + 1e-12)):            # NaN fails too
         raise ModelError("field vector coordinates must be finite and lie in [0,1]")
     return np.clip(z, 0.0, 1.0)
@@ -401,8 +397,9 @@ def classify_survival(model: BrwModel, x0, n_max=2000) -> SurvivalReport:
             global_ = "survives"
         else:
             global_ = "dies"
-            notes.append("extinction certain on this truncation; restriction death "
-                         "does not decide the untruncated model")
+            if local != "survives":         # else the override below replaces the verdict
+                notes.append("extinction certain on this truncation; restriction death "
+                             "does not decide the untruncated model")
         method = "fixed-point"
         evidence = {"qbar_x0": qx, "iterations": diag.iterations,
                     "newton_steps": diag.newton_steps}
@@ -481,7 +478,7 @@ def _critical_rate(name, lam, ends, lam_lo, lam_hi, width):
 
 
 def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
-                 projected_row_sum=None, grid=None, stop_tol=1e-10) -> LambdaSweepResult:
+                 projected_row_sum=None, grid=None, stop_tol=None) -> LambdaSweepResult:
     """Critical rates of the one-parameter family M = lam * K, in closed form.
 
     Scaling every rate by lam scales every growth rate of K by lam, so each
@@ -491,11 +488,13 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
     refined until the lam bracket is at most ``width`` wide or its step
     budget ends), and lam_s is the reciprocal of that bracket's midpoint.
     lam_w = 1/kbar when the untruncated construction has constant row sum
-    kbar (``projected_row_sum``; its bracket is the single point 1/kbar),
-    otherwise 1/(row-sum growth of K from x0) by power iteration stopped at
-    ``stop_tol``, bracketed by it and the reciprocals of the estimate's last
-    three ratios.  A bracket wider than ``width``, or a threshold outside
-    [lam_lo, lam_hi], raises ModelError.
+    kbar (``projected_row_sum``; its bracket is the single point 1/kbar).
+    Otherwise K is the whole construction, and it must be irreducible
+    (ModelError if not): on a finite irreducible window local and global
+    survival both hold exactly when rho(lam * K) > 1, so lam_w is lam_s,
+    with the same bracket.  A bracket wider than ``width``, or a threshold
+    outside [lam_lo, lam_hi], raises ModelError.  ``stop_tol`` is kept for
+    old callers and bounds nothing.
 
     ``rates`` is a MomentMatrix, or a rate matrix whose rows and columns
     are labelled by ``vertices``.  The table holds the extinction
@@ -514,6 +513,8 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
         K = MomentMatrix(rates, tuple(vertices))
     if not math.isfinite(K.max_row_sum()):
         raise ModelError("rate row sums must be finite")
+    if projected_row_sum is None and not K.is_irreducible():
+        raise ModelError("without projected_row_sum the rate matrix must be irreducible")
 
     cls = K._class_matrix(x0)
     lambda_s, s_ends = math.inf, (math.inf,)        # no return paths: rho = 0
@@ -536,10 +537,7 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
         def qbar_at(lam):
             return 1.0 if lam * kbar <= 1.0 else 1.0 / (lam * kbar)
     else:
-        est = global_growth_rate(K, x0, stop_tol=stop_tol)
-        w = _reciprocal(est.value)
-        lambda_w, w_bracket = _critical_rate(
-            "lambda_w", w, [w] + [1.0 / r for r in est.ratios[-3:]], lam_lo, lam_hi, width)
+        lambda_w, w_bracket = lambda_s, s_bracket
 
         def qbar_at(lam):
             model = counterpart_model(K, lam)

@@ -298,9 +298,12 @@ SCENARIOS = {
 
 
 def build_scenario(name, params=None) -> BrwModel:
-    """The model of scenario ``name`` with ``params`` (name -> value) over its defaults."""
-    if name not in SCENARIOS:
+    """The model of scenario ``name`` (text) with ``params`` (a dict name -> value,
+    or None) over its defaults."""
+    if not isinstance(name, str) or name not in SCENARIOS:
         raise ModelError(f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}")
+    if not isinstance(params, (dict, type(None))):
+        raise ModelError(f"scenario params must be a dict or None, got {type(params).__name__}")
     params = dict(params or {})
     declared = SCENARIOS[name]["params"]
     stray = set(params) - set(declared)

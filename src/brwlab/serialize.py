@@ -4,7 +4,8 @@ One line per (vertex, atom, probability) for explicit laws, with the sparse
 configuration as ``v:count`` pairs; factorized laws are written as their
 child-count row plus dispersal row instead of being enumerated.  The header
 records scenario metadata.  Output is deterministic, so the digest doubles
-as a content address for experiment manifests.
+as a content address for experiment manifests; the text is only hashed,
+never read back.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import json
 import os
 
-from .core import BrwModel, IntDistribution, ModelError, OffspringConfig, OffspringLaw, ProductForm
+from .core import BrwModel
 
 FORMAT_LINE = "brwmodel 1"
 
@@ -47,66 +48,6 @@ def serialize_model(model: BrwModel) -> str:
                 pairs = " ".join(f"{u}:{c}" for u, c in cfg.entries)
                 lines.append(f"atom {_fmt(p)} {pairs}".rstrip())
     return "\n".join(lines) + "\n"
-
-
-def _fields(lines, i, key):
-    """The text after line i's keyword; ModelError unless that keyword is ``key``."""
-    line = lines[i] if i < len(lines) else "(end of text)"
-    word, _, rest = line.partition(" ")
-    if word != key:
-        raise ModelError(f"expected a line starting {key!r}, got {line!r}")
-    return rest
-
-
-def parse_model(text: str) -> BrwModel:
-    """Read a model back from ``serialize_model`` text; malformed text raises ModelError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FORMAT_LINE:
-        raise ModelError("not a serialized model (bad format line)")
-    try:
-        return _parse_body(lines)
-    except (IndexError, ValueError) as exc:   # ModelError and JSONDecodeError included
-        raise ModelError(f"malformed model text: {exc}") from exc
-
-
-def _parse_body(lines) -> BrwModel:
-    name = _fields(lines, 1, "scenario")
-    params = json.loads(_fields(lines, 2, "params"))
-    if not isinstance(params, dict):
-        raise ModelError("model params must be a JSON object")
-    vertices = tuple(int(t) for t in _fields(lines, 3, "vertices").split())
-    laws = {}
-    i = 4
-    while i < len(lines):
-        head = _fields(lines, i, "law").split()
-        v = int(head[0])
-        if head[1] == "product":
-            pairs = [t.split(":") for t in _fields(lines, i + 1, "rho").split()]
-            # written probabilities that sum to 1 are kept bit for bit, so a
-            # parsed model serializes to the text it was read from
-            rho = IntDistribution._from_values([int(v) for v, _ in pairs],
-                                               [float(p) for _, p in pairs], True, True)
-            disp = {}
-            for pair in _fields(lines, i + 2, "disp").split():
-                t, w = pair.split(":")
-                disp[int(t)] = float(w)
-            laws[v] = OffspringLaw(product=ProductForm(
-                rho, tuple(sorted(disp)), tuple(disp[t] for t in sorted(disp))))
-            i += 3
-        else:
-            count = int(head[2])
-            atoms = []
-            for j in range(count):
-                parts = _fields(lines, i + 1 + j, "atom").split()
-                p = float(parts[0])
-                cfg = {}
-                for pair in parts[1:]:
-                    u, c = pair.split(":")
-                    cfg[int(u)] = int(c)
-                atoms.append((OffspringConfig.make(cfg), p))
-            laws[v] = OffspringLaw(atoms=tuple(atoms))
-            i += 1 + count
-    return BrwModel(vertices, laws, name="" if name == "-" else name, params=params)
 
 
 def model_hash(model: BrwModel) -> str:

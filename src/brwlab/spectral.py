@@ -145,19 +145,14 @@ def moment_matrix(model: BrwModel) -> MomentMatrix:
 
 
 def expected_population(M: MomentMatrix, eta0, n: int) -> np.ndarray:
-    """Mean occupation after n generations from eta0 (a dict vertex -> count,
-    or a vector over M.vertices); the counts are finite and nonnegative."""
+    """Mean occupation after n generations from eta0, a dict vertex -> count
+    whose counts are finite and nonnegative; any other start raises ModelError."""
     n = _whole(n, 0, "generation count")
-    if isinstance(eta0, dict):
-        u = np.zeros(M.dim)
-        for v, c in eta0.items():
-            u[_index_of(M.index, v, "start vertex")] = _real(c, 0, f"start count at {v!r}")
-    else:
-        u = np.asarray(eta0, dtype=float).copy()
-        if u.shape != (M.dim,):
-            raise ModelError(f"start vector must have length {M.dim}, got shape {u.shape}")
-        if not (np.isfinite(u).all() and (u >= 0).all()):
-            raise ModelError("start counts must be finite and nonnegative")
+    if not isinstance(eta0, dict):
+        raise ModelError(f"the start must be a dict vertex -> count, got {type(eta0).__name__}")
+    u = np.zeros(M.dim)
+    for v, c in eta0.items():
+        u[_index_of(M.index, v, "start vertex")] = _real(c, 0, f"start count at {v!r}")
     mat_t = M.csr.T
     for _ in range(n):
         u = mat_t.dot(u)
@@ -205,12 +200,12 @@ def _converged(ratios):
     return (max(tail) - min(tail)) / scale <= _REL_TOL
 
 
-def _log_sequence(M, start_idx, read, stride, n_max, stop_tol):
+def _log_sequence(M, start_idx, read, stride, n_max):
     """Log-scale values of a tracked functional of e_start @ M^n.
 
     ``read`` maps the normalized iterate to the tracked nonnegative scalar;
     entries are collected every ``stride`` steps.  Stops early once the
-    stride-ratios are stable to stop_tol three times in a row.
+    stride-ratios are stable to _STOP_TOL three times in a row.
     """
     dense = M.dim <= _DENSE_CUTOFF      # u -> u @ M, dense below the cutoff
     mat = M.csr.toarray() if dense else M.csr.T.tocsr()
@@ -233,7 +228,7 @@ def _log_sequence(M, start_idx, read, stride, n_max, stop_tol):
             out.append((n, math.log(val) + logscale if val > 0 else -math.inf))
             if len(out) >= 2 and math.isfinite(out[-1][1]) and math.isfinite(out[-2][1]):
                 ratio = (out[-1][1] - out[-2][1]) / stride
-                if last_ratio is not None and abs(ratio - last_ratio) <= stop_tol * max(1.0, abs(ratio)):
+                if last_ratio is not None and abs(ratio - last_ratio) <= _STOP_TOL * max(1.0, abs(ratio)):
                     stable += 1
                     if stable >= 3:
                         break
@@ -268,12 +263,12 @@ def local_growth_rate(M: MomentMatrix, x0, n_max=2000) -> GrowthEstimate:
     if n_max < 2 * p:
         raise ModelError(f"n_max={n_max} below twice the period {p}")
     i0 = cls.index[x0]
-    logs = _log_sequence(cls, i0, lambda u: u[i0], p, n_max, _STOP_TOL)
+    logs = _log_sequence(cls, i0, lambda u: u[i0], p, n_max)
     value, roots, ratios, conv = _estimate_from_logs(logs, p)
     return GrowthEstimate(value, roots, ratios, f"n == 0 (mod {p})", conv)
 
 
-def global_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=_STOP_TOL) -> GrowthEstimate:
+def global_growth_rate(M: MomentMatrix, x0, n_max=2000) -> GrowthEstimate:
     """Dominant n-th-root growth of the row sums of M^n started at x0.
 
     A collapse of the iterate to zero (possible on nilpotent reachable sets)
@@ -284,7 +279,7 @@ def global_growth_rate(M: MomentMatrix, x0, n_max=2000, stop_tol=_STOP_TOL) -> G
     if n_max < 2:
         raise ModelError("n_max must be at least 2")
     for stride in (1, 2, 3, 4, 5, 6):
-        logs = _log_sequence(M, i0, np.add.reduce, stride, n_max, stop_tol)
+        logs = _log_sequence(M, i0, np.add.reduce, stride, n_max)
         if logs and not math.isfinite(logs[-1][1]):
             return GrowthEstimate(0.0, tuple((n, math.exp(la / n)) for n, la in logs[:-1]),
                                   (), "iterate collapsed to zero", True)

@@ -488,6 +488,14 @@ class TestScenarios:
         with pytest.raises(ModelError):
             build_scenario("gw", {"bogus": 1})
 
+    @pytest.mark.parametrize("args", [(["gw"],), ({"gw": None},), (None,), ("gw", 5),
+                                      ("gw", [("rho", {2: 1.0})]), ("gw", "rho")],
+                             ids=["name-list", "name-dict", "name-none", "params-int",
+                                  "params-pairs", "params-text"])
+    def test_bad_argument_types_refused(self, args):
+        with pytest.raises(ModelError):
+            build_scenario(*args)
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_listed_defaults_are_the_ones_used(self, name):
         # every listed parameter is accepted, and passing its listed default
@@ -634,4 +642,4 @@ def test_defaulted_public_parameter_count():
                 continue
             count += sum(p.default is not inspect.Parameter.empty
                          for f in functions for p in inspect.signature(f).parameters.values())
-    assert count == 42
+    assert count == 41

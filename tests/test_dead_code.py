@@ -3,10 +3,12 @@
 Every module-level import of a module is read in that module (the package's
 ``__init__`` imports are its public namespace, so they are exempt), every
 module-level private function, class or constant is referenced somewhere in
-``src/`` besides its definition, and every public method or property of a
-module-level class is read as an attribute somewhere in ``src/``,
-``tests/``, ``bench/`` or ``demos/``.  A deletion that leaves a helper, an
-import or a method behind fails here.
+``src/`` besides its definition, every module-level public function or class
+is read somewhere in ``src/``, ``tests/``, ``bench/`` or ``demos/`` (the
+package's re-export in ``__init__`` is not a read), and every public method
+or property of a module-level class is read there as an attribute.  A
+deletion that leaves a helper, an import, a function or a method behind
+fails here.
 """
 
 import ast
@@ -76,6 +78,27 @@ def test_every_private_definition_is_referenced():
     assert dead == [], "private definitions that nothing in src/ references"
 
 
+def _public_definitions(tree):
+    """(name, line) of each module-level public def or class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.lineno
+
+
+def _every_tree():
+    """The parsed .py files of src/, tests/, bench/ and demos/."""
+    for path in (REPO / "src", REPO / "tests", REPO / "bench", REPO / "demos"):
+        for file in path.rglob("*.py"):
+            yield ast.parse(file.read_text(), str(file))
+
+
+def test_every_public_definition_is_read():
+    read = set().union(*map(_loaded_names, _every_tree()))
+    dead = [(module, name, line) for module, tree in MODULES.items()
+            for name, line in _public_definitions(tree) if name not in read]
+    assert dead == [], "public functions and classes that nothing reads"
+
+
 def _public_methods(tree):
     """(class, method, line) of each public method or property of a module-level class."""
     for node in tree.body:
@@ -86,10 +109,7 @@ def _public_methods(tree):
 
 
 def test_every_public_method_is_read():
-    read = set()
-    for path in (REPO / "src", REPO / "tests", REPO / "bench", REPO / "demos"):
-        for file in path.rglob("*.py"):
-            read |= _attribute_names(ast.parse(file.read_text(), str(file)))
+    read = set().union(*map(_attribute_names, _every_tree()))
     dead = [(module, *method) for module, tree in MODULES.items()
             for method in _public_methods(tree) if method[1] not in read]
     assert dead == [], "public methods that nothing reads as an attribute"
@@ -105,3 +125,6 @@ def test_the_check_sees_dead_code():
                      "    @property\n    def size(self):\n        return 1\n\n"
                      "    def dead(self, law):\n        return law\n\n\nC().used()\n")
     assert [m for _, m, _ in _public_methods(tree) if m not in _attribute_names(tree)] == ["dead"]
+    tree = ast.parse("def used():\n    return 1\n\ndef dead():\n    return used()\n\n"
+                     "class Dead:\n    pass\n\n\nclass Used:\n    pass\n\n\nx: Used = dead\n")
+    assert [n for n, _ in _public_definitions(tree) if n not in _loaded_names(tree)] == ["Dead"]

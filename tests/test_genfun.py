@@ -16,6 +16,7 @@ from brwlab.core import (
     restrict_model,
 )
 from brwlab.genfun import (
+    IterationDiagnostics,
     _verdict,
     check_mean_condition,
     check_subsolution,
@@ -46,6 +47,11 @@ def poly_G(model, z):
         for cfg, p in model.laws[v].atoms:
             out[model.index[v]] += p * math.prod(z[model.index[u]] ** c for u, c in cfg.entries)
     return out
+
+
+def _unconverged(model, *args, **kwargs):
+    """An iterate_extinction stand-in whose solve hit max_iter."""
+    return np.full(model.size, 0.5), IterationDiagnostics(7, math.inf, False)
 
 
 def ex45_subsolution(size):
@@ -587,11 +593,11 @@ class TestClassify:
     def test_projection_decides_by_the_projected_mean(self, monkeypatch):
         # the projected law is the GW law the total population follows, so
         # its mean is the row sum of M at every site away from the window edge
-        import brwlab.genfun as gf
+        import brwlab.spectral as sp
 
         def refuse(*args, **kwargs):
             raise AssertionError("the projection runs no growth-rate estimate")
-        monkeypatch.setattr(gf, "global_growth_rate", refuse)
+        monkeypatch.setattr(sp, "global_growth_rate", refuse)
         for name in ("zd_translation", "zdrift", "tree_counterpart"):
             model = build_scenario(name)
             rep = classify_survival(model, 0)
@@ -625,9 +631,9 @@ class TestClassify:
     def test_irreducible_window_global_from_return_growth(self, monkeypatch):
         # on a finite irreducible window local and global survival both hold
         # exactly when the Perron root exceeds 1, so no row-sum estimate runs
-        import brwlab.genfun as gf
+        import brwlab.spectral as sp
         calls = []
-        monkeypatch.setattr(gf, "global_growth_rate", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(sp, "global_growth_rate", lambda *a, **k: calls.append(a))
         rng = np.random.default_rng(99)         # the acceptance-03 draw
         models = []
         for _ in range(100):
@@ -655,6 +661,14 @@ class TestClassify:
         assert calls == []
         assert checked >= 100
 
+    def test_unconverged_solve_is_inconclusive(self, monkeypatch):
+        import brwlab.genfun as gf
+        monkeypatch.setattr(gf, "iterate_extinction", _unconverged)
+        rep = classify_survival(build_scenario("line_noext", {"size": 12}), 0)
+        assert (rep.local, rep.global_method, rep.global_) == ("dies", "fixed-point",
+                                                               "inconclusive")
+        assert rep.notes == ["extinction iteration hit max_iter"]
+
     def test_evidence_rows_present(self):
         rep = classify_survival(gw({2: 1.0}), 0)
         assert rep.evidence_csv_rows()
@@ -675,6 +689,11 @@ class TestStrongLocal:
         rep = strong_local_compare(gw({0: 0.8, 2: 0.2}), 0, 0)
         assert rep.verdict == "no"
         assert rep.q_target_x0 == pytest.approx(1.0, abs=1e-9)
+
+    def test_unconverged_solve_is_inconclusive(self, monkeypatch):
+        import brwlab.genfun as gf
+        monkeypatch.setattr(gf, "iterate_extinction", _unconverged)
+        assert strong_local_compare(gw({0: 0.4, 2: 0.6}), 0, 0).verdict == "inconclusive"
 
     def test_unknown_start_vertex(self):
         with pytest.raises(ModelError):
@@ -706,12 +725,10 @@ class TestLambdaSweep:
         assert table[0.24] == pytest.approx(1.0, abs=1e-8)
         assert table[0.4] < 0.99
 
-    @pytest.mark.xfail(strict=True, reason="global_growth_rate stops on the 4^n walk-count "
-                                           "plateau before the walk reaches the window edge")
     def test_lambda_w_without_projection_is_the_window_rate(self):
         # the window is finite and irreducible, so lambda_w = lambda_s = 1/rho(K)
-        # = 0.3141353274; the row-sum estimate stops after 5 terms at 4^n and
-        # reports lambda_w in (0.24999999999999994, 0.25000000000000006)
+        # = 0.3141353274; a row-sum estimate stops after 5 terms on the 4^n
+        # walk-count plateau and reads 0.25
         verts, K = tree_rates(4, 5)
         res = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, width=2e-2, grid=(0.2, 0.3, 0.4),
                            stop_tol=1e-9)
@@ -756,6 +773,7 @@ class TestLambdaSweep:
 
     def test_projection_solves_no_fixed_point(self, monkeypatch):
         import brwlab.genfun as gf
+        import brwlab.spectral as sp
 
         calls = {"bracket": 0, "local": 0, "global": 0, "extinction": 0}
 
@@ -767,7 +785,7 @@ class TestLambdaSweep:
 
         monkeypatch.setattr(gf, "_perron_bracket", counted("bracket", gf._perron_bracket))
         monkeypatch.setattr(gf, "local_growth_rate", counted("local", gf.local_growth_rate))
-        monkeypatch.setattr(gf, "global_growth_rate", counted("global", gf.global_growth_rate))
+        monkeypatch.setattr(sp, "global_growth_rate", counted("global", sp.global_growth_rate))
         monkeypatch.setattr(gf, "iterate_extinction", counted("extinction", gf.iterate_extinction))
         verts, K = tree_rates(4, 3)
         lambda_sweep(K, 0, 0.2, 0.6, vertices=verts, projected_row_sum=4.0)
@@ -778,24 +796,42 @@ class TestLambdaSweep:
         import brwlab.spectral as sp
 
         def refuse(*args, **kwargs):
-            raise AssertionError("lambda_s ran power iteration or a period search")
+            raise AssertionError("lambda_sweep ran power iteration or a period search")
 
         monkeypatch.setattr(gf, "local_growth_rate", refuse)
         monkeypatch.setattr(sp, "local_growth_rate", refuse)
+        monkeypatch.setattr(sp, "global_growth_rate", refuse)
         monkeypatch.setattr(sp.MomentMatrix, "period", refuse)
-        for depth in (4, 7):        # a dense and a sparse class
+        for depth in (4, 5, 7):     # dense classes and a sparse one
             verts, K = tree_rates(4, depth)
             res = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, projected_row_sum=4.0)
             lo, hi = res.lambda_s_bracket
             assert lo <= res.lambda_s <= hi and hi - lo <= 2e-3
+        verts, K = tree_rates(4, 5)
+        window = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, width=2e-2, grid=(0.2, 0.3, 0.4))
         K = MomentMatrix(np.array([[0.0, 1.0], [1.69, 0.0]]), (0, 1))     # period 2
+        res = lambda_sweep(K, 0, 0.3, 1.5, grid=(0.4, 1.0), projected_row_sum=1.69)
+        assert res.lambda_w_bracket == (1.0 / 1.69, 1.0 / 1.69)
         res = lambda_sweep(K, 0, 0.3, 1.5, grid=(0.4, 1.0))
         lo, hi = res.lambda_s_bracket
         assert lo <= 1.0 / 1.3 <= hi
+        for res in (window, res):
+            assert res.lambda_w == res.lambda_s
+            assert res.lambda_w_bracket == res.lambda_s_bracket
+
+    def test_reducible_rates_need_a_projection(self):
+        K = MomentMatrix(np.array([[1.0, 1.0], [0.0, 2.0]]), (0, 1))
+        with pytest.raises(ModelError, match="irreducible"):
+            lambda_sweep(K, 0, 0.3, 1.5, grid=(0.4, 1.0))
+        res = lambda_sweep(K, 0, 0.3, 1.5, grid=(0.4, 1.0), projected_row_sum=2.0)
+        assert res.lambda_s == pytest.approx(1.0, abs=1e-12)
+        assert res.lambda_w_bracket == (0.5, 0.5)
 
     def test_without_projection_uses_row_sum_growth(self):
         K = MomentMatrix(np.array([[0.5, 1.0], [0.8, 0.3]]), (0, 1))
         res = lambda_sweep(K, 0, 0.3, 1.5, grid=(0.4, 0.6, 0.8, 1.0, 1.5))
+        # lambda_w is read from lambda_s's bracket; the row-sum growth is the oracle
+        assert (res.lambda_w, res.lambda_w_bracket) == (res.lambda_s, res.lambda_s_bracket)
         assert res.lambda_w == pytest.approx(1.0 / global_growth_rate(K, 0).value, rel=1e-12)
         assert res.lambda_w == pytest.approx(1.0 / 1.3, abs=1e-10)
         lo, hi = res.lambda_w_bracket
@@ -826,10 +862,7 @@ class TestLambdaSweep:
 
     def test_unconverged_table_solve_raises(self, monkeypatch):
         import brwlab.genfun as gf
-        from brwlab.genfun import IterationDiagnostics
-        monkeypatch.setattr(gf, "iterate_extinction",
-                            lambda model, *a, **k: (np.full(model.size, 0.5),
-                                                    IterationDiagnostics(7, math.inf, False)))
+        monkeypatch.setattr(gf, "iterate_extinction", _unconverged)
         K = MomentMatrix(np.array([[0.5, 1.0], [0.8, 0.3]]), (0, 1))
         with pytest.raises(ModelError, match="lam = 0.6"):
             lambda_sweep(K, 0, 0.3, 1.5, grid=(0.6, 1.0))
@@ -846,8 +879,8 @@ class TestLambdaSweep:
 
 class TestReportCoherence:
     def test_local_implies_global(self):
-        # a reducible window where the fixed point is certain extinction but a
-        # self-loop keeps local survival: coherence forces global = survives
+        # a reducible window whose fixed point, q(0) = 1/9, and self-loop agree:
+        # both verdicts survive without the override
         laws = {
             0: law_from([({0: 2}, 0.9), ({}, 0.1)]),
             1: law_from([({}, 1.0)]),
@@ -857,3 +890,16 @@ class TestReportCoherence:
         assert rep.local == "survives"
         assert rep.global_ == "survives"
         assert rep.coherent()
+
+    def test_override_drops_the_truncation_note(self):
+        # return growth 1.01 at 0, yet q(0) = 0.9999999979 lies within _Q_BAND
+        # of 1: the fixed point reads "dies" and the override replaces it, so
+        # the report must not claim certain extinction on this truncation
+        m = BrwModel((0, 1), {0: law_from([({0: 10 ** 7}, 1.01e-7), ({1: 1}, 1 - 1.01e-7)]),
+                              1: law_from([({}, 1.0)])})
+        rep = classify_survival(m, 0)
+        assert rep.local == "survives" and rep.global_ == "survives"
+        assert rep.global_method == "fixed-point"
+        assert 1.0 - 1e-6 < rep.global_evidence["qbar_x0"] < 1.0
+        assert len(rep.notes) == 1 and "overridden" in rep.notes[0]
+        assert "truncation" not in rep.to_text()

@@ -211,14 +211,20 @@ class TestFieldValidation:
         # the atom loop once read NaN as 0
         m = build_scenario("line_ex45", {"size": 4})
         with pytest.raises(ModelError, match="finite"):
-            eval_G(m, bad)
+            eval_G(m, np.full(m.size, bad))
         with pytest.raises(ModelError, match="finite"):
             as_field(m, [0.5, bad, 0.5, 0.5])
-        with pytest.raises(ModelError, match="finite"):
-            as_field(m, {1: bad})
 
     def test_dict_key_outside_the_model(self):
         m = build_scenario("line_ex45", {"size": 4})
-        with pytest.raises(ModelError, match="9"):
+        with pytest.raises(ModelError, match="length 4"):
             eval_G(m, {9: 0.5})
-        assert as_field(m, {1: 0.5}).tolist() == [0.0, 0.5, 0.0, 0.0]
+
+    @pytest.mark.parametrize("field", [{1: 0.5}, 0.5, [0.5] * 3, np.full((4, 1), 0.5),
+                                       ["0.5"] * 4, [0.5 + 0j] * 4, [True] * 4],
+                             ids=["dict", "scalar", "short", "column", "text", "complex", "bool"])
+    def test_only_a_vector_is_a_field(self, field):
+        m = build_scenario("line_ex45", {"size": 4})
+        with pytest.raises(ModelError, match="length 4"):
+            eval_G(m, field)
+        assert as_field(m, [0.0, 0.5, 0.0, 0.0]).tolist() == [0.0, 0.5, 0.0, 0.0]

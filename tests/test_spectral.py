@@ -83,13 +83,15 @@ _LINE = build_scenario("zd_translation", {"radius": 2})
     lambda: expected_population(moment_matrix(_LINE), {0: True}, 2),
     lambda: expected_population(moment_matrix(_LINE), np.full(_LINE.size, math.inf), 2),
     lambda: expected_population(moment_matrix(_LINE), -np.ones(_LINE.size), 2),
+    lambda: expected_population(moment_matrix(_LINE), np.ones(_LINE.size), 2),
     lambda: seneta_sequence(_LINE, [(0, 1, 99)], 0),
     lambda: spatial_experiment(_LINE, [(0, 99)], 0),
 ], ids=["population-start-vertex", "population-start-length", "subsolution-x0",
         "mean-condition-x0", "ball-x0", "entry-vertex", "nan-weight", "nan-growth",
         "inf-weight", "rows-vertex", "population-steps-not-whole", "population-nan-count",
         "population-negative-count", "population-bool-count", "population-inf-vector",
-        "population-negative-vector", "seneta-window-vertex", "spatial-window-vertex"])
+        "population-negative-vector", "population-vector-start", "seneta-window-vertex",
+        "spatial-window-vertex"])
 def test_unusable_input_raises_model_error(call):
     # input the code cannot use fails with ModelError, not with a KeyError, a numpy
     # error or a silent answer
@@ -568,14 +570,16 @@ class TestSameBytesPins:
     def test_lambda_sweep_tree(self):
         """Re-recorded when lambda_s became the reciprocal of a shifted
         Collatz-Wielandt bracket (the power-iteration digest was
-        28b672a334611480fdc749e4ccb6b6fd55a273207faab38811bbfb2962b4af65)."""
+        28b672a334611480fdc749e4ccb6b6fd55a273207faab38811bbfb2962b4af65), and
+        again when lambda_w without a projection became lambda_s (the row-sum
+        digest was aaaafa63e120c752849ab58bb33f04c7de735af810b82b1ae385de7e7a2ea603)."""
         verts, K = tree_rates(4, 5)
         projected = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, width=2e-3,
                                  projected_row_sum=4.0, stop_tol=1e-9)
         general = lambda_sweep(K, 0, 0.2, 0.4, vertices=verts, width=2e-2,
                                grid=(0.2, 0.3, 0.4), stop_tol=1e-9)
         assert _repr_digest((projected, general)) == (
-            "aaaafa63e120c752849ab58bb33f04c7de735af810b82b1ae385de7e7a2ea603")
+            "bf23d80b6f5bfd541f9adea00e6c89ac470a85549e25789a4bbdade6ad450d6f")
 
     def test_series_on_acceptance_09_matrices(self):
         rng = np.random.default_rng(1312)
