@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BrwModel, IntDistribution, ModelError, _index_of, _real, _whole
+from .core import (BrwModel, IntDistribution, ModelError, _CsrArrays, _hops, _index_of, _real,
+                   _whole)
 from .genfun import _verdict
 from .simulate import (_DRAW_BUDGET, _MAX_CELLS, DEFAULT_HARD_CAP, _cap_label, _caps, _chunks,
                        _seed, _StreamPool, run_trial_batch, wilson_interval)
@@ -50,17 +51,30 @@ class DriftParams:
         return 1.0 - self.p - self.q
 
 
-def _log_q(d: DriftParams, alpha, beta):
-    """(log Q, admissible exponents) over broadcast alpha and beta; see ``q_value``."""
-    from scipy.special import xlogy
+def _xlogy(x: float, y: float) -> float:
+    """x log y, and 0 where x is 0, as scipy's ``xlogy`` computes it: with
+    the C library's log, from which numpy's vectorised log can differ in the
+    last bit."""
+    if x == 0.0:
+        return 0.0
+    return x * (math.log(y) if y > 0.0 else -math.inf if y == 0.0 else math.nan)
 
+
+def _log_q(d: DriftParams, alpha, beta):
+    """(log Q, admissible exponents) over broadcast alpha and beta; see
+    ``q_value``.  log Q is summed in Python floats per point: the library
+    passes one point, or a box's four corners."""
     a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    e1, e2, e3 = b, b - a, 1.0 - 2.0 * b + a
-    admissible = ~((b <= 0) | (e2 < -1e-15) | (e3 < -1e-15) | (b >= (1.0 + a) / 2.0 + 1e-15))
-    e1, e2, e3 = (np.maximum(e, 0.0) for e in (e1, e2, e3))  # no inf - inf off the admissible set
-    log_num = xlogy(e1, d.p) + xlogy(e2, d.q) + xlogy(e3, d.stay)
-    log_den = xlogy(e1, e1) + xlogy(e2, e2) + xlogy(e3, e3)
-    return math.log(d.rho_bar) + log_num - log_den, admissible
+    admissible = ~((b <= 0) | (b - a < -1e-15) | (1.0 - 2.0 * b + a < -1e-15)
+                   | (b >= (1.0 + a) / 2.0 + 1e-15))
+    pairs, out = np.broadcast(a, b), []
+    for x, y in pairs:
+        x, y = float(x), float(y)
+        # clipped at 0: no inf - inf off the admissible set
+        e1, e2, e3 = max(y, 0.0), max(y - x, 0.0), max(1.0 - 2.0 * y + x, 0.0)
+        out.append(math.log(d.rho_bar) + (_xlogy(e1, d.p) + _xlogy(e2, d.q) + _xlogy(e3, d.stay))
+                   - (_xlogy(e1, e1) + _xlogy(e2, e2) + _xlogy(e3, e3)))
+    return np.reshape(out, pairs.shape), admissible
 
 
 def q_value(d: DriftParams, alpha, beta) -> float:
@@ -213,12 +227,12 @@ def spatial_experiment(model: BrwModel, exhaustion, x0) -> SpatialResult:
 
 def ball_exhaustion(model: BrwModel, x0, radii):
     """Graph-distance balls around x0 in the moment graph, one per radius."""
-    from scipy.sparse import csgraph
-
     M = moment_matrix(model)
-    und = M.csr + M.csr.T
-    dist = csgraph.shortest_path(und, method="D", unweighted=True,
-                                 indices=_index_of(M.index, x0, "x0"))
+    a = M.arrays
+    und = _CsrArrays.from_entries(np.concatenate([a.rows, a.indices]),
+                                  np.concatenate([a.indices, a.rows]), np.ones(2 * a.data.size),
+                                  a.shape)
+    dist = _hops(und, [_index_of(M.index, x0, "x0")])
     return [tuple(M.vertices[i] for i in np.flatnonzero(dist <= r).tolist()) for r in radii]
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +30,10 @@ _MAX_DENSE = 1_000_000      # the longest coefficient array dense_probs builds
 # Thinning costs support_max**2 / 2 multiply-adds: at this bound about
 # 0.15 s on a 2-vCPU Xeon VM, and four times that at twice it.
 _MAX_THINNED = 10_000
+# Up to this many vertices, matrix products, strong components and linear
+# solves run in numpy (dense where they solve); above it scipy's sparse
+# routines are faster and run instead.
+_DENSE_CUTOFF = 400
 
 
 class ModelError(ValueError):
@@ -560,19 +563,56 @@ def dominating_law(model: BrwModel) -> IntDistribution:
 # the compiled law table
 # ---------------------------------------------------------------------------
 
-class _CsrArrays(NamedTuple):
-    """A sparse matrix as the plain arrays of its compressed rows; ``tocsr``
-    builds the scipy matrix from them."""
+class _CsrArrays:
+    """A sparse matrix as the plain arrays of its compressed rows, with the
+    row of each entry.  Products run in numpy up to _DENSE_CUTOFF rows and
+    through the scipy matrix above it (``tocsr``, built on first use); both
+    add each row's products in storage order from 0.0, so they agree bit
+    for bit."""
 
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+        self.rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+        self._csr = None
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape) -> "_CsrArrays":
+        """The canonical arrays of the entries (rows, cols, vals): columns
+        sorted within rows, repeated entries summed in the order given, and
+        zero sums dropped."""
+        keys = np.asarray(rows, np.int64) * shape[1] + cols
+        if not (keys[1:] > keys[:-1]).all():            # else already canonical
+            keys, at = np.unique(keys, return_inverse=True)
+            vals = np.bincount(at, weights=vals, minlength=keys.size)
+        keys, sums = keys[vals != 0], vals[vals != 0]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // shape[1], minlength=shape[0]))])
+        return cls(sums, keys % shape[1], indptr, shape)
 
     def tocsr(self):
-        from scipy.sparse import csr_matrix
+        if self._csr is None:
+            from scipy.sparse import csr_matrix
 
-        return csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+            self._csr = csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        return self._csr
+
+    def dot(self, z: np.ndarray) -> np.ndarray:
+        """A z."""
+        if self.shape[0] <= _DENSE_CUTOFF:
+            return np.bincount(self.rows, weights=self.data * z[self.indices],
+                               minlength=self.shape[0])
+        return self.tocsr().dot(z)
+
+    def tdot(self, u: np.ndarray) -> np.ndarray:
+        """A^T u, each entry summed in row order as scipy's csc product does."""
+        if self.shape[0] <= _DENSE_CUTOFF:
+            return np.bincount(self.indices, weights=self.data * u[self.rows],
+                               minlength=self.shape[1])
+        return self.tocsr().T.dot(u)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.rows, self.indices), self.data)
+        return out
 
 
 class LawTable:
@@ -585,8 +625,8 @@ class LawTable:
     (id(rho), weights) key, which the recorded draw order follows, each atom
     row a group (-1, None, [x]) of its own, by least row.  Atom rows: x owns
     atoms atom_ptr[x]:atom_ptr[x + 1], with ``atom_probs`` and ``counts``
-    (atoms x V csr arrays).  The arrays are plain numpy, so the sampler needs
-    no scipy; the moment matrix and G build scipy matrices from them."""
+    (atoms x V csr arrays).  The arrays are plain numpy, so neither the
+    sampler nor, up to _DENSE_CUTOFF vertices, the moment matrix and G need scipy."""
 
     def __init__(self, model: BrwModel):
         index, n = model.index, model.size
@@ -625,17 +665,15 @@ class LawTable:
                                  np.array(cnt_cols, dtype=np.int64),
                                  np.array(cnt_ptr, dtype=np.int64), (len(probs), n))
 
-    def mean(self):
-        """m_xy, a sorted scipy csr matrix: rho_mean times the dispersal rows
-        plus atom_probs @ counts."""
-        from scipy.sparse import csr_matrix
-
-        d, a = self.disp, self.atom_probs.size
-        owners = csr_matrix((self.atom_probs, np.arange(a), self.atom_ptr), shape=(d.shape[0], a))
-        m = csr_matrix((d.data * np.repeat(self.rho_mean, np.diff(d.indptr)), d.indices, d.indptr),
-                       shape=d.shape) + owners @ self.counts.tocsr()
-        m.sort_indices()
-        return m
+    def mean(self) -> _CsrArrays:
+        """m_xy as canonical csr arrays: rho_mean times the dispersal rows
+        plus atom_probs @ counts, each entry summed as scipy's product and sum did."""
+        d, c = self.disp, self.counts
+        owner = np.repeat(np.arange(d.shape[0]), np.diff(self.atom_ptr))[c.rows]
+        return _CsrArrays.from_entries(
+            np.concatenate([d.rows, owner]), np.concatenate([d.indices, c.indices]),
+            np.concatenate([d.data * self.rho_mean[d.rows], self.atom_probs[c.rows] * c.data]),
+            d.shape)
 
 
 def law_table(model: BrwModel) -> LawTable:
@@ -672,10 +710,8 @@ def check_assumption_nonsingular(model: BrwModel):
     Classes are the strong components of this truncation's mean matrix, which
     can differ from the untruncated ones; the report carries that caveat.
     """
-    from scipy.sparse import csgraph
-
-    ncomp, labels = csgraph.connected_components(law_table(model).mean(), connection="strong")
-    classes = [[] for _ in range(ncomp)]
+    labels = _strong_labels(law_table(model).mean())
+    classes = [[] for _ in range(int(labels.max()) + 1)]
     for v, lab in zip(model.vertices, labels.tolist()):
         classes[lab].append(v)
     verdicts = []
@@ -687,3 +723,73 @@ def check_assumption_nonsingular(model: BrwModel):
         "all_nonsingular": all(c["nonsingular"] for c in verdicts),
         "note": "classes computed on this finite truncation only",
     }
+
+
+# ---------------------------------------------------------------------------
+# the moment graph: strong components and breadth-first distances
+# ---------------------------------------------------------------------------
+
+def _strong_labels(a: _CsrArrays) -> np.ndarray:
+    """A strong-component label per vertex of the graph of a's entries,
+    numbered from 0: Tarjan's algorithm up to _DENSE_CUTOFF vertices, scipy's
+    csgraph above it."""
+    n = a.shape[0]
+    if n > _DENSE_CUTOFF:
+        from scipy.sparse import csgraph
+
+        return csgraph.connected_components(a.tocsr(), connection="strong")[1]
+    ptr, nbr = a.indptr.tolist(), a.indices.tolist()
+    order, low, labels = [-1] * n, [0] * n, [-1] * n
+    stack, seen, found = [], 0, 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        work = [(root, ptr[root])]          # (vertex, next entry to follow)
+        while work:
+            v, k = work[-1]
+            if k < ptr[v + 1]:
+                work[-1] = (v, k + 1)
+                w = nbr[k]
+                if order[w] < 0:
+                    order[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    work.append((w, ptr[w]))
+                elif labels[w] < 0:         # w is on the stack
+                    low[v] = min(low[v], order[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == order[v]:          # v roots a component: pop it
+                while True:
+                    w = stack.pop()
+                    labels[w] = found
+                    if w == v:
+                        break
+                found += 1
+    return np.array(labels, dtype=np.int64)
+
+
+def _hops(a: _CsrArrays, sources) -> np.ndarray:
+    """Fewest edges from any of ``sources`` to each vertex of the graph of
+    a's entries (breadth-first), inf where none reaches it."""
+    ptr, nbr = a.indptr.tolist(), a.indices.tolist()
+    dist = [math.inf] * a.shape[0]
+    frontier, d = list(sources), 0
+    for s in frontier:
+        dist[s] = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in nbr[ptr[v]:ptr[v + 1]]:
+                if dist[w] == math.inf:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return np.array(dist, dtype=float)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BrwModel, ModelError, _index_of, _real, _whole, continuous_counterpart,
-                   law_table, restrict_model)
+from .core import (BrwModel, ModelError, _CsrArrays, _hops, _index_of, _real, _whole,
+                   continuous_counterpart, law_table, restrict_model)
 from .spectral import (_DENSE_CUTOFF, GrowthEstimate, MomentMatrix, _perron_bracket,
                        _solve_i_minus, local_growth_rate, moment_matrix)
 
@@ -35,13 +35,13 @@ class _GEvaluator:
     atom, ``math.exp`` on each atom's sum (the libm bits of a scalar loop)
     and one bincount summing each row's atoms.  A model without atom rows,
     or without product groups, skips that pass.  ``jacobian`` gives G'(z) as
-    a sparse matrix from the same data.
+    csr arrays from the same data.
     """
 
     def __init__(self, model: BrwModel):
         self.model = model
         table = law_table(model)
-        self.P = table.disp.tocsr()
+        self.P = table.disp
         dense = [(rho.dense_probs(), rows) for rho, rows in table.rho_groups]
         self.groups = [(c, np.polynomial.polynomial.polyder(c), rows) for c, rows in dense]
         # counts[a, j] = children atom a sends to vertex j; atom a belongs to
@@ -54,7 +54,7 @@ class _GEvaluator:
         self._cnt = self.counts.data.astype(float)
         nnz_per_atom = np.diff(self.counts.indptr)
         self._filled = nnz_per_atom > 0
-        self._entry_atom = np.repeat(np.arange(self.atom_probs.size), nnz_per_atom)
+        self._entry_atom = self.counts.rows
         self._entry_slot = np.arange(self._cnt.size) - self.counts.indptr[self._entry_atom]
         self._slots = int(nnz_per_atom.max()) if self.atom_probs.size else 0
 
@@ -74,9 +74,9 @@ class _GEvaluator:
                 out[idx] = np.polynomial.polynomial.polyval(pz[idx], coeffs)
         return out.clip(0.0, 1.0)
 
-    def jacobian(self, z: np.ndarray):
-        """G'(z), a scipy csr matrix: diag(rho'(Pz)) P on product-form rows,
-        summed atom terms elsewhere.
+    def jacobian(self, z: np.ndarray) -> _CsrArrays:
+        """G'(z) as canonical csr arrays: diag(rho'(Pz)) P on product-form
+        rows, summed atom terms elsewhere.
 
         The atom term for entry (a, j) is p_a c_aj z_j^(c_aj - 1) times the
         product of z_k^(c_ak) over the atom's other entries k, taken without
@@ -88,21 +88,21 @@ class _GEvaluator:
             pz = self.P.dot(z)
             for _, dcoeffs, idx in self.groups:
                 scale[idx] = np.polynomial.polynomial.polyval(pz[idx], dcoeffs)
-        J = self.P.copy()
-        J.data *= np.repeat(scale, np.diff(J.indptr))
+        P = self.P
+        rows, cols, data = P.rows, P.indices, P.data * scale[P.rows]
         if self._cnt.size:
-            from scipy.sparse import csr_matrix
-
-            cols, cnt = self.counts.indices, self._cnt
+            cnt, at = self._cnt, self.counts.indices
             table = np.ones((self.counts.shape[0], self._slots + 2))
-            table[self._entry_atom, self._entry_slot + 1] = z[cols] ** cnt
+            table[self._entry_atom, self._entry_slot + 1] = z[at] ** cnt
             left = np.cumprod(table, axis=1)
             right = np.cumprod(table[:, ::-1], axis=1)[:, ::-1]
             others = (left[self._entry_atom, self._entry_slot]
                       * right[self._entry_atom, self._entry_slot + 2])
-            data = self.atom_probs[self._entry_atom] * cnt * z[cols] ** (cnt - 1.0) * others
-            J = J + csr_matrix((data, (self.atom_rows[self._entry_atom], cols)), shape=(n, n))
-        return J
+            rows = np.concatenate([rows, self.atom_rows[self._entry_atom]])
+            cols = np.concatenate([cols, at])
+            data = np.concatenate(
+                [data, self.atom_probs[self._entry_atom] * cnt * z[at] ** (cnt - 1.0) * others])
+        return _CsrArrays.from_entries(rows, cols, data, (n, n))
 
 
 def _evaluator(model: BrwModel) -> _GEvaluator:
@@ -153,8 +153,9 @@ def _newton_step(G: _GEvaluator, z: np.ndarray) -> np.ndarray:
 
     Coordinates off A are held fixed, which also holds the vertices whose
     least fixed point is 0 at 0.  The Jacobian block is cut from a dense
-    copy up to _DENSE_CUTOFF vertices and solved by ``_solve_i_minus``; a
-    singular solve falls back to the plain step G(z) on A.
+    copy up to _DENSE_CUTOFF vertices, else from its scipy matrix, and
+    solved by ``_solve_i_minus``; a singular solve falls back to the plain
+    step G(z) on A.
     """
     gz = G(z)
     active = np.flatnonzero(gz > z)
@@ -162,7 +163,7 @@ def _newton_step(G: _GEvaluator, z: np.ndarray) -> np.ndarray:
     if active.size:
         J = G.jacobian(z)
         J = (J.toarray()[np.ix_(active, active)] if z.size <= _DENSE_CUTOFF
-             else J[active][:, active])
+             else J.tocsr()[active][:, active])
         rhs = gz[active] - z[active]
         dz = _solve_i_minus(J, rhs)
         z1[active] += dz if np.isfinite(dz).all() else rhs
@@ -233,12 +234,10 @@ def iterate_extinction(model: BrwModel, target="global", tol=1e-12, max_iter=200
     if missing or not A:
         raise ModelError(f"target must be a nonempty set of model vertices; "
                          f"not in the model: {missing[:5]}")
-    from scipy.sparse import csgraph
-
     # Anc(A): vertices at finite distance from A in the reversed moment graph
-    dist = csgraph.dijkstra(moment_matrix(model).csr.T, indices=[model.index[v] for v in A],
-                            unweighted=True, min_only=True)
-    anc = np.flatnonzero(np.isfinite(dist))
+    a = moment_matrix(model).arrays
+    reverse = _CsrArrays.from_entries(a.indices, a.rows, a.data, a.shape)
+    anc = np.flatnonzero(np.isfinite(_hops(reverse, [model.index[v] for v in A])))
     q_anc, diag = _least_fixed_point(
         _evaluator(restrict_model(model, [model.vertices[i] for i in anc])), tol, max_iter)
     q = np.ones(model.size)
@@ -299,7 +298,7 @@ def check_mean_condition(model: BrwModel, v, x0) -> MeanConditionReport:
     i0 = _index_of(model.index, x0, "x0")
     M = moment_matrix(model)
     v = as_field(model, v)
-    mv = M.csr.dot(v)
+    mv = M.arrays.dot(v)
     slack = mv - v
     holds = bool(np.all(slack >= -_SLACK_TOL))
     x0_pos = v[i0] > 0.0
@@ -518,7 +517,7 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
 
     cls = K._class_matrix(x0)
     lambda_s, s_ends = math.inf, (math.inf,)        # no return paths: rho = 0
-    if cls.csr.nnz:
+    if cls.arrays.data.size:
         def narrow(low, high):
             lo, hi = _reciprocal_bracket(low, high)
             return hi - lo <= width
@@ -560,11 +559,11 @@ def counterpart_model(rates: MomentMatrix, lam) -> BrwModel:
     """Materialize the generation-chain model of rate matrix lam * K
     (``continuous_counterpart`` at every vertex)."""
     laws = {}
-    csr = rates.csr
+    a = rates.arrays
     for v in rates.vertices:
         i = rates.index[v]
-        lo, hi = csr.indptr[i], csr.indptr[i + 1]
-        row = {rates.vertices[j]: float(w) for j, w in zip(csr.indices[lo:hi], csr.data[lo:hi])}
+        lo, hi = a.indptr[i], a.indptr[i + 1]
+        row = {rates.vertices[j]: float(w) for j, w in zip(a.indices[lo:hi], a.data[lo:hi])}
         if not row:
             raise ModelError(f"vertex {v!r} has zero total rate")
         laws[v] = continuous_counterpart(lam, row)

@@ -280,7 +280,7 @@ def _atom_configs(table, V):
     at vertex x lands in x's block at (a, slot of its column among x's)."""
     ptr, counts = table.atom_ptr, table.counts
     atoms = np.diff(ptr)                                            # per vertex
-    atom_of = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+    atom_of = counts.rows
     owner = np.repeat(np.arange(V), atoms)[atom_of]
     reached, at = np.unique(owner * V + counts.indices, return_inverse=True)
     width = np.bincount(reached // V, minlength=V)                  # U per vertex

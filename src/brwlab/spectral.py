@@ -19,6 +19,13 @@ v <- (M + I)v, which converges for periodic classes too, when the caller
 Linear solves (I - A) x = b, the generating series and Newton steps
 alike, run through ``_solve_i_minus``: dense up to ``_DENSE_CUTOFF``
 unknowns, sparse above.
+
+A moment matrix holds plain csr arrays (``core._CsrArrays``).  Up to
+``_DENSE_CUTOFF`` = 400 vertices its products, dense class blocks and
+strong components (Tarjan's algorithm) run in numpy; above it they and the
+solves run through scipy, imported where they run.  Periods take
+breadth-first levels in plain Python at any size.  ``MomentMatrix.csr`` is
+scipy's matrix, built on first access.
 """
 
 from __future__ import annotations
@@ -29,10 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BrwModel, ModelError, _index_of, _real, _whole, law_table
+from .core import (_DENSE_CUTOFF, BrwModel, ModelError, _CsrArrays, _hops, _index_of, _real,
+                   _strong_labels, _whole, law_table)
 
-# below this dimension matrix powers and series solves run dense, which is faster
-_DENSE_CUTOFF = 400
 _REL_TOL = 1e-3     # converged: the last three ratios (or a bracket's ends) agree to this
 _UNIT_ROUNDOFF = 2.0 ** -53
 _CW_STEPS = 5_000   # step budget of the shifted Collatz-Wielandt iteration
@@ -44,44 +50,54 @@ _STOP_TOL = 1e-13   # power iteration stops once three stride-ratios agree to th
 # ---------------------------------------------------------------------------
 
 class MomentMatrix:
-    """Sparse nonnegative matrix of expected offspring counts m_xy."""
+    """Sparse nonnegative matrix of expected offspring counts m_xy.
+
+    ``arrays`` holds it as canonical csr arrays, read from a 2-D array of
+    real numbers or a scipy sparse matrix; ``csr`` is the scipy matrix,
+    built on first access.  Duplicate vertex labels, a shape that does not
+    match them, entries that are not real numbers and negative or
+    non-finite entries raise ModelError.
+    """
 
     def __init__(self, matrix, vertices):
-        from scipy.sparse import csr_matrix, issparse
-
         self.vertices = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self.dim = len(self.vertices)
-        self.csr = matrix.tocsr() if issparse(matrix) else csr_matrix(np.asarray(matrix, dtype=float))
-        if self.csr.shape != (self.dim, self.dim):
-            raise ModelError("matrix shape does not match the vertex list")
-        if self.csr.nnz and not (self.csr.data.min() >= 0 and self.csr.data.max() < math.inf):
+        if len(self.index) != self.dim:
+            raise ModelError("duplicate vertex labels")
+        if not isinstance(matrix, _CsrArrays):
+            sparse = hasattr(matrix, "tocsr")           # a scipy sparse matrix
+            a = matrix if sparse else np.asarray(matrix)
+            if a.dtype.kind not in "iuf":
+                raise ModelError(f"matrix entries must be real numbers, got {a.dtype}")
+            if a.shape != (self.dim, self.dim):
+                raise ModelError("matrix shape does not match the vertex list")
+            if sparse:
+                a = a.tocsr().astype(float)             # a copy, made canonical in place
+                a.sum_duplicates()
+                a.eliminate_zeros()
+                matrix = _CsrArrays(a.data, a.indices, a.indptr, a.shape)
+            else:
+                rows, cols = np.nonzero(a)
+                matrix = _CsrArrays.from_entries(rows, cols, a[rows, cols].astype(float), a.shape)
+        if matrix.data.size and not (matrix.data.min() >= 0 and matrix.data.max() < math.inf):
             raise ModelError("negative or non-finite weight in a moment matrix")  # NaN too
+        self.arrays = matrix
         self._labels = None
         self._classes = {}      # strong-component label -> that class's MomentMatrix
         self._period = None     # set on an irreducible matrix (a class) once computed
 
-    @staticmethod
-    def from_rows(rows: dict, vertices) -> "MomentMatrix":
-        from scipy.sparse import csr_matrix
-
-        vertices = tuple(vertices)
-        index = {v: i for i, v in enumerate(vertices)}
-        r, c, d = [], [], []
-        for v, row in rows.items():
-            for u, w in row.items():
-                if w != 0.0:
-                    r.append(_index_of(index, v, "row"))
-                    c.append(_index_of(index, u, "column"))
-                    d.append(float(w))
-        n = len(vertices)
-        return MomentMatrix(csr_matrix((d, (r, c)), shape=(n, n)), vertices)
-
-    def entry(self, x, y) -> float:
-        return float(self.csr[_index_of(self.index, x, "x"), _index_of(self.index, y, "y")])
+    @property
+    def csr(self):
+        """The scipy csr matrix, built on first access."""
+        return self.arrays.tocsr()
 
     def row_sums(self) -> np.ndarray:
-        return np.asarray(self.csr.sum(axis=1)).ravel()
+        """Each row's entries added by ``np.add.reduceat``, as scipy's row sum does."""
+        a, out = self.arrays, np.zeros(self.dim)
+        filled = np.flatnonzero(np.diff(a.indptr))
+        out[filled] = np.add.reduceat(a.data, a.indptr[filled])
+        return out
 
     def max_row_sum(self) -> float:
         return float(self.row_sums().max()) if self.dim else 0.0
@@ -94,14 +110,17 @@ class MomentMatrix:
 
     def _cut(self, idx) -> "MomentMatrix":
         """The principal submatrix on the ascending indices idx."""
-        return MomentMatrix(self.csr[idx][:, idx], [self.vertices[i] for i in idx.tolist()])
+        a, new = self.arrays, np.full(self.dim, -1)
+        new[idx] = np.arange(idx.size)
+        keep = (new[a.rows] >= 0) & (new[a.indices] >= 0)
+        return MomentMatrix(
+            _CsrArrays.from_entries(new[a.rows[keep]], new[a.indices[keep]], a.data[keep],
+                                    (idx.size, idx.size)),
+            [self.vertices[i] for i in idx.tolist()])
 
     def _strong_labels(self):
         if self._labels is None:
-            from scipy.sparse import csgraph
-
-            _, self._labels = csgraph.connected_components(
-                self.csr, directed=True, connection="strong")
+            self._labels = _strong_labels(self.arrays)
         return self._labels
 
     def _class_matrix(self, x) -> "MomentMatrix":
@@ -116,9 +135,6 @@ class MomentMatrix:
             cls._labels = np.zeros(cls.dim, labels.dtype)     # irreducible by construction
         return self._classes[lab]
 
-    def communicating_class(self, x):
-        return self._class_matrix(x).vertices
-
     def is_irreducible(self) -> bool:
         return self.dim > 0 and not self._strong_labels().any()
 
@@ -127,12 +143,9 @@ class MomentMatrix:
         cls = self._class_matrix(x)
         if cls._period is None:
             # a class invariant: gcd over edges of level(u) + 1 - level(v), BFS from 0
-            from scipy.sparse import csgraph
-
-            level = csgraph.shortest_path(cls.csr, method="D", unweighted=True,
-                                          indices=0).astype(np.int64)
-            coo = cls.csr.tocoo()
-            cls._period = int(abs(np.gcd.reduce(level[coo.row] + 1 - level[coo.col])))
+            a = cls.arrays
+            level = _hops(a, [0]).astype(np.int64)
+            cls._period = int(abs(np.gcd.reduce(level[a.rows] + 1 - level[a.indices])))
         return cls._period
 
 
@@ -153,9 +166,8 @@ def expected_population(M: MomentMatrix, eta0, n: int) -> np.ndarray:
     u = np.zeros(M.dim)
     for v, c in eta0.items():
         u[_index_of(M.index, v, "start vertex")] = _real(c, 0, f"start count at {v!r}")
-    mat_t = M.csr.T
     for _ in range(n):
-        u = mat_t.dot(u)
+        u = M.arrays.tdot(u)
     return u
 
 
@@ -208,7 +220,7 @@ def _log_sequence(M, start_idx, read, stride, n_max):
     stride-ratios are stable to _STOP_TOL three times in a row.
     """
     dense = M.dim <= _DENSE_CUTOFF      # u -> u @ M, dense below the cutoff
-    mat = M.csr.toarray() if dense else M.csr.T.tocsr()
+    mat = M.arrays.toarray() if dense else M.csr.T.tocsr()
     u = np.zeros(M.dim)
     u[start_idx] = 1.0
     logscale = 0.0
@@ -330,7 +342,7 @@ def _class_block(M: MomentMatrix, x, lam):
     """lam * M on x's class (dense up to _DENSE_CUTOFF vertices) and x's index in it."""
     lam = _real(lam, 0, "lam")
     cls = M._class_matrix(x)
-    block = cls.csr.toarray() if cls.dim <= _DENSE_CUTOFF else cls.csr
+    block = cls.arrays.toarray() if cls.dim <= _DENSE_CUTOFF else cls.csr
     return block * lam, cls.index[x]
 
 
@@ -400,7 +412,7 @@ def _perron_bracket(cls: MomentMatrix, done=None):
     intersection over iterates.  The iteration stops once done(low, high)
     holds or after _CW_STEPS steps; None when no iterate certified.
     """
-    A, tiny = cls.csr, np.finfo(float).tiny
+    A, tiny = cls.arrays, np.finfo(float).tiny
     a_min = A.data[A.data > 0].min()
     if cls.dim <= _DENSE_CUTOFF:
         D = A.toarray()
@@ -414,7 +426,7 @@ def _perron_bracket(cls: MomentMatrix, done=None):
     low, high = -math.inf, math.inf
     v, ratios = np.ones(cls.dim), np.empty(cls.dim)     # both reused at every step
     for _ in range(_CW_STEPS):
-        av = A @ v
+        av = A.dot(v)
         if v.min() * a_min >= tiny:
             lo, hi = _widened(np.divide(av, v, out=ratios), terms)
             low, high = max(low, lo), min(high, hi)
@@ -429,7 +441,7 @@ def _window_growth(W: MomentMatrix, x0, n_max) -> GrowthEstimate:
     """Perron bracket of x0's class in W when it has an edge and at most
     _DENSE_CUTOFF vertices and v certifies; ``local_growth_rate`` otherwise."""
     cls = W._class_matrix(x0)
-    if cls.csr.nnz and cls.dim <= _DENSE_CUTOFF:
+    if cls.arrays.data.size and cls.dim <= _DENSE_CUTOFF:
         bracket = _perron_bracket(cls)
         if bracket is not None:
             low, high = bracket

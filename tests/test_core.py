@@ -33,13 +33,18 @@ def law_from(atom_dicts):
     return build_offspring_law([(OffspringConfig.make(c), p) for c, p in atom_dicts])
 
 
+def entry(M, x, y) -> float:
+    """m_xy of a moment matrix, read off its scipy form."""
+    return float(M.csr[M.index[x], M.index[y]])
+
+
 def mean_row(law):
     """The moment-matrix row of a vertex carrying ``law``, in a model where
     every vertex it reaches dies."""
     x = min(law.support, default=0) - 1
     death = law_from([({}, 1.0)])
     M = moment_matrix(BrwModel((x, *law.support), {x: law, **{v: death for v in law.support}}))
-    return {v: M.entry(x, v) for v in law.support}
+    return {v: entry(M, x, v) for v in law.support}
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +343,24 @@ class TestThinningPmf:
         """)
         assert _fresh_python(code).splitlines()[-1] == "[]"
 
+    def test_analysis_leaves_scipy_out_up_to_the_dense_cutoff(self, tmp_path):
+        # the four analysis subcommands on every default scenario of at most
+        # 400 vertices (all but tree_counterpart), and the bench's moment
+        # recursion on zd_translation radius 10, load no scipy module
+        code = textwrap.dedent(f"""
+            import contextlib, io, os, sys
+            import brwlab as bl, brwlab.cli
+            for name in sorted(set(bl.SCENARIOS) - {{"tree_counterpart"}}):
+                for cmd in ("classify", "extinction", "spectral", "spatial"):
+                    out = os.path.join({str(tmp_path)!r}, name + "-" + cmd)
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        assert brwlab.cli.main([cmd, "--scenario", name, "--out", out]) == 0
+            M = bl.moment_matrix(bl.build_scenario("zd_translation", {{"radius": 10}}))
+            bl.expected_population(M, {{0: 1}}, 8)
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """)
+        assert _fresh_python(code).splitlines()[-1] == "[]"
+
 
 def _fresh_python(code) -> str:
     """Standard output of ``code`` run by a new interpreter that imports this brwlab."""
@@ -408,7 +431,7 @@ class TestRestrictModel:
         M, Ms = moment_matrix(m), moment_matrix(sub)
         for x in sub.vertices:
             for y in sub.vertices:
-                assert Ms.entry(x, y) == pytest.approx(M.entry(x, y), abs=1e-12)
+                assert entry(Ms, x, y) == pytest.approx(entry(M, x, y), abs=1e-12)
 
     def test_idempotent_and_commutes(self):
         m = build_scenario("zd_translation", {"radius": 5})
@@ -472,9 +495,9 @@ class TestScenarios:
         m = build_scenario("zdrift", {"radius": 4, "p": 0.3, "q": 0.2, "rho_bar": 1.5})
         M = moment_matrix(m)
         rb = m.laws[0].rho_bar
-        assert M.entry(0, 1) == pytest.approx(0.3 * rb, abs=1e-12)
-        assert M.entry(0, -1) == pytest.approx(0.2 * rb, abs=1e-12)
-        assert M.entry(0, 0) == pytest.approx(0.5 * rb, abs=1e-12)
+        assert entry(M, 0, 1) == pytest.approx(0.3 * rb, abs=1e-12)
+        assert entry(M, 0, -1) == pytest.approx(0.2 * rb, abs=1e-12)
+        assert entry(M, 0, 0) == pytest.approx(0.5 * rb, abs=1e-12)
 
     def test_zdrift_invalid_params(self):
         with pytest.raises(ModelError):

@@ -8,7 +8,8 @@ is read somewhere in ``src/``, ``tests/``, ``bench/`` or ``demos/`` (the
 package's re-export in ``__init__`` is not a read), and every public method
 or property of a module-level class is read there as an attribute.  A
 deletion that leaves a helper, an import, a function or a method behind
-fails here.
+fails here.  So does a scipy import outside a function body, which would
+load scipy with ``import brwlab``.
 """
 
 import ast
@@ -115,6 +116,34 @@ def test_every_public_method_is_read():
     assert dead == [], "public methods that nothing reads as an attribute"
 
 
+def _scipy_imports(tree):
+    """Each import statement in tree that imports from scipy."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield node
+
+
+def _scipy_imports_outside_functions(tree):
+    """Line numbers of the scipy imports in tree that no function body holds."""
+    inside = {id(node) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              for node in _scipy_imports(f)}
+    return [node.lineno for node in _scipy_imports(tree) if id(node) not in inside]
+
+
+def test_scipy_is_imported_inside_functions_only():
+    # ``import brwlab`` and every path up to the dense cut-off load no scipy
+    # module, so scipy may be imported only where a function needs it
+    stray = [(module, line) for module, tree in MODULES.items()
+             for line in _scipy_imports_outside_functions(tree)]
+    assert stray == [], "scipy imported outside a function body"
+
+
 def test_the_check_sees_dead_code():
     tree = ast.parse("import os\nimport numpy as np\n_DEAD = 1\n\ndef _used():\n    return np\n"
                      "\ndef f():\n    return _used()\n")
@@ -128,3 +157,7 @@ def test_the_check_sees_dead_code():
     tree = ast.parse("def used():\n    return 1\n\ndef dead():\n    return used()\n\n"
                      "class Dead:\n    pass\n\n\nclass Used:\n    pass\n\n\nx: Used = dead\n")
     assert [n for n, _ in _public_definitions(tree) if n not in _loaded_names(tree)] == ["Dead"]
+    tree = ast.parse("import scipy.sparse\nfrom scipy import special\n\nclass C:\n"
+                     "    from scipy.linalg import eig\n\n    def f(self):\n"
+                     "        from scipy.sparse import csgraph\n        return csgraph\n")
+    assert _scipy_imports_outside_functions(tree) == [1, 2, 5]

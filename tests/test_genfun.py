@@ -469,7 +469,7 @@ class TestGrouping:
             scale[i] = np.polynomial.polynomial.polyval(
                 pz[i:i + 1], np.polynomial.polynomial.polyder(coeffs))[0]
         assert ev(z).tobytes() == np.clip(g, 0.0, 1.0).tobytes()
-        J = ev.P.multiply(scale[:, None]).toarray()
+        J = ev.P.tocsr().multiply(scale[:, None]).toarray()
         assert ev.jacobian(z).toarray().tobytes() == J.tobytes()
 
 

@@ -93,7 +93,7 @@ class TestStep:
         R = 100_000
         means, _ = mean_curve(m, {0: 1}, 1, R, seed=11)
         M = moment_matrix(m)
-        row = {v: M.entry(0, v) for v in m.vertices}
+        row = {v: float(M.csr[M.index[0], i]) for v, i in M.index.items()}
         for v in m.vertices:
             law = m.laws[0]
             var = law.rho.variance * 0.25 + law.rho_bar * 0.25 * (1 - 0.25)  # not exact; bound below
