@@ -28,7 +28,6 @@ from .spectral import (
 )
 from .genfun import (
     SurvivalReport,
-    check_mean_condition,
     check_subsolution,
     classify_survival,
     counterpart_model,

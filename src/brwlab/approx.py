@@ -226,7 +226,9 @@ def spatial_experiment(model: BrwModel, exhaustion, x0) -> SpatialResult:
 
 
 def ball_exhaustion(model: BrwModel, x0, radii):
-    """Graph-distance balls around x0 in the moment graph, one per radius."""
+    """Graph-distance balls around x0 in the moment graph, one per radius
+    (each a whole number of at least 0)."""
+    radii = [_whole(r, 0, "a radius") for r in radii]
     M = moment_matrix(model)
     a = M.arrays
     und = _CsrArrays.from_entries(np.concatenate([a.rows, a.indices]),

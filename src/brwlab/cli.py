@@ -46,7 +46,7 @@ _TEXT = partial(scenarios._typed, str)
 
 
 def _radii(value, what):
-    return [_ANY(r, what=what) for r in scenarios._typed(list, value, what)]
+    return [_whole(r, 0, what) for r in scenarios._typed(list, value, what)]
 
 
 def _cap_list(value, what):

@@ -24,8 +24,6 @@ import numpy as np
 
 PROB_TOL = 1e-12
 
-# Materializing atoms of a factorized law is only allowed below this count.
-MAX_MATERIALIZED_ATOMS = 500_000
 _MAX_DENSE = 1_000_000      # the longest coefficient array dense_probs builds
 # Thinning costs support_max**2 / 2 multiply-adds: at this bound about
 # 0.15 s on a 2-vCPU Xeon VM, and four times that at twice it.
@@ -93,15 +91,6 @@ class OffspringConfig:
     def support(self):
         return tuple(v for v, _ in self.entries)
 
-    def count(self, vertex) -> int:
-        for v, c in self.entries:
-            if v == vertex:
-                return c
-        return 0
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
     def restrict(self, keep) -> "OffspringConfig":
         return OffspringConfig(tuple((v, c) for v, c in self.entries if v in keep))
 
@@ -129,8 +118,8 @@ class IntDistribution:
 
     def _init_sparse(self, values, probs, normalize):
         probs = np.asarray(probs, dtype=float)
-        if np.any(probs < -PROB_TOL):
-            raise ModelError("negative probability in integer distribution")
+        if not np.all(np.isfinite(probs) & (probs >= -PROB_TOL)):   # NaN fails too
+            raise ModelError("probabilities must be finite and not negative")
         probs = np.clip(probs, 0.0, None)
         s = probs.sum()
         if normalize:
@@ -149,8 +138,13 @@ class IntDistribution:
 
     @staticmethod
     def from_values(values, probs, normalize=False) -> "IntDistribution":
+        """The law putting probs[i] on values[i]: distinct whole numbers of
+        at least 0 (an integer array; floats and bools are refused)."""
         d = IntDistribution.__new__(IntDistribution)
-        values = np.asarray(values, dtype=np.int64)
+        values = np.asarray(values)
+        if values.size and values.dtype.kind not in "iu":
+            raise ModelError(f"values must be whole numbers, got {values.dtype} entries")
+        values = values.astype(np.int64)            # a uint64 above 2**63 - 1 turns negative
         if values.size and (np.any(values < 0) or len(np.unique(values)) != values.size):
             raise ModelError("values must be distinct nonnegative integers")
         d._init_sparse(values, probs, normalize)
@@ -207,15 +201,6 @@ class IntDistribution:
         m = self.mean
         return float(np.dot((self.values.astype(float) - m) ** 2, self.probs))
 
-    def prob_of(self, n) -> float:
-        i = np.searchsorted(self.values, int(n))
-        if i < self.values.size and self.values[i] == int(n):
-            return float(self.probs[i])
-        return 0.0
-
-    def as_dict(self) -> dict:
-        return {int(v): float(p) for v, p in zip(self.values, self.probs)}
-
     def dense_probs(self) -> np.ndarray:
         """Coefficient array indexed by value; supports above _MAX_DENSE raise."""
         if self.support_max + 1 > _MAX_DENSE:
@@ -228,14 +213,6 @@ class IntDistribution:
         """P(X >= n)."""
         i = np.searchsorted(self.values, int(n))
         return float(self.probs[i:].sum())
-
-    def pgf(self, s):
-        """Evaluate the probability generating function at s (scalar or array)."""
-        s = np.asarray(s, dtype=float)
-        with np.errstate(invalid="ignore"):
-            terms = np.power(s[..., None], self.values.astype(float))
-        # 0^0 = 1 by convention; numpy already honours it for power
-        return np.dot(terms, self.probs) if s.ndim else float(np.dot(terms, self.probs))
 
     def thinned(self, keep_prob) -> "IntDistribution":
         """Law of a binomial thinning: each unit kept independently w.p. keep_prob.
@@ -262,14 +239,6 @@ class IntDistribution:
             out[0] = r * out[0] + p[v]
         return IntDistribution(out, normalize=True)
 
-    def allclose(self, other) -> bool:
-        """Equal within PROB_TOL at every value of either support."""
-        union = np.union1d(self.values, other.values)
-        for v in union:
-            if abs(self.prob_of(v) - other.prob_of(v)) > PROB_TOL:
-                return False
-        return True
-
     def __repr__(self):
         return f"IntDistribution(max={self.support_max}, mean={self.mean:.6g})"
 
@@ -290,21 +259,22 @@ class ProductForm:
 class OffspringLaw:
     """One vertex's reproduction law.
 
-    Exactly one of (atoms, product) backs the instance.  The derived
-    child-count law rho is cached; ``atoms`` materializes the configuration
-    list on demand (guarded for factorized laws).
+    Exactly one of (atoms, product) backs the instance, and the other is
+    None: ``atoms`` is the (config, probability) tuple of an atom law, and a
+    product-form law's configurations are never listed.  The derived
+    child-count law rho is computed once.
     """
 
-    __slots__ = ("_atoms", "product", "rho")
+    __slots__ = ("atoms", "product", "rho")
 
     def __init__(self, atoms=None, product=None):
         if (atoms is None) == (product is None):
             raise ModelError("law needs exactly one of atoms / product form")
-        self._atoms = tuple(atoms) if atoms is not None else None
+        self.atoms = tuple(atoms) if atoms is not None else None
         self.product = product
-        if self._atoms is not None:
+        if self.atoms is not None:
             totals = {}
-            for cfg, p in self._atoms:
+            for cfg, p in self.atoms:
                 totals[cfg.total] = totals.get(cfg.total, 0.0) + p
             self.rho = IntDistribution.from_dict(totals)
         else:
@@ -313,46 +283,13 @@ class OffspringLaw:
     # -- derived quantities -------------------------------------------------
 
     @property
-    def rho_bar(self) -> float:
-        return self.rho.mean
-
-    @property
     def support(self):
         if self.product is not None:
             return tuple(t for t, w in zip(self.product.targets, self.product.weights) if w > 0)
         seen = set()
-        for cfg, _ in self._atoms:
+        for cfg, _ in self.atoms:
             seen.update(cfg.support)
         return tuple(sorted(seen))
-
-    @property
-    def atoms(self):
-        """Explicit (config, probability) list; enumerates factorized laws."""
-        if self._atoms is not None:
-            return self._atoms
-        return self._materialize()
-
-    def _materialize(self):
-        pf = self.product
-        targets = [t for t, w in zip(pf.targets, pf.weights) if w > 0]
-        weights = [w for w in pf.weights if w > 0]
-        count = sum(math.comb(int(n) + len(targets) - 1, len(targets) - 1)
-                    for n in pf.rho.values)
-        if count > MAX_MATERIALIZED_ATOMS:
-            raise ModelError(f"refusing to enumerate {count} atoms of a factorized law")
-        atoms = []
-        for n, pn in zip(pf.rho.values, pf.rho.probs):
-            if pn == 0.0:
-                continue
-            for cfg, mult in _compositions(int(n), targets):
-                prob = pn * mult
-                for t, w in zip(targets, weights):
-                    c = cfg.get(t, 0)
-                    if c:
-                        prob *= w ** c
-                if prob > 0:
-                    atoms.append((OffspringConfig.make(cfg), prob))
-        return tuple(atoms)
 
     # -- transforms ----------------------------------------------------------
 
@@ -369,7 +306,7 @@ class OffspringLaw:
                 tuple(t for t, _ in kept),
                 tuple(w for _, w in kept)))
         merged = {}
-        for cfg, p in self._atoms:
+        for cfg, p in self.atoms:
             r = cfg.restrict(keep)
             merged[r] = merged.get(r, 0.0) + p
         return OffspringLaw(atoms=tuple(merged.items()))
@@ -385,58 +322,12 @@ class OffspringLaw:
                 terms = n * s * (1.0 - s) ** np.maximum(n - 1.0, 0.0)
             terms[n == 0] = 0.0
             return float(np.dot(pf.rho.probs, terms))
-        return sum(p for cfg, p in self._atoms
+        return sum(p for cfg, p in self.atoms
                    if sum(c for v, c in cfg.entries if v in subset) == 1)
 
-    def equal_within(self, other) -> bool:
-        """Total-variation equality within PROB_TOL (factorized fast path when possible)."""
-        if self.product is not None and other.product is not None:
-            a, b = self.product, other.product
-            if not a.rho.allclose(b.rho):
-                return False
-            ta = {t: w for t, w in zip(a.targets, a.weights) if w > PROB_TOL}
-            tb = {t: w for t, w in zip(b.targets, b.weights) if w > PROB_TOL}
-            if set(ta) != set(tb):
-                return False
-            return all(abs(ta[t] - tb[t]) <= PROB_TOL for t in ta)
-        da = {cfg: p for cfg, p in self.atoms}
-        db = {cfg: p for cfg, p in other.atoms}
-        tv = 0.0
-        for cfg in set(da) | set(db):
-            tv += abs(da.get(cfg, 0.0) - db.get(cfg, 0.0))
-        return tv / 2.0 <= PROB_TOL
-
     def __repr__(self):
-        kind = "product" if self.product is not None else f"{len(self._atoms)} atoms"
-        return f"OffspringLaw({kind}, rho_bar={self.rho_bar:.6g})"
-
-
-def _compositions(n, targets):
-    """Yield (config dict, multinomial coefficient) over placements of n children."""
-    k = len(targets)
-    if n == 0:
-        yield {}, 1.0
-        return
-
-    def rec(i, remaining, cfg):
-        if i == k - 1:
-            out = dict(cfg)
-            if remaining:
-                out[targets[i]] = remaining
-            yield out
-            return
-        for c in range(remaining + 1):
-            nxt = dict(cfg)
-            if c:
-                nxt[targets[i]] = c
-            yield from rec(i + 1, remaining - c, nxt)
-
-    fact_n = math.factorial(n)
-    for cfg in rec(0, n, {}):
-        denom = 1
-        for c in cfg.values():
-            denom *= math.factorial(c)
-        yield cfg, fact_n / denom
+        kind = "product" if self.product is not None else f"{len(self.atoms)} atoms"
+        return f"OffspringLaw({kind}, rho_bar={self.rho.mean:.6g})"
 
 
 # ---------------------------------------------------------------------------

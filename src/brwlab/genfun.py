@@ -32,10 +32,12 @@ class _GEvaluator:
     Product rows are grouped by equal child-count law: one sparse dispersal
     product plus one polynomial evaluation per group.  Atom rows take one
     pass over the count entries: c log z per entry, one ``add.reduceat`` per
-    atom, ``math.exp`` on each atom's sum (the libm bits of a scalar loop)
-    and one bincount summing each row's atoms.  A model without atom rows,
-    or without product groups, skips that pass.  ``jacobian`` gives G'(z) as
-    csr arrays from the same data.
+    atom, ``math.exp`` on each atom's sum and one bincount summing each
+    row's atoms.  Only that exponential is the C library's: the logarithm is
+    ``np.log``, whose last bits can depend on the SIMD path numpy takes on
+    the host, so G on atom rows can differ between hosts in the last bit.
+    A model without atom rows, or without product groups, skips that pass.
+    ``jacobian`` gives G'(z) as csr arrays from the same data.
     """
 
     def __init__(self, model: BrwModel):
@@ -145,7 +147,6 @@ class IterationDiagnostics:
 _KLEENE_STEPS = 1_000
 _MARGIN = 1e-3              # a growth rate within _MARGIN of 1 is inconclusive
 _Q_BAND = 1e-6              # an extinction probability within _Q_BAND of 1 is read as 1
-_SLACK_TOL, _PROBE_TS = 1e-12, (0.0, 0.5)   # check_mean_condition: Mv = v band, probed t
 
 
 def _newton_step(G: _GEvaluator, z: np.ndarray) -> np.ndarray:
@@ -280,41 +281,6 @@ def check_subsolution(model: BrwModel, z, x0, tol=1e-12) -> SubsolutionReport:
     return SubsolutionReport(violation <= tol and strict, max(violation, 0.0), x0v, strict)
 
 
-@dataclass
-class MeanConditionReport:
-    holds: bool
-    min_slack: float
-    x0_positive: bool
-    equality_vertices: dict  # vertex -> PGF linearity held at the probed t values
-
-
-def check_mean_condition(model: BrwModel, v, x0) -> MeanConditionReport:
-    """First-moment necessary condition Mv >= v with v(x0) > 0.
-
-    Vertices where Mv = v (within _SLACK_TOL) are additionally probed for the
-    matching fixed-line identity G(1-(1-t)v) = 1-(1-t)v at each t of
-    _PROBE_TS; a full functional verification is not attempted.
-    """
-    i0 = _index_of(model.index, x0, "x0")
-    M = moment_matrix(model)
-    v = as_field(model, v)
-    mv = M.arrays.dot(v)
-    slack = mv - v
-    holds = bool(np.all(slack >= -_SLACK_TOL))
-    x0_pos = v[i0] > 0.0
-    equality = {}
-    eq_idx = np.nonzero(np.abs(slack) <= _SLACK_TOL)[0]
-    if eq_idx.size:
-        ok = np.ones(model.size, dtype=bool)
-        for t in _PROBE_TS:
-            w = 1.0 - (1.0 - t) * v
-            gw = eval_G(model, np.clip(w, 0.0, 1.0))
-            ok &= np.abs(gw - w) <= 1e-10
-        for i in eq_idx:
-            equality[model.vertices[i]] = bool(ok[i])
-    return MeanConditionReport(holds and x0_pos, float(slack.min()), x0_pos, equality)
-
-
 # ---------------------------------------------------------------------------
 # survival classification
 # ---------------------------------------------------------------------------
@@ -328,9 +294,6 @@ class SurvivalReport:
     global_method: str               # "projection" | "finite-irreducible" | "fixed-point"
     global_evidence: dict
     notes: list = field(default_factory=list)
-
-    def coherent(self) -> bool:
-        return not (self.local == "survives" and self.global_ == "dies")
 
     def to_text(self) -> str:
         scalars = {k: v for k, v in self.global_evidence.items()
@@ -492,8 +455,9 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
     (ModelError if not): on a finite irreducible window local and global
     survival both hold exactly when rho(lam * K) > 1, so lam_w is lam_s,
     with the same bracket.  A bracket wider than ``width``, or a threshold
-    outside [lam_lo, lam_hi], raises ModelError.  ``stop_tol`` is kept for
-    old callers and bounds nothing.
+    outside [lam_lo, lam_hi], raises ModelError, and so does a ``width`` or
+    a rate of ``grid`` that is not a finite number of at least 0.
+    ``stop_tol`` is kept for old callers and bounds nothing.
 
     ``rates`` is a MomentMatrix, or a rate matrix whose rows and columns
     are labelled by ``vertices``.  The table holds the extinction
@@ -504,6 +468,9 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
     cut at PROB_TOL, and an unconverged solve raises ModelError.  The table
     must be nonincreasing in lam.
     """
+    width = _real(width, 0, "width")
+    lams = (tuple(_real(lam, 0, "a grid rate") for lam in grid) if grid is not None
+            else tuple(np.linspace(lam_lo, lam_hi, 9).tolist()))
     if isinstance(rates, MomentMatrix):
         K = rates
     elif vertices is None:
@@ -546,8 +513,7 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
                                  f"in {diag.iterations} iterations")
             return float(q[model.index[x0]])
 
-    lams = tuple(grid) if grid is not None else tuple(np.linspace(lam_lo, lam_hi, 9))
-    table = tuple((float(l), qbar_at(float(l))) for l in lams)
+    table = tuple((lam, qbar_at(lam)) for lam in lams)
     qvals = [q for _, q in table]
     monotone = all(b <= a + 1e-9 for a, b in zip(qvals, qvals[1:]))
     if not monotone:

@@ -81,7 +81,10 @@ _Z95 = 1.959963984540054                    # the two-sided 95% normal quantile
 
 
 def wilson_interval(successes, n):
-    """95% Wilson score interval for a binomial frequency."""
+    """95% Wilson score interval for a binomial frequency: ``successes`` out
+    of ``n`` trials, whole numbers with 0 <= successes <= n."""
+    n = _whole(n, 0, "n")
+    successes = _whole(successes, 0, "successes", below=n + 1)
     if n == 0:
         return (0.0, 1.0)
     phat = successes / n

@@ -267,7 +267,9 @@ def local_growth_rate(M: MomentMatrix, x0, n_max=2000) -> GrowthEstimate:
     Off-period powers of a periodic class are identically zero, so the roots
     are taken along n = 0 mod period(x0); the value is the Aitken-accelerated
     ratio of on-period terms, converged when the last three agree to _REL_TOL.
+    ``n_max`` is a whole number of at least twice the period.
     """
+    n_max = _whole(n_max, 1, "n_max")
     cls = M._class_matrix(x0)
     p = M.period(x0)
     if p == 0:
@@ -285,11 +287,10 @@ def global_growth_rate(M: MomentMatrix, x0, n_max=2000) -> GrowthEstimate:
 
     A collapse of the iterate to zero (possible on nilpotent reachable sets)
     pins the estimate to 0.  Oscillating ratios are re-sampled at strides
-    2..6 before giving up on convergence (``_REL_TOL``).
+    2..6 before giving up on convergence (``_REL_TOL``).  ``n_max`` is a
+    whole number of at least 2.
     """
-    i0 = _index_of(M.index, x0, "x0")
-    if n_max < 2:
-        raise ModelError("n_max must be at least 2")
+    i0, n_max = _index_of(M.index, x0, "x0"), _whole(n_max, 2, "n_max")
     for stride in (1, 2, 3, 4, 5, 6):
         logs = _log_sequence(M, i0, np.add.reduce, stride, n_max)
         if logs and not math.isfinite(logs[-1][1]):

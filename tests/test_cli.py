@@ -344,6 +344,14 @@ class TestSpatialSpectral:
         header = (tmp_path / "spatial.csv").read_text().splitlines()[0]
         assert header == "index,window_size,growth,growth_low,growth_high,converged,verdict"
 
+    def test_radii_are_whole_numbers_of_at_least_0(self, tmp_path, capsys):
+        # [-1, 2] exited 2 with "x0=0 missing from an exhaustion member"
+        code = run_cli(["spatial", "--scenario", "zd_translation", "--set", "radii=[-1, 2]",
+                        "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: radii must be a whole number in [0,")
+        assert not any(tmp_path.iterdir())
+
     def test_spectral_runs(self, tmp_path, capsys):
         code = run_cli(["spectral", "--scenario", "zd_translation",
                         "--set", "param.radius=5", "--out", str(tmp_path)])

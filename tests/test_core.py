@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import itertools
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brwlab.core import (
+    PROB_TOL,
     BrwModel,
     IntDistribution,
     ModelError,
@@ -24,6 +26,7 @@ from brwlab.core import (
     product_form_law,
     restrict_model,
 )
+from brwlab.genfun import eval_G
 from brwlab.scenarios import SCENARIOS, build_scenario, line_noext_search, scenario_table
 from brwlab.serialize import serialize_model
 from brwlab.spectral import moment_matrix
@@ -38,13 +41,44 @@ def entry(M, x, y) -> float:
     return float(M.csr[M.index[x], M.index[y]])
 
 
-def mean_row(law):
-    """The moment-matrix row of a vertex carrying ``law``, in a model where
-    every vertex it reaches dies."""
+def one_law_model(law):
+    """A model whose first vertex carries ``law`` and every vertex it reaches dies."""
     x = min(law.support, default=0) - 1
     death = law_from([({}, 1.0)])
-    M = moment_matrix(BrwModel((x, *law.support), {x: law, **{v: death for v in law.support}}))
-    return {v: entry(M, x, v) for v in law.support}
+    return BrwModel((x, *law.support), {x: law, **{v: death for v in law.support}})
+
+
+def mean_row(law):
+    """The moment-matrix row of a vertex carrying ``law``."""
+    m = one_law_model(law)
+    M = moment_matrix(m)
+    return {v: entry(M, m.vertices[0], v) for v in law.support}
+
+
+def g_row(law, z):
+    """G(z) at a vertex carrying ``law``, for z a dict vertex -> value."""
+    m = one_law_model(law)
+    return float(eval_G(m, [0.0] + [z[v] for v in law.support])[0])
+
+
+def pmf(d) -> dict:
+    """value -> probability of an IntDistribution."""
+    return dict(zip(d.values.tolist(), d.probs.tolist()))
+
+
+def close(a: dict, b: dict) -> bool:
+    """Equal within PROB_TOL at every key of either dict, a missing key read as 0."""
+    return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= PROB_TOL for k in a.keys() | b.keys())
+
+
+def same_law(a, b) -> bool:
+    """Two product laws with close child-count laws and dispersal rows, or two
+    atom laws with close atoms."""
+    if a.product is not None and b.product is not None:
+        return (close(pmf(a.rho), pmf(b.rho))
+                and close(dict(zip(a.product.targets, a.product.weights)),
+                          dict(zip(b.product.targets, b.product.weights))))
+    return close(dict(a.atoms), dict(b.atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -54,14 +88,13 @@ def mean_row(law):
 class TestBuildOffspringLaw:
     def test_deterministic_doubling(self):
         law = law_from([({0: 2}, 1.0)])
-        assert law.rho.prob_of(2) == 1.0
-        assert law.rho_bar == 2.0
+        assert pmf(law.rho) == {2: 1.0}
+        assert law.rho.mean == 2.0
 
     def test_two_atom_sums(self):
         law = law_from([({}, 0.5), ({0: 1, 1: 1}, 0.5)])
-        assert law.rho.prob_of(0) == 0.5
-        assert law.rho.prob_of(2) == 0.5
-        assert law.rho_bar == pytest.approx(1.0)
+        assert pmf(law.rho) == {0: 0.5, 2: 0.5}
+        assert law.rho.mean == pytest.approx(1.0)
         assert mean_row(law) == pytest.approx({0: 0.5, 1: 0.5})
 
     def test_bad_probability_sum(self):
@@ -106,22 +139,24 @@ class TestBuildOffspringLaw:
 
 
 class TestProductForm:
+    # a product law lists no configurations; G factorizes through the
+    # dispersal row, and these pin it against the multinomial expansion
     def test_single_child(self):
         law = product_form_law({1: 1.0}, {5: 1.0})
-        assert dict(law.atoms[0][0].entries) == {5: 1}
-        assert law.atoms[0][1] == pytest.approx(1.0)
+        assert law.atoms is None and law.support == (5,) and pmf(law.rho) == {1: 1.0}
+        for t in (0.0, 0.3, 1.0):
+            assert g_row(law, {5: t}) == pytest.approx(t, abs=1e-15)
 
     def test_multinomial_expansion(self):
+        # atoms {}: 0.5, {0: 2}: 0.125, {0: 1, 1: 1}: 0.25, {1: 2}: 0.125
         law = product_form_law({0: 0.5, 2: 0.5}, {0: 0.5, 1: 0.5})
-        got = {cfg.entries: p for cfg, p in law.atoms}
-        assert got[()] == pytest.approx(0.5)
-        assert got[((0, 2),)] == pytest.approx(0.125)
-        assert got[((0, 1), (1, 1))] == pytest.approx(0.25)
-        assert got[((1, 2),)] == pytest.approx(0.125)
+        for a, b in ((0.0, 0.0), (0.3, 0.8), (1.0, 0.2), (1.0, 1.0)):
+            want = 0.5 + 0.125 * a * a + 0.25 * a * b + 0.125 * b * b
+            assert g_row(law, {0: a, 1: b}) == pytest.approx(want, abs=1e-15)
 
     def test_atoms_match_brute_force_enumeration(self):
         # independent oracle: enumerate all placements of n labelled children
-        import itertools
+        # into an atom law, which must have the product law's G and means
         rho = {0: 0.2, 1: 0.3, 2: 0.5}
         disp = {0: 0.3, 1: 0.7}
         law = product_form_law(rho, disp)
@@ -135,16 +170,17 @@ class TestProductForm:
                     w *= disp[y]
                 key = tuple(sorted(cfg.items()))
                 brute[key] = brute.get(key, 0.0) + w
-        got = {cfg.entries: p for cfg, p in law.atoms}
-        assert set(got) == set(brute)
-        for key in brute:
-            assert got[key] == pytest.approx(brute[key], abs=1e-14)
+        atoms = law_from([(dict(key), p) for key, p in brute.items()])
+        assert mean_row(law) == pytest.approx(mean_row(atoms), abs=1e-14)
+        for z in np.random.default_rng(7).random((10, 2)):
+            z = dict(zip(disp, z.tolist()))
+            assert g_row(law, z) == pytest.approx(g_row(atoms, z), abs=1e-14)
 
     def test_means_equal_dispersal_times_rho_bar(self):
         rho = {0: 0.25, 1: 0.25, 3: 0.5}
         disp = {0: 0.2, 1: 0.5, 2: 0.3}
         law = product_form_law(rho, disp)
-        rb = law.rho_bar
+        rb = law.rho.mean
         for y, w in disp.items():
             assert mean_row(law)[y] == pytest.approx(w * rb, abs=1e-12)
 
@@ -157,9 +193,10 @@ class TestContinuousCounterpart:
     def test_unit_rate_probabilities(self):
         law = continuous_counterpart(1.0, {0: 1.0})
         # geometric: 1/2, 1/4, 1/8, ...
-        assert law.rho.prob_of(0) == pytest.approx(0.5, abs=1e-12)
-        assert law.rho.prob_of(1) == pytest.approx(0.25, abs=1e-12)
-        assert law.rho.prob_of(2) == pytest.approx(0.125, abs=1e-12)
+        got = pmf(law.rho)
+        assert got[0] == pytest.approx(0.5, abs=1e-12)
+        assert got[1] == pytest.approx(0.25, abs=1e-12)
+        assert got[2] == pytest.approx(0.125, abs=1e-12)
 
     @pytest.mark.parametrize("lam,k", [(0.5, 2.0), (1.0, 1.0), (2.0, 1.7)])
     def test_mean_is_lam_k(self, lam, k):
@@ -167,7 +204,7 @@ class TestContinuousCounterpart:
         # brute sum of the geometric mean identity
         brute = sum(int(v) * p for v, p in zip(law.rho.values, law.rho.probs))
         assert brute == pytest.approx(lam * k, abs=1e-10)
-        assert law.rho_bar == pytest.approx(lam * k, abs=1e-10)
+        assert law.rho.mean == pytest.approx(lam * k, abs=1e-10)
 
     def test_rate_row_means(self):
         law = continuous_counterpart(0.5, {1: 2.0})
@@ -211,6 +248,21 @@ class TestIntDistribution:
         with pytest.raises(ModelError, match="n must be a whole number"):
             IntDistribution.delta(n)
 
+    @pytest.mark.parametrize("build", [
+        lambda: IntDistribution([math.nan, 1.0]),
+        lambda: IntDistribution([math.inf, 1.0], normalize=True),
+        lambda: IntDistribution.from_values([0, 1], [0.5, math.nan]),
+        lambda: IntDistribution.from_values([0.5, 1], [0.5, 0.5]),
+        lambda: IntDistribution.from_values([True], [1.0]),
+        lambda: IntDistribution.from_values(np.array([2 ** 64 - 1], dtype=np.uint64), [1.0]),
+    ], ids=["prob-nan", "prob-inf-normalized", "from-values-prob-nan", "value-half",
+            "value-bool", "value-above-int64"])
+    def test_refuses_non_finite_probabilities_and_non_whole_values(self, build):
+        # [nan, 1.0] was the point mass at 0, [inf, 1.0] too (with a warning
+        # when normalized), and from_values read 0.5 as 0 and True as 1
+        with pytest.raises(ModelError):
+            build()
+
     def test_from_dict_reads_whole_counts(self):
         d = IntDistribution.from_dict({np.int64(2): np.float64(0.75), 0: 0.25})
         assert d.values.tolist() == [0, 2] and d.probs.tolist() == [0.25, 0.75]
@@ -232,7 +284,7 @@ class TestIntDistribution:
         ref = IntDistribution(0.5 ** np.arange(1, n + 2), normalize=True)
         assert t.mean == pytest.approx(1.0, abs=1e-9)
         for k in range(10):
-            assert abs(t.prob_of(k) - ref.prob_of(k)) < 1e-9
+            assert abs(pmf(t).get(k, 0.0) - pmf(ref).get(k, 0.0)) < 1e-9
 
 
 def exact_thinning(d, s):
@@ -382,7 +434,7 @@ class TestDominatingLaw:
     def test_identical_laws(self):
         m = build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}})
         rho = dominating_law(m)
-        assert rho.as_dict() == pytest.approx({0: 0.4, 2: 0.6})
+        assert pmf(rho) == pytest.approx({0: 0.4, 2: 0.6})
 
     def test_tail_difference_example(self):
         laws = {
@@ -391,7 +443,7 @@ class TestDominatingLaw:
         }
         m = BrwModel((0, 1), laws)
         rho = dominating_law(m)
-        assert rho.as_dict() == pytest.approx({1: 0.5, 2: 0.5})
+        assert pmf(rho) == pytest.approx({1: 0.5, 2: 0.5})
 
     def test_dominates_every_vertex(self):
         m = build_scenario("zdrift", {"radius": 4, "p": 0.3, "q": 0.2,
@@ -412,7 +464,7 @@ class TestRestrictModel:
         m = build_scenario("zd_translation", {"radius": 3})
         out = restrict_model(m, m.vertices)
         for v in m.vertices:
-            assert out.laws[v].equal_within(m.laws[v])
+            assert same_law(out.laws[v], m.laws[v])
 
     def test_two_vertex_marginalization(self):
         laws = {
@@ -438,7 +490,7 @@ class TestRestrictModel:
         a = restrict_model(restrict_model(m, range(-4, 5)), range(-2, 3))
         b = restrict_model(m, range(-2, 3))
         for v in b.vertices:
-            assert a.laws[v].equal_within(b.laws[v])
+            assert same_law(a.laws[v], b.laws[v])
 
     def test_empty_restriction_rejected(self):
         m = build_scenario("zd_translation", {"radius": 2})
@@ -494,7 +546,7 @@ class TestScenarios:
     def test_zdrift_projected_row(self):
         m = build_scenario("zdrift", {"radius": 4, "p": 0.3, "q": 0.2, "rho_bar": 1.5})
         M = moment_matrix(m)
-        rb = m.laws[0].rho_bar
+        rb = m.laws[0].rho.mean
         assert entry(M, 0, 1) == pytest.approx(0.3 * rb, abs=1e-12)
         assert entry(M, 0, -1) == pytest.approx(0.2 * rb, abs=1e-12)
         assert entry(M, 0, 0) == pytest.approx(0.5 * rb, abs=1e-12)
@@ -597,7 +649,7 @@ def test_row_sums_equal_rho_bar(model):
     M = moment_matrix(model)
     sums = M.row_sums()
     for v in model.vertices:
-        assert sums[M.index[v]] == pytest.approx(model.laws[v].rho_bar, abs=1e-12)
+        assert sums[M.index[v]] == pytest.approx(model.laws[v].rho.mean, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -616,7 +668,7 @@ def test_restriction_idempotent(model, subset):
     a = restrict_model(model, subset)
     b = restrict_model(a, subset)
     for v in a.vertices:
-        assert a.laws[v].equal_within(b.laws[v])
+        assert same_law(a.laws[v], b.laws[v])
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,18 @@ Every module-level import of a module is read in that module (the package's
 ``__init__`` imports are its public namespace, so they are exempt), every
 module-level private function, class or constant is referenced somewhere in
 ``src/`` besides its definition, every module-level public function or class
-is read somewhere in ``src/``, ``tests/``, ``bench/`` or ``demos/`` (the
-package's re-export in ``__init__`` is not a read), and every public method
-or property of a module-level class is read there as an attribute.  A
-deletion that leaves a helper, an import, a function or a method behind
-fails here.  So does a scipy import outside a function body, which would
-load scipy with ``import brwlab``.
+is read somewhere in ``src/``, ``bench/`` or ``demos/`` (the package's
+re-export in ``__init__`` is not a read), and every public method or property
+of a module-level class is read there as an attribute.  A read from
+``tests/`` does not count: code that only the tests run is dead code with a
+test.  The only exceptions are the names in ``TO_BE_WIRED``.  A deletion that
+leaves a helper, an import, a function or a method behind fails here.  So
+does a scipy import outside a function body, which would load scipy with
+``import brwlab``.
+
+The checks match names, not objects: a method whose name is also read
+elsewhere, for instance a ``count`` or an ``allclose`` that shares its name
+with a list or numpy function, escapes them.
 """
 
 import ast
@@ -20,6 +26,11 @@ import pytest
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "brwlab"
 MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+# public names that only tests read yet, each with the ROADMAP item that gives
+# it a caller in the program
+TO_BE_WIRED = {"survival_probability": "item 1: exact small-window laws",
+               "check_assumption_nonsingular": "item 12: the exact class-graph verdict"}
 
 
 def _attribute_names(tree):
@@ -86,18 +97,21 @@ def _public_definitions(tree):
             yield node.name, node.lineno
 
 
-def _every_tree():
-    """The parsed .py files of src/, tests/, bench/ and demos/."""
-    for path in (REPO / "src", REPO / "tests", REPO / "bench", REPO / "demos"):
+def _program_trees(root=REPO):
+    """The parsed .py files of src/, bench/ and demos/: every reader but the tests."""
+    for path in (root / "src", root / "bench", root / "demos"):
         for file in path.rglob("*.py"):
             yield ast.parse(file.read_text(), str(file))
 
 
 def test_every_public_definition_is_read():
-    read = set().union(*map(_loaded_names, _every_tree()))
+    read = set().union(*map(_loaded_names, _program_trees()))
     dead = [(module, name, line) for module, tree in MODULES.items()
-            for name, line in _public_definitions(tree) if name not in read]
-    assert dead == [], "public functions and classes that nothing reads"
+            for name, line in _public_definitions(tree)
+            if name not in read and name not in TO_BE_WIRED]
+    assert dead == [], "public functions and classes that only tests read, or nothing"
+    # a name that the program reads now leaves TO_BE_WIRED
+    assert sorted(read & set(TO_BE_WIRED)) == []
 
 
 def _public_methods(tree):
@@ -110,10 +124,10 @@ def _public_methods(tree):
 
 
 def test_every_public_method_is_read():
-    read = set().union(*map(_attribute_names, _every_tree()))
+    read = set().union(*map(_attribute_names, _program_trees()))
     dead = [(module, *method) for module, tree in MODULES.items()
             for method in _public_methods(tree) if method[1] not in read]
-    assert dead == [], "public methods that nothing reads as an attribute"
+    assert dead == [], "public methods that only tests read as an attribute, or nothing"
 
 
 def _scipy_imports(tree):
@@ -144,7 +158,7 @@ def test_scipy_is_imported_inside_functions_only():
     assert stray == [], "scipy imported outside a function body"
 
 
-def test_the_check_sees_dead_code():
+def test_the_check_sees_dead_code(tmp_path):
     tree = ast.parse("import os\nimport numpy as np\n_DEAD = 1\n\ndef _used():\n    return np\n"
                      "\ndef f():\n    return _used()\n")
     assert [n for n, _ in _imported_names(tree) if n not in _loaded_names(tree)] == ["os"]
@@ -161,3 +175,17 @@ def test_the_check_sees_dead_code():
                      "    from scipy.linalg import eig\n\n    def f(self):\n"
                      "        from scipy.sparse import csgraph\n        return csgraph\n")
     assert _scipy_imports_outside_functions(tree) == [1, 2, 5]
+    # a function and a method that only a test calls are dead
+    files = {"src/m.py": "def run():\n    return C()\n\n\ndef spare():\n    return 1\n\n\n"
+                         "class C:\n    def step(self):\n        return 1\n\n"
+                         "    def extra(self):\n        return 2\n",
+             "tests/test_m.py": "from m import run, spare\n\nspare()\nrun().extra()\n",
+             "bench/b.py": "from m import run\n\nrun().step()\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    tree = ast.parse(files["src/m.py"])
+    read = set().union(*map(_loaded_names, _program_trees(tmp_path)))
+    assert [n for n, _ in _public_definitions(tree) if n not in read] == ["spare"]
+    read = set().union(*map(_attribute_names, _program_trees(tmp_path)))
+    assert [m for _, m, _ in _public_methods(tree) if m not in read] == ["extra"]

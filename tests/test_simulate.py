@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import hashlib
+import itertools
 import math
 import time
 import tracemalloc
@@ -41,6 +43,18 @@ from brwlab.simulate import (
     wilson_interval,
 )
 from brwlab.spectral import expected_population, moment_matrix
+
+
+def product_atoms(law) -> dict:
+    """{sorted (vertex, count) pairs: probability} of a product-form law, by
+    placing each of its n labelled children on every target in turn."""
+    pf = law.product
+    out = {}
+    for n, pn in zip(pf.rho.values.tolist(), pf.rho.probs.tolist()):
+        for place in itertools.product(range(len(pf.targets)), repeat=n):
+            key = tuple(sorted(collections.Counter(pf.targets[i] for i in place).items()))
+            out[key] = out.get(key, 0.0) + pn * math.prod(pf.weights[i] for i in place)
+    return out
 
 
 def law_from(atom_dicts):
@@ -94,14 +108,11 @@ class TestStep:
         means, _ = mean_curve(m, {0: 1}, 1, R, seed=11)
         M = moment_matrix(m)
         row = {v: float(M.csr[M.index[0], i]) for v, i in M.index.items()}
-        for v in m.vertices:
-            law = m.laws[0]
-            var = law.rho.variance * 0.25 + law.rho_bar * 0.25 * (1 - 0.25)  # not exact; bound below
         # exact per-vertex variance from the law's atoms
-        atoms = m.laws[0].atoms
+        atoms = product_atoms(m.laws[0])
         for v in m.vertices:
             mu = row[v]
-            var = sum(p * (cfg.count(v) - mu) ** 2 for cfg, p in atoms)
+            var = sum(p * (dict(key).get(v, 0) - mu) ** 2 for key, p in atoms.items())
             se = math.sqrt(var / R) if var else 0.0
             assert abs(means[1][m.index[v]] - mu) <= 4 * se + 1e-12
 
@@ -141,11 +152,11 @@ class TestStep:
 class TestEngineDistribution:
     def test_product_one_step_configuration_law(self):
         # the stepping engine's one-step configuration distribution must match
-        # the law's materialized atoms (chi-square at 1%)
+        # the law's enumerated atoms (chi-square at 1%)
         from scipy.stats import chisquare
         m = build_scenario("zd_translation", {"radius": 2, "rho": {0: 0.5, 2: 0.5}})
         law = m.laws[0]
-        expected = {tuple(sorted(cfg.entries)): p for cfg, p in law.atoms}
+        expected = product_atoms(law)
         counts = {k: 0 for k in expected}
         R = 40_000
         # batch R independent replicas of a single one-step trial
@@ -365,6 +376,12 @@ class TestWilson:
     def test_wilson_extremes(self):
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0 and hi < 0.05
+
+    @pytest.mark.parametrize("successes, n", [(5, 3), (-1, 3), (1.5, 3), (1, 2.0), (True, 3)])
+    def test_wilson_needs_whole_counts_with_successes_at_most_n(self, successes, n):
+        # (5, 3) ended in "math domain error" and (-1, 3) in an interval below 0
+        with pytest.raises(ModelError):
+            wilson_interval(successes, n)
 
 
 def _sha(data) -> str:

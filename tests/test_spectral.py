@@ -10,7 +10,7 @@ from scipy.sparse.linalg import eigsh
 from brwlab import spectral
 from brwlab.approx import ball_exhaustion, spatial_experiment
 from brwlab.core import BrwModel, ModelError, OffspringConfig, build_offspring_law
-from brwlab.genfun import check_mean_condition, check_subsolution, lambda_sweep
+from brwlab.genfun import check_subsolution, classify_survival, lambda_sweep
 from brwlab.scenarios import build_scenario, tree_rates
 from brwlab.spectral import (
     _DENSE_CUTOFF,
@@ -75,7 +75,6 @@ _LINE = build_scenario("zd_translation", {"radius": 2})
     lambda: expected_population(moment_matrix(_LINE), {7: 1}, 2),
     lambda: expected_population(moment_matrix(_LINE), np.ones(_LINE.size + 1), 2),
     lambda: check_subsolution(_LINE, 0.5, 7),
-    lambda: check_mean_condition(_LINE, 1.0, 7),
     lambda: ball_exhaustion(_LINE, 7, (1,)),
     lambda: MomentMatrix(np.array([[np.nan]]), (0,)),
     lambda: local_growth_rate(MomentMatrix(np.array([[np.nan]]), (0,)), 0),
@@ -93,18 +92,33 @@ _LINE = build_scenario("zd_translation", {"radius": 2})
     lambda: expected_population(moment_matrix(_LINE), np.ones(_LINE.size), 2),
     lambda: seneta_sequence(_LINE, [(0, 1, 99)], 0),
     lambda: spatial_experiment(_LINE, [(0, 99)], 0),
-], ids=["population-start-vertex", "population-start-length", "subsolution-x0",
-        "mean-condition-x0", "ball-x0", "nan-weight", "nan-growth",
+    lambda: global_growth_rate(moment_matrix(_LINE), 0, n_max=2.5),
+    lambda: classify_survival(_LINE, 0, n_max="a"),
+    lambda: ball_exhaustion(_LINE, 0, [-1]),
+    lambda: ball_exhaustion(_LINE, 0, [1.5]),
+    lambda: lambda_sweep(moment_matrix(_LINE), 0, 0.1, 10.0, width=math.nan),
+    lambda: lambda_sweep(moment_matrix(_LINE), 0, 0.1, 10.0, width=1.0, grid=["a"]),
+], ids=["population-start-vertex", "population-start-length", "subsolution-x0", "ball-x0", "nan-weight", "nan-growth",
         "inf-weight", "duplicate-labels", "text-entry", "object-entry", "not-square",
         "population-steps-not-whole", "population-nan-count",
         "population-negative-count", "population-bool-count", "population-inf-vector",
         "population-negative-vector", "population-vector-start", "seneta-window-vertex",
-        "spatial-window-vertex"])
+        "spatial-window-vertex", "global-n-max-not-whole", "classify-n-max-text",
+        "ball-radius-negative", "ball-radius-not-whole", "sweep-width-nan", "sweep-grid-text"])
 def test_unusable_input_raises_model_error(call):
     # input the code cannot use fails with ModelError, not with a KeyError, a numpy
-    # error or a silent answer
+    # error or a silent answer (an n_max of 2.5 or "a" ended in a TypeError, a
+    # radius of -1 in an empty ball and 1.5 in the ball of radius 1, a NaN width
+    # in a sweep that could never refuse, and a grid entry "a" in a ValueError)
     with pytest.raises(ModelError):
         call()
+
+
+@pytest.mark.parametrize("n_max", [2.5, True, "a"])
+def test_local_growth_reads_n_max_as_a_whole_number(n_max):
+    # 2.5 and True were refused as "below twice the period" 2, and "a" ended in a TypeError
+    with pytest.raises(ModelError, match="n_max must be a whole number"):
+        local_growth_rate(moment_matrix(_LINE), 0, n_max=n_max)
 
 
 class TestExpectedPopulation:
