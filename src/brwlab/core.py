@@ -139,8 +139,10 @@ class IntDistribution:
     @staticmethod
     def from_values(values, probs, normalize=False) -> "IntDistribution":
         """The law putting probs[i] on values[i]: distinct whole numbers of
-        at least 0 (an integer array; floats and bools are refused)."""
+        at least 0 (integer entries; floats and bools are refused, even mixed in)."""
         d = IntDistribution.__new__(IntDistribution)
+        if not isinstance(values, np.ndarray) and any(type(v) in (bool, np.bool_) for v in values):
+            raise ModelError(f"values must be whole numbers, got a bool in {values!r}")
         values = np.asarray(values)
         if values.size and values.dtype.kind not in "iu":
             raise ModelError(f"values must be whole numbers, got {values.dtype} entries")

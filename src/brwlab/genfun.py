@@ -455,9 +455,9 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
     (ModelError if not): on a finite irreducible window local and global
     survival both hold exactly when rho(lam * K) > 1, so lam_w is lam_s,
     with the same bracket.  A bracket wider than ``width``, or a threshold
-    outside [lam_lo, lam_hi], raises ModelError, and so does a ``width`` or
-    a rate of ``grid`` that is not a finite number of at least 0.
-    ``stop_tol`` is kept for old callers and bounds nothing.
+    outside [lam_lo, lam_hi], raises ModelError, and so does a ``width``,
+    bound or rate of ``grid`` that is not a finite number of at least 0, or
+    lam_lo above lam_hi.  ``stop_tol`` is kept for old callers and bounds nothing.
 
     ``rates`` is a MomentMatrix, or a rate matrix whose rows and columns
     are labelled by ``vertices``.  The table holds the extinction
@@ -469,6 +469,9 @@ def lambda_sweep(rates, x0, lam_lo, lam_hi, vertices=None, width=2e-3,
     must be nonincreasing in lam.
     """
     width = _real(width, 0, "width")
+    lam_lo, lam_hi = _real(lam_lo, 0, "lam_lo"), _real(lam_hi, 0, "lam_hi")
+    if lam_lo > lam_hi:
+        raise ModelError(f"lam_lo = {lam_lo} exceeds lam_hi = {lam_hi}")
     lams = (tuple(_real(lam, 0, "a grid rate") for lam in grid) if grid is not None
             else tuple(np.linspace(lam_lo, lam_hi, 9).tolist()))
     if isinstance(rates, MomentMatrix):

@@ -9,24 +9,25 @@ share a stream share their per-particle offspring draws: a capped or
 restricted state reads a prefix of the same draw blocks, which makes
 monotone couplings exact rather than statistical.
 
-One kernel draws all offspring.  It advances an (R, S, V) count array:
-R replicas, each with S coupled rows over V vertices, by one occupancy pass
+One kernel draws all offspring.  It advances an (R, S, V) count array: R
+replicas, each with S coupled rows over V vertices, by one occupancy pass
 per generation: the occupied (replica, vertex) sites, each with one draw
 block sized by the largest of its rows, are sorted once into the canonical
 order, only the law groups that hold particles are visited, each group's
 draws are read in chunks of at most _DRAW_BUDGET at fixed positions of its
 stream, every temporary is sized by the occupied sites or the budget, and
-each row's arrivals are summed from its per-(site, target) child counts by
-one scatter-add.  A group's draws become per-site counts in one of two ways,
-which give the same integers: a call of at least _SEGMENT_FLOOR draws with
-at least _SEGMENT_RATIO draws per boundary point (site starts and ends, each
-row's prefix ends) and a cdf of at most _SCAN_CDF entries sums, for each
-interior cdf entry, the uniforms that reach it between consecutive boundary
-points; any other call inverts each draw and counts the indices.  A trial
-batch steps all its live replicas together, each replica drawing from its
-own (seed, replica, generation) stream, so a batch is bit-identical to
-running its replicas one at a time; the replica-batched mean curves share
-one stream per generation with S = 1.
+the array is stepped in place: once the blocks are read it is zeroed, and
+each group's per-(site, target) child counts are scatter-added into it
+before the next group is read.  A group's draws become per-site counts in
+one of two ways, which give the same integers: a call of at least
+_SEGMENT_FLOOR draws with at least _SEGMENT_RATIO draws per boundary point
+(site starts and ends, each row's prefix ends) and a cdf of at most
+_SCAN_CDF entries sums, for each interior cdf entry, the uniforms that reach
+it between consecutive boundary points; any other call inverts each draw and
+counts the indices.  A trial batch steps all its live replicas together,
+each replica drawing from its own (seed, replica, generation) stream, so a
+batch is bit-identical to running its replicas one at a time; the
+replica-batched mean curves share one stream per generation with S = 1.
 
 Per-site caps are applied after summing arrivals from all parents, so a
 step does not depend on any parent ordering.
@@ -73,7 +74,8 @@ _SEGMENT_FLOOR = 1 << 15
 _SEGMENT_RATIO = 32
 
 # Cells one dense Monte Carlo array may hold (1 GiB of int64): replicas x rows
-# x vertices of a state, replicas x (horizon + 1) tracked samples.
+# x vertices of a state, replicas x (horizon + 1) tracked samples; one array,
+# not a step's peak, which is several times the state's bytes (see _advance).
 _MAX_CELLS = 2 ** 27
 
 DEFAULT_HARD_CAP = 10 ** 8
@@ -309,7 +311,8 @@ def _sampler(model: BrwModel):
     members = np.concatenate([rows for _, _, rows in table.draw_groups])  # vertices in draw order
     first = np.cumsum(sizes) - sizes
     position = np.argsort(members)                         # of each vertex in the draw order
-    group_of = np.repeat(np.arange(sizes.size), sizes)[position]
+    # the smallest dtype, so the kernel's stable argsort of group ids is a radix sort
+    group_of = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)), sizes)[position]
     row_of = position - first[group_of]
     # product targets: the dispersal rows of all members, cut per group
     lo, hi = table.disp.indptr[members], table.disp.indptr[members + 1]
@@ -518,7 +521,8 @@ def _atom_arrivals(block, reads, rng, lasts, group):
 
 
 def _advance(counts, model, rng, keep_masks=None):
-    """Advance an (R, S, V) count array one generation; R replicas, S coupled rows.
+    """Step an (R, S, V) count array one generation in place and return it; R
+    replicas, S coupled rows.
 
     rng is one generator shared by all replicas, or a list of R per-replica
     generators.  Replicas read disjoint draws; the rows of one replica share
@@ -526,41 +530,48 @@ def _advance(counts, model, rng, keep_masks=None):
     (replica, vertex), sized by the maximum over that replica's rows, ordered
     by law group (groups by least vertex), then replica-major, then by vertex.
     Only the groups that hold particles are visited, and each group's draws
-    are read in chunks of at most _DRAW_BUDGET, so besides the (R, V)
-    occupancy and the output every array is sized by the occupied blocks or
-    the budget, never by the particles.  Row s
-    reads the first counts[r, s, v] draws of its block, so a smaller row sees
-    a prefix of a larger one's particles.  Each group gives each row's child
-    counts per (block, target site), and each row's arrivals are one int64
-    scatter-add of all of them.  keep_masks[s] (None or a boolean vertex mask)
-    kills row s's children sent outside the mask, realizing the restriction
-    coupling.  Caps are NOT applied here; the uncapped arrivals are returned.
+    are read in chunks of at most _DRAW_BUDGET, so besides the state and the
+    (R, V) occupancy every array is sized by the occupied blocks or the
+    budget, never by the particles.  Row s reads the first counts[r, s, v]
+    draws of its block, so a smaller row sees a prefix of a larger one's
+    particles.  Once the blocks and the rows' prefix reads are taken, the state
+    (C-contiguous, else ValueError) is zeroed, and each group's per-row child
+    counts per (block, target site) are scatter-added into it in int64, one
+    group at a time: a fully occupied step holds about 70 bytes per state cell
+    with one row, 47 with three.  keep_masks[s] (None or a boolean vertex
+    mask) kills row s's children sent outside the mask, realizing the
+    restriction coupling.  Caps are NOT applied; the arrivals are uncapped.
     """
     R, S, V = counts.shape
+    if not counts.flags.c_contiguous:
+        raise ValueError("_advance steps a C-contiguous state in place")
     if R == 1 and isinstance(rng, list):
         rng = rng[0]
     shared = isinstance(rng, np.random.Generator)
     groups, group_of, row_of = _sampler(model)
     sizes = counts[:, 0] if S == 1 else np.maximum.reduce(counts, axis=1)  # each site's block
     occ = (sizes > 0).ravel().nonzero()[0]                 # replica * V + vertex, replica-major
-    vert = occ % V
-    gid = group_of[vert]
+    gid = group_of[occ % V]
+    bounds = np.zeros(len(groups) + 1, dtype=np.intp)      # each group's first entry, then the end
+    np.add.accumulate(np.bincount(gid, minlength=len(groups)), out=bounds[1:])
     if len(groups) > 1:
-        order = gid.argsort(kind="stable")                 # the draw order
-        occ, vert, gid = occ[order], vert[order], gid[order]
-    base = occ - vert                                      # replica * V
-    bounds = gid.searchsorted(np.arange(len(groups) + 1))
+        occ = occ[gid.argsort(kind="stable")]              # the draw order
+    vert = occ % V
+    start = (occ - vert) * S                               # the entry's replica's first cell
     block = sizes.ravel()[occ]
-    reads = block[None] if S == 1 else counts[occ // V, :, vert].T  # (S, entries)
+    del occ, sizes
+    reads = block[None] if S == 1 else counts[start // (S * V), :, vert].T  # (S, entries)
     if not shared:             # each replica's entries in one group form a run of draws
-        run = np.ones(occ.size + 1, dtype=bool)            # the runs' starts, then the end
-        run[1:-1] = (base[1:] != base[:-1]) | (gid[1:] != gid[:-1])
+        run = np.ones(vert.size + 1, dtype=bool)           # the runs' starts, then the end
+        run[1:-1] = start[1:] != start[:-1]
+        run[bounds[:-1]] = True
         run_at = run.nonzero()[0]
         run_last = run_at[1:] - 1                          # each run's last entry
         run_at = run_at[:-1]
-        run_rng = [rng[i] for i in (base[run_at] // V).tolist()]
+        run_rng = [rng[i] for i in (start[run_at] // (S * V)).tolist()]
         run_bounds = run_at.searchsorted(bounds)
-    dests, weights = [], [[] for _ in range(S)]            # per group: target sites, row counts
+    flat = counts.reshape(-1)
+    flat[:] = 0
     for g in (bounds[1:] > bounds[:-1]).nonzero()[0].tolist():
         a, b = bounds[g], bounds[g + 1]
         group = groups[g]
@@ -572,23 +583,19 @@ def _advance(counts, model, rng, keep_masks=None):
         kids = arrive(block[a:b], reads[:, a:b], grng, lasts, group)
         if kids is None:
             continue
-        dest = group.targets[row_of[vert[a:b]]]            # (entries, k) flat target sites
+        dest = group.targets[row_of[vert[a:b]]]            # (entries, k) target vertices
         if R > 1:
-            dest += base[a:b, None]
-        dests.append(dest.ravel())
-        for row, w in zip(weights, kids):
-            row.append(w)
-    new = np.zeros((S, R, V), dtype=np.int64)
-    if dests:
-        dest = dests[0] if len(dests) == 1 else np.concatenate(dests)
-        for row, w in zip(new.reshape(S, R * V), weights):
+            dest += start[a:b, None]                       # their cells in row 0
+        dest = dest.ravel()
+        for s, w in enumerate(kids):
             # exact in int64; a weighted bincount would round-trip through float64
-            np.add.at(row, dest, w[0] if len(w) == 1 else np.concatenate(w))
+            np.add.at(flat[s * V:], dest, w)               # row s's cells are s * V further on
+        del dest, kids
     if keep_masks:
-        for row, mask in zip(new, keep_masks):
+        for s, mask in enumerate(keep_masks):
             if mask is not None:
-                row *= mask
-    return new.transpose(1, 0, 2)
+                counts[:, s] *= mask
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -760,25 +767,23 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
             # a row that ended holds zeros and cannot exceed its upper row,
             # so only the upper row's end has to be masked out
             upper_live = live[:, upper]
-        stepped = counts if len(row_masks) == len(masks) else counts[:, rows]
-        new = np.empty_like(stepped)
+        # a C-contiguous copy of the rows some replica steps (the others hold zeros)
+        stepped = counts if len(row_masks) == len(masks) else counts.compress(rows, axis=1)
         spans = ([(0, 1)] if idx.size == 1
                  else _chunks(stepped.max(axis=1).sum(axis=1), _BATCH_DRAWS))
         for lo, hi in spans:
-            rngs = pool.streams(replica_ids[idx[lo:hi]], gen)
-            new[lo:hi] = _advance(stepped[lo:hi], model, rngs, row_masks)
+            _advance(stepped[lo:hi], model, pool.streams(replica_ids[idx[lo:hi]], gen), row_masks)
         if stepped is not counts:
-            new, arrivals = np.zeros_like(counts), new
-            new[:, rows] = arrivals
+            counts[:, rows] = stepped
         if limit is not None:
-            np.minimum(new, limit, out=new)
-        if lower.size and ((new[:, lower] > new[:, upper]).any(axis=2) & upper_live).any():
+            np.minimum(counts, limit, out=counts)
+        if lower.size and ((counts[:, lower] > counts[:, upper]).any(axis=2) & upper_live).any():
             raise RuntimeError("coupling domination violated")  # must never happen
-        total = new.sum(axis=2)                                    # 0 on rows not stepped
+        total = counts.sum(axis=2)                                 # 0 on rows not stepped
         rec[:, _BORN] += total
         np.maximum(rec[:, _PEAK], total, out=rec[:, _PEAK])
         if t_idx is not None:
-            hit = new[:, :, t_idx] > 0
+            hit = counts[:, :, t_idx] > 0
             rec[:, _VISITS] += hit
             rec[:, _LAST][hit] = gen
         ended = live & ((total == 0) | (total > hard_cap))
@@ -787,8 +792,7 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
             rec[:, _GENS][ended] = gen
             rec[:, _STATUS][ended] = np.where(total[ended] > 0, 2, 1)  # overflow or extinct
             live &= ~ended
-            new[ended] = 0                                         # an overflow row is dropped
-        counts = new
+            counts[ended] = 0                                      # an overflow row is dropped
     rec[:, _GENS][live] = horizon
     out[idx] = rec
     fields = out.transpose(1, 0, 2).tolist()
@@ -875,7 +879,7 @@ def mean_curve(model: BrwModel, eta0, horizon, replicas, seed=0, track=None):
     if samples is not None:
         samples[:, 0] = counts[:, t_idx]
     for gen in range(1, horizon + 1):
-        counts = _advance(counts[:, None, :], model, _philox(_BATCH_SALT, seed, 0, gen))[:, 0]
+        _advance(counts[:, None, :], model, _philox(_BATCH_SALT, seed, 0, gen))
         means[gen] = counts.sum(axis=0) / R
         if samples is not None:
             samples[:, gen] = counts[:, t_idx]

@@ -10,6 +10,7 @@ matrices and models.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -77,7 +78,7 @@ def _audit_brackets(A, root, lam_s):
                 low, high = _perron_bracket(M, _narrow(1e-9))
                 assert low <= root <= high
             try:
-                res = lambda_sweep(M, 0, 0.0, math.inf, width=1e-6 * float(lam_s),
+                res = lambda_sweep(M, 0, 0.0, sys.float_info.max, width=1e-6 * float(lam_s),
                                    projected_row_sum=1.0, grid=(1.0,))
             except ModelError as exc:      # a bracket too wide to print is refused
                 assert "wider than" in str(exc)

@@ -255,11 +255,15 @@ class TestIntDistribution:
         lambda: IntDistribution.from_values([0.5, 1], [0.5, 0.5]),
         lambda: IntDistribution.from_values([True], [1.0]),
         lambda: IntDistribution.from_values(np.array([2 ** 64 - 1], dtype=np.uint64), [1.0]),
+        lambda: IntDistribution.from_values([True, 2], [0.5, 0.5]),
+        lambda: IntDistribution.from_values((3, np.True_), [0.5, 0.5]),
     ], ids=["prob-nan", "prob-inf-normalized", "from-values-prob-nan", "value-half",
-            "value-bool", "value-above-int64"])
+            "value-bool", "value-above-int64", "value-bool-among-ints",
+            "value-numpy-bool-among-ints"])
     def test_refuses_non_finite_probabilities_and_non_whole_values(self, build):
         # [nan, 1.0] was the point mass at 0, [inf, 1.0] too (with a warning
-        # when normalized), and from_values read 0.5 as 0 and True as 1
+        # when normalized), from_values read 0.5 as 0 and True as 1, and
+        # [True, 2] was the law on {1, 2}: numpy promotes the list to int64
         with pytest.raises(ModelError):
             build()
 

@@ -725,6 +725,28 @@ class TestLambdaSweep:
         with pytest.raises(ModelError):
             lambda_sweep(K, 0, 2.0, 3.0, projected_row_sum=1.0)
 
+    @pytest.mark.parametrize("lam_lo, lam_hi, match", [
+        ("a", 1.0, "lam_lo must be a finite number"),
+        (0.5, "b", "lam_hi must be a finite number"),
+        (True, 2.0, "lam_lo must be a finite number"),
+        (0.5, True, "lam_hi must be a finite number"),
+        (0.5, math.inf, "lam_hi must be a finite number"),
+        (math.nan, 2.0, "lam_lo must be a finite number"),
+        (-0.5, 2.0, "lam_lo must be a finite number of at least 0"),
+        (2.0, 1.0, "lam_lo = 2.0 exceeds lam_hi = 1.0"),
+    ])
+    def test_unusable_bounds_raise_model_error(self, lam_lo, lam_hi, match):
+        # "a" ended in numpy's DTypePromotionError, True passed as a bound, and
+        # lam_hi = inf warned in linspace and then reported "got nan"
+        K = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ModelError, match=match):
+            lambda_sweep(K, 0, lam_lo, lam_hi, vertices=(0, 1))
+
+    def test_equal_bounds_are_one_point(self):
+        K = np.array([[0.0, 1.0], [1.0, 0.0]])
+        res = lambda_sweep(K, 0, 1.0, 1.0, vertices=(0, 1))
+        assert res.lambda_s == 1.0 and res.lambda_w == 1.0
+
     def test_rate_matrix_needs_vertices(self):
         verts, K = tree_rates(4, 2)
         with pytest.raises(ModelError, match="vertices"):

@@ -594,8 +594,20 @@ class TestKernelChunks:
     def test_chunks_do_not_move_a_byte(self, draw_budget, name):
         counts, model, rng, masks = {c[0]: c[1:] for c in _advance_cases()}[name]
         out = simulate._advance(counts, model, rng, masks)
+        assert out is counts                      # stepped in place
         assert out.shape == counts.shape and out.dtype == np.int64
         assert _sha(out.tobytes()) == _ADVANCE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["mixed-per-replica", "atoms-shared"])
+    def test_a_state_that_is_not_c_contiguous_is_refused(self, name):
+        # a reshape of such a state would copy it, and the arrivals scattered
+        # into the copy would be lost
+        counts, model, rng, masks = {c[0]: c[1:] for c in _advance_cases()}[name]
+        held = counts.copy()
+        view = counts.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            simulate._advance(view, model, rng, masks)
+        assert np.array_equal(view, held)         # refused before anything is written
 
     @pytest.mark.parametrize("name, segmented", [("above-the-floor", True),
                                                  ("below-the-ratio", False)])
@@ -679,6 +691,30 @@ class TestTrialBatch:
         batch = run_trial_batch(m, caps, {0: 1}, 25, range(300), seed=seed, hard_cap=4000,
                                 couplings=[win, None])
         assert _digest([o for outs in batch for o in outs]) == want
+
+    def test_generations_after_a_row_ends(self, draw_budget, monkeypatch):
+        # the middle row (capped at 1 and restricted) ends in every replica
+        # while the others live on, so later generations step a copy of the
+        # rows still live; its arrivals must land back in the batch state
+        widths = []
+        advance = simulate._advance
+
+        def spy(counts, *args):
+            widths.append(counts.shape[1])
+            return advance(counts, *args)
+
+        monkeypatch.setattr(simulate, "_advance", spy)
+        m = build_scenario("zd_translation", {"radius": 5, "rho": {0: 0.4, 2: 0.6}})
+        caps, win = [math.inf, 1, 4], RestrictionCoupling(frozenset(range(-1, 2)))
+        batch = run_trial_batch(m, caps, {0: 2}, 30, range(16), target=0, seed=21,
+                                hard_cap=2000, couplings=[None, win, None])
+        outs = [o for outs in batch for o in outs]
+        assert set(widths) == {2, 3} and {o.status for o in outs[1::3]} == {"extinct"}
+        assert _digest(outs) == "3187a178d76f11982b129b3b9b0ce1db526b73a4a7b95fec3dfaa277b750167e"
+        for r in (0, 3, 5):
+            assert batch[r] == run_coupled_trials(m, caps, {0: 2}, 30, target=0, seed=21,
+                                                  replica=r, hard_cap=2000,
+                                                  couplings=[None, win, None])
 
     def test_batch_of_replica_subset_equals_single_runs(self):
         m = build_scenario("zd_translation", {"radius": 5})
@@ -1136,4 +1172,28 @@ class TestMemory:
     def test_bench_mean_curve(self):
         m = build_scenario("zd_translation", {"radius": 10})
         peak = self._peak_mb(lambda: mean_curve(m, {0: 1}, 8, 100_000, seed=77, track=0))
-        assert peak <= 85.0          # 65.0 MB; 96.6 MB before the kernel read in chunks
+        assert peak <= 55.0          # 48.2 MB; 65.7 MB before the state was stepped in place
+
+    # Fully occupied steps of 2**20 state cells, three particles per cell:
+    # their peaks per cell are what a large mean curve or trial batch needs.
+
+    def test_fully_occupied_mean_curve_step(self):
+        # a shared stream and one row, as a mean curve steps
+        m = build_scenario("zd_translation", {"radius": 10})
+        counts = np.full((2 ** 20 // m.size, 1, m.size), 3, dtype=np.int64)
+        rng = _philox(simulate._BATCH_SALT, 0, 0, 1)
+        peak = self._peak_mb(lambda: simulate._advance(counts, m, rng)) * 1e6 / counts.size
+        assert peak <= 80.0          # 70.3 B per cell; 117.6 before the state was stepped in place
+
+    def test_fully_occupied_trial_batch_step(self):
+        # per-replica streams and three rows: one reading a prefix of each
+        # block, one free, one restricted; a wide window keeps the replicas
+        # and their runs of draws few
+        m = build_scenario("zd_translation", {"radius": 100})
+        R = 2 ** 20 // (3 * m.size)
+        counts = np.full((R, 3, m.size), 3, dtype=np.int64)
+        counts[:, 0] = 1
+        mask = RestrictionCoupling(frozenset(range(-3, 4))).mask(m)
+        rngs = _StreamPool(_TRIAL_SALT, 0).streams(np.arange(R, dtype=np.uint64), 1)
+        peak = self._peak_mb(lambda: simulate._advance(counts, m, rngs, [None, None, mask]))
+        assert peak * 1e6 / counts.size <= 54.0   # 47.4 B per cell; 61.7 before in-place steps
