@@ -281,6 +281,8 @@ def truncation_sweep(model: BrwModel, caps, eta0, horizon, replicas, target=None
     All caps of one replica run on shared draw blocks, so the per-replica
     alive flags are monotone in the cap by construction and the inf row of
     the sweep coincides with an independent uncapped run of the same seed.
+    Each replica's outcome record per cap counts as 175 cells in the
+    2**27-cell bound (see ``run_trial_batch``).
     """
     caps = sorted(_caps(caps))
     if any(b <= a for a, b in zip(caps, caps[1:])):

@@ -13,13 +13,18 @@ One kernel draws all offspring.  It advances an (R, S, V) count array: R
 replicas, each with S coupled rows over V vertices, by one occupancy pass
 per generation: the occupied (replica, vertex) sites, each with one draw
 block sized by the largest of its rows, are sorted once into the canonical
-order, only the law groups that hold particles are visited, each group's
-draws are read in chunks of at most _DRAW_BUDGET at fixed positions of its
-stream, every temporary is sized by the occupied sites or the budget, and
-the array is stepped in place: once the blocks are read it is zeroed, and
-each group's per-(site, target) child counts are scatter-added into it
-before the next group is read.  A group's draws become per-site counts in
-one of two ways, which give the same integers: a call of at least
+order, and a snapshot of each one's cell, block and row reads is kept.  The
+array is then zeroed and stepped in place: only the law groups that hold
+particles are visited, each in pieces of at most _DRAW_BUDGET sites whose
+draws are read in chunks of at most _DRAW_BUDGET, and each piece's
+per-(site, target) child counts are scatter-added into the array before the
+next piece is read.  Philox is counter-based, so a group split into pieces
+reads its dispersal draws through a second cursor placed past its child
+totals, and every draw keeps its position in the stream.  Besides the state
+and the snapshot (16 bytes per occupied site, 8 more per row when S > 1),
+every temporary is sized by a piece or the budget: a fully occupied step
+holds about 25 bytes per state cell.  A group's draws become per-site
+counts in one of two ways, which give the same integers: a call of at least
 _SEGMENT_FLOOR draws with at least _SEGMENT_RATIO draws per boundary point
 (site starts and ends, each row's prefix ends) and a cdf of at most
 _SCAN_CDF entries sums, for each interior cdf entry, the uniforms that reach
@@ -50,10 +55,11 @@ _BATCH_SALT = 0xC2B2AE3D27D4EB4F
 _INT64_MAX = 2 ** 63 - 1
 _U32, _U63 = np.uint64(32), np.uint64(63)
 
-# Draws _advance holds at once: it reads each law group's draws in chunks of
-# at most this many, so its temporaries are sized by the occupied sites or
-# the budget (a percolation level block holds as many uniforms); chosen by
-# measurement.
+# Draws _advance holds at once: it steps each law group in pieces of at most
+# this many occupied sites and reads a piece's draws in chunks of at most
+# this many, so its temporaries past the occupancy snapshot are sized by the
+# budget (a percolation level block holds as many uniforms, a trial batch's
+# domination check as many cells); chosen by measurement.
 _DRAW_BUDGET = 1 << 16
 
 # Draws a trial batch hands one kernel call, which bounds the call's occupied
@@ -74,9 +80,16 @@ _SEGMENT_FLOOR = 1 << 15
 _SEGMENT_RATIO = 32
 
 # Cells one dense Monte Carlo array may hold (1 GiB of int64): replicas x rows
-# x vertices of a state, replicas x (horizon + 1) tracked samples; one array,
-# not a step's peak, which is several times the state's bytes (see _advance).
+# x vertices of a state (with its outcome records, see _RECORD_CELLS),
+# replicas x (horizon + 1) tracked samples.  One array, not a step's peak: a
+# fully occupied step holds about 25 bytes of temporaries per state cell (see
+# _advance), so a state at the bound steps in about 4.4 GB in all.
 _MAX_CELLS = 2 ** 27
+
+# Cells each trial outcome record counts as in that bound: 1,400 bytes, what
+# estimate_survival holds per record on a GW law with 10**5 replicas (1,389
+# measured by tracemalloc; 571 per record with five caps).
+_RECORD_CELLS = 175
 
 DEFAULT_HARD_CAP = 10 ** 8
 _Z95 = 1.959963984540054                    # the two-sided 95% normal quantile
@@ -174,6 +187,19 @@ class _StreamPool:
         return gens[:len(replicas)]
 
 
+def _cursor(rng, n) -> np.random.Generator:
+    """A new generator on rng's Philox key that draws what rng draws after
+    its next n words (one word per float64 uniform); rng does not move.
+    Philox is counter-based, so the cursor starts at the block holding that
+    word and skips the words before it in the block."""
+    state = rng.bit_generator.state
+    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"].tolist()))
+    at = 4 * counter + state["buffer_pos"] - 4 + n         # the word the cursor reads first
+    bits = np.random.Philox(counter=at // 4, key=state["state"]["key"])
+    bits.random_raw(at % 4)
+    return np.random.Generator(bits)
+
+
 class TrialStreams:
     """Per-(seed, replica) family of per-generation Philox generators."""
 
@@ -234,9 +260,10 @@ def _ranges(starts, stops):
 
 
 def _chunks(sizes, budget):
-    """Split consecutive replicas into (lo, hi) runs of at most ``budget``
-    draws; a replica above the budget gets a run of its own."""
-    held = np.concatenate(([0], np.add.accumulate(sizes)))     # draws before each replica
+    """Split consecutive items (replicas, runs of entries) of the given sizes
+    into (lo, hi) runs of at most ``budget`` in total; an item above the
+    budget gets a run of its own."""
+    held = np.concatenate(([0], np.add.accumulate(sizes)))     # total before each item
     lo, n = 0, sizes.size
     while True:
         hi = min(n, max(lo + 1, int(held.searchsorted(held[lo] + budget, "right")) - 1))
@@ -480,19 +507,21 @@ def _tally(rng, stops, cdf, firsts, ends, whole, prefix):
     return out
 
 
-def _product_arrivals(block, reads, rng, lasts, group):
+def _product_arrivals(block, reads, rng, lasts, group, disp):
     """Each row's child counts of one product group per (entry, dispersal
     slot), entries * k flat, or None when no child is born.
 
-    The entries are the group's occupied (replica, vertex) blocks in draw
-    order: block holds their sizes and reads (S, entries) each row's prefix
-    of them.  rng is the shared generator (lasts None) or one generator per
-    replica, rng[i] drawing for the run of entries that ends at entry
-    lasts[i].  Pass 1 reads the child totals and keeps only the children
-    born before each block's start and end and each row's prefix end.  The
-    children of a block's first j particles are one contiguous range of the
-    group's children, so pass 2 reads the dispersal slots and counts, for a
-    row that reads a prefix of some blocks, the ranges it reads.
+    The entries are some of the group's occupied (replica, vertex) blocks in
+    draw order: block holds their sizes and reads (S, entries) each row's
+    prefix of them.  rng is the shared generator (lasts None) or one
+    generator per replica, rng[i] drawing for the run of entries that ends at
+    entry lasts[i].  Pass 1 reads the child totals from rng and keeps only
+    the children born before each block's start and end and each row's prefix
+    end.  The children of a block's first j particles are one contiguous
+    range of the entries' children, so pass 2 reads the dispersal slots from
+    disp, which is rng or, on a shared stream, a cursor at their position,
+    and counts, for a row that reads a prefix of some blocks, the ranges it
+    reads.
     """
     # ufunc methods: cumsum and all without the wrappers small trials pay for
     ends = np.add.accumulate(block)                        # one past each block's last particle
@@ -500,18 +529,20 @@ def _product_arrivals(block, reads, rng, lasts, group):
     whole = np.logical_and.reduce(reads == block, axis=1).tolist()  # rows reading whole blocks
     born = _born_at(rng, None if lasts is None else ends[lasts].tolist(), group, firsts, ends,
                     None if all(whole) else reads + firsts)
+    del ends, firsts
     if born[1][-1] == 0:
         return None
-    return _tally(rng, None if lasts is None else born[1][lasts].tolist(), group.w_cdf, born[0],
+    return _tally(disp, None if lasts is None else born[1][lasts].tolist(), group.w_cdf, born[0],
                   born[1], whole, born[2] if len(born) > 2 else None)
 
 
 def _atom_arrivals(block, reads, rng, lasts, group):
     """Each row's child counts of one atom-law vertex per (entry, vertex its
     atoms reach), entries * U flat; the arguments are those of
-    ``_product_arrivals``.  The vertex has one entry per replica, so each
-    entry is its replica's run of draws; a row's atom counts times the
-    atoms' configurations are its child counts."""
+    ``_product_arrivals`` but disp, since an atom group reads one draw per
+    particle and no dispersal slots.  The vertex has one entry per replica,
+    so each entry is its replica's run of draws; a row's atom counts times
+    the atoms' configurations are its child counts."""
     ends = np.add.accumulate(block)
     firsts = ends - block
     whole = np.logical_and.reduce(reads == block, axis=1).tolist()
@@ -529,18 +560,26 @@ def _advance(counts, model, rng, keep_masks=None):
     theirs.  One occupancy pass lays out the draw blocks: one per occupied
     (replica, vertex), sized by the maximum over that replica's rows, ordered
     by law group (groups by least vertex), then replica-major, then by vertex.
-    Only the groups that hold particles are visited, and each group's draws
-    are read in chunks of at most _DRAW_BUDGET, so besides the state and the
-    (R, V) occupancy every array is sized by the occupied blocks or the
-    budget, never by the particles.  Row s reads the first counts[r, s, v]
-    draws of its block, so a smaller row sees a prefix of a larger one's
-    particles.  Once the blocks and the rows' prefix reads are taken, the state
-    (C-contiguous, else ValueError) is zeroed, and each group's per-row child
-    counts per (block, target site) are scatter-added into it in int64, one
-    group at a time: a fully occupied step holds about 70 bytes per state cell
-    with one row, 47 with three.  keep_masks[s] (None or a boolean vertex
-    mask) kills row s's children sent outside the mask, realizing the
-    restriction coupling.  Caps are NOT applied; the arrivals are uncapped.
+    Row s reads the first counts[r, s, v] draws of its block, so a smaller row
+    sees a prefix of a larger one's particles.  The pass keeps a snapshot of
+    each occupied site's cell and block, and each row's prefix reads when
+    S > 1; then the state (C-contiguous, else ValueError) is zeroed.  Only
+    the groups that hold particles are visited, each in pieces of at most
+    _DRAW_BUDGET entries (on per-replica streams a piece ends only where a
+    replica's run of entries ends), and each piece's draws are read in chunks
+    of at most _DRAW_BUDGET; its per-row child counts per (block, target
+    site) are scatter-added into the state in int64 before the next piece is
+    read.  On a shared stream a group split into pieces reads its child
+    totals where the previous piece stopped and its dispersal slots through a
+    ``_cursor`` placed past all of its totals, which the next group then
+    reads on from, so every draw lands where an unsplit group reads it.  So
+    besides the state, the (R, V) occupancy and the snapshot, every array is
+    sized by a piece or the budget: a fully occupied step holds about 25
+    bytes per state cell with one row, 20 with three (tracemalloc, 2**20
+    cells; 70.6 and 47.8 before the pieces).  keep_masks[s] (None or
+    a boolean vertex mask) kills row s's children sent outside the mask,
+    realizing the restriction coupling.  Caps are NOT applied; the arrivals
+    are uncapped.
     """
     R, S, V = counts.shape
     if not counts.flags.c_contiguous:
@@ -550,47 +589,82 @@ def _advance(counts, model, rng, keep_masks=None):
     shared = isinstance(rng, np.random.Generator)
     groups, group_of, row_of = _sampler(model)
     sizes = counts[:, 0] if S == 1 else np.maximum.reduce(counts, axis=1)  # each site's block
-    occ = (sizes > 0).ravel().nonzero()[0]                 # replica * V + vertex, replica-major
-    gid = group_of[occ % V]
+    cell = (sizes > 0).ravel().nonzero()[0]                # replica * V + vertex, replica-major
+    gid = group_of[cell % V]
+    held = np.bincount(gid, minlength=len(groups))         # entries per group
     bounds = np.zeros(len(groups) + 1, dtype=np.intp)      # each group's first entry, then the end
-    np.add.accumulate(np.bincount(gid, minlength=len(groups)), out=bounds[1:])
-    if len(groups) > 1:
-        occ = occ[gid.argsort(kind="stable")]              # the draw order
-    vert = occ % V
-    start = (occ - vert) * S                               # the entry's replica's first cell
-    block = sizes.ravel()[occ]
-    del occ, sizes
-    reads = block[None] if S == 1 else counts[start // (S * V), :, vert].T  # (S, entries)
+    np.add.accumulate(held, out=bounds[1:])
+    visited = held.nonzero()[0].tolist()
+    if len(visited) > 1:
+        cell = cell[gid.argsort(kind="stable")]            # the draw order
+    del gid
+    block = sizes.ravel()[cell]
+    del sizes
+    if S > 1:
+        rep, vert = np.divmod(cell, V)
+        reads = counts[rep, :, vert].T                     # (S, entries)
+        del rep, vert
+    else:
+        reads = block[None]
     if not shared:             # each replica's entries in one group form a run of draws
-        run = np.ones(vert.size + 1, dtype=bool)           # the runs' starts, then the end
-        run[1:-1] = start[1:] != start[:-1]
+        rep = cell // V
+        run = np.ones(cell.size + 1, dtype=bool)           # the runs' starts, then the end
+        run[1:-1] = rep[1:] != rep[:-1]
         run[bounds[:-1]] = True
         run_at = run.nonzero()[0]
         run_last = run_at[1:] - 1                          # each run's last entry
-        run_at = run_at[:-1]
-        run_rng = [rng[i] for i in (start[run_at] // (S * V)).tolist()]
-        run_bounds = run_at.searchsorted(bounds)
+        run_rng = [rng[i] for i in rep[run_at[:-1]].tolist()]
+        run_bounds = run_at.searchsorted(bounds).tolist()  # each group's first run, then the end
+        del rep, run
     flat = counts.reshape(-1)
     flat[:] = 0
-    for g in (bounds[1:] > bounds[:-1]).nonzero()[0].tolist():
+    bounds = bounds.tolist()
+    for g in visited:
         a, b = bounds[g], bounds[g + 1]
         group = groups[g]
-        lasts, grng = None, rng
-        if not shared:
+        atom = isinstance(group, _AtomGroup)
+        if shared:
+            disp = rng
+            pieces = [(a, b, None, rng)]
+            if b - a > _DRAW_BUDGET:
+                pieces = [(lo, min(lo + _DRAW_BUDGET, b), None, rng)
+                          for lo in range(a, b, _DRAW_BUDGET)]
+                if not atom:           # its dispersal slots start past all its totals
+                    disp = _cursor(rng, int(block[a:b].sum()))
+        else:
+            disp = None
             i, j = run_bounds[g], run_bounds[g + 1]
-            lasts, grng = run_last[i:j] - a, run_rng[i:j]
-        arrive = _atom_arrivals if isinstance(group, _AtomGroup) else _product_arrivals
-        kids = arrive(block[a:b], reads[:, a:b], grng, lasts, group)
-        if kids is None:
-            continue
-        dest = group.targets[row_of[vert[a:b]]]            # (entries, k) target vertices
-        if R > 1:
-            dest += start[a:b, None]                       # their cells in row 0
-        dest = dest.ravel()
-        for s, w in enumerate(kids):
-            # exact in int64; a weighted bincount would round-trip through float64
-            np.add.at(flat[s * V:], dest, w)               # row s's cells are s * V further on
-        del dest, kids
+            pieces = [(a, b, run_last[i:j] - a, run_rng[i:j])]
+            if b - a > _DRAW_BUDGET:   # pieces of whole runs; a run above the budget is one
+                at = run_at[i:j + 1]
+                pieces = [(at[p], at[q], run_last[i + p:i + q] - at[p], run_rng[i + p:i + q])
+                          for p, q in _chunks(np.diff(at), _DRAW_BUDGET)]
+        for lo, hi, lasts, grng in pieces:
+            if atom:
+                kids = _atom_arrivals(block[lo:hi], reads[:, lo:hi], grng, lasts, group)
+            else:
+                kids = _product_arrivals(block[lo:hi], reads[:, lo:hi], grng, lasts, group,
+                                         grng if disp is None else disp)
+            if kids is None:
+                continue
+            # each entry's (entries, k) target cells in row 0: replica * S * V + target
+            piece = cell[lo:hi]                            # replica * V + vertex
+            if R == 1:
+                dest = group.targets[row_of[piece]]
+            elif group.cols.size == 1:                     # one vertex, one row of targets
+                dest = group.targets + ((piece - group.cols[0]) * S)[:, None]
+            else:
+                vert = piece % V
+                dest = group.targets[row_of[vert]]
+                dest += ((piece - vert) * S)[:, None]
+                del vert
+            dest = dest.ravel()
+            for s, w in enumerate(kids):
+                # exact in int64; a weighted bincount would round-trip through float64
+                np.add.at(flat[s * V:], dest, w)           # row s's cells are s * V further on
+            del dest, kids, w
+        if shared:
+            rng = disp                 # where the next group's draws start
     if keep_masks:
         for s, mask in enumerate(keep_masks):
             if mask is not None:
@@ -671,13 +745,18 @@ def _check_cells(what, cells):
 
 
 def _check_run(model, eta0, horizon, replicas, seed, vertex=None, role="target", hard_cap=None,
-               rows=1):
+               rows=1, record_cells=0):
     """The one validation point of the Monte Carlo runs; returns the start
-    counts per vertex of ``eta0``, a dict vertex -> count."""
+    counts per vertex of ``eta0``, a dict vertex -> count.  A run that returns
+    an outcome record per replica and row counts record_cells cells for each
+    beside its state."""
     _whole(replicas, 1, "replicas")
     _whole(horizon, 0, "horizon")
     _seed(seed)
-    _check_cells("the replicas x rows x vertices state", replicas * rows * model.size)
+    what = "the replicas x rows x vertices state"
+    if record_cells:
+        what += f" and its outcome records ({record_cells} cells each)"
+    _check_cells(what, replicas * rows * (model.size + record_cells))
     if hard_cap is not None:
         _whole(hard_cap, 1, "hard_cap")
     if vertex is not None:
@@ -724,8 +803,13 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
     TrialStreams(seed, replica).generation(n) key, so the outcomes equal the
     one-at-a-time runs bit for bit.  The live replicas are re-chunked every
     generation so one kernel call holds at most _BATCH_DRAWS particles; a
-    replica above that runs alone.  ``replicas`` is a sequence, and the
-    replicas x caps x vertices state must fit _MAX_CELLS.
+    replica above that runs alone.  ``replicas`` is a sequence.  The
+    replicas x caps x vertices state, plus _RECORD_CELLS = 175 cells (1,400
+    bytes) for each of the replicas x caps outcome records, must fit
+    _MAX_CELLS = 2**27, else ModelError before anything is allocated: a
+    TrialOutcome with its share of the batch's record arrays and lists holds
+    up to 1,389 bytes (tracemalloc, estimate_survival on a GW law with 10**5
+    replicas), so 10**7 GW replicas would need about 14 GB.
     """
     caps = _caps(caps)
     couplings = list(couplings) if couplings is not None else [None] * len(caps)
@@ -734,11 +818,14 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
     if not all(c is None or isinstance(c, RestrictionCoupling) for c in couplings):
         raise ModelError("each coupling entry must be None or a RestrictionCoupling")
     eta = _check_run(model, eta0, horizon, len(replicas), seed, target, hard_cap=hard_cap,
-                     rows=len(caps))
+                     rows=len(caps), record_cells=_RECORD_CELLS)
     # a stream key holds each index in 32 bits: 2**32 would reuse replica 0's stream
     replicas = [_whole(r, 0, "replica index", 2 ** 32) for r in replicas]
     t_idx = model.index[target] if target is not None else None
     masks, limit, lower, upper = _trial_plan(model, caps, couplings)
+    # replicas per domination check: its (replicas, pairs, V) gathers hold at
+    # most _DRAW_BUDGET cells each
+    chunk = max(1, _DRAW_BUDGET // (max(lower.size, 1) * model.size))
     start = np.stack([eta if mask is None else eta * mask for mask in masks])
     if limit is not None:
         np.minimum(start, limit, out=start)
@@ -777,8 +864,12 @@ def run_trial_batch(model: BrwModel, caps, eta0, horizon, replicas, target=None,
             counts[:, rows] = stepped
         if limit is not None:
             np.minimum(counts, limit, out=counts)
-        if lower.size and ((counts[:, lower] > counts[:, upper]).any(axis=2) & upper_live).any():
-            raise RuntimeError("coupling domination violated")  # must never happen
+        if lower.size:
+            for lo in range(0, idx.size, chunk):
+                part = slice(lo, lo + chunk)
+                if ((counts[part, lower] > counts[part, upper]).any(axis=2)
+                        & upper_live[part]).any():
+                    raise RuntimeError("coupling domination violated")  # must never happen
         total = counts.sum(axis=2)                                 # 0 on rows not stepped
         rec[:, _BORN] += total
         np.maximum(rec[:, _PEAK], total, out=rec[:, _PEAK])
@@ -840,7 +931,8 @@ def estimate_survival(model: BrwModel, eta0, horizon, replicas, target=None,
     """Survival frequency at the horizon across independent replica streams.
 
     Aborted (overflow) trials count as alive, which is conservative for
-    survival and reported via overflow_count.  Results depend only on the
+    survival and reported via overflow_count.  Each replica's outcome record
+    counts as 175 cells in the 2**27-cell bound (see ``run_trial_batch``).  Results depend only on the
     inputs, never on execution order, so replicas may run anywhere.
     """
     outcomes = [outs[0] for outs in run_trial_batch(

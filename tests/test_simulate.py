@@ -560,6 +560,10 @@ def _advance_cases():
         # 40,000 there too, over 1,000 sites of 40: per-draw indices by default
         ("below-the-ratio", np.full((200, 1, short.size), 40), short,
          TrialStreams(41).generation(1), None),
+        # each of the three groups holds more entries than a 7- or 64-entry
+        # piece, and row 1 reads a prefix of each block
+        ("mixed-shared-pieces", rows(mixed, 80, [2 ** 62, 3], [None, None]), mixed,
+         TrialStreams(42).generation(1), None),
     ]
 
 
@@ -575,6 +579,7 @@ _ADVANCE_DIGESTS = {
     "cdf-sizes-shared": "0bfa88906b6db556e16abc69b317984988bfc2d90ee94e4f2af2040dc6e1530d",
     "above-the-floor": "e4197ef18b7e75ae39fcc7205860500c72581b054b025f12971f96759de5702b",
     "below-the-ratio": "6ce82f607caded795006603fb89afd9cf645163ecba4458377ba1919b1348436",
+    "mixed-shared-pieces": "6cd55e7e54ce3517054216a064f157cf45f5cb06b5a0aae8048166b78c68c4f6",
 }
 
 
@@ -583,7 +588,9 @@ class TestKernelChunks:
     its stream and counts them by segment sums or by per-draw indices; its
     output must not depend on where the chunks fall or which way a group is
     counted.  The first seven digests were recorded before the kernel read
-    its draws in chunks, the others before it counted by segment sums."""
+    its draws in chunks, the last before it stepped each group in pieces
+    of at most _DRAW_BUDGET entries, the others before it counted by
+    segment sums."""
 
     @pytest.mark.parametrize("draw_budget", [
         None, {"_DRAW_BUDGET": 7}, {"_DRAW_BUDGET": 64}, _SEGMENTED,
@@ -777,6 +784,22 @@ class TestStreamOffsets:
         for r, rng in zip(replicas.tolist(), pool.streams(replicas, 9)):
             assert np.array_equal(rng.random(3), _list_key_generator(salt, seed, r, 9).random(3))
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 9), st.integers(0, 9), st.integers(1, 13), st.integers(0, 2),
+           st.sampled_from([_TRIAL_SALT, simulate._BATCH_SALT]))
+    @example(3, 2, 5, 0, _TRIAL_SALT)        # from word 5, across the block boundary at 8
+    @example(4, 4, 4, 1, _TRIAL_SALT)        # whole blocks on both sides
+    def test_cursor_reads_on_n_words_past_a_generator(self, k, n, size, block, salt):
+        # a generator that starts at Philox block `block` and has drawn k
+        # words; the cursor n words past it reads the stream from word k + n
+        # on, and the generator itself does not move
+        rng, = _StreamPool(salt, 5).streams([3], 7, np.array([block]))
+        full = _list_key_generator(salt, 5, 3, 7).random(4 * block + 40)[4 * block:]
+        rng.random(k)
+        cursor = simulate._cursor(rng, n)
+        assert np.array_equal(cursor.random(size), full[k + n:k + n + size])
+        assert np.array_equal(rng.random(size), full[k:k + size])
+
     def test_threads_keep_their_own_slots(self):
         # pools share Philox slots within a thread only, so runs in two
         # threads cannot re-key each other's generators
@@ -809,6 +832,32 @@ class TestRunValidation:
         with pytest.raises(ModelError, match=r"2\*\*27|134217729"):
             run(m)
         assert time.perf_counter() - start < 1.0
+
+    def test_outcome_records_count_in_the_cell_bound(self):
+        # 10**7 GW replicas hold 10**7 state cells, but their outcome records
+        # would need about 14 GB; checked by the guard alone, which allocates
+        # nothing, so a guard that let them through could not exhaust memory
+        m = build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}})
+        most = simulate._MAX_CELLS // (m.size + simulate._RECORD_CELLS)   # 762,600
+        _check_run(m, {0: 1}, 5, most, 0, record_cells=simulate._RECORD_CELLS)
+        for replicas in (most + 1, 10 ** 7):
+            with pytest.raises(ModelError, match="outcome records"):
+                _check_run(m, {0: 1}, 5, replicas, 0, record_cells=simulate._RECORD_CELLS)
+
+    @pytest.mark.parametrize("run, rows", [
+        (lambda m, n: estimate_survival(m, {0: 1}, 3, n), 1),
+        (lambda m, n: truncation_sweep(m, [2], {0: 1}, 3, n), 2),
+        (lambda m, n: run_trial_batch(m, [1, 2, math.inf], {0: 1}, 3, range(n)), 3),
+    ], ids=["survival", "sweep", "batch"])
+    def test_both_sides_of_the_record_bound(self, run, rows, monkeypatch):
+        # the runs that return records count them: under a bound of exactly
+        # 40 replicas' state cells and records, 40 run and 41 are refused
+        m = build_scenario("gw", {"rho": {0: 0.4, 2: 0.6}})
+        monkeypatch.setattr(simulate, "_MAX_CELLS",
+                            40 * rows * (m.size + simulate._RECORD_CELLS))
+        run(m, 40)
+        with pytest.raises(ModelError, match="outcome records"):
+            run(m, 41)
 
     def test_replicas_below_one(self):
         m = build_scenario("zd_translation", {"radius": 2})
@@ -1172,18 +1221,34 @@ class TestMemory:
     def test_bench_mean_curve(self):
         m = build_scenario("zd_translation", {"radius": 10})
         peak = self._peak_mb(lambda: mean_curve(m, {0: 1}, 8, 100_000, seed=77, track=0))
-        assert peak <= 55.0          # 48.2 MB; 65.7 MB before the state was stepped in place
+        assert peak <= 36.0          # 33.4 MB; 48.2 before each group was stepped in pieces
 
     # Fully occupied steps of 2**20 state cells, three particles per cell:
     # their peaks per cell are what a large mean curve or trial batch needs.
 
-    def test_fully_occupied_mean_curve_step(self):
-        # a shared stream and one row, as a mean curve steps
+    @classmethod
+    def _mean_curve_step(cls):
+        """Bytes per state cell of a fully occupied step on a shared stream
+        with one row, as a mean curve steps."""
         m = build_scenario("zd_translation", {"radius": 10})
         counts = np.full((2 ** 20 // m.size, 1, m.size), 3, dtype=np.int64)
         rng = _philox(simulate._BATCH_SALT, 0, 0, 1)
-        peak = self._peak_mb(lambda: simulate._advance(counts, m, rng)) * 1e6 / counts.size
-        assert peak <= 80.0          # 70.3 B per cell; 117.6 before the state was stepped in place
+        return cls._peak_mb(lambda: simulate._advance(counts, m, rng)) * 1e6 / counts.size
+
+    @classmethod
+    def _trial_batch_generation(cls, radius, caps, couplings):
+        """Bytes per state cell of one generation of a fully occupied trial
+        batch, its own state and outcome records included."""
+        m = build_scenario("zd_translation", {"radius": radius})
+        R = 2 ** 20 // (len(caps) * m.size)
+        eta = {v: 3 for v in m.index}
+        run_trial_batch(m, caps, eta, 1, range(1), couplings=couplings)   # the cached plan
+        peak = cls._peak_mb(lambda: run_trial_batch(m, caps, eta, 1, range(R),
+                                                    couplings=couplings))
+        return peak * 1e6 / (R * len(caps) * m.size)
+
+    def test_fully_occupied_mean_curve_step(self):
+        assert self._mean_curve_step() <= 32.0   # 25.0 B per cell; 70.6 before the pieces
 
     def test_fully_occupied_trial_batch_step(self):
         # per-replica streams and three rows: one reading a prefix of each
@@ -1196,4 +1261,23 @@ class TestMemory:
         mask = RestrictionCoupling(frozenset(range(-3, 4))).mask(m)
         rngs = _StreamPool(_TRIAL_SALT, 0).streams(np.arange(R, dtype=np.uint64), 1)
         peak = self._peak_mb(lambda: simulate._advance(counts, m, rngs, [None, None, mask]))
-        assert peak * 1e6 / counts.size <= 54.0   # 47.4 B per cell; 61.7 before in-place steps
+        assert peak * 1e6 / counts.size <= 28.0   # 20.1 B per cell; 47.8 before the pieces
+
+    def test_five_cap_trial_batch_generation(self):
+        # the CLI's five caps give ten domination pairs, whose gathers are
+        # taken over replica chunks rather than all replicas at once
+        per_cell = self._trial_batch_generation(1000, [1, 2, 4, 8, math.inf], None)
+        assert per_cell <= 20.0      # 13.3 B per cell; 42.4 with whole-batch gathers
+
+    @pytest.mark.parametrize("step", ["mean-curve", "trial-batch"])
+    def test_the_cell_bound_steps_in_6_gib(self, step):
+        # a state at _MAX_CELLS (1 GiB of int64) and a step's temporaries at
+        # the per-cell peak measured here stay under 6 GiB; the trial batch's
+        # peak already holds its own state, which so counts twice
+        if step == "mean-curve":
+            per_cell = self._mean_curve_step()
+        else:
+            win = RestrictionCoupling(frozenset(range(-3, 4)))
+            per_cell = self._trial_batch_generation(100, [1, math.inf, math.inf],
+                                                    [None, None, win])
+        assert per_cell * simulate._MAX_CELLS + 2 ** 30 < 6 * 2 ** 30
